@@ -427,7 +427,7 @@ func BenchmarkDiagnosticResolution(b *testing.B) {
 	b.ReportAllocs()
 	c := circuits.MustISCAS85Like("c432")
 	eprm := benchEvolution()
-	res, err := core.Synthesize(c, core.Options{Evolution: &eprm, ModuleSize: 40})
+	res, err := core.SynthesizeContext(context.Background(), c, core.Options{Evolution: &eprm, ModuleSize: 40})
 	if err != nil {
 		b.Fatal(err)
 	}

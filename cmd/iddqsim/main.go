@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -76,7 +77,7 @@ func run() error {
 	eprm.Seed = *seed
 	eprm.MaxGenerations = *gens
 	opt.Evolution = &eprm
-	res, err := core.Synthesize(c, opt)
+	res, err := core.SynthesizeContext(context.Background(), c, opt)
 	if err != nil {
 		return err
 	}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -70,7 +71,7 @@ func run() error {
 	// Partition the scan-inserted core for IDDQ sensors.
 	eprm := evolution.DefaultParams()
 	eprm.MaxGenerations = *gens
-	res, err := core.Synthesize(scanned.Comb, core.Options{Evolution: &eprm})
+	res, err := core.SynthesizeContext(context.Background(), scanned.Comb, core.Options{Evolution: &eprm})
 	if err != nil {
 		return err
 	}

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -37,7 +38,7 @@ func main() {
 	}
 	eprm := evolution.DefaultParams()
 	eprm.MaxGenerations = 80
-	res, err := core.Synthesize(c, core.Options{Evolution: &eprm})
+	res, err := core.SynthesizeContext(context.Background(), c, core.Options{Evolution: &eprm})
 	if err != nil {
 		log.Fatal(err)
 	}

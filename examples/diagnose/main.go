@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -35,7 +36,7 @@ func main() {
 	}
 	eprm := evolution.DefaultParams()
 	eprm.MaxGenerations = 60
-	res, err := core.Synthesize(c, core.Options{Evolution: &eprm, ModuleSize: 40})
+	res, err := core.SynthesizeContext(context.Background(), c, core.Options{Evolution: &eprm, ModuleSize: 40})
 	if err != nil {
 		log.Fatal(err)
 	}

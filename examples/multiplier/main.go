@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -32,11 +33,11 @@ func main() {
 
 	eprm := evolution.DefaultParams()
 	eprm.MaxGenerations = *gens
-	evo, err := core.Synthesize(c, core.Options{Evolution: &eprm})
+	evo, err := core.SynthesizeContext(context.Background(), c, core.Options{Evolution: &eprm})
 	if err != nil {
 		log.Fatal(err)
 	}
-	std, err := core.Synthesize(c, core.Options{
+	std, err := core.SynthesizeContext(context.Background(), c, core.Options{
 		Method:  core.MethodStandard,
 		Modules: evo.Partition.NumModules(),
 	})

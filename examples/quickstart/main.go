@@ -1,6 +1,6 @@
 // Quickstart: synthesize an IDDQ-testable version of the ISCAS85 C17
 // circuit — the paper's running example — with three lines of library use:
-// build (or load) a circuit, call core.Synthesize, read the report.
+// build (or load) a circuit, call core.SynthesizeContext, read the report.
 //
 // Run with:
 //
@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -25,7 +26,7 @@ func main() {
 	// Default options reproduce the paper's setup: the built-in 1 µm CMOS
 	// cell library, cost weights C = 9c1 + 1e5·c2 + c3 + c4 + 10c5,
 	// discriminability d ≥ 10, evolution-based partitioning.
-	res, err := core.Synthesize(c, core.Options{})
+	res, err := core.SynthesizeContext(context.Background(), c, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -45,7 +46,7 @@ func main() {
 	// 3. Partition the core for BIC sensors.
 	eprm := evolution.DefaultParams()
 	eprm.MaxGenerations = 80
-	res, err := core.Synthesize(scanned.Comb, core.Options{Evolution: &eprm})
+	res, err := core.SynthesizeContext(context.Background(), scanned.Comb, core.Options{Evolution: &eprm})
 	if err != nil {
 		log.Fatal(err)
 	}

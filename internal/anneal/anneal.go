@@ -161,20 +161,14 @@ func randomMove(p *partition.Partition, rng *rand.Rand, sc *moveBuf) bool {
 }
 
 // Anneal runs simulated annealing from the start partition. The start is
-// not modified.
-func Anneal(start *partition.Partition, prm Params) (*Result, error) {
-	return AnnealContext(context.Background(), start, prm)
-}
-
-// AnnealContext is Anneal with cooperative cancellation: the context is
-// checked at every temperature-epoch boundary, and a cancelled run
-// returns the best-so-far Result with Interrupted set (and a nil error)
-// instead of discarding the work done so far. A panic inside the move
-// loop (an estimator numeric guard, an injected fault) is contained into
-// an error; non-finite move costs end the run with an error wrapping
-// partition.ErrNonFiniteCost. Both keep the best-so-far Result when one
-// exists.
-func AnnealContext(ctx context.Context, start *partition.Partition, prm Params) (res *Result, err error) {
+// not modified. The context is checked at every temperature-epoch
+// boundary, and a cancelled run returns the best-so-far Result with
+// Interrupted set (and a nil error) instead of discarding the work done so
+// far. A panic inside the move loop (an estimator numeric guard, an
+// injected fault) is contained into an error; non-finite move costs end
+// the run with an error wrapping partition.ErrNonFiniteCost. Both keep the
+// best-so-far Result when one exists.
+func Anneal(ctx context.Context, start *partition.Partition, prm Params) (res *Result, err error) {
 	defer contain(&err, "annealing")
 	if err := prm.validate(); err != nil {
 		return nil, err
@@ -272,24 +266,18 @@ func calibrateTemp(p *partition.Partition, baseCost float64, rng *rand.Rand, mb 
 	return (upSum / float64(ups)) / -math.Log(0.8)
 }
 
+// hillClimbCheckEvery is how many attempted moves pass between two
+// cancellation checks of HillClimb (the climber has no epochs, so
+// the check runs on a fixed move cadence).
+const hillClimbCheckEvery = 64
+
 // HillClimb runs zero-temperature greedy local search: only improving
 // moves are accepted; the search stops after `patience` consecutive
 // rejected moves or when the move budget is exhausted. It is the
 // strawman the §4 Monte-Carlo descendants are designed to beat.
-func HillClimb(start *partition.Partition, maxMoves, patience int, seed int64) (*Result, error) {
-	return HillClimbContext(context.Background(), start, maxMoves, patience, seed)
-}
-
-// hillClimbCheckEvery is how many attempted moves pass between two
-// cancellation checks of HillClimbContext (the climber has no epochs, so
-// the check runs on a fixed move cadence).
-const hillClimbCheckEvery = 64
-
-// HillClimbContext is HillClimb with cooperative cancellation (see
-// AnnealContext; the context is checked every hillClimbCheckEvery moves).
-// Panics in the move loop are contained into errors and non-finite move
-// costs are rejected, exactly as in AnnealContext.
-func HillClimbContext(ctx context.Context, start *partition.Partition, maxMoves, patience int, seed int64) (res *Result, err error) {
+// Cancellation, panic containment and non-finite costs are handled as in
+// Anneal; the context is checked every hillClimbCheckEvery moves.
+func HillClimb(ctx context.Context, start *partition.Partition, maxMoves, patience int, seed int64) (res *Result, err error) {
 	defer contain(&err, "hill climb")
 	if maxMoves < 1 || patience < 1 {
 		return nil, fmt.Errorf("anneal: hill climb needs positive budgets")

@@ -56,7 +56,7 @@ func TestAnnealImproves(t *testing.T) {
 	startCost := start.Cost()
 	prm := DefaultParams()
 	prm.MaxMoves = 4000
-	res, err := Anneal(start, prm)
+	res, err := Anneal(context.Background(), start, prm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestAnnealDoesNotMutateStart(t *testing.T) {
 	k := start.NumModules()
 	prm := DefaultParams()
 	prm.MaxMoves = 500
-	if _, err := Anneal(start, prm); err != nil {
+	if _, err := Anneal(context.Background(), start, prm); err != nil {
 		t.Fatal(err)
 	}
 	if start.Cost() != before || start.NumModules() != k {
@@ -88,11 +88,11 @@ func TestAnnealDoesNotMutateStart(t *testing.T) {
 func TestAnnealDeterministic(t *testing.T) {
 	prm := DefaultParams()
 	prm.MaxMoves = 1500
-	r1, err := Anneal(startPartition(t, "c432", 8), prm)
+	r1, err := Anneal(context.Background(), startPartition(t, "c432", 8), prm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Anneal(startPartition(t, "c432", 8), prm)
+	r2, err := Anneal(context.Background(), startPartition(t, "c432", 8), prm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestAnnealDeterministic(t *testing.T) {
 func TestAnnealRespectsBudget(t *testing.T) {
 	prm := DefaultParams()
 	prm.MaxMoves = 100
-	res, err := Anneal(startPartition(t, "c432", 8), prm)
+	res, err := Anneal(context.Background(), startPartition(t, "c432", 8), prm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestAnnealSingleModule(t *testing.T) {
 	}
 	prm := DefaultParams()
 	prm.MaxMoves = 50
-	res, err := Anneal(p, prm)
+	res, err := Anneal(context.Background(), p, prm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestAnnealSingleModule(t *testing.T) {
 func TestHillClimbImproves(t *testing.T) {
 	start := startPartition(t, "c432", 8)
 	startCost := start.Cost()
-	res, err := HillClimb(start, 3000, 300, 1)
+	res, err := HillClimb(context.Background(), start, 3000, 300, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestHillClimbImproves(t *testing.T) {
 
 func TestHillClimbNeverAcceptsWorse(t *testing.T) {
 	start := startPartition(t, "c432", 8)
-	res, err := HillClimb(start, 2000, 200, 2)
+	res, err := HillClimb(context.Background(), start, 2000, 200, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,10 +170,10 @@ func TestHillClimbNeverAcceptsWorse(t *testing.T) {
 
 func TestHillClimbBadArgs(t *testing.T) {
 	start := startPartition(t, "c432", 8)
-	if _, err := HillClimb(start, 0, 10, 1); err == nil {
+	if _, err := HillClimb(context.Background(), start, 0, 10, 1); err == nil {
 		t.Error("want error for zero budget")
 	}
-	if _, err := HillClimb(start, 10, 0, 1); err == nil {
+	if _, err := HillClimb(context.Background(), start, 10, 0, 1); err == nil {
 		t.Error("want error for zero patience")
 	}
 }
@@ -185,11 +185,11 @@ func TestOptimizersProduceFeasible(t *testing.T) {
 	start := startPartition(t, "c432", 8)
 	prm := DefaultParams()
 	prm.MaxMoves = 3000
-	sa, err := Anneal(start, prm)
+	sa, err := Anneal(context.Background(), start, prm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hc, err := HillClimb(start, 3000, 300, 1)
+	hc, err := HillClimb(context.Background(), start, 3000, 300, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestInjectedPanicContained(t *testing.T) {
 	ctx := chaos.NewContext(context.Background(), chaos.New(sched, nil))
 	prm := DefaultParams()
 	prm.MaxMoves = 4000
-	res, aerr := AnnealContext(ctx, start, prm)
+	res, aerr := Anneal(ctx, start, prm)
 	if aerr == nil {
 		t.Fatal("injected panic must surface as an error")
 	}
@@ -227,7 +227,7 @@ func TestInjectedPanicContained(t *testing.T) {
 	}
 
 	// The hill climber shares the containment.
-	hres, herr := HillClimbContext(ctx2(t), start, 4000, 400, 1)
+	hres, herr := HillClimb(ctx2(t), start, 4000, 400, 1)
 	if herr == nil || !errors.Is(herr, chaos.ErrInjected) {
 		t.Errorf("hill climb: err = %v, want wrapped chaos.ErrInjected", herr)
 	}

@@ -1,6 +1,7 @@
 package chaos_test
 
 import (
+	"context"
 	"errors"
 	"math"
 	"os"
@@ -72,7 +73,7 @@ func soakRun(t *testing.T, c *circuit.Circuit, spec, ckpt string, degrade bool) 
 			Retry:           &fsx.RetryPolicy{Sleep: func(time.Duration) {}},
 		}
 	}
-	res, err := core.Synthesize(c, opt)
+	res, err := core.SynthesizeContext(context.Background(), c, opt)
 	return res, opt.Obs, err
 }
 
@@ -159,7 +160,7 @@ func TestChaosSoak(t *testing.T) {
 					if lerr != nil {
 						t.Fatalf("failed run left a corrupt checkpoint: %v", lerr)
 					}
-					resumed, rerr := core.Synthesize(c, core.Options{Resume: ck})
+					resumed, rerr := core.SynthesizeContext(context.Background(), c, core.Options{Resume: ck})
 					if rerr != nil {
 						t.Fatalf("resume from the failed run's checkpoint: %v", rerr)
 					}
@@ -188,7 +189,7 @@ func TestChaosSoak(t *testing.T) {
 			t.Fatal(err)
 		}
 		inj := chaos.New(sched, nil)
-		res, err := core.Synthesize(c, core.Options{
+		res, err := core.SynthesizeContext(context.Background(), c, core.Options{
 			Evolution: soakParams(),
 			Chaos:     inj,
 			Control:   &evolution.Control{FS: chaos.NewFS(nil, inj)},
@@ -219,7 +220,7 @@ func TestChaosSoak(t *testing.T) {
 		if err != nil {
 			t.Fatalf("load checkpoint of killed run: %v", err)
 		}
-		resumed, err := core.Synthesize(c, core.Options{Resume: ck})
+		resumed, err := core.SynthesizeContext(context.Background(), c, core.Options{Resume: ck})
 		if err != nil {
 			t.Fatalf("resume killed run: %v", err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -47,7 +48,7 @@ func chaosCircuit(t *testing.T) *circuit.Circuit {
 func TestDegradeFallsBackToStandard(t *testing.T) {
 	inj := chaos.New(mustSchedule(t, "seed=9,rate=1,sites=evolution.worker.panic"), nil)
 	o := obs.New("degrade", nil, nil)
-	res, err := Synthesize(circuits.C17(), Options{
+	res, err := SynthesizeContext(context.Background(), circuits.C17(), Options{
 		Evolution: chaosParams(),
 		Obs:       o,
 		Chaos:     inj,
@@ -84,7 +85,7 @@ func TestDegradeFallsBackToStandard(t *testing.T) {
 
 func TestPersistentFaultWithoutDegradeFails(t *testing.T) {
 	inj := chaos.New(mustSchedule(t, "seed=9,rate=1,sites=evolution.worker.panic"), nil)
-	_, err := Synthesize(circuits.C17(), Options{
+	_, err := SynthesizeContext(context.Background(), circuits.C17(), Options{
 		Evolution: chaosParams(),
 		Chaos:     inj,
 	})
@@ -97,7 +98,7 @@ func TestPersistentFaultWithoutDegradeFails(t *testing.T) {
 }
 
 func TestRetryAfterTransientFaultIsBitIdentical(t *testing.T) {
-	baseline, err := Synthesize(chaosCircuit(t), Options{Evolution: chaosParams()})
+	baseline, err := SynthesizeContext(context.Background(), chaosCircuit(t), Options{Evolution: chaosParams()})
 	if err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
@@ -105,7 +106,7 @@ func TestRetryAfterTransientFaultIsBitIdentical(t *testing.T) {
 	// identical seeded optimization with the fault already spent.
 	inj := chaos.New(mustSchedule(t, "seed=4,after=5,sites=evolution.worker.panic"), nil)
 	o := obs.New("retry", nil, nil)
-	res, err := Synthesize(chaosCircuit(t), Options{
+	res, err := SynthesizeContext(context.Background(), chaosCircuit(t), Options{
 		Evolution:        chaosParams(),
 		Obs:              o,
 		Chaos:            inj,
@@ -134,7 +135,7 @@ func TestPoisonedEstimatorDegrades(t *testing.T) {
 	// estimate.nan with after=3 poisons one estimator call; with Degrade
 	// set and the fault spent on attempt 1, the retry succeeds.
 	inj := chaos.New(mustSchedule(t, "seed=2,after=3,sites=estimate.nan"), nil)
-	res, err := Synthesize(chaosCircuit(t), Options{
+	res, err := SynthesizeContext(context.Background(), chaosCircuit(t), Options{
 		Evolution: chaosParams(),
 		Chaos:     inj,
 		Degrade:   true,

@@ -1,21 +1,20 @@
 // Package core is the public face of iddqsyn: given a gate-level circuit
-// and a characterised cell library, Synthesize partitions the circuit into
-// BIC-sensor modules — with the paper's evolution-based algorithm or the
-// baseline standard partitioning — sizes one Built-In Current sensor per
-// module, and returns the complete IDDQ-testable design together with its
-// cost breakdown.
+// and a characterised cell library, SynthesizeContext partitions the
+// circuit into BIC-sensor modules — with the paper's evolution-based
+// algorithm or the baseline standard partitioning — sizes one Built-In
+// Current sensor per module, and returns the complete IDDQ-testable design
+// together with its cost breakdown.
 //
 // Typical use:
 //
 //	c, _ := bench.Read(f, "mydesign")
-//	res, err := core.Synthesize(c, core.Options{})
+//	res, err := core.SynthesizeContext(ctx, c, core.Options{})
 //	fmt.Println(res.Report())
 package core
 
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"iddqsyn/internal/bic"
@@ -62,7 +61,7 @@ func (m Method) String() string {
 	return fmt.Sprintf("Method(%d)", int(m))
 }
 
-// Options configures Synthesize. The zero value selects the paper's
+// Options configures SynthesizeContext. The zero value selects the paper's
 // defaults everywhere: the built-in cell library, the §5 weight factors,
 // d = 10, and the evolution method.
 type Options struct {
@@ -84,13 +83,9 @@ type Options struct {
 	// (Table 1 compares the methods at equal module counts).
 	Modules int
 
-	// Trace, if set, observes the best partition after every evolution
-	// generation.
-	Trace evolution.Trace
-
-	// Control configures evolution run control: periodic crash-safe
-	// checkpointing of the optimizer state. Only meaningful for
-	// MethodEvolution.
+	// Control configures evolution run control: the per-generation trace
+	// and periodic crash-safe checkpointing of the optimizer state. Only
+	// meaningful for MethodEvolution.
 	Control *evolution.Control
 
 	// Resume, if set, continues a checkpointed evolution run instead of
@@ -152,16 +147,11 @@ type Result struct {
 	DegradedErr error
 }
 
-// Synthesize runs the full flow on circuit c.
-func Synthesize(c *circuit.Circuit, opt Options) (*Result, error) {
-	return SynthesizeContext(context.Background(), c, opt)
-}
-
-// SynthesizeContext is Synthesize with cooperative cancellation: the
-// context is threaded into the optimizer, which checks it at generation
-// boundaries. A cancelled synthesis still returns a complete Result —
-// partition, sensors, costs — built from the optimizer's best-so-far
-// individual, with Result.Evolution.Interrupted set.
+// SynthesizeContext runs the full flow on circuit c. The context is
+// threaded into the optimizer, which checks it at generation boundaries.
+// A cancelled synthesis still returns a complete Result — partition,
+// sensors, costs — built from the optimizer's best-so-far individual, with
+// Result.Evolution.Interrupted set.
 func SynthesizeContext(ctx context.Context, c *circuit.Circuit, opt Options) (res *Result, err error) {
 	// Last-resort containment: whatever a poisoned estimator or injected
 	// fault manages to blow up, the synthesis ends with a named error —
@@ -184,24 +174,8 @@ func SynthesizeContext(ctx context.Context, c *circuit.Circuit, opt Options) (re
 	if inj == nil {
 		inj = chaos.FromContext(ctx)
 	}
-	// The optimizer resolves its Obs and injector from the Control (or
-	// its context); inject ours into a copy so the caller's struct stays
-	// untouched.
-	ctl := opt.Control
-	if (o != nil && (ctl == nil || ctl.Obs == nil)) ||
-		(inj != nil && (ctl == nil || ctl.Chaos == nil)) {
-		cc := evolution.Control{}
-		if ctl != nil {
-			cc = *ctl
-		}
-		if cc.Obs == nil {
-			cc.Obs = o
-		}
-		if cc.Chaos == nil {
-			cc.Chaos = inj
-		}
-		ctl = &cc
-	}
+	// The optimizer takes its Obs and injector from the context only.
+	ctx = chaos.NewContext(obs.NewContext(ctx, o), inj)
 	lib := opt.Library
 	if lib == nil {
 		lib = celllib.Default()
@@ -262,7 +236,7 @@ func SynthesizeContext(ctx context.Context, c *circuit.Circuit, opt Options) (re
 			if attempt > 1 && ctx.Err() != nil {
 				break // cancelled mid-retry: keep the last failure
 			}
-			er, optErr = runEvolution(ctx, c, e, w, cons, eprm, opt, ctl)
+			er, optErr = runEvolution(ctx, e, w, cons, eprm, opt)
 			if optErr == nil {
 				break
 			}
@@ -337,9 +311,9 @@ func SynthesizeContext(ctx context.Context, c *circuit.Circuit, opt Options) (re
 // panic containment: a panic anywhere in the attempt (start-population
 // construction included) becomes an error with its chain intact, so the
 // retry/degrade loop above can classify it with errors.Is.
-func runEvolution(ctx context.Context, c *circuit.Circuit, e *estimate.Estimator,
+func runEvolution(ctx context.Context, e *estimate.Estimator,
 	w partition.Weights, cons partition.Constraints, eprm evolution.Params,
-	opt Options, ctl *evolution.Control) (er *evolution.Result, err error) {
+	opt Options) (er *evolution.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			er = nil
@@ -351,30 +325,14 @@ func runEvolution(ctx context.Context, c *circuit.Circuit, e *estimate.Estimator
 		}
 	}()
 	if opt.Resume != nil {
-		er, err = evolution.ResumeContext(ctx, opt.Resume, e, w, cons, opt.Trace, ctl)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
+		er, err = evolution.Resume(ctx, opt.Resume, e, w, cons, opt.Control)
+	} else {
+		var starts []*partition.Partition
+		starts, err = evolution.ChainStarts(e, w, cons, opt.ModuleSize, eprm)
+		if err == nil {
+			er, err = evolution.Optimize(ctx, starts, eprm, opt.Control)
 		}
-		return er, nil
 	}
-	size := opt.ModuleSize
-	if size <= 0 {
-		size = standard.EstimateModuleSize(e, w, cons)
-	}
-	rng := rand.New(rand.NewSource(eprm.Seed))
-	starts := make([]*partition.Partition, 0, eprm.Mu)
-	// Deliberately not cancellable: a cancelled synthesis still
-	// returns the best-so-far design, which requires the start
-	// population to exist (see SynthesizeContext's contract).
-	//lint:ignore ctxloop cancellation is handled at generation boundaries; aborting here would break the best-so-far contract
-	for i := 0; i < eprm.Mu; i++ {
-		p, perr := partition.New(e, standard.ChainStartPartition(c, size, rng), w, cons)
-		if perr != nil {
-			return nil, fmt.Errorf("core: start partition: %w", perr)
-		}
-		starts = append(starts, p)
-	}
-	er, err = evolution.OptimizeControlled(ctx, starts, eprm, opt.Trace, ctl)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}

@@ -13,7 +13,7 @@ import (
 )
 
 func TestSynthesizeC17Evolution(t *testing.T) {
-	res, err := Synthesize(circuits.C17(), Options{})
+	res, err := SynthesizeContext(context.Background(), circuits.C17(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestSynthesizeC17Evolution(t *testing.T) {
 }
 
 func TestSynthesizeStandard(t *testing.T) {
-	res, err := Synthesize(circuits.C17(), Options{Method: MethodStandard, ModuleSize: 3})
+	res, err := SynthesizeContext(context.Background(), circuits.C17(), Options{Method: MethodStandard, ModuleSize: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestSynthesizeStandard(t *testing.T) {
 
 func TestSynthesizeStandardAtK(t *testing.T) {
 	c := circuits.MustISCAS85Like("c432")
-	res, err := Synthesize(c, Options{Method: MethodStandard, Modules: 4})
+	res, err := SynthesizeContext(context.Background(), c, Options{Method: MethodStandard, Modules: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,11 +66,11 @@ func TestSynthesizeEvolutionBeatsStandardOnCost(t *testing.T) {
 	eprm := evolution.DefaultParams()
 	eprm.MaxGenerations = 120
 	eprm.StallGenerations = 30
-	evo, err := Synthesize(c, Options{Evolution: &eprm})
+	evo, err := SynthesizeContext(context.Background(), c, Options{Evolution: &eprm})
 	if err != nil {
 		t.Fatal(err)
 	}
-	std, err := Synthesize(c, Options{Method: MethodStandard, Modules: evo.Partition.NumModules()})
+	std, err := SynthesizeContext(context.Background(), c, Options{Method: MethodStandard, Modules: evo.Partition.NumModules()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestSynthesizeCustomWeights(t *testing.T) {
 	// modules relative to the area-focused default.
 	w := partition.PaperWeights()
 	w.Modules = 1e7
-	res, err := Synthesize(circuits.C17(), Options{Weights: &w})
+	res, err := SynthesizeContext(context.Background(), circuits.C17(), Options{Weights: &w})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestSynthesizeCustomWeights(t *testing.T) {
 }
 
 func TestSynthesizeUnknownMethod(t *testing.T) {
-	if _, err := Synthesize(circuits.C17(), Options{Method: Method(9)}); err == nil {
+	if _, err := SynthesizeContext(context.Background(), circuits.C17(), Options{Method: Method(9)}); err == nil {
 		t.Error("want error for unknown method")
 	}
 }
@@ -113,7 +113,7 @@ func TestMethodString(t *testing.T) {
 }
 
 func TestReport(t *testing.T) {
-	res, err := Synthesize(circuits.C17(), Options{})
+	res, err := SynthesizeContext(context.Background(), circuits.C17(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,16 +125,31 @@ func TestReport(t *testing.T) {
 	}
 }
 
+// TestTraceForwarded checks that Control.Trace reaches the optimizer and
+// sees every generation exactly once, in order, with the best cost the
+// run records for it.
 func TestTraceForwarded(t *testing.T) {
-	calls := 0
-	_, err := Synthesize(circuits.C17(), Options{
-		Trace: func(gen int, best *partition.Partition, bestCost float64) { calls++ },
+	var gens []int
+	var costs []float64
+	res, err := SynthesizeContext(context.Background(), chaosCircuit(t), Options{
+		Evolution: chaosParams(),
+		Control: &evolution.Control{Trace: func(gen int, best *partition.Partition, bestCost float64) {
+			gens = append(gens, gen)
+			costs = append(costs, bestCost)
+		}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if calls == 0 {
-		t.Error("trace not forwarded to the optimizer")
+	ev := res.Evolution
+	if len(gens) != ev.Generations || len(ev.History) != ev.Generations {
+		t.Fatalf("trace called %d times over %d generations (history %d), want one call per generation",
+			len(gens), ev.Generations, len(ev.History))
+	}
+	for i, gen := range gens {
+		if gen != i+1 || costs[i] != ev.History[i] {
+			t.Errorf("call %d: gen %d cost %v, want gen %d cost %v", i, gen, costs[i], i+1, ev.History[i])
+		}
 	}
 }
 
@@ -143,7 +158,7 @@ func TestTraceForwarded(t *testing.T) {
 // optimizer's counters in the registry and the final status published.
 func TestSynthesizeObserved(t *testing.T) {
 	o := obs.New("r-core", nil, nil)
-	res, err := Synthesize(circuits.C17(), Options{Obs: o})
+	res, err := SynthesizeContext(context.Background(), circuits.C17(), Options{Obs: o})
 	if err != nil {
 		t.Fatal(err)
 	}

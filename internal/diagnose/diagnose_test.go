@@ -1,6 +1,7 @@
 package diagnose
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -20,7 +21,7 @@ func fixture(t *testing.T) (*core.Result, []faults.Fault, [][]bool) {
 	c := circuits.MustISCAS85Like("c432")
 	eprm := evolution.DefaultParams()
 	eprm.MaxGenerations = 30
-	res, err := core.Synthesize(c, core.Options{Evolution: &eprm, ModuleSize: 40})
+	res, err := core.SynthesizeContext(context.Background(), c, core.Options{Evolution: &eprm, ModuleSize: 40})
 	if err != nil {
 		t.Fatal(err)
 	}

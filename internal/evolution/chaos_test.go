@@ -27,7 +27,7 @@ func writeGoodCheckpoint(t *testing.T) (*partitionEnv, Params, string, []byte) {
 	ckpt := filepath.Join(t.TempDir(), "good.ckpt")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunControlled(ctx, env.e, env.w, env.cons, prm, nil,
+	if _, err := runChain(ctx, env.e, env.w, env.cons, prm,
 		&Control{CheckpointPath: ckpt}); err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestCheckpointRetryMasksInjectedDiskFault(t *testing.T) {
 			OnRetry:  func(int, error) { retried++ },
 		},
 	}
-	res, err := RunControlled(context.Background(), env.e, env.w, env.cons, prm, nil, ctl)
+	res, err := runChain(context.Background(), env.e, env.w, env.cons, prm, ctl)
 	if err != nil {
 		t.Fatalf("one-shot disk fault must be retried away, got %v", err)
 	}
@@ -124,7 +124,7 @@ func TestCheckpointPersistentDiskFaultSurfaces(t *testing.T) {
 		FS:              chaos.NewFS(nil, inj),
 		Retry:           &fsx.RetryPolicy{Attempts: 2, Sleep: func(time.Duration) {}},
 	}
-	res, werr := RunControlled(context.Background(), env.e, env.w, env.cons, prm, nil, ctl)
+	res, werr := runChain(context.Background(), env.e, env.w, env.cons, prm, ctl)
 	if werr == nil {
 		t.Fatal("persistent rename failure must surface as an error")
 	}
@@ -152,8 +152,8 @@ func TestInjectedWorkerPanicKeepsErrorChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctl := &Control{Chaos: chaos.New(sched, nil)}
-	_, werr := RunControlled(context.Background(), env.e, env.w, env.cons, prm, nil, ctl)
+	ctx := chaos.NewContext(context.Background(), chaos.New(sched, nil))
+	_, werr := runChain(ctx, env.e, env.w, env.cons, prm, nil)
 	if werr == nil {
 		t.Fatal("injected worker panic must surface as an error")
 	}
@@ -170,7 +170,7 @@ func TestInjectedWorkerPanicKeepsErrorChain(t *testing.T) {
 // random stream.
 func TestZeroHitScheduleIsBitIdentical(t *testing.T) {
 	env, prm := controlSetup(t)
-	baseline, err := RunContext(context.Background(), env.e, env.w, env.cons, prm, nil)
+	baseline, err := runChain(context.Background(), env.e, env.w, env.cons, prm, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,8 +179,8 @@ func TestZeroHitScheduleIsBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	inj := chaos.New(sched, nil)
-	ctl := &Control{Chaos: inj, FS: chaos.NewFS(nil, inj)}
-	injected, err := RunControlled(context.Background(), env.e, env.w, env.cons, prm, nil, ctl)
+	ctl := &Control{FS: chaos.NewFS(nil, inj)}
+	injected, err := runChain(chaos.NewContext(context.Background(), inj), env.e, env.w, env.cons, prm, ctl)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -130,14 +130,6 @@ func (ck *Checkpoint) write(fs fsx.FS, path string, pol *fsx.RetryPolicy) error 
 	return nil
 }
 
-// WriteCheckpoint saves a checkpoint to path (atomic, see write).
-func WriteCheckpoint(ck *Checkpoint, path string) error {
-	if err := ck.validate(); err != nil {
-		return err
-	}
-	return ck.write(fsx.OS{}, path, nil)
-}
-
 // LoadCheckpoint reads and validates a checkpoint file. Corrupted files,
 // foreign formats and version mismatches yield descriptive errors.
 func LoadCheckpoint(path string) (*Checkpoint, error) {
@@ -183,15 +175,16 @@ func (ck *Checkpoint) validate() error {
 	return nil
 }
 
-// ResumeContext continues an optimization run from a checkpoint. The
+// Resume continues an optimization run from a checkpoint. The
 // estimator, weights and constraints must describe the same circuit and
 // objective the checkpointed run used (the circuit identity is verified;
 // the objective cannot be, so resuming under different weights is a
 // caller bug). The control parameters are taken from the checkpoint, and
 // the random stream is fast-forwarded to the recorded position, so the
 // resumed run's remaining generations — and its final Result — are
-// bit-identical to those of an uninterrupted run with the same seed.
-func ResumeContext(ctx context.Context, ck *Checkpoint, e *estimate.Estimator, w partition.Weights, cons partition.Constraints, trace Trace, ctl *Control) (*Result, error) {
+// bit-identical to those of an uninterrupted run with the same seed. ctx
+// and ctl play the same roles as in Optimize.
+func Resume(ctx context.Context, ck *Checkpoint, e *estimate.Estimator, w partition.Weights, cons partition.Constraints, ctl *Control) (*Result, error) {
 	if err := ck.validate(); err != nil {
 		return nil, err
 	}
@@ -218,7 +211,7 @@ func ResumeContext(ctx context.Context, ck *Checkpoint, e *estimate.Estimator, w
 		rng:     rand.New(src),
 		stall:   ck.Stall,
 		nextGen: ck.Generation + 1,
-		obs:     newRunObs(resolveObs(ctx, ctl)),
+		obs:     newRunObs(obs.FromContext(ctx)),
 		res: &Result{
 			BestCost:    ck.BestCost,
 			Generations: ck.Generation,
@@ -258,5 +251,5 @@ func ResumeContext(ctx context.Context, ck *Checkpoint, e *estimate.Estimator, w
 		}
 		s.pop = append(s.pop, &individual{p: p, cost: ind.Cost, age: ind.Age, m: ind.StepWidth})
 	}
-	return s.run(ctx, trace, ctl)
+	return s.run(ctx, ctl)
 }

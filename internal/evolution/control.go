@@ -26,7 +26,12 @@ import (
 // when a Control names a checkpoint file but leaves CheckpointEvery zero.
 const DefaultCheckpointEvery = 10
 
-// Control configures run control for one optimization run.
+// Control configures run control for one optimization run. A nil
+// *Control means no trace and no checkpointing. Observation and fault
+// injection are not configured here: the run takes its Obs and injector
+// from its context (obs.NewContext, chaos.NewContext). An observed run's
+// metrics snapshot rides inside every checkpoint and is restored on
+// resume, so cumulative counters continue monotonically.
 type Control struct {
 	// CheckpointPath, if non-empty, makes the optimizer persist its full
 	// state to this file every CheckpointEvery generations and on
@@ -37,13 +42,9 @@ type Control struct {
 	// (0 = DefaultCheckpointEvery).
 	CheckpointEvery int
 
-	// Obs, if non-nil, observes the run: per-generation counters, gauges
-	// and latency histograms, structured log events, the live /runz
-	// status, and a metrics snapshot inside every checkpoint (restored on
-	// resume so cumulative counters continue monotonically). When nil the
-	// Obs carried by the run's context (obs.FromContext) is used instead;
-	// if that is also nil the run is unobserved at zero cost.
-	Obs *obs.Obs
+	// Trace, if non-nil, receives the best individual after every
+	// completed generation.
+	Trace Trace
 
 	// FS, if non-nil, routes every checkpoint write through this
 	// filesystem instead of the real one. Chaos tests pass a chaos.FS
@@ -55,13 +56,6 @@ type Control struct {
 	// exponential backoff from 2ms). The run's OnRetry telemetry is
 	// layered on top of any callback set here.
 	Retry *fsx.RetryPolicy
-
-	// Chaos, if non-nil, injects faults into the run's failure surfaces
-	// (worker panics/delays; combine with FS for I/O faults). When nil
-	// the injector carried by the run's context (chaos.FromContext) is
-	// used instead; if that is also nil, nothing is ever injected and the
-	// run is bit-identical to an uninstrumented one.
-	Chaos *chaos.Injector
 }
 
 func (c *Control) every() int {
@@ -146,11 +140,11 @@ type state struct {
 }
 
 // attachControl resolves the run's failure-surface plumbing: the fault
-// injector (explicit Control field first, then the context carriage), the
-// checkpoint filesystem, and the retry policy with the run's telemetry
-// layered onto its OnRetry callback.
+// injector and trace span the context carries, the checkpoint filesystem,
+// and the retry policy with the run's telemetry layered onto its OnRetry
+// callback.
 func (s *state) attachControl(ctx context.Context, ctl *Control) {
-	s.chaos = resolveChaos(ctx, ctl)
+	s.chaos = chaos.FromContext(ctx)
 	s.tsp = obs.SpanFromContext(ctx)
 	s.fs = fsx.OS{}
 	if ctl != nil && ctl.FS != nil {
@@ -177,8 +171,12 @@ func (s *state) attachControl(ctx context.Context, ctl *Control) {
 // best-so-far Result with Interrupted set and a nil error (the only
 // errors are real failures: a panicking cost evaluation or an unwritable
 // checkpoint file).
-func (s *state) run(ctx context.Context, trace Trace, ctl *Control) (*Result, error) {
+func (s *state) run(ctx context.Context, ctl *Control) (*Result, error) {
 	every := ctl.every()
+	var trace Trace
+	if ctl != nil {
+		trace = ctl.Trace
+	}
 	for gen := s.nextGen; gen <= s.prm.MaxGenerations; gen++ {
 		if s.stall >= s.prm.StallGenerations {
 			break // resumed from a checkpoint of an already-stalled run

@@ -42,6 +42,16 @@ func controlSetup(t *testing.T) (*partitionEnv, Params) {
 	return env, prm
 }
 
+// runChain optimizes the §4.2 start population at the estimated module
+// size — the flow core.SynthesizeContext runs for a fresh synthesis.
+func runChain(ctx context.Context, e *estimate.Estimator, w partition.Weights, cons partition.Constraints, prm Params, ctl *Control) (*Result, error) {
+	starts, err := ChainStarts(e, w, cons, 0, prm)
+	if err != nil {
+		return nil, err
+	}
+	return Optimize(ctx, starts, prm, ctl)
+}
+
 type partitionEnv struct {
 	e    *estimate.Estimator
 	w    partition.Weights
@@ -59,7 +69,7 @@ func TestCancellationReturnsBestSoFar(t *testing.T) {
 			cancel()
 		}
 	}
-	res, err := RunContext(ctx, env.e, env.w, env.cons, prm, trace)
+	res, err := runChain(ctx, env.e, env.w, env.cons, prm, &Control{Trace: trace})
 	if err != nil {
 		t.Fatalf("cancellation must not be an error: %v", err)
 	}
@@ -84,7 +94,7 @@ func TestPreCancelledContext(t *testing.T) {
 	env, prm := controlSetup(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := RunContext(ctx, env.e, env.w, env.cons, prm, nil)
+	res, err := runChain(ctx, env.e, env.w, env.cons, prm, nil)
 	if err != nil {
 		t.Fatalf("unexpected error: %v", err)
 	}
@@ -107,7 +117,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 			env, prm := controlSetup(t)
 			prm.Workers = workers
 
-			baseline, err := RunContext(context.Background(), env.e, env.w, env.cons, prm, nil)
+			baseline, err := runChain(context.Background(), env.e, env.w, env.cons, prm, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -116,15 +126,15 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 			}
 
 			ckpt := filepath.Join(t.TempDir(), "run.ckpt")
-			ctl := &Control{CheckpointPath: ckpt, CheckpointEvery: 5}
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			trace := func(gen int, best *partition.Partition, bestCost float64) {
-				if gen == 12 {
-					cancel()
-				}
-			}
-			interrupted, err := RunControlled(ctx, env.e, env.w, env.cons, prm, trace, ctl)
+			ctl := &Control{CheckpointPath: ckpt, CheckpointEvery: 5,
+				Trace: func(gen int, best *partition.Partition, bestCost float64) {
+					if gen == 12 {
+						cancel()
+					}
+				}}
+			interrupted, err := runChain(ctx, env.e, env.w, env.cons, prm, ctl)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -136,7 +146,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			resumed, err := ResumeContext(context.Background(), ck, env.e, env.w, env.cons, nil, nil)
+			resumed, err := Resume(context.Background(), ck, env.e, env.w, env.cons, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -166,7 +176,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 func TestPeriodicCheckpointIsLoadable(t *testing.T) {
 	env, prm := controlSetup(t)
 	ckpt := filepath.Join(t.TempDir(), "periodic.ckpt")
-	_, err := RunControlled(context.Background(), env.e, env.w, env.cons, prm, nil,
+	_, err := runChain(context.Background(), env.e, env.w, env.cons, prm,
 		&Control{CheckpointPath: ckpt, CheckpointEvery: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -210,7 +220,7 @@ func TestLoadCheckpointErrors(t *testing.T) {
 	good := filepath.Join(dir, "good.ckpt")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunControlled(ctx, env.e, env.w, env.cons, prm, nil,
+	if _, err := runChain(ctx, env.e, env.w, env.cons, prm,
 		&Control{CheckpointPath: good}); err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +252,7 @@ func TestResumeRejectsCorruptedPartition(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "c.ckpt")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunControlled(ctx, env.e, env.w, env.cons, prm, nil,
+	if _, err := runChain(ctx, env.e, env.w, env.cons, prm,
 		&Control{CheckpointPath: ckpt}); err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +262,7 @@ func TestResumeRejectsCorruptedPartition(t *testing.T) {
 			t.Fatal(err)
 		}
 		mutate(ck)
-		_, err = ResumeContext(context.Background(), ck, env.e, env.w, env.cons, nil, nil)
+		_, err = Resume(context.Background(), ck, env.e, env.w, env.cons, nil)
 		return err
 	}
 	err := corrupt(func(ck *Checkpoint) {
@@ -278,7 +288,7 @@ func TestResumeRejectsWrongCircuit(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "c.ckpt")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunControlled(ctx, env.e, env.w, env.cons, prm, nil,
+	if _, err := runChain(ctx, env.e, env.w, env.cons, prm,
 		&Control{CheckpointPath: ckpt}); err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +297,7 @@ func TestResumeRejectsWrongCircuit(t *testing.T) {
 		t.Fatal(err)
 	}
 	other := estimatorFor(t, circuits.C17())
-	if _, err := ResumeContext(context.Background(), ck, other, env.w, env.cons, nil, nil); err == nil {
+	if _, err := Resume(context.Background(), ck, other, env.w, env.cons, nil); err == nil {
 		t.Error("resuming against a different circuit must fail")
 	}
 }
@@ -305,7 +315,7 @@ func TestWorkerPanicSurfacesAsError(t *testing.T) {
 			}
 			defer func() { testEvalHook = nil }()
 
-			_, err := RunContext(context.Background(), env.e, env.w, env.cons, prm, nil)
+			_, err := runChain(context.Background(), env.e, env.w, env.cons, prm, nil)
 			if err == nil {
 				t.Fatal("injected panic must surface as an error")
 			}

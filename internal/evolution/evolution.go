@@ -14,6 +14,7 @@ import (
 	"math/rand"
 
 	"iddqsyn/internal/estimate"
+	"iddqsyn/internal/obs"
 	"iddqsyn/internal/partition"
 	"iddqsyn/internal/standard"
 )
@@ -78,15 +79,6 @@ func (p Params) validate() error {
 	return nil
 }
 
-// Move records one applied gate move, for the trace of the C17 example
-// (figures 3-5).
-type Move struct {
-	Gates      []int
-	FromModule []int // paper notation: the source module's gate list
-	ToModule   []int
-	MonteCarlo bool
-}
-
 // Trace receives the best individual after every generation. gen is
 // 1-based; best is a snapshot safe to keep.
 type Trace func(gen int, best *partition.Partition, bestCost float64)
@@ -146,29 +138,21 @@ func costOf(p *partition.Partition) float64 {
 	return c
 }
 
-// Optimize runs the evolution cycle on an explicit start population.
-// Every start partition must share the same estimator, weights and
-// constraints. Infeasible individuals (Γ(Π) = 0) are penalised so
-// heavily that any feasible descendant dominates them, with the penalty
-// graded by the size of the violation so evolution can climb back to
-// feasibility.
-func Optimize(starts []*partition.Partition, prm Params, trace Trace) (*Result, error) {
-	return OptimizeContext(context.Background(), starts, prm, trace)
-}
-
-// OptimizeContext is Optimize with cooperative cancellation: the context
-// is checked at every generation boundary, and a cancelled run returns
-// the best-so-far Result with Interrupted set (and a nil error) instead
-// of discarding the work done so far.
-func OptimizeContext(ctx context.Context, starts []*partition.Partition, prm Params, trace Trace) (*Result, error) {
-	return OptimizeControlled(ctx, starts, prm, trace, nil)
-}
-
-// OptimizeControlled is OptimizeContext with run control: if ctl names a
-// checkpoint file, the full optimizer state is persisted there
-// periodically and on interruption, so a killed run can be resumed
-// bit-identically with ResumeContext.
-func OptimizeControlled(ctx context.Context, starts []*partition.Partition, prm Params, trace Trace, ctl *Control) (*Result, error) {
+// Optimize runs the evolution cycle on an explicit start population
+// (ChainStarts builds the §4.2 one). Every start partition must share the
+// same estimator, weights and constraints. Infeasible individuals
+// (Γ(Π) = 0) are penalised so heavily that any feasible descendant
+// dominates them, with the penalty graded by the size of the violation so
+// evolution can climb back to feasibility.
+//
+// The context is checked at every generation boundary: a cancelled run
+// returns the best-so-far Result with Interrupted set (and a nil error)
+// instead of discarding the work done so far. The run's Obs, fault
+// injector and trace span all come from the context (obs.FromContext,
+// chaos.FromContext, obs.SpanFromContext). ctl (nil for none) adds the
+// per-generation Trace and periodic checkpointing, so a killed run can be
+// resumed bit-identically with Resume.
+func Optimize(ctx context.Context, starts []*partition.Partition, prm Params, ctl *Control) (*Result, error) {
 	if err := prm.validate(); err != nil {
 		return nil, err
 	}
@@ -182,7 +166,7 @@ func OptimizeControlled(ctx context.Context, starts []*partition.Partition, prm 
 		rng:     rand.New(src),
 		res:     &Result{},
 		nextGen: 1,
-		obs:     newRunObs(resolveObs(ctx, ctl)),
+		obs:     newRunObs(obs.FromContext(ctx)),
 	}
 	s.attachControl(ctx, ctl)
 	s.pop = make([]*individual, 0, len(starts))
@@ -204,7 +188,7 @@ func OptimizeControlled(ctx context.Context, starts []*partition.Partition, prm 
 	best := cheapest(s.pop)
 	s.res.Best = best.p.Clone()
 	s.res.BestCost = best.cost
-	return s.run(ctx, trace, ctl)
+	return s.run(ctx, ctl)
 }
 
 // moveScratch holds the reusable buffers of the mutation operators.
@@ -336,37 +320,28 @@ func selectBest(pool []*individual, mu int) []*individual {
 	return out
 }
 
-// Run is the full §4 flow: the module size is estimated with averaged
-// parameters, μ chain-based start partitions are constructed (§4.2), and
-// the evolution cycle optimizes the weighted cost under the constraints.
-func Run(e *estimate.Estimator, w partition.Weights, cons partition.Constraints, prm Params, trace Trace) (*Result, error) {
-	return RunContext(context.Background(), e, w, cons, prm, trace)
-}
-
-// RunContext is Run with cooperative cancellation (see OptimizeContext).
-func RunContext(ctx context.Context, e *estimate.Estimator, w partition.Weights, cons partition.Constraints, prm Params, trace Trace) (*Result, error) {
-	return RunControlled(ctx, e, w, cons, prm, trace, nil)
-}
-
-// RunControlled is RunContext with checkpointing (see OptimizeControlled).
-func RunControlled(ctx context.Context, e *estimate.Estimator, w partition.Weights, cons partition.Constraints, prm Params, trace Trace, ctl *Control) (*Result, error) {
+// ChainStarts builds the §4.2 start population: prm.Mu chain-based start
+// partitions of at most size gates per module, drawn from a random stream
+// seeded with prm.Seed. A size <= 0 uses the module size estimated from
+// averaged parameters (standard.EstimateModuleSize). It takes no context
+// on purpose: a cancelled run must still return a best-so-far Result, so
+// the start population has to exist before Optimize can honour
+// cancellation at generation boundaries.
+func ChainStarts(e *estimate.Estimator, w partition.Weights, cons partition.Constraints, size int, prm Params) ([]*partition.Partition, error) {
 	if err := prm.validate(); err != nil {
 		return nil, err
 	}
+	if size <= 0 {
+		size = standard.EstimateModuleSize(e, w, cons)
+	}
 	rng := rand.New(rand.NewSource(prm.Seed))
-	size := standard.EstimateModuleSize(e, w, cons)
 	starts := make([]*partition.Partition, 0, prm.Mu)
-	// Deliberately not cancellable: a cancelled run must still return a
-	// best-so-far Result, so the start population has to exist before the
-	// generation loop can honour ctx at its boundaries.
-	//lint:ignore ctxloop cancellation is handled at generation boundaries; aborting here would break the best-so-far contract
 	for i := 0; i < prm.Mu; i++ {
-		groups := standard.ChainStartPartition(e.A.Circuit, size, rng)
-		p, err := partition.New(e, groups, w, cons)
+		p, err := partition.New(e, standard.ChainStartPartition(e.A.Circuit, size, rng), w, cons)
 		if err != nil {
 			return nil, fmt.Errorf("evolution: start partition %d: %w", i, err)
 		}
 		starts = append(starts, p)
 	}
-	return OptimizeControlled(ctx, starts, prm, trace, ctl)
+	return starts, nil
 }

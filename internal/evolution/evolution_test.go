@@ -1,6 +1,7 @@
 package evolution
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sort"
@@ -45,7 +46,7 @@ func TestParamsValidate(t *testing.T) {
 }
 
 func TestOptimizeEmptyPopulation(t *testing.T) {
-	if _, err := Optimize(nil, DefaultParams(), nil); err == nil {
+	if _, err := Optimize(context.Background(), nil, DefaultParams(), nil); err == nil {
 		t.Error("want error for empty start population")
 	}
 }
@@ -60,7 +61,7 @@ func TestRunC17FindsPaperOptimum(t *testing.T) {
 	cons := partition.DefaultConstraints()
 	prm := DefaultParams()
 	prm.Seed = 3
-	res, err := Run(e, w, cons, prm, nil)
+	res, err := runChain(context.Background(), e, w, cons, prm, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestOptimizeImprovesOverStart(t *testing.T) {
 	prm := DefaultParams()
 	prm.MaxGenerations = 60
 	prm.StallGenerations = 20
-	res, err := Optimize(starts, prm, nil)
+	res, err := Optimize(context.Background(), starts, prm, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,11 +145,11 @@ func TestOptimizeDeterministic(t *testing.T) {
 	cons := partition.DefaultConstraints()
 	prm := DefaultParams()
 	prm.MaxGenerations = 30
-	r1, err := Run(e, w, cons, prm, nil)
+	r1, err := runChain(context.Background(), e, w, cons, prm, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(e, w, cons, prm, nil)
+	r2, err := runChain(context.Background(), e, w, cons, prm, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestHistoryMonotone(t *testing.T) {
 	prm := DefaultParams()
 	prm.MaxGenerations = 40
 	prm.StallGenerations = 40
-	res, err := Run(e, partition.PaperWeights(), partition.DefaultConstraints(), prm, nil)
+	res, err := runChain(context.Background(), e, partition.PaperWeights(), partition.DefaultConstraints(), prm, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,8 +183,8 @@ func TestTraceCalledEveryGeneration(t *testing.T) {
 	prm.StallGenerations = 10
 	calls := 0
 	lastGen := 0
-	_, err := Run(e, partition.PaperWeights(), partition.DefaultConstraints(), prm,
-		func(gen int, best *partition.Partition, bestCost float64) {
+	_, err := runChain(context.Background(), e, partition.PaperWeights(), partition.DefaultConstraints(), prm,
+		&Control{Trace: func(gen int, best *partition.Partition, bestCost float64) {
 			calls++
 			if gen != lastGen+1 {
 				t.Errorf("generation jumped %d -> %d", lastGen, gen)
@@ -192,7 +193,7 @@ func TestTraceCalledEveryGeneration(t *testing.T) {
 			if best == nil || math.IsInf(bestCost, 1) {
 				t.Error("trace with no feasible best")
 			}
-		})
+		}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +326,7 @@ func TestInfeasibleStartsRecover(t *testing.T) {
 	prm := DefaultParams()
 	prm.MaxGenerations = 150
 	prm.StallGenerations = 60
-	res, err := Optimize([]*partition.Partition{start}, prm, nil)
+	res, err := Optimize(context.Background(), []*partition.Partition{start}, prm, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,16 +348,11 @@ func TestParallelEvaluationMatchesSequential(t *testing.T) {
 	run := func(workers int) *Result {
 		prm := base
 		prm.Workers = workers
-		rng := rand.New(rand.NewSource(prm.Seed))
-		var starts []*partition.Partition
-		for i := 0; i < prm.Mu; i++ {
-			p, err := partition.New(e, standard.ChainStartPartition(e.A.Circuit, 8, rng), w, cons)
-			if err != nil {
-				t.Fatal(err)
-			}
-			starts = append(starts, p)
+		starts, err := ChainStarts(e, w, cons, 8, prm)
+		if err != nil {
+			t.Fatal(err)
 		}
-		res, err := Optimize(starts, prm, nil)
+		res, err := Optimize(context.Background(), starts, prm, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"iddqsyn/internal/fsx"
 )
 
 // fuzzSeedCheckpoint is a minimal structurally valid checkpoint for the
@@ -64,7 +66,7 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 		// writer (JSON floats are marshalled shortest-round-trip, so
 		// DeepEqual over the struct is exact).
 		out := filepath.Join(dir, "out.ckpt")
-		if err := WriteCheckpoint(ck, out); err != nil {
+		if err := ck.write(fsx.OS{}, out, nil); err != nil {
 			t.Fatalf("accepted checkpoint failed to write back: %v", err)
 		}
 		ck2, err := LoadCheckpoint(out)

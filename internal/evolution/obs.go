@@ -8,12 +8,7 @@
 
 package evolution
 
-import (
-	"context"
-
-	"iddqsyn/internal/chaos"
-	"iddqsyn/internal/obs"
-)
+import "iddqsyn/internal/obs"
 
 // Metric names recorded by the optimizer. Exposed as constants so tests
 // and tools read the same registry keys the generation loop writes.
@@ -85,25 +80,6 @@ type runObs struct {
 	generation, bestCost, stall, population, stepWidth *obs.Gauge
 
 	evalSeconds, genSeconds, ckptSeconds *obs.Histogram
-}
-
-// resolveObs picks the run's Obs: an explicit Control.Obs wins, else
-// whatever the context carries (the experiment drivers thread it there).
-func resolveObs(ctx context.Context, ctl *Control) *obs.Obs {
-	if ctl != nil && ctl.Obs != nil {
-		return ctl.Obs
-	}
-	return obs.FromContext(ctx)
-}
-
-// resolveChaos picks the run's fault injector the same way: an explicit
-// Control.Chaos wins, else the context carriage. Nil (the overwhelmingly
-// common case) means nothing is ever injected.
-func resolveChaos(ctx context.Context, ctl *Control) *chaos.Injector {
-	if ctl != nil && ctl.Chaos != nil {
-		return ctl.Chaos
-	}
-	return chaos.FromContext(ctx)
 }
 
 // newRunObs resolves every metric handle once. With o == nil the handles

@@ -16,13 +16,13 @@ import (
 func TestObservedRunMetricsMatchResult(t *testing.T) {
 	env, prm := controlSetup(t)
 
-	unobserved, err := RunContext(context.Background(), env.e, env.w, env.cons, prm, nil)
+	unobserved, err := runChain(context.Background(), env.e, env.w, env.cons, prm, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	o := obs.New("r-obs", nil, nil)
-	res, err := RunControlled(context.Background(), env.e, env.w, env.cons, prm, nil, &Control{Obs: o})
+	res, err := runChain(obs.NewContext(context.Background(), o), env.e, env.w, env.cons, prm, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestResumedRunContinuesCountersMonotonically(t *testing.T) {
 	env, prm := controlSetup(t)
 
 	oBase := obs.New("r-base", nil, nil)
-	baseline, err := RunControlled(context.Background(), env.e, env.w, env.cons, prm, nil, &Control{Obs: oBase})
+	baseline, err := runChain(obs.NewContext(context.Background(), oBase), env.e, env.w, env.cons, prm, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,15 +82,15 @@ func TestResumedRunContinuesCountersMonotonically(t *testing.T) {
 
 	oInt := obs.New("r-interrupted", nil, nil)
 	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := context.WithCancel(obs.NewContext(context.Background(), oInt))
 	defer cancel()
 	trace := func(gen int, best *partition.Partition, bestCost float64) {
 		if gen == 12 {
 			cancel()
 		}
 	}
-	interrupted, err := RunControlled(ctx, env.e, env.w, env.cons, prm, trace,
-		&Control{CheckpointPath: ckpt, CheckpointEvery: 5, Obs: oInt})
+	interrupted, err := runChain(ctx, env.e, env.w, env.cons, prm,
+		&Control{CheckpointPath: ckpt, CheckpointEvery: 5, Trace: trace})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestResumedRunContinuesCountersMonotonically(t *testing.T) {
 	// Resume into a fresh Obs: the restored counters must pick up where
 	// the checkpoint left off, never reset.
 	oRes := obs.New("r-resumed", nil, nil)
-	resumed, err := ResumeContext(context.Background(), ck, env.e, env.w, env.cons, nil, &Control{Obs: oRes})
+	resumed, err := Resume(obs.NewContext(context.Background(), oRes), ck, env.e, env.w, env.cons, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,6 @@ import (
 	"iddqsyn/internal/evolution"
 	"iddqsyn/internal/faults"
 	"iddqsyn/internal/partition"
-	"iddqsyn/internal/standard"
 	"iddqsyn/internal/techmap"
 )
 
@@ -50,21 +49,12 @@ func OptimizerComparison(ctx context.Context, name string, startSize int, eprm e
 	e := estimate.New(a, estimate.DefaultParams())
 	w := partition.PaperWeights()
 	cons := partition.DefaultConstraints()
-	size := startSize
-	if size <= 0 {
-		size = standard.EstimateModuleSize(e, w, cons)
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	rng := rand.New(rand.NewSource(eprm.Seed))
-	var starts []*partition.Partition
-	for i := 0; i < eprm.Mu; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		p, err := partition.New(e, standard.ChainStartPartition(c, size, rng), w, cons)
-		if err != nil {
-			return nil, err
-		}
-		starts = append(starts, p)
+	starts, err := evolution.ChainStarts(e, w, cons, startSize, eprm)
+	if err != nil {
+		return nil, err
 	}
 	best := starts[0]
 	//lint:ignore ctxloop cached-cost scan over mu individuals, microseconds
@@ -74,7 +64,7 @@ func OptimizerComparison(ctx context.Context, name string, startSize int, eprm e
 		}
 	}
 
-	es, err := evolution.OptimizeContext(ctx, starts, eprm, nil)
+	es, err := evolution.Optimize(ctx, starts, eprm, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -88,11 +78,11 @@ func OptimizerComparison(ctx context.Context, name string, startSize int, eprm e
 	if saPrm.MovesPerEpoch = budget / 80; saPrm.MovesPerEpoch < 1 {
 		saPrm.MovesPerEpoch = 1
 	}
-	sa, err := anneal.AnnealContext(ctx, best, saPrm)
+	sa, err := anneal.Anneal(ctx, best, saPrm)
 	if err != nil {
 		return nil, err
 	}
-	hc, err := anneal.HillClimbContext(ctx, best, budget, budget/4+1, eprm.Seed)
+	hc, err := anneal.HillClimb(ctx, best, budget, budget/4+1, eprm.Seed)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -56,6 +57,20 @@ func TestOptimizerComparison(t *testing.T) {
 		t.Errorf("format:\n%s", out)
 	}
 	t.Logf("\n%s", out)
+}
+
+// The drivers that build their own start population must still honour an
+// already-cancelled context: the start builder itself takes none, so each
+// driver checks once before building.
+func TestStartPopulationDriversHonourCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := OptimizerComparison(ctx, "c432", 8, fastEvolution()); !errors.Is(err, context.Canceled) {
+		t.Errorf("OptimizerComparison under a cancelled context: err = %v, want context.Canceled", err)
+	}
+	if _, err := C17Trace(ctx, 1); !errors.Is(err, context.Canceled) {
+		t.Errorf("C17Trace under a cancelled context: err = %v, want context.Canceled", err)
+	}
 }
 
 func TestSensorVariantsTable(t *testing.T) {

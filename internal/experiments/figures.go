@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"iddqsyn/internal/bic"
@@ -14,7 +13,6 @@ import (
 	"iddqsyn/internal/evolution"
 	"iddqsyn/internal/faults"
 	"iddqsyn/internal/partition"
-	"iddqsyn/internal/standard"
 )
 
 // Figure1Result demonstrates the BIC sensor architecture of figure 1: a
@@ -184,20 +182,15 @@ func C17Trace(ctx context.Context, seed int64) (*C17TraceResult, error) {
 			Cost:       bestCost,
 		})
 	}
-	size := 3 // two modules of three gates, the example's granularity
-	rng := rand.New(rand.NewSource(seed))
-	var starts []*partition.Partition
-	for i := 0; i < prm.Mu; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		p, err := partition.New(e, standard.ChainStartPartition(c, size, rng), w, cons)
-		if err != nil {
-			return nil, err
-		}
-		starts = append(starts, p)
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	er, err := evolution.OptimizeContext(ctx, starts, prm, trace)
+	// Two modules of three gates, the example's granularity.
+	starts, err := evolution.ChainStarts(e, w, cons, 3, prm)
+	if err != nil {
+		return nil, err
+	}
+	er, err := evolution.Optimize(ctx, starts, prm, &evolution.Control{Trace: trace})
 	if err != nil {
 		return nil, err
 	}

@@ -12,7 +12,7 @@ import (
 // types.Object or *types.Package) with the fact's dynamic type, so
 // distinct analyzers with distinct fact types never collide. Object
 // identity works across packages because the whole Program shares one
-// type-checked world: the *types.Func for evolution.Run seen while
+// type-checked world: the *types.Func for evolution.Optimize seen while
 // checking package evolution is the same pointer an importer's
 // TypesInfo.Uses resolves to.
 //

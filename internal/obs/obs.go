@@ -10,10 +10,10 @@
 // whether a run is observed or not — no `if obs != nil` at call sites,
 // and the unobserved hot path costs one pointer comparison.
 //
-// An *Obs travels either explicitly (core.Options.Obs, evolution.Control
-// .Obs) or on the context (NewContext/FromContext), which lets the
-// experiment drivers thread telemetry through existing call chains
-// without signature churn. The context carriage holds observability
+// An *Obs enters a synthesis explicitly (core.Options.Obs) or on the
+// context (NewContext/FromContext); below core the context is the only
+// carriage, which lets the optimizers and experiment drivers thread
+// telemetry through existing call chains without signature churn. The context carriage holds observability
 // plumbing only — never request-scoped business state.
 package obs
 

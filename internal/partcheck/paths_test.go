@@ -10,7 +10,7 @@ import (
 // TestFailurePathNames is the table test over the auditor's failure
 // classes: every one must surface its exact Constraint* name in both the
 // violation list and the rendered error, because downstream consumers —
-// ResumeContext's checkpoint rejection and iddqpart -verify's exit
+// evolution.Resume's checkpoint rejection and iddqpart -verify's exit
 // message — grep for these names verbatim.
 func TestFailurePathNames(t *testing.T) {
 	c, e := c17Estimator(t)

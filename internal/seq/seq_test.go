@@ -1,6 +1,7 @@
 package seq
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -269,7 +270,7 @@ func TestSynthesizeSequentialCore(t *testing.T) {
 	}
 	eprm := evolution.DefaultParams()
 	eprm.MaxGenerations = 20
-	res, err := core.Synthesize(s.Comb, core.Options{Evolution: &eprm})
+	res, err := core.SynthesizeContext(context.Background(), s.Comb, core.Options{Evolution: &eprm})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -809,13 +809,18 @@ func (s *Server) attempt(j *job, sp *obs.TraceSpan) (*JobResult, error) {
 	opt.Degrade = opt.Method == core.MethodEvolution
 	ckpt := checkpointPath(s.cfg.Dir, j.id)
 	if opt.Method == core.MethodEvolution {
+		// The optimizer publishes its own live status on jobObs; the trace
+		// only feeds the job's SSE stream and /jobs/{id} view. (It must not
+		// call jobObs.SetStatus itself: the status atomic requires one
+		// concrete type per run, and the optimizer owns it.)
 		opt.Control = &evolution.Control{
 			CheckpointPath:  ckpt,
 			CheckpointEvery: s.cfg.CheckpointEvery,
-			Obs:             jobObs,
-			FS:              s.cfg.FS,
-			Retry:           s.cfg.Retry,
-			Chaos:           s.cfg.Chaos,
+			Trace: func(gen int, _ *partition.Partition, cost float64) {
+				j.progress(gen, cost)
+			},
+			FS:    s.cfg.FS,
+			Retry: s.cfg.Retry,
 		}
 		if ck, lerr := evolution.LoadCheckpoint(ckpt); lerr == nil {
 			if ck.Circuit == c.Name && ck.Gates == c.NumGates() {
@@ -830,13 +835,6 @@ func (s *Server) attempt(j *job, sp *obs.TraceSpan) (*JobResult, error) {
 			// converge on the identical result.
 			s.o.Log().Warn("ignoring unusable checkpoint", "job", j.id, "err", lerr.Error())
 		}
-	}
-	// The optimizer publishes its own live status on jobObs; the trace
-	// only feeds the job's SSE stream and /jobs/{id} view. (It must not
-	// call jobObs.SetStatus itself: the status atomic requires one
-	// concrete type per run, and the optimizer owns it.)
-	opt.Trace = func(gen int, _ *partition.Partition, cost float64) {
-		j.progress(gen, cost)
 	}
 	timeout, err := spec.JobTimeout()
 	if err != nil {

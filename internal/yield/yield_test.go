@@ -1,6 +1,7 @@
 package yield
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -17,7 +18,7 @@ func fixture(t *testing.T) (*bic.Chip, [][]bool, []faults.Fault) {
 	c := circuits.MustISCAS85Like("c432")
 	eprm := evolution.DefaultParams()
 	eprm.MaxGenerations = 20
-	res, err := core.Synthesize(c, core.Options{Evolution: &eprm, ModuleSize: 40})
+	res, err := core.SynthesizeContext(context.Background(), c, core.Options{Evolution: &eprm, ModuleSize: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
