@@ -8,6 +8,7 @@ import (
 	"flag"
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -18,6 +19,7 @@ import (
 	"iddqsyn/internal/core"
 	"iddqsyn/internal/evolution"
 	"iddqsyn/internal/experiments"
+	"iddqsyn/internal/standard"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/golden.json from the current results")
@@ -29,8 +31,9 @@ const goldenPath = "testdata/golden.json"
 // the run's bookkeeping. Any refactor that shifts a single low-order bit
 // of a Table 1 figure fails here.
 type goldenRecord struct {
-	CostBits     map[string]string `json:"cost_bits"`
+	CostBits     map[string]string `json:"cost_bits,omitempty"`
 	Separation   int               `json:"separation,omitempty"`
+	Size         int               `json:"size,omitempty"`
 	Modules      int               `json:"modules"`
 	GroupsSHA256 string            `json:"groups_sha256"`
 	Generations  int               `json:"generations,omitempty"`
@@ -99,6 +102,27 @@ func generations(n int) *evolution.Params {
 	return &p
 }
 
+// chainStartRecords pins the §4.2 chain-start groups of res's circuit at
+// module size 8 and at the estimated module size, for seeds 1-3.
+func chainStartRecords(t *testing.T, got map[string]goldenRecord, res *core.Result) {
+	t.Helper()
+	p := res.Partition
+	sizes := map[string]int{
+		"size8":   8,
+		"sizeest": standard.EstimateModuleSize(res.Estimator, p.W, p.Cons),
+	}
+	for label, size := range sizes {
+		for seed := int64(1); seed <= 3; seed++ {
+			groups := standard.ChainStartPartition(res.Circuit, size, rand.New(rand.NewSource(seed)))
+			got[fmt.Sprintf("%s-chainstart-%s-seed%d", res.Circuit.Name, label, seed)] = goldenRecord{
+				Size:         size,
+				Modules:      len(groups),
+				GroupsSHA256: groupsDigest(t, groups),
+			}
+		}
+	}
+}
+
 // TestGolden compares the optimizer's results against the committed
 // goldens. Regenerate with `go test ./internal/core -run Golden -update`,
 // and only with a stated reason: a changed golden means Table 1 moved.
@@ -116,6 +140,14 @@ func TestGolden(t *testing.T) {
 	got["c880-standard-k"] = synthRecord(t, synth(t, "c880", core.Options{
 		Method: core.MethodStandard, Modules: fine.Partition.NumModules(),
 	}))
+
+	for _, tc := range experiments.Table1Circuits {
+		std := synth(t, tc.Name, core.Options{Method: core.MethodStandard, Modules: tc.PaperK})
+		got[tc.Name+"-standard-paperk"] = synthRecord(t, std)
+		if tc.Name == "c1908" || tc.Name == "c7552" {
+			chainStartRecords(t, got, std)
+		}
+	}
 
 	tr, err := experiments.C17Trace(context.Background(), 1)
 	if err != nil {
