@@ -212,7 +212,7 @@ func mutatedPartition(b *testing.B) *partition.Partition {
 		b.Fatal(err)
 	}
 	e := estimate.New(a, estimate.DefaultParams())
-	groups := standard.StandardPartition(c, 220, e.P.Rho)
+	groups := standard.StandardPartition(e, 220)
 	p, err := partition.New(e, groups, partition.PaperWeights(), partition.DefaultConstraints())
 	if err != nil {
 		b.Fatal(err)
@@ -251,7 +251,7 @@ func estimatorFixture(b *testing.B) (*estimate.Estimator, [][]int) {
 		b.Fatal(err)
 	}
 	e := estimate.New(a, estimate.DefaultParams())
-	groups := standard.StandardPartition(c, 220, e.P.Rho)
+	groups := standard.StandardPartition(e, 220)
 	return e, groups
 }
 

@@ -33,9 +33,9 @@ func main() {
 	fmt.Print(res.Report())
 
 	// The partition's gates, module by module.
-	for mi := 0; mi < res.Partition.NumModules(); mi++ {
+	for mi, gates := range res.Partition.Groups() {
 		fmt.Printf("module %d:", mi)
-		for _, g := range res.Partition.ModuleGates(mi) {
+		for _, g := range gates {
 			fmt.Printf(" %s", c.Gates[g].Name)
 		}
 		fmt.Println()

@@ -18,7 +18,7 @@ func sensorsFixture(t *testing.T) ([]Sensor, float64, float64) {
 		t.Fatal(err)
 	}
 	e := estimate.New(a, estimate.DefaultParams())
-	groups := standard.StandardPartitionK(c, 6, e.P.Rho)
+	groups := standard.StandardPartitionK(e, 6)
 	sensors := make([]Sensor, len(groups))
 	for i, g := range groups {
 		sensors[i] = Size(i, e.EvalModule(g), e.P)

@@ -8,7 +8,9 @@
 package celllib
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"iddqsyn/internal/circuit"
@@ -69,14 +71,36 @@ func New(name string, vdd float64) *Library {
 	return &Library{Name: name, VDD: vdd, cells: make(map[circuit.GateType][]*Cell)}
 }
 
+// ErrInvalidCell reports a cell parameter that is non-finite or out of
+// range: MaxFanin, Area, Delay, PeakCurrent and Rg must be positive; the
+// delay-per-fanout, leakage and capacitance terms must be non-negative.
+var ErrInvalidCell = errors.New("celllib: invalid cell parameter")
+
 // Add registers a cell. Variants for the same function are kept sorted by
-// MaxFanin. Adding a duplicate (function, MaxFanin) pair is an error.
+// MaxFanin. A parameter out of range (ErrInvalidCell) or a duplicate
+// (function, MaxFanin) pair is an error.
 func (l *Library) Add(c *Cell) error {
 	if c.MaxFanin <= 0 {
-		return fmt.Errorf("celllib: cell %q: MaxFanin must be positive", c.Name)
+		return fmt.Errorf("%w: cell %q: MaxFanin = %d", ErrInvalidCell, c.Name, c.MaxFanin)
 	}
-	if c.PeakCurrent <= 0 || c.Delay <= 0 || c.Rg <= 0 || c.Area <= 0 {
-		return fmt.Errorf("celllib: cell %q: electrical parameters must be positive", c.Name)
+	for _, p := range []struct {
+		name   string
+		v      float64
+		zeroOK bool
+	}{
+		{"Area", c.Area, false},
+		{"Delay", c.Delay, false},
+		{"PeakCurrent", c.PeakCurrent, false},
+		{"Rg", c.Rg, false},
+		{"DelayPerFanout", c.DelayPerFanout, true},
+		{"LeakBase", c.LeakBase, true},
+		{"LeakPerIn", c.LeakPerIn, true},
+		{"Cin", c.Cin, true},
+		{"Cout", c.Cout, true},
+	} {
+		if math.IsNaN(p.v) || math.IsInf(p.v, 0) || p.v < 0 || (p.v == 0 && !p.zeroOK) {
+			return fmt.Errorf("%w: cell %q: %s = %g", ErrInvalidCell, c.Name, p.name, p.v)
+		}
 	}
 	vs := l.cells[c.Function]
 	for _, v := range vs {

@@ -1,6 +1,8 @@
 package celllib
 
 import (
+	"errors"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -94,6 +96,45 @@ func TestAddValidation(t *testing.T) {
 	dup := &Cell{Name: "y", Function: circuit.Nand, MaxFanin: 2, Area: 1, Delay: 1, PeakCurrent: 1, Rg: 1}
 	if err := l.Add(dup); err == nil {
 		t.Error("want error for duplicate (function,fanin)")
+	}
+}
+
+func TestAddRejectsInvalidParameters(t *testing.T) {
+	valid := func() *Cell {
+		return &Cell{Name: "x", Function: circuit.Nand, MaxFanin: 2, Area: 1, Delay: 1e-9,
+			DelayPerFanout: 1e-10, PeakCurrent: 1e-4, LeakBase: 1e-12, LeakPerIn: 1e-13,
+			Cin: 1e-15, Cout: 1e-15, Rg: 1e4}
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		set  func(c *Cell)
+	}{
+		{"zero MaxFanin", func(c *Cell) { c.MaxFanin = 0 }},
+		{"zero Area", func(c *Cell) { c.Area = 0 }},
+		{"NaN Delay", func(c *Cell) { c.Delay = nan }},
+		{"Inf PeakCurrent", func(c *Cell) { c.PeakCurrent = inf }},
+		{"negative Rg", func(c *Cell) { c.Rg = -1 }},
+		{"negative DelayPerFanout", func(c *Cell) { c.DelayPerFanout = -1e-10 }},
+		{"NaN LeakBase", func(c *Cell) { c.LeakBase = nan }},
+		{"negative LeakBase", func(c *Cell) { c.LeakBase = -1e-12 }},
+		{"negative LeakPerIn", func(c *Cell) { c.LeakPerIn = -1e-13 }},
+		{"-Inf LeakPerIn", func(c *Cell) { c.LeakPerIn = -inf }},
+		{"negative Cin", func(c *Cell) { c.Cin = -1e-15 }},
+		{"NaN Cout", func(c *Cell) { c.Cout = nan }},
+		{"negative Cout", func(c *Cell) { c.Cout = -1e-15 }},
+	}
+	for _, tc := range cases {
+		c := valid()
+		tc.set(c)
+		if err := New("t", 5).Add(c); !errors.Is(err, ErrInvalidCell) {
+			t.Errorf("%s: Add = %v, want ErrInvalidCell", tc.name, err)
+		}
+	}
+	unloaded := valid()
+	unloaded.DelayPerFanout, unloaded.LeakBase, unloaded.LeakPerIn, unloaded.Cin, unloaded.Cout = 0, 0, 0, 0, 0
+	if err := New("t", 5).Add(unloaded); err != nil {
+		t.Errorf("zero non-negative parameters: Add = %v, want nil", err)
 	}
 }
 

@@ -249,7 +249,7 @@ func SynthesizeContext(ctx context.Context, c *circuit.Circuit, opt Options) (re
 			res.Evolution = er
 			res.Partition = er.Best
 		case opt.Degrade:
-			p, serr := standardGroups(c, opt, prm, e, w, cons)
+			p, serr := standardGroups(opt, e, w, cons)
 			if serr != nil {
 				return nil, fmt.Errorf("core: optimizer failed (%w); standard fallback also failed: %w", optErr, serr)
 			}
@@ -264,7 +264,7 @@ func SynthesizeContext(ctx context.Context, c *circuit.Circuit, opt Options) (re
 			return nil, optErr
 		}
 	case MethodStandard:
-		p, serr := standardGroups(c, opt, prm, e, w, cons)
+		p, serr := standardGroups(opt, e, w, cons)
 		if serr != nil {
 			return nil, serr
 		}
@@ -343,8 +343,8 @@ func runEvolution(ctx context.Context, e *estimate.Estimator,
 // MethodStandard main path and the degraded-mode fallback — with panic
 // containment so even a poisoned estimator yields a named error rather
 // than a crash.
-func standardGroups(c *circuit.Circuit, opt Options, prm estimate.Params,
-	e *estimate.Estimator, w partition.Weights, cons partition.Constraints) (p *partition.Partition, err error) {
+func standardGroups(opt Options, e *estimate.Estimator, w partition.Weights,
+	cons partition.Constraints) (p *partition.Partition, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			p = nil
@@ -357,13 +357,13 @@ func standardGroups(c *circuit.Circuit, opt Options, prm estimate.Params,
 	}()
 	var groups [][]int
 	if opt.Modules > 0 {
-		groups = standard.StandardPartitionK(c, opt.Modules, prm.Rho)
+		groups = standard.StandardPartitionK(e, opt.Modules)
 	} else {
 		size := opt.ModuleSize
 		if size <= 0 {
 			size = standard.EstimateModuleSize(e, w, cons)
 		}
-		groups = standard.StandardPartition(c, size, prm.Rho)
+		groups = standard.StandardPartition(e, size)
 	}
 	p, err = partition.New(e, groups, w, cons)
 	if err != nil {
@@ -399,7 +399,7 @@ func (r *Result) Report() string {
 		s := &r.Chip.Sensors[mi]
 		m := r.Partition.ModuleEstimate(mi)
 		fmt.Fprintf(&sb, "  module %2d: %4d gates  îDD=%.3gmA  Ron=%.3gΩ  area=%.4g  d=%.1f\n",
-			mi, len(r.Partition.ModuleGates(mi)), 1e3*s.IDDMax, s.ROn, s.Area,
+			mi, r.Partition.ModuleSize(mi), 1e3*s.IDDMax, s.ROn, s.Area,
 			m.Discriminability(r.Estimator.P.IDDQth))
 	}
 	return sb.String()

@@ -83,18 +83,20 @@ type Estimator struct {
 	// can be exercised deterministically.
 	chaos *chaos.Injector
 
-	// scratch pools the per-EvalModule transient buffers (current
-	// profile, module membership mask). EvalModule runs millions of times
-	// per optimizer run on concurrent worker pools, so these must not be
-	// allocated per call. Pool contents never affect results: the buffers
-	// are (re)initialized before every use.
+	// scratch pools the transient buffers of EvalModule (current profile,
+	// module membership mask) and of the D_BIC sweep (arrival times). Both
+	// run millions of times per optimizer run on concurrent worker pools,
+	// so these must not be allocated per call. Pool contents never affect
+	// results: the buffers are (re)initialized before every use.
 	scratch sync.Pool
 }
 
-// evalScratch is the transient working memory of one EvalModule call.
+// evalScratch is the transient working memory of one EvalModule or
+// longestPath call.
 type evalScratch struct {
 	prof     []float64 // current profile over the time grid
 	inModule []bool    // gate-ID membership mask; all false between uses
+	arrival  []float64 // arrival time per gate ID
 }
 
 func (e *Estimator) getScratch() *evalScratch {
@@ -106,6 +108,8 @@ func (e *Estimator) getScratch() *evalScratch {
 			prof: make([]float64, e.TS.Depth()+1),
 			//lint:ignore hotalloc pool miss only
 			inModule: make([]bool, e.A.Circuit.NumGates()),
+			//lint:ignore hotalloc pool miss only
+			arrival: make([]float64, e.A.Circuit.NumGates()),
 		}
 	}
 	return sc
@@ -140,7 +144,7 @@ func (e *Estimator) SetChaos(in *chaos.Injector) {
 // once.
 func New(a *celllib.Annotated, p Params) *Estimator {
 	e := &Estimator{P: p, A: a, TS: TransitionTimes(a.Circuit)}
-	e.nominalDelay = e.longestPath(nil, nil, nil)
+	e.nominalDelay = e.longestPath(nil, nil)
 	c := a.Circuit
 	e.nbrGate = make([][]int32, c.NumGates())
 	e.nbrDist = make([][]uint8, c.NumGates())
@@ -292,6 +296,14 @@ func (e *Estimator) separationScratch(gates []int, inModule []bool) int {
 	return sum
 }
 
+// Neighborhood returns the cached ρ-hop neighbourhood of gate g: the
+// logic gates within ρ hops of g (excluding g) in ascending ID order, and
+// their hop distances. The slices are shared; callers must not modify
+// them.
+func (e *Estimator) Neighborhood(g int) ([]int32, []uint8) {
+	return e.nbrGate[g], e.nbrDist[g]
+}
+
 // NominalDelay returns the longest-path delay D of the sensor-free
 // circuit.
 func (e *Estimator) NominalDelay() float64 { return e.nominalDelay }
@@ -304,31 +316,18 @@ func (e *Estimator) NominalDelay() float64 { return e.nominalDelay }
 // it (its level — the longest input→g path), using the module's activity
 // n(t) at exactly that instant, the module's Rs, and its rail capacitance.
 func (e *Estimator) BICDelay(moduleOf []int, mods []*Module) float64 {
-	return e.longestPath(moduleOf, mods, nil)
-}
-
-// BICDelayScratch is BICDelay with a caller-provided arrival-time buffer
-// (reused when cap(scratch) covers the circuit), for cost evaluations on
-// the optimizers' hot path.
-func (e *Estimator) BICDelayScratch(moduleOf []int, mods []*Module, scratch []float64) float64 {
-	return e.longestPath(moduleOf, mods, scratch)
+	return e.longestPath(moduleOf, mods)
 }
 
 // longestPath computes the circuit delay; with mods == nil it is the
 // nominal delay, otherwise per-gate degradation factors are applied.
-// scratch, if non-nil, is reused for arrival times.
-func (e *Estimator) longestPath(moduleOf []int, mods []*Module, scratch []float64) float64 {
+// Every gate's arrival time is written before any fanout reads it, so the
+// pooled arrival buffer needs no clearing.
+func (e *Estimator) longestPath(moduleOf []int, mods []*Module) float64 {
 	c := e.A.Circuit
-	arrival := scratch
-	if cap(arrival) < c.NumGates() {
-		//lint:ignore hotalloc fallback when the caller provides no (or an undersized) pooled buffer
-		arrival = make([]float64, c.NumGates())
-	} else {
-		arrival = arrival[:c.NumGates()]
-		for i := range arrival {
-			arrival[i] = 0
-		}
-	}
+	sc := e.getScratch()
+	defer e.scratch.Put(sc)
+	arrival := sc.arrival
 	var worst float64
 	var levels []int
 	if mods != nil {

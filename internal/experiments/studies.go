@@ -225,7 +225,7 @@ func pessimismOf(res *core.Result) ([]EstimatorPessimism, error) {
 	}
 	var out []EstimatorPessimism
 	for mi := 0; mi < res.Partition.NumModules(); mi++ {
-		gates := res.Partition.ModuleGates(mi)
+		gates := res.Partition.AppendModuleGates(nil, mi)
 		m := res.Partition.ModuleEstimate(mi)
 		sim := simulatedPeak(e, res.Annotated, gates)
 		p := EstimatorPessimism{

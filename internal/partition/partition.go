@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -110,7 +111,7 @@ type Partition struct {
 	W    Weights
 	Cons Constraints
 
-	modules  []*moduleState
+	modules  []moduleState
 	moduleOf []int // gate ID -> module index; -1 for inputs
 
 	costValid bool
@@ -133,7 +134,7 @@ func New(e *estimate.Estimator, groups [][]int, w Weights, cons Constraints) (*P
 		if len(gates) == 0 {
 			return nil, fmt.Errorf("partition: module %d is empty", mi)
 		}
-		ms := &moduleState{gates: make([]int, 0, len(gates))}
+		ms := moduleState{gates: make([]int, 0, len(gates))}
 		for _, g := range gates {
 			if g < 0 || g >= c.NumGates() {
 				return nil, fmt.Errorf("partition: gate %d out of range", g)
@@ -160,15 +161,9 @@ func New(e *estimate.Estimator, groups [][]int, w Weights, cons Constraints) (*P
 // NumModules returns K.
 func (p *Partition) NumModules() int { return len(p.modules) }
 
-// ModuleGates returns the sorted gate IDs of module mi. The result is a
-// fresh copy the caller may modify.
-func (p *Partition) ModuleGates(mi int) []int {
-	return append([]int(nil), p.modules[mi].gates...)
-}
-
 // AppendModuleGates appends the sorted gate IDs of module mi to dst and
-// returns the extended slice — the allocation-free variant of ModuleGates
-// for callers that reuse a scratch buffer across moves.
+// returns the extended slice; AppendModuleGates(nil, mi) is a fresh copy
+// the caller may modify.
 func (p *Partition) AppendModuleGates(dst []int, mi int) []int {
 	return append(dst, p.modules[mi].gates...)
 }
@@ -183,14 +178,14 @@ func (p *Partition) ModuleOf(gate int) int { return p.moduleOf[gate] }
 func (p *Partition) Groups() [][]int {
 	out := make([][]int, len(p.modules))
 	for i := range p.modules {
-		out[i] = p.ModuleGates(i)
+		out[i] = p.AppendModuleGates(nil, i)
 	}
 	return out
 }
 
 // ModuleEstimate returns the (cached) estimator output for module mi.
 func (p *Partition) ModuleEstimate(mi int) *estimate.Module {
-	ms := p.modules[mi]
+	ms := &p.modules[mi]
 	if ms.est == nil {
 		ms.est = p.E.EvalModule(ms.gates)
 	}
@@ -203,19 +198,15 @@ func (p *Partition) ModuleEstimate(mi int) *estimate.Module {
 // clone's mutation never reaches its siblings. The descendant loop of the
 // evolution strategy clones every parent λ+χ times per generation, which
 // makes this the optimizer's hottest allocation site — it allocates only
-// the module headers and the gate→module index.
+// the module list and the gate→module index.
 func (p *Partition) Clone() *Partition {
-	q := &Partition{
+	return &Partition{
 		E: p.E, W: p.W, Cons: p.Cons,
-		modules:   make([]*moduleState, len(p.modules)),
+		modules:   append([]moduleState(nil), p.modules...),
 		moduleOf:  append([]int(nil), p.moduleOf...),
 		costValid: p.costValid,
 		cost:      p.cost,
 	}
-	for i, ms := range p.modules {
-		q.modules[i] = &moduleState{gates: ms.gates, est: ms.est}
-	}
-	return q
 }
 
 // MoveGates moves the given gates from module `from` to module `to`,
@@ -230,7 +221,7 @@ func (p *Partition) MoveGates(gates []int, from, to int) (int, error) {
 	if from < 0 || from >= len(p.modules) || to < 0 || to >= len(p.modules) {
 		return to, fmt.Errorf("partition: module index out of range (%d -> %d)", from, to)
 	}
-	src, dst := p.modules[from], p.modules[to]
+	src, dst := &p.modules[from], &p.modules[to]
 	for _, g := range gates {
 		if p.moduleOf[g] != from {
 			return to, fmt.Errorf("partition: gate %d not in module %d", g, from)
@@ -272,8 +263,7 @@ func (p *Partition) MoveGates(gates []int, from, to int) (int, error) {
 }
 
 func (p *Partition) deleteModule(mi int) {
-	//lint:ignore hotalloc in-place removal: the result is shorter than the backing array, append never grows it
-	p.modules = append(p.modules[:mi], p.modules[mi+1:]...)
+	p.modules = slices.Delete(p.modules, mi, mi+1)
 	for g, m := range p.moduleOf {
 		if m > mi {
 			p.moduleOf[g] = m - 1
@@ -356,14 +346,13 @@ func (p *Partition) WorstDiscriminability() float64 {
 	return worst
 }
 
-// costScratch holds the transient buffers of one Costs evaluation. The
-// descendant loop evaluates thousands of partitions per generation on a
-// worker pool, so the buffers are pooled instead of allocated per call;
-// nothing in them survives the call (the module pointers are cleared
-// before the scratch is returned).
+// costScratch holds the transient module list of one Costs evaluation.
+// The descendant loop evaluates thousands of partitions per generation on
+// a worker pool, so the list is pooled instead of allocated per call;
+// nothing in it survives the call (the module pointers are cleared before
+// the scratch is returned).
 type costScratch struct {
-	mods    []*estimate.Module
-	arrival []float64
+	mods []*estimate.Module
 }
 
 var costScratchPool = sync.Pool{New: func() interface{} { return new(costScratch) }}
@@ -379,12 +368,8 @@ func (p *Partition) Costs() CostVector {
 	}
 	sc := costScratchPool.Get().(*costScratch)
 	if cap(sc.mods) < len(p.modules) {
-		//lint:ignore hotalloc pool miss or module-count growth only; steady-state cost evaluations reuse the pooled buffers
+		//lint:ignore hotalloc pool miss or module-count growth only; steady-state cost evaluations reuse the pooled buffer
 		sc.mods = make([]*estimate.Module, len(p.modules))
-	}
-	if cap(sc.arrival) < p.E.A.Circuit.NumGates() {
-		//lint:ignore hotalloc pool miss only (see mods above)
-		sc.arrival = make([]float64, p.E.A.Circuit.NumGates())
 	}
 	mods := sc.mods[:len(p.modules)]
 	var areaSum float64
@@ -395,7 +380,7 @@ func (p *Partition) Costs() CostVector {
 		areaSum += m.SensorArea
 		sepSum += m.Separation
 	}
-	dBIC := p.E.BICDelayScratch(p.moduleOf, mods, sc.arrival[:cap(sc.arrival)])
+	dBIC := p.E.BICDelay(p.moduleOf, mods)
 	cv := CostVector{
 		LogArea:       math.Log1p(areaSum),
 		DelayOverhead: p.E.DelayOverhead(dBIC),

@@ -134,7 +134,7 @@ func TestMoveGates(t *testing.T) {
 	if p.Cost() == costBefore {
 		t.Error("cost should change after the move")
 	}
-	if n := len(p.ModuleGates(0)); n != 2 {
+	if n := p.ModuleSize(0); n != 2 {
 		t.Errorf("module 0 has %d gates, want 2", n)
 	}
 }
@@ -157,7 +157,7 @@ func TestMoveGatesErrors(t *testing.T) {
 func TestMoveAllGatesDeletesModule(t *testing.T) {
 	e := c17Estimator(t)
 	p := paperOptimum(t, e)
-	m0 := p.ModuleGates(0)
+	m0 := p.AppendModuleGates(nil, 0)
 	to, err := p.MoveGates(m0, 0, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -263,7 +263,7 @@ func TestIncrementalMatchesFresh(t *testing.T) {
 				break
 			}
 			from := rng.Intn(p.NumModules())
-			gates := p.ModuleGates(from)
+			gates := p.AppendModuleGates(nil, from)
 			g := gates[rng.Intn(len(gates))]
 			targets := p.ConnectedModules(g)
 			if len(targets) == 0 {

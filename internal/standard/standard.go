@@ -6,9 +6,10 @@
 package standard
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"iddqsyn/internal/circuit"
 	"iddqsyn/internal/estimate"
@@ -58,13 +59,12 @@ func EstimateModuleSize(e *estimate.Estimator, w partition.Weights, cons partiti
 	}
 
 	// The discriminability constraint caps the module size:
-	// s·leakAvg ≤ IDDQ,th / d.
-	sMax := int(e.P.IDDQth / (cons.MinDiscriminability * leakAvg))
-	if sMax < 1 {
-		sMax = 1
-	}
-	if sMax > n {
-		sMax = n
+	// s·leakAvg ≤ IDDQ,th / d. A leak-free library imposes no cap; the
+	// comparison runs in floating point so an infinite or out-of-range
+	// bound is never converted to int.
+	sMax := n
+	if limit := e.P.IDDQth / (cons.MinDiscriminability * leakAvg); leakAvg > 0 && limit < float64(n) {
+		sMax = int(math.Max(limit, 1))
 	}
 
 	best, bestCost := 1, math.Inf(1)
@@ -107,22 +107,14 @@ func ChainStartPartition(c *circuit.Circuit, maxModuleSize int, rng *rand.Rand) 
 	if maxModuleSize < 1 {
 		maxModuleSize = 1
 	}
-	levels := c.Levels()
-	free := make(map[int]bool)
-	var order []int
-	for _, g := range c.LogicGates() {
+	order := nearInputsFirst(c)
+	free := make([]bool, c.NumGates())
+	for _, g := range order {
 		free[g] = true
-		order = append(order, g)
 	}
-	// Chain starts are "as near to a primary input as possible".
-	sort.Slice(order, func(i, j int) bool {
-		if levels[order[i]] != levels[order[j]] {
-			return levels[order[i]] < levels[order[j]]
-		}
-		return order[i] < order[j]
-	})
 
 	var groups [][]int
+	var nexts []int
 	for _, start := range order {
 		if !free[start] {
 			continue
@@ -131,7 +123,7 @@ func ChainStartPartition(c *circuit.Circuit, maxModuleSize int, rng *rand.Rand) 
 		free[start] = false
 		cur := start
 		for len(module) < maxModuleSize {
-			var nexts []int
+			nexts = nexts[:0]
 			if !c.IsOutput(cur) {
 				for _, f := range c.Gates[cur].Fanout {
 					if free[f] {
@@ -143,7 +135,7 @@ func ChainStartPartition(c *circuit.Circuit, maxModuleSize int, rng *rand.Rand) 
 				// Chain ended (primary output or no free successor):
 				// restart from a free gate adjacent to the module so the
 				// module stays connected.
-				nexts = adjacentFree(c, module, free)
+				nexts = adjacentFree(nexts, c, module, free)
 				if len(nexts) == 0 {
 					break
 				}
@@ -152,27 +144,37 @@ func ChainStartPartition(c *circuit.Circuit, maxModuleSize int, rng *rand.Rand) 
 			free[cur] = false
 			module = append(module, cur)
 		}
-		sort.Ints(module)
+		slices.Sort(module)
 		groups = append(groups, module)
 	}
 	return groups
 }
 
-// adjacentFree lists the free gates directly connected to the module, in
-// deterministic order.
-func adjacentFree(c *circuit.Circuit, module []int, free map[int]bool) []int {
-	seen := map[int]bool{}
-	var out []int
+// nearInputsFirst returns the logic gates ordered by level, lowest ID
+// first within a level: the order in which both constructors pick the gate
+// "as near to a primary input as possible" that starts a module.
+func nearInputsFirst(c *circuit.Circuit) []int {
+	levels := c.Levels()
+	order := c.LogicGates()
+	slices.SortFunc(order, func(a, b int) int {
+		return cmp.Or(cmp.Compare(levels[a], levels[b]), cmp.Compare(a, b))
+	})
+	return order
+}
+
+// adjacentFree lists the free gates directly connected to the module,
+// ascending and without duplicates, in buf's storage.
+func adjacentFree(buf []int, c *circuit.Circuit, module []int, free []bool) []int {
+	dst := buf[:0]
 	for _, g := range module {
 		for _, nb := range c.Neighbors(g) {
-			if free[nb] && !seen[nb] {
-				seen[nb] = true
-				out = append(out, nb)
+			if free[nb] {
+				dst = append(dst, nb)
 			}
 		}
 	}
-	sort.Ints(out)
-	return out
+	slices.Sort(dst)
+	return slices.Compact(dst)
 }
 
 // StandardPartition implements the §5 baseline: "the process starts with
@@ -182,111 +184,90 @@ func adjacentFree(c *circuit.Circuit, module []int, free map[int]bool) []int {
 // a minimum sum. If there are multiple choices, a gate of this set is
 // selected such that the path lengths to all the gates not yet clustered
 // give a maximum sum." Path lengths are undirected hop distances capped
-// at rho (unreachable pairs count rho), matching the separation parameter.
-func StandardPartition(c *circuit.Circuit, moduleSize, rho int) [][]int {
+// at ρ (unreachable pairs count ρ), matching the separation parameter, so
+// the estimator's ρ-hop neighbourhoods hold every distance needed.
+//
+// The capped distances from g to a set X sum to ρ·|X| − Σ (ρ − d) over the
+// members of X within ρ hops of g, and ρ·|X| is common to every candidate.
+// So the minimum sum to the module is the maximum nearness
+// near[g] = Σ_{clustered c, g ∈ N_ρ(c)} (ρ − d), and the maximum sum to the
+// other free gates is the minimum nearness to them.
+func StandardPartition(e *estimate.Estimator, moduleSize int) [][]int {
 	if moduleSize < 1 {
 		moduleSize = 1
 	}
-	if rho < 1 {
-		rho = 1
-	}
-	levels := c.Levels()
-	logic := c.LogicGates()
-	free := make(map[int]bool, len(logic))
-	for _, g := range logic {
+	c := e.A.Circuit
+	order := nearInputsFirst(c)
+	free := make([]bool, c.NumGates())
+	for _, g := range order {
 		free[g] = true
 	}
-
-	// distTo returns hop distances from g capped at rho.
-	distTo := func(g int) map[int]int { return c.BoundedDistances(g, rho) }
-	capDist := func(d map[int]int, to int) int {
-		if v, ok := d[to]; ok {
-			return v
-		}
-		return rho
-	}
+	near := make([]int, c.NumGates())
 
 	var groups [][]int
-	for len(free) > 0 {
-		// Start gate: free gate nearest a primary input (lowest level,
-		// lowest ID breaks ties deterministically).
-		start := -1
-		for _, g := range logic {
-			if !free[g] {
-				continue
-			}
-			if start == -1 || levels[g] < levels[start] || (levels[g] == levels[start] && g < start) {
-				start = g
-			}
+	for _, start := range order {
+		if !free[start] {
+			continue
 		}
-		module := []int{start}
-		delete(free, start)
-		// distSum[g] accumulates Σ over clustered gates of dist(cl, g).
-		distSum := make(map[int]float64, len(free))
-		addDistances := func(from int) {
-			d := distTo(from)
-			for g := range free {
-				distSum[g] += float64(capDist(d, g))
+		clear(near)
+		var module []int
+		for g := start; g >= 0; g = closest(e, free, near) {
+			free[g] = false
+			module = append(module, g)
+			if len(module) == moduleSize {
+				break
 			}
-		}
-		addDistances(start)
-
-		for len(module) < moduleSize && len(free) > 0 {
-			// Minimum summed path length to the cluster.
-			bestSum := math.Inf(1)
-			var tied []int
-			for g := range free {
-				s := distSum[g]
-				switch {
-				case s < bestSum-1e-12:
-					bestSum = s
-					tied = tied[:0]
-					tied = append(tied, g)
-				case math.Abs(s-bestSum) <= 1e-12:
-					tied = append(tied, g)
+			gates, dists := e.Neighborhood(g)
+			for i, h := range gates {
+				if free[h] {
+					near[h] += e.P.Rho - int(dists[i])
 				}
 			}
-			sort.Ints(tied)
-			next := tied[0]
-			if len(tied) > 1 {
-				// Tie-break: maximum summed path length to the gates not
-				// yet clustered.
-				bestOut := math.Inf(-1)
-				for _, g := range tied {
-					d := distTo(g)
-					var out float64
-					for h := range free {
-						if h == g {
-							continue
-						}
-						out += float64(capDist(d, h))
-					}
-					if out > bestOut {
-						bestOut = out
-						next = g
-					}
-				}
-			}
-			module = append(module, next)
-			delete(free, next)
-			delete(distSum, next)
-			addDistances(next)
 		}
-		sort.Ints(module)
+		slices.Sort(module)
 		groups = append(groups, module)
 	}
 	return groups
+}
+
+// closest returns the free gate with the maximum nearness to the module,
+// breaking ties by the minimum nearness to the other free gates and then
+// by the lowest ID; -1 when no gate is free.
+func closest(e *estimate.Estimator, free []bool, near []int) int {
+	maxNear := -1
+	for g, ok := range free {
+		if ok && near[g] > maxNear {
+			maxNear = near[g]
+		}
+	}
+	best, minFar := -1, 0
+	for g, ok := range free {
+		if !ok || near[g] != maxNear {
+			continue
+		}
+		far := 0
+		gates, dists := e.Neighborhood(g)
+		for i, h := range gates {
+			if free[h] {
+				far += e.P.Rho - int(dists[i])
+			}
+		}
+		if best < 0 || far < minFar {
+			best, minFar = g, far
+		}
+	}
+	return best
 }
 
 // StandardPartitionK runs StandardPartition with the module size that
 // yields (approximately) k modules — Table 1 compares the methods at the
 // module counts found by the evolution algorithm ("in our case we take
 // the numbers obtained by the evolution based algorithm").
-func StandardPartitionK(c *circuit.Circuit, k, rho int) [][]int {
-	n := c.NumLogicGates()
+func StandardPartitionK(e *estimate.Estimator, k int) [][]int {
+	n := e.A.Circuit.NumLogicGates()
 	if k < 1 {
 		k = 1
 	}
 	size := (n + k - 1) / k
-	return StandardPartition(c, size, rho)
+	return StandardPartition(e, size)
 }

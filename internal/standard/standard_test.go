@@ -1,6 +1,7 @@
 package standard
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -14,34 +15,49 @@ import (
 
 func estimatorFor(t *testing.T, c *circuit.Circuit) *estimate.Estimator {
 	t.Helper()
-	a, err := celllib.Annotate(c, celllib.Default())
+	return estimatorWith(t, c, celllib.Default(), estimate.DefaultParams())
+}
+
+func estimatorWith(t *testing.T, c *circuit.Circuit, lib *celllib.Library, p estimate.Params) *estimate.Estimator {
+	t.Helper()
+	a, err := celllib.Annotate(c, lib)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return estimate.New(a, estimate.DefaultParams())
+	return estimate.New(a, p)
 }
 
 // checkCover verifies a gate grouping is a valid partition of c.
 func checkCover(t *testing.T, c *circuit.Circuit, groups [][]int) {
 	t.Helper()
-	seen := map[int]bool{}
+	if err := coverErr(c, groups); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// coverErr reports the first way groups fail to partition c's logic gates.
+func coverErr(c *circuit.Circuit, groups [][]int) error {
+	seen := make([]bool, c.NumGates())
+	covered := 0
 	for gi, grp := range groups {
 		if len(grp) == 0 {
-			t.Fatalf("group %d empty", gi)
+			return fmt.Errorf("group %d empty", gi)
 		}
 		for _, g := range grp {
 			if seen[g] {
-				t.Fatalf("gate %d in two groups", g)
+				return fmt.Errorf("gate %d in two groups", g)
 			}
 			seen[g] = true
+			covered++
 			if c.Gates[g].Type == circuit.Input {
-				t.Fatalf("primary input %d grouped", g)
+				return fmt.Errorf("primary input %d grouped", g)
 			}
 		}
 	}
-	if len(seen) != c.NumLogicGates() {
-		t.Fatalf("groups cover %d of %d gates", len(seen), c.NumLogicGates())
+	if covered != c.NumLogicGates() {
+		return fmt.Errorf("groups cover %d of %d gates", covered, c.NumLogicGates())
 	}
+	return nil
 }
 
 func TestEstimateModuleSizeBounds(t *testing.T) {
@@ -76,6 +92,27 @@ func TestEstimateModuleSizeTightConstraintShrinks(t *testing.T) {
 	}
 }
 
+// A leak-free library imposes no discriminability cap, so the size
+// estimate must match an unconstrained run on the default library (the
+// averaged cost model does not read leakage) instead of collapsing to 1.
+func TestEstimateModuleSizeZeroLeakage(t *testing.T) {
+	c := circuits.MustISCAS85Like("c432")
+	lib := celllib.New("leak-free", 5)
+	for _, cell := range celllib.Default().Cells() {
+		leakFree := *cell
+		leakFree.LeakBase, leakFree.LeakPerIn = 0, 0
+		if err := lib.Add(&leakFree); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w := partition.PaperWeights()
+	got := EstimateModuleSize(estimatorWith(t, c, lib, estimate.DefaultParams()), w, partition.DefaultConstraints())
+	want := EstimateModuleSize(estimatorFor(t, c), w, partition.Constraints{MinDiscriminability: 1e-30})
+	if got != want || got <= 1 {
+		t.Errorf("zero-leakage size = %d, want the uncapped size %d (> 1)", got, want)
+	}
+}
+
 func TestChainStartPartitionCovers(t *testing.T) {
 	c := circuits.C17()
 	rng := rand.New(rand.NewSource(1))
@@ -100,7 +137,7 @@ func TestChainStartPartitionIsChain(t *testing.T) {
 		if len(grp) < 2 {
 			continue
 		}
-		inGrp := map[int]bool{}
+		inGrp := make([]bool, c.NumGates())
 		for _, g := range grp {
 			inGrp[g] = true
 		}
@@ -151,7 +188,7 @@ func equalGroups(a, b [][]int) bool {
 
 func TestStandardPartitionC17(t *testing.T) {
 	c := circuits.C17()
-	groups := StandardPartition(c, 3, 10)
+	groups := StandardPartition(estimatorFor(t, c), 3)
 	checkCover(t, c, groups)
 	if len(groups) != 2 {
 		t.Errorf("6 gates at size 3: %d groups, want 2", len(groups))
@@ -169,7 +206,7 @@ func TestStandardPartitionClustersAreTight(t *testing.T) {
 	// sizes on average.
 	c := circuits.MustISCAS85Like("c432")
 	e := estimatorFor(t, c)
-	groups := StandardPartition(c, 20, e.P.Rho)
+	groups := StandardPartition(e, 20)
 	checkCover(t, c, groups)
 
 	sepOf := func(groups [][]int) int {
@@ -207,8 +244,9 @@ func TestStandardPartitionClustersAreTight(t *testing.T) {
 
 func TestStandardPartitionK(t *testing.T) {
 	c := circuits.MustISCAS85Like("c432")
+	e := estimatorFor(t, c)
 	for _, k := range []int{2, 4, 8} {
-		groups := StandardPartitionK(c, k, 10)
+		groups := StandardPartitionK(e, k)
 		checkCover(t, c, groups)
 		// Allow slack: trailing gates can create an extra small module.
 		if len(groups) < k || len(groups) > k+2 {
@@ -230,20 +268,13 @@ func TestStandardPartitionAlwaysValid(t *testing.T) {
 			return false
 		}
 		size := 1 + int(sizeSel%20)
-		groups := StandardPartition(c, size, 10)
-		seen := map[int]bool{}
+		groups := StandardPartition(estimatorFor(t, c), size)
 		for _, grp := range groups {
-			if len(grp) == 0 || len(grp) > size {
+			if len(grp) > size {
 				return false
 			}
-			for _, g := range grp {
-				if seen[g] {
-					return false
-				}
-				seen[g] = true
-			}
 		}
-		return len(seen) == c.NumLogicGates()
+		return coverErr(c, groups) == nil
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
@@ -252,12 +283,22 @@ func TestStandardPartitionAlwaysValid(t *testing.T) {
 
 func TestStandardPartitionDegenerateSizes(t *testing.T) {
 	c := circuits.C17()
-	groups := StandardPartition(c, 0, 0) // clamps to 1/1
+	p := estimate.DefaultParams()
+	// ρ = 0 leaves every neighbourhood empty, so every candidate ties;
+	// size 0 clamps to 1.
+	p.Rho = 0
+	noNeighbours := estimatorWith(t, c, celllib.Default(), p)
+	groups := StandardPartition(noNeighbours, 0)
 	checkCover(t, c, groups)
 	if len(groups) != 6 {
 		t.Errorf("size 1: %d singleton groups, want 6", len(groups))
 	}
-	groups = StandardPartition(c, 100, 10)
+	groups = StandardPartition(noNeighbours, 3)
+	checkCover(t, c, groups)
+	if len(groups) != 2 {
+		t.Errorf("size 3 at rho 0: %d groups, want 2", len(groups))
+	}
+	groups = StandardPartition(estimatorFor(t, c), 100)
 	checkCover(t, c, groups)
 	if len(groups) != 1 {
 		t.Errorf("oversized module: %d groups, want 1", len(groups))

@@ -104,7 +104,7 @@ func trialCost(c *circuit.Circuit, lib *celllib.Library, p estimate.Params,
 	}
 	e := estimate.New(a, p)
 	size := standard.EstimateModuleSize(e, w, cons)
-	groups := standard.StandardPartition(c, size, p.Rho)
+	groups := standard.StandardPartition(e, size)
 	pt, err := partition.New(e, groups, w, cons)
 	if err != nil {
 		return 0, err

@@ -2,7 +2,8 @@
 # Repository verification: vet, build everything, then run the full test
 # suite in short mode with the race detector, and finish with a short
 # instrumented optimizer run that exercises the observability path
-# end-to-end (structured JSON logs + a -metrics run snapshot). This is
+# end-to-end (structured JSON logs + a -metrics run snapshot) and must
+# apply at least one mutation. This is
 # the tier-1 check — run it (or `make check`) before every commit.
 #
 # METRICS_OUT overrides where the instrumented run writes its snapshot
@@ -28,10 +29,17 @@ go test -race -short ./...
 echo "== chaos soak (go test -run TestChaosSoak ./internal/chaos/)"
 go test -run TestChaosSoak ./internal/chaos/
 echo "== instrumented run (metrics -> $METRICS_OUT)"
-go run ./cmd/iddqpart -gens 3 -metrics "$METRICS_OUT" \
+go run ./cmd/iddqpart -gens 3 -size 8 -metrics "$METRICS_OUT" \
     -log-format json -log-level info benchmarks/c432.bench >/dev/null
 grep -q '"format": *"iddqsyn-run-snapshot"' "$METRICS_OUT" || {
     echo "check: metrics snapshot missing or malformed: $METRICS_OUT" >&2
+    exit 1
+}
+# At module size 8 the start partitions have dozens of modules, so the
+# mutation operators must do real work; zero applied mutations means the
+# run was vacuous.
+grep -Eq '"evolution\.mutation\.applied": *[1-9]' "$METRICS_OUT" || {
+    echo "check: instrumented run applied no mutations: $METRICS_OUT" >&2
     exit 1
 }
 echo "check: OK"
