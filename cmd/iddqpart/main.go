@@ -10,7 +10,7 @@
 //	         [-workers N] [-timeout 30m] [-checkpoint run.ckpt]
 //	         [-checkpoint-every 10] [-resume run.ckpt] [-verify] [-v]
 //	         [-debug-addr :6060] [-metrics run.json]
-//	         [-log-format text|json] [-log-level warn]
+//	         [-log-format text|json] [-log-level warn] [-trace-slowest 8]
 //	         [-chaos seed=1,rate=0.1,sites=fs.*] [-degrade=false]
 //	         circuit.bench
 //
@@ -27,9 +27,10 @@
 // (expvar, pprof, and a /runz JSON view of the optimizer's current
 // generation and best cost), -metrics persists the run's complete
 // telemetry — per-generation best-cost history, estimator-evaluation
-// counts and latency histograms, mutation/Monte-Carlo acceptance — as a
-// JSON snapshot, and -log-format/-log-level control the structured run
-// log on stderr. -v is shorthand for -log-level debug and streams
+// counts and latency histograms, mutation/Monte-Carlo acceptance, and the
+// core.synthesize trace of the phases (-trace-slowest 0 leaves it out) —
+// as a JSON snapshot, and -log-format/-log-level control the structured
+// run log on stderr. -v is shorthand for -log-level debug and streams
 // per-generation progress.
 //
 // -verify runs the static partition auditor (package partcheck) on the
@@ -184,13 +185,13 @@ func run() (code int, retErr error) {
 	// Fault injection: one seeded schedule drives every chaos site — the
 	// checkpoint/snapshot filesystem, the evolution worker pool and the
 	// estimator boundary all observe the same replayable injector.
+	var inj *chaos.Injector
 	if *chaosSpec != "" {
 		sched, err := chaos.ParseSchedule(*chaosSpec)
 		if err != nil {
 			return runctl.ExitUsage, err
 		}
-		inj := chaos.New(sched, orun.Obs)
-		opt.Chaos = inj
+		inj = chaos.New(sched, orun.Obs)
 		if opt.Control == nil {
 			opt.Control = &evolution.Control{}
 		}
@@ -204,7 +205,7 @@ func run() (code int, retErr error) {
 	ctx, stop := runctl.WithSignalsObs(ctx, os.Stderr, orun.Obs)
 	defer stop()
 
-	res, err := core.SynthesizeContext(ctx, c, opt)
+	res, err := core.SynthesizeContext(chaos.NewContext(ctx, inj), c, opt)
 	if err != nil {
 		// The documented exit-code contract: a failure provoked by the
 		// -timeout deadline or a delivered signal classifies as that

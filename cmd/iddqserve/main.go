@@ -15,7 +15,7 @@
 //	          [-retain-jobs 0] [-retain-age 0] [-disk-budget 0]
 //	          [-maintenance-every 2s]
 //	          [-debug-addr :6060] [-metrics run.json]
-//	          [-log-format text|json] [-log-level warn]
+//	          [-log-format text|json] [-log-level warn] [-trace-slowest 8]
 //
 // Durability is the service's contract. Every job lifecycle transition
 // lands in an append-only journal (crash-safe atomic writes) and every
@@ -102,11 +102,6 @@ func run() (code int, retErr error) {
 	timeout := flag.Duration("timeout", 0, "serving wall-clock budget; on expiry the service shuts down gracefully (0 = none)")
 	chaosSpec := flag.String("chaos", "", "inject deterministic faults per this schedule and gate admission on a self-test job surviving them")
 	var oc obscli.Config
-	// Tracing is on by default for the service (K = obs default): a
-	// long-lived server should always be able to answer "where did the
-	// slow request's milliseconds go" at /tracez. -trace-slowest 0 turns
-	// it off.
-	oc.TraceSlowest = obs.DefaultSlowestTraces
 	oc.Register(flag.CommandLine)
 	flag.Parse()
 	if flag.NArg() > 0 {

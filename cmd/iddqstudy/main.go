@@ -12,6 +12,7 @@
 //	iddqstudy [-circuit c432] [-gens 120] [-seed 1] [-timeout 1h]
 //	          [-study all|figure1|...] [-debug-addr :6060]
 //	          [-metrics run.json] [-log-format text|json] [-log-level warn]
+//	          [-trace-slowest 8]
 //
 // The batch is observable like iddqpart: -debug-addr serves live
 // introspection of the study currently running, and -metrics writes the

@@ -5,7 +5,7 @@
 //
 //	table1 [-circuits c1908,c2670] [-gens 250] [-seed 1] [-timeout 2h]
 //	       [-debug-addr :6060] [-metrics run.json]
-//	       [-log-format text|json] [-log-level warn]
+//	       [-log-format text|json] [-log-level warn] [-trace-slowest 8]
 //
 // The batch is observable like iddqpart: -debug-addr serves live
 // introspection of the optimizer currently running, and -metrics writes

@@ -63,7 +63,6 @@ func soakRun(t *testing.T, c *circuit.Circuit, spec, ckpt string, degrade bool) 
 			t.Fatalf("ParseSchedule(%q): %v", spec, err)
 		}
 		inj = chaos.New(sched, opt.Obs)
-		opt.Chaos = inj
 	}
 	if ckpt != "" || inj != nil {
 		opt.Control = &evolution.Control{
@@ -73,7 +72,7 @@ func soakRun(t *testing.T, c *circuit.Circuit, spec, ckpt string, degrade bool) 
 			Retry:           &fsx.RetryPolicy{Sleep: func(time.Duration) {}},
 		}
 	}
-	res, err := core.SynthesizeContext(context.Background(), c, opt)
+	res, err := core.SynthesizeContext(chaos.NewContext(context.Background(), inj), c, opt)
 	return res, opt.Obs, err
 }
 
@@ -189,9 +188,8 @@ func TestChaosSoak(t *testing.T) {
 			t.Fatal(err)
 		}
 		inj := chaos.New(sched, nil)
-		res, err := core.SynthesizeContext(context.Background(), c, core.Options{
+		res, err := core.SynthesizeContext(chaos.NewContext(context.Background(), inj), c, core.Options{
 			Evolution: soakParams(),
-			Chaos:     inj,
 			Control:   &evolution.Control{FS: chaos.NewFS(nil, inj)},
 		})
 		if err != nil {

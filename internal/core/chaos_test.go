@@ -48,10 +48,9 @@ func chaosCircuit(t *testing.T) *circuit.Circuit {
 func TestDegradeFallsBackToStandard(t *testing.T) {
 	inj := chaos.New(mustSchedule(t, "seed=9,rate=1,sites=evolution.worker.panic"), nil)
 	o := obs.New("degrade", nil, nil)
-	res, err := SynthesizeContext(context.Background(), circuits.C17(), Options{
+	res, err := SynthesizeContext(chaos.NewContext(context.Background(), inj), circuits.C17(), Options{
 		Evolution: chaosParams(),
 		Obs:       o,
-		Chaos:     inj,
 		Degrade:   true,
 	})
 	if err != nil {
@@ -85,9 +84,8 @@ func TestDegradeFallsBackToStandard(t *testing.T) {
 
 func TestPersistentFaultWithoutDegradeFails(t *testing.T) {
 	inj := chaos.New(mustSchedule(t, "seed=9,rate=1,sites=evolution.worker.panic"), nil)
-	_, err := SynthesizeContext(context.Background(), circuits.C17(), Options{
+	_, err := SynthesizeContext(chaos.NewContext(context.Background(), inj), circuits.C17(), Options{
 		Evolution: chaosParams(),
-		Chaos:     inj,
 	})
 	if err == nil {
 		t.Fatal("persistent worker panics without Degrade: expected an error")
@@ -106,10 +104,9 @@ func TestRetryAfterTransientFaultIsBitIdentical(t *testing.T) {
 	// identical seeded optimization with the fault already spent.
 	inj := chaos.New(mustSchedule(t, "seed=4,after=5,sites=evolution.worker.panic"), nil)
 	o := obs.New("retry", nil, nil)
-	res, err := SynthesizeContext(context.Background(), chaosCircuit(t), Options{
+	res, err := SynthesizeContext(chaos.NewContext(context.Background(), inj), chaosCircuit(t), Options{
 		Evolution:        chaosParams(),
 		Obs:              o,
-		Chaos:            inj,
 		OptimizerRetries: 1,
 	})
 	if err != nil {
@@ -135,9 +132,8 @@ func TestPoisonedEstimatorDegrades(t *testing.T) {
 	// estimate.nan with after=3 poisons one estimator call; with Degrade
 	// set and the fault spent on attempt 1, the retry succeeds.
 	inj := chaos.New(mustSchedule(t, "seed=2,after=3,sites=estimate.nan"), nil)
-	res, err := SynthesizeContext(context.Background(), chaosCircuit(t), Options{
+	res, err := SynthesizeContext(chaos.NewContext(context.Background(), inj), chaosCircuit(t), Options{
 		Evolution: chaosParams(),
-		Chaos:     inj,
 		Degrade:   true,
 	})
 	if err != nil {

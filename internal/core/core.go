@@ -95,19 +95,14 @@ type Options struct {
 	// resumed run finishes bit-identically to an uninterrupted one.
 	Resume *evolution.Checkpoint
 
-	// Obs, if non-nil, observes the synthesis: phase spans (annotate,
-	// estimator, optimize, audit, chip), estimator call telemetry, and
-	// the optimizer's per-generation metrics, logs and live status. When
-	// nil the Obs carried by the context (obs.FromContext) is used; if
-	// that is also nil the synthesis is unobserved at zero cost.
+	// Obs, if non-nil, observes the synthesis: estimator call telemetry,
+	// the optimizer's per-generation metrics, logs and live status, and —
+	// when its tracer is armed and the context carries no span — a
+	// core.synthesize trace of the phases. When nil the Obs carried by the
+	// context (obs.FromContext) is used; if that is also nil the synthesis
+	// is unobserved at zero cost. A fault injector reaches the synthesis
+	// on the context only (chaos.NewContext).
 	Obs *obs.Obs
-
-	// Chaos, if non-nil, injects deterministic faults into the synthesis
-	// failure surfaces — the estimator boundary and (through the
-	// optimizer Control) the evolution worker pool. When nil the injector
-	// carried by the context (chaos.FromContext) is used; if that is also
-	// nil nothing is ever injected. Test plumbing only.
-	Chaos *chaos.Injector
 
 	// Degrade enables graceful degradation: when every optimizer attempt
 	// fails (a poisoned estimator, persistent checkpoint I/O failure, a
@@ -170,12 +165,8 @@ func SynthesizeContext(ctx context.Context, c *circuit.Circuit, opt Options) (re
 	if o == nil {
 		o = obs.FromContext(ctx)
 	}
-	inj := opt.Chaos
-	if inj == nil {
-		inj = chaos.FromContext(ctx)
-	}
-	// The optimizer takes its Obs and injector from the context only.
-	ctx = chaos.NewContext(obs.NewContext(ctx, o), inj)
+	// The optimizer takes its Obs from the context only.
+	ctx = obs.NewContext(ctx, o)
 	lib := opt.Library
 	if lib == nil {
 		lib = celllib.Default()
@@ -197,31 +188,31 @@ func SynthesizeContext(ctx context.Context, c *circuit.Circuit, opt Options) (re
 		eprm = *opt.Evolution
 	}
 
-	// Causal-trace phases ride alongside the log spans: each core phase is
-	// a child of the span the context carries (the serving layer's
-	// serve.attempt), so a retained slow trace decomposes the attempt into
-	// annotate / estimator / optimize / audit / chip. All nil-cheap when
-	// the context carries no span.
+	// Each core phase is a trace span under the span the context carries
+	// (the serving layer's serve.attempt), so a retained slow trace
+	// decomposes the attempt into annotate / estimator / optimize / audit
+	// / chip. Without one the synthesis is a trace of its own, rooted at
+	// core.synthesize. All nil-cheap when tracing is off.
 	psp := obs.SpanFromContext(ctx)
+	if psp == nil {
+		root := o.Tracer().StartRoot("core.synthesize")
+		defer root.End()
+		psp = root
+	}
 
-	sp := o.StartSpan("core.annotate", "circuit", c.Name)
 	tsp := psp.StartChild("core.annotate")
 	a, err := celllib.Annotate(c, lib)
 	tsp.End()
-	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	sp = o.StartSpan("core.estimator")
 	tsp = psp.StartChild("core.estimator")
 	e := estimate.New(a, prm)
 	e.SetObs(o)
-	e.SetChaos(inj)
+	e.SetChaos(chaos.FromContext(ctx))
 	tsp.End()
-	sp.End()
 
 	res = &Result{Method: opt.Method, Circuit: c, Annotated: a, Estimator: e}
-	optSpan := o.StartSpan("core.optimize", "method", opt.Method.String())
 	optTsp := psp.StartChild("core.optimize")
 	ctx = obs.ContextWithSpan(ctx, optTsp) // evolution generations attach here
 	switch opt.Method {
@@ -273,7 +264,6 @@ func SynthesizeContext(ctx context.Context, c *circuit.Circuit, opt Options) (re
 		return nil, fmt.Errorf("core: unknown method %v", opt.Method)
 	}
 	optTsp.End()
-	optSpan.End("modules", res.Partition.NumModules())
 
 	// Every synthesis result passes the static partition audit before it
 	// is reported: exact cover, netlist consistency, and agreement of the
@@ -281,20 +271,16 @@ func SynthesizeContext(ctx context.Context, c *circuit.Circuit, opt Options) (re
 	// evaluation. Feasibility bounds are the caller's policy (see
 	// partcheck.Feasibility); a violated structural invariant here is a
 	// bug, and the named constraint says which one.
-	sp = o.StartSpan("core.audit")
 	tsp = psp.StartChild("core.audit")
 	r := partcheck.VerifyPartition(res.Partition, partcheck.StructureOnly())
 	tsp.End()
-	sp.End()
 	if !r.OK() {
 		return nil, fmt.Errorf("core: final partition fails the static audit: %w", r.Err())
 	}
 	res.Costs = res.Partition.Costs()
-	sp = o.StartSpan("core.chip")
 	tsp = psp.StartChild("core.chip")
 	chip, err := bic.NewChip(a, res.Partition.Groups(), e)
 	tsp.End()
-	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}

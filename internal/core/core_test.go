@@ -154,26 +154,30 @@ func TestTraceForwarded(t *testing.T) {
 }
 
 // TestSynthesizeObserved is the end-to-end observability smoke test: a
-// pipeline run with Options.Obs set must leave the phase spans and the
-// optimizer's counters in the registry and the final status published.
+// pipeline run with Options.Obs set and a tracer armed must record one
+// core.synthesize trace of its phases, leave the optimizer's counters in
+// the registry and publish the final status.
 func TestSynthesizeObserved(t *testing.T) {
 	o := obs.New("r-core", nil, nil)
+	o.SetTracer(obs.NewTracer(obs.TracerConfig{}))
 	res, err := SynthesizeContext(context.Background(), circuits.C17(), Options{Obs: o})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := o.Registry().Snapshot()
-	for _, span := range []string{
-		"span.core.annotate.seconds",
-		"span.core.estimator.seconds",
-		"span.core.optimize.seconds",
-		"span.core.audit.seconds",
-		"span.core.chip.seconds",
-	} {
-		if s.Histograms[span].Count != 1 {
-			t.Errorf("%s Count = %d, want 1 (one span per phase)", span, s.Histograms[span].Count)
+	traces := o.Tracer().Snapshot().Slowest
+	if len(traces) != 1 || traces[0].Root != "core.synthesize" {
+		t.Fatalf("retained traces = %+v, want one rooted at core.synthesize", traces)
+	}
+	names := spanNames(traces[0].Spans)
+	for _, phase := range []string{"core.synthesize", "core.annotate", "core.estimator", "core.optimize", "core.audit", "core.chip"} {
+		if names[phase] != 1 {
+			t.Errorf("%s spans = %d, want 1", phase, names[phase])
 		}
 	}
+	if got, want := names["evolution.evaluate"], res.Evolution.Generations; got != want {
+		t.Errorf("evolution.evaluate spans = %d, want one per generation (%d)", got, want)
+	}
+	s := o.Registry().Snapshot()
 	if s.Counters[evolution.MetricEvaluations] == 0 {
 		t.Error("optimizer counters missing: Options.Obs was not threaded into the evolution run")
 	}
@@ -183,6 +187,41 @@ func TestSynthesizeObserved(t *testing.T) {
 	if st, ok := o.Status().(evolution.RunStatus); !ok || st.BestCost != res.Evolution.BestCost {
 		t.Errorf("published status = %+v, want final RunStatus of the run", o.Status())
 	}
+}
+
+// A caller that supplies a span (the serving layer, the benchmark) owns the
+// trace: the phases hang under its span and no core.synthesize root opens.
+func TestSynthesizeTracedUnderCallerSpan(t *testing.T) {
+	o := obs.New("r-caller", nil, nil)
+	o.SetTracer(obs.NewTracer(obs.TracerConfig{}))
+	root := o.Tracer().StartRoot("caller")
+	_, err := SynthesizeContext(obs.ContextWithSpan(context.Background(), root), circuits.C17(), Options{Obs: o})
+	root.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := o.Tracer().Snapshot()
+	if len(snap.Slowest) != 1 || snap.Slowest[0].Root != "caller" {
+		t.Fatalf("retained traces = %+v, want only the caller's", snap.Slowest)
+	}
+	if n := spanNames(snap.Recent)["core.synthesize"]; n != 0 {
+		t.Errorf("%d core.synthesize spans under a caller span, want 0", n)
+	}
+	for _, sp := range snap.Slowest[0].Spans {
+		// A root span's ID is its trace ID.
+		if sp.Name == "core.optimize" && sp.Parent != root.Trace() {
+			t.Errorf("core.optimize parent = %d, want the caller's span %d", sp.Parent, root.Trace())
+		}
+	}
+}
+
+// spanNames counts spans by name.
+func spanNames(spans []obs.SpanRecord) map[string]int {
+	n := map[string]int{}
+	for _, sp := range spans {
+		n[sp.Name]++
+	}
+	return n
 }
 
 // TestSynthesizeObservedViaContext checks the second carriage path: an

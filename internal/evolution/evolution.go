@@ -173,11 +173,16 @@ func Optimize(ctx context.Context, starts []*partition.Partition, prm Params, ct
 	for _, st := range starts {
 		s.pop = append(s.pop, &individual{p: st, m: prm.MaxMove})
 	}
+	circuit := starts[0].E.A.Circuit.Name
 	s.obs.log.Info("evolution run begin",
-		"circuit", starts[0].E.A.Circuit.Name,
+		"circuit", circuit,
 		"mu", prm.Mu, "lambda", prm.Lambda, "chi", prm.Chi,
 		"max_generations", prm.MaxGenerations, "seed", prm.Seed,
 		"workers", prm.Workers)
+	if singleModule(starts) {
+		s.obs.log.Warn("single-module start population: mutation operators inapplicable",
+			"circuit", circuit, "starts", len(starts))
+	}
 	// The initial evaluation runs sequentially (it is μ cheap calls) but
 	// through the same panic-recovering path as the generation loop.
 	if err := evaluate(s.pop, 1, costOf, s.obs.evalSeconds, s.chaos); err != nil {
@@ -189,6 +194,18 @@ func Optimize(ctx context.Context, starts []*partition.Partition, prm Params, ct
 	s.res.Best = best.p.Clone()
 	s.res.BestCost = best.cost
 	return s.run(ctx, ctl)
+}
+
+// singleModule reports whether every start partition is a single module.
+// Both operators move gates between modules, so such a run produces no
+// descendant: its result is the best start.
+func singleModule(starts []*partition.Partition) bool {
+	for _, p := range starts {
+		if p.NumModules() >= 2 {
+			return false
+		}
+	}
+	return true
 }
 
 // moveScratch holds the reusable buffers of the mutation operators.

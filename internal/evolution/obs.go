@@ -8,7 +8,11 @@
 
 package evolution
 
-import "iddqsyn/internal/obs"
+import (
+	"log/slog"
+
+	"iddqsyn/internal/obs"
+)
 
 // Metric names recorded by the optimizer. Exposed as constants so tests
 // and tools read the same registry keys the generation loop writes.
@@ -67,7 +71,7 @@ type RunStatus struct {
 type runObs struct {
 	on  bool
 	o   *obs.Obs
-	log *obs.Logger
+	log *slog.Logger
 
 	evaluations, generations             *obs.Counter
 	mutAttempts, mutApplied, mutAccepted *obs.Counter

@@ -2,9 +2,13 @@ package evolution
 
 import (
 	"context"
+	"encoding/json"
+	"log/slog"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"iddqsyn/internal/circuits"
 	"iddqsyn/internal/obs"
 	"iddqsyn/internal/partition"
 )
@@ -149,5 +153,47 @@ func TestResumedRunContinuesCountersMonotonically(t *testing.T) {
 	// baseline's (which wrote none) — they must survive the restore.
 	if got.Counters[MetricCheckpointWrites] == 0 {
 		t.Error("restored checkpoint-write count lost on resume")
+	}
+}
+
+// TestSingleModuleStartWarns checks that a degenerate run names itself: at
+// a module size no smaller than C17's gate count every start is one
+// module, the operators cannot move a gate, and the run logs one Warn
+// record saying so. Starts with several modules log none.
+func TestSingleModuleStartWarns(t *testing.T) {
+	c := circuits.C17()
+	e := estimatorFor(t, c)
+	w, cons := partition.PaperWeights(), partition.DefaultConstraints()
+	prm := DefaultParams()
+	prm.MaxGenerations = 3
+	for _, tc := range []struct {
+		size  int
+		warns int
+	}{{c.NumLogicGates(), 1}, {2, 0}} {
+		var b strings.Builder
+		o := obs.New("r-warn", nil, slog.New(slog.NewJSONHandler(&b, &slog.HandlerOptions{Level: slog.LevelWarn})))
+		starts, err := ChainStarts(e, w, cons, tc.size, prm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Optimize(obs.NewContext(context.Background(), o), starts, prm, nil); err != nil {
+			t.Fatal(err)
+		}
+		warns := 0
+		for _, line := range strings.Split(strings.TrimSpace(b.String()), "\n") {
+			var rec map[string]any
+			if line == "" {
+				continue
+			}
+			if err := json.Unmarshal([]byte(line), &rec); err != nil {
+				t.Fatalf("record %q: %v", line, err)
+			}
+			if rec["level"] == "WARN" && rec["msg"] == "single-module start population: mutation operators inapplicable" {
+				warns++
+			}
+		}
+		if warns != tc.warns {
+			t.Errorf("module size %d: %d single-module warnings, want %d; log:\n%s", tc.size, warns, tc.warns, b.String())
+		}
 	}
 }

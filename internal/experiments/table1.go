@@ -15,7 +15,6 @@ import (
 	"iddqsyn/internal/circuits"
 	"iddqsyn/internal/core"
 	"iddqsyn/internal/evolution"
-	"iddqsyn/internal/obs"
 )
 
 // Table1Circuits lists the benchmark circuits of the paper's Table 1 with
@@ -86,12 +85,9 @@ func Table1(ctx context.Context, cfg Table1Config) ([]Table1Row, error) {
 	if cfg.Evolution != nil {
 		eprm = *cfg.Evolution
 	}
-	o := obs.FromContext(ctx)
 	var rows []Table1Row
 	for _, name := range names {
-		sp := o.StartSpan("experiments.table1.circuit", "circuit", name)
 		row, err := table1Circuit(ctx, name, eprm)
-		sp.End()
 		if err != nil {
 			return nil, err
 		}

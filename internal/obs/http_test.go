@@ -47,7 +47,7 @@ func get(t *testing.T, s *Server, path string) (int, string) {
 func TestServerEndpoints(t *testing.T) {
 	o, s := startTestServer(t)
 	o.Counter("evolution.evaluations").Add(12)
-	o.Histogram("span.core.optimize.seconds", nil).Observe(0.25)
+	o.Histogram("evolution.generation.seconds", nil).Observe(0.25)
 	o.SetStatus(map[string]any{"generation": 3, "best_cost": 42.5})
 	o.SetTracer(NewTracer(TracerConfig{}))
 	o.Tracer().StartRoot("serve.job").End()
@@ -92,7 +92,7 @@ func TestServerEndpoints(t *testing.T) {
 		if snap.Counters["evolution.evaluations"] != 12 {
 			t.Errorf("metricz counters = %v", snap.Counters)
 		}
-		qs, ok := snap.Quantiles["span.core.optimize.seconds"]
+		qs, ok := snap.Quantiles["evolution.generation.seconds"]
 		if !ok || qs.P50 <= 0 {
 			t.Errorf("metricz must render latency quantiles, got %v", snap.Quantiles)
 		}

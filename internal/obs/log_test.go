@@ -1,135 +1,90 @@
 package obs
 
 import (
+	"context"
 	"encoding/json"
+	"log/slog"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
-// pinnedClock returns a deterministic time source for golden output.
-func pinnedClock() func() time.Time {
-	t0 := time.Date(2026, 8, 6, 12, 0, 0, 123e6, time.UTC)
-	return func() time.Time { return t0 }
-}
-
-func TestLoggerTextGolden(t *testing.T) {
-	var b strings.Builder
-	l := NewLogger(&b, FormatText, LevelDebug).WithClock(pinnedClock()).WithRun("r-1")
-	l.Info("new best", "gen", 7, "cost", 12.5, "note", "two words")
-	want := `2026-08-06T12:00:00.123Z info  run=r-1 "new best" gen=7 cost=12.5 note="two words"` + "\n"
-	if b.String() != want {
-		t.Errorf("text record:\n got %q\nwant %q", b.String(), want)
+// decodeRecords parses JSON-handler output, one record per line.
+func decodeRecords(t *testing.T, out string) []map[string]any {
+	t.Helper()
+	var recs []map[string]any
+	for _, line := range strings.Split(strings.TrimSuffix(out, "\n"), "\n") {
+		var m map[string]any
+		if err := json.Unmarshal([]byte(line), &m); err != nil {
+			t.Fatalf("interleaved or malformed record %q: %v", line, err)
+		}
+		recs = append(recs, m)
 	}
-}
-
-func TestLoggerJSONGolden(t *testing.T) {
-	var b strings.Builder
-	l := NewLogger(&b, FormatJSON, LevelDebug).WithClock(pinnedClock()).WithRun("r-1")
-	l.With("circuit", "c432").Warn("stalled", "gen", 9)
-	want := `{"ts":"2026-08-06T12:00:00.123Z","level":"warn","run":"r-1","msg":"stalled","circuit":"c432","gen":9}` + "\n"
-	if b.String() != want {
-		t.Errorf("json record:\n got %q\nwant %q", b.String(), want)
-	}
-	// The hand-assembled record must stay valid JSON.
-	var m map[string]any
-	if err := json.Unmarshal([]byte(b.String()), &m); err != nil {
-		t.Fatalf("record is not valid JSON: %v", err)
-	}
-	if m["gen"] != float64(9) || m["circuit"] != "c432" {
-		t.Errorf("decoded fields wrong: %v", m)
-	}
-}
-
-func TestLoggerLevelThreshold(t *testing.T) {
-	var b strings.Builder
-	l := NewLogger(&b, FormatText, LevelWarn).WithClock(pinnedClock())
-	l.Debug("hidden")
-	l.Info("hidden")
-	l.Warn("shown")
-	l.Error("shown")
-	if got := strings.Count(b.String(), "shown"); got != 2 {
-		t.Errorf("emitted %d records, want 2 (warn threshold):\n%s", got, b.String())
-	}
-	if strings.Contains(b.String(), "hidden") {
-		t.Errorf("below-threshold record emitted:\n%s", b.String())
-	}
-	if l.Enabled(LevelInfo) || !l.Enabled(LevelError) {
-		t.Error("Enabled disagrees with the threshold")
-	}
-}
-
-func TestLoggerDanglingKey(t *testing.T) {
-	var b strings.Builder
-	l := NewLogger(&b, FormatText, LevelDebug).WithClock(pinnedClock())
-	l.Info("oops", "key") // no value: must be visible, not dropped
-	if !strings.Contains(b.String(), `key=(MISSING)`) {
-		t.Errorf("dangling key not surfaced: %q", b.String())
-	}
+	return recs
 }
 
 func TestLoggerNil(t *testing.T) {
-	var l *Logger
-	// All no-ops; must not panic.
-	l.Debug("x")
-	l.Info("x")
-	l.Warn("x")
-	l.Error("x")
-	if l.With("a", 1) != nil || l.WithRun("r") != nil || l.WithClock(time.Now) != nil {
-		t.Error("derivations of a nil logger must stay nil")
-	}
-	if l.Enabled(LevelError) {
-		t.Error("nil logger must report disabled")
+	var nilObs *Obs
+	for _, o := range []*Obs{nilObs, New("r-1", nil, nil)} {
+		l := o.Log()
+		if l == nil {
+			t.Fatal("Log() must never return nil")
+		}
+		// Discarded; must not panic.
+		l.With("a", 1).Error("x", "k", "v")
+		if l.Enabled(context.Background(), slog.LevelError) {
+			t.Error("the logger of an unobserved run must report disabled")
+		}
 	}
 }
 
 func TestLoggerConcurrentNoInterleave(t *testing.T) {
 	var b safeBuilder
-	l := NewLogger(&b, FormatText, LevelDebug).WithClock(pinnedClock())
+	o := New("r-1", nil, slog.New(slog.NewJSONHandler(&b, nil)))
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				l.Info("event", "worker", id, "i", i)
+				o.Log().Info("event", "worker", id, "i", i)
 			}
 		}(w)
 	}
 	wg.Wait()
+	recs := decodeRecords(t, b.String())
+	if len(recs) != 400 {
+		t.Fatalf("got %d records, want 400", len(recs))
+	}
+	for _, m := range recs {
+		if m["run"] != "r-1" || m["msg"] != "event" || m["worker"] == nil {
+			t.Fatalf("record missing its run, message or fields: %v", m)
+		}
+	}
+}
+
+// A sub-run's records carry its own run ID and no other: serve stamps
+// every job's records with the job ID over the server's log output.
+func TestChildStampsOneRun(t *testing.T) {
+	var b strings.Builder
+	parent := New("r-server", nil, slog.New(slog.NewJSONHandler(&b, nil)))
+	parent.Child("j-1").Log().Info("job event")
+	parent.Log().Info("server event")
 	lines := strings.Split(strings.TrimSuffix(b.String(), "\n"), "\n")
-	if len(lines) != 400 {
-		t.Fatalf("got %d lines, want 400", len(lines))
-	}
-	for _, line := range lines {
-		if !strings.HasPrefix(line, "2026-08-06T12:00:00.123Z info") || !strings.Contains(line, "worker=") {
-			t.Fatalf("interleaved or malformed line: %q", line)
+	for i, want := range []string{"j-1", "r-server"} {
+		if n := strings.Count(lines[i], `"run":`); n != 1 {
+			t.Errorf("record %q has %d run keys, want 1", lines[i], n)
 		}
+		if m := decodeRecords(t, lines[i]); m[0]["run"] != want {
+			t.Errorf("record %d run = %v, want %s", i, m[0]["run"], want)
+		}
+	}
+	if c := parent.Child("j-2"); c.Registry() != parent.Registry() {
+		t.Error("a sub-run must share its parent's registry")
 	}
 }
 
-func TestParseLevelAndFormat(t *testing.T) {
-	for s, want := range map[string]Level{
-		"debug": LevelDebug, "INFO": LevelInfo, "warning": LevelWarn, "error": LevelError,
-	} {
-		got, err := ParseLevel(s)
-		if err != nil || got != want {
-			t.Errorf("ParseLevel(%q) = %v, %v; want %v", s, got, err, want)
-		}
-	}
-	if _, err := ParseLevel("loud"); err == nil {
-		t.Error("ParseLevel must reject unknown levels")
-	}
-	if f, err := ParseFormat("JSON"); err != nil || f != FormatJSON {
-		t.Errorf("ParseFormat(JSON) = %v, %v", f, err)
-	}
-	if _, err := ParseFormat("yaml"); err == nil {
-		t.Error("ParseFormat must reject unknown formats")
-	}
-}
-
-// safeBuilder is a mutex-guarded strings.Builder. The logger serializes
+// safeBuilder is a mutex-guarded strings.Builder. The handler serializes
 // writes itself; the guard here keeps the *test's* read race-free.
 type safeBuilder struct {
 	mu sync.Mutex

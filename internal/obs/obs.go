@@ -1,25 +1,28 @@
 // Package obs is the observability substrate of iddqsyn: a lock-cheap
-// metrics registry (counters, gauges, fixed-bucket histograms), a
-// structured leveled event logger with per-run IDs and nested timing
-// spans, a live introspection HTTP server (expvar, pprof, /runz), and
-// per-run metric snapshots that persist next to optimizer checkpoints.
+// metrics registry (counters, gauges, fixed-bucket histograms), causal
+// trace spans (trace.go), a log/slog logger stamped with the run ID, a
+// live introspection HTTP server (expvar, pprof, /runz), and per-run
+// metric snapshots that persist next to optimizer checkpoints.
 //
 // The package is stdlib-only and deliberately nil-tolerant: every method
-// on *Obs, *Logger, *Registry, *Counter, *Gauge, *Histogram and *Span is
-// a no-op on a nil receiver, so instrumented code reads identically
-// whether a run is observed or not — no `if obs != nil` at call sites,
-// and the unobserved hot path costs one pointer comparison.
+// on *Obs, *Registry, *Counter, *Gauge, *Histogram, *Tracer and
+// *TraceSpan is a no-op on a nil receiver, and Obs.Log never returns
+// nil, so instrumented code reads identically whether a run is observed
+// or not — no `if obs != nil` at call sites, and the unobserved hot path
+// costs one pointer comparison.
 //
 // An *Obs enters a synthesis explicitly (core.Options.Obs) or on the
 // context (NewContext/FromContext); below core the context is the only
 // carriage, which lets the optimizers and experiment drivers thread
-// telemetry through existing call chains without signature churn. The context carriage holds observability
-// plumbing only — never request-scoped business state.
+// telemetry through existing call chains without signature churn. The
+// context carriage holds observability plumbing only — never
+// request-scoped business state.
 package obs
 
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"os"
 	"sync/atomic"
 	"time"
@@ -31,21 +34,35 @@ import (
 type Obs struct {
 	run      string
 	reg      *Registry
-	log      *Logger
+	base     *slog.Logger           // the logger New was given, for Child
+	log      *slog.Logger           // base stamped with run
 	status   atomic.Value           // latest run status, any JSON-marshalable value
 	degraded atomic.Pointer[string] // non-nil once the run entered degraded mode; value = reason
 	tracer   atomic.Pointer[Tracer] // nil until SetTracer arms causal tracing
 }
 
 // New assembles an Obs for one run. A nil registry gets a fresh one; a
-// nil logger stays nil (logging methods are no-ops). The run ID is
-// stamped onto every log record.
-func New(run string, reg *Registry, log *Logger) *Obs {
+// nil logger discards every record. The run ID is stamped once onto
+// every log record as the "run" attribute.
+func New(run string, reg *Registry, log *slog.Logger) *Obs {
 	if reg == nil {
 		reg = NewRegistry()
 	}
-	o := &Obs{run: run, reg: reg, log: log.WithRun(run)}
+	o := &Obs{run: run, reg: reg, base: log}
+	if log != nil {
+		o.log = log.With("run", run)
+	}
 	return o
+}
+
+// Child assembles the Obs of a sub-run (one serve job) over o's registry
+// and log output. Its records carry the sub-run's ID as their only "run"
+// attribute; status, degradation and tracing start fresh.
+func (o *Obs) Child(run string) *Obs {
+	if o == nil {
+		return New(run, nil, nil)
+	}
+	return New(run, o.reg, o.base)
 }
 
 // Run returns the run ID ("" on a nil Obs).
@@ -65,14 +82,26 @@ func (o *Obs) Registry() *Registry {
 	return o.reg
 }
 
-// Log returns the structured logger (nil on a nil Obs; the logger's
-// methods tolerate that).
-func (o *Obs) Log() *Logger {
-	if o == nil {
-		return nil
+// Log returns the run's logger, or a logger that discards everything when
+// o or its logger is nil — call sites never check.
+func (o *Obs) Log() *slog.Logger {
+	if o == nil || o.log == nil {
+		return discard
 	}
 	return o.log
 }
+
+// discard is the logger of unobserved runs.
+var discard = slog.New(discardHandler{})
+
+// discardHandler drops every record. (slog.DiscardHandler is Go 1.24; the
+// module targets Go 1.22.)
+type discardHandler struct{}
+
+func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
+func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
+func (d discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return d }
+func (d discardHandler) WithGroup(string) slog.Handler           { return d }
 
 // Counter returns the named counter from the run's registry.
 func (o *Obs) Counter(name string) *Counter { return o.Registry().Counter(name) }

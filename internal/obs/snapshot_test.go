@@ -121,7 +121,7 @@ func TestWriteFileAtomic(t *testing.T) {
 
 func TestObsNilSafety(t *testing.T) {
 	var o *Obs
-	if o.Run() != "" || o.Registry() != nil || o.Log() != nil || o.Status() != nil {
+	if o.Run() != "" || o.Registry() != nil || o.Status() != nil {
 		t.Error("nil Obs accessors must return zero values")
 	}
 	o.SetStatus("x") // no-op, must not panic

@@ -1,7 +1,9 @@
 // Package obscli wires the shared observability surface of the iddqsyn
-// binaries: the -debug-addr, -metrics, -log-format and -log-level flags,
-// the per-invocation Obs they configure, the live introspection server,
-// and the -metrics run-snapshot file written when the command finishes.
+// binaries: the -debug-addr, -metrics, -log-format, -log-level and
+// -trace-slowest flags, the per-invocation Obs they configure (a log/slog
+// logger and, by default, a causal tracer), the live introspection
+// server, and the -metrics run-snapshot file written when the command
+// finishes.
 // Every binary gets identical flag semantics from one Register/Start/
 // Finish triple instead of hand-rolled plumbing.
 package obscli
@@ -9,7 +11,10 @@ package obscli
 import (
 	"context"
 	"flag"
+	"fmt"
 	"io"
+	"log/slog"
+	"strings"
 	"time"
 
 	"iddqsyn/internal/obs"
@@ -26,9 +31,7 @@ type Config struct {
 	LogLevel  string
 
 	// TraceSlowest arms causal tracing retaining the K slowest completed
-	// traces (0 = tracing off). Binaries that want tracing on by default
-	// (iddqserve) pre-set the field before Register so the flag's default
-	// reflects it.
+	// traces (0 = tracing off).
 	TraceSlowest int
 
 	// Verbose forces debug-level logging (the iddqpart -v shorthand).
@@ -45,8 +48,8 @@ func (c *Config) Register(fs *flag.FlagSet) {
 		"structured log encoding: text or json")
 	fs.StringVar(&c.LogLevel, "log-level", "warn",
 		"structured log threshold: debug, info, warn or error")
-	fs.IntVar(&c.TraceSlowest, "trace-slowest", c.TraceSlowest,
-		"retain causal traces for the K slowest requests (0 disables tracing; see /tracez)")
+	fs.IntVar(&c.TraceSlowest, "trace-slowest", obs.DefaultSlowestTraces,
+		"retain the K slowest causal traces (one per synthesis or serve job) for /tracez and the -metrics snapshot (0 disables tracing)")
 }
 
 // Run is one observed CLI invocation: the Obs to thread into the flow
@@ -62,18 +65,11 @@ type Run struct {
 // minted run ID, a structured logger on w, and — when -debug-addr is set
 // — the bound introspection server. Call Finish when the command is done.
 func (c *Config) Start(w io.Writer) (*Run, error) {
-	lvl, err := obs.ParseLevel(c.LogLevel)
+	h, err := c.handler(w)
 	if err != nil {
 		return nil, err
 	}
-	if c.Verbose {
-		lvl = obs.LevelDebug
-	}
-	format, err := obs.ParseFormat(c.LogFormat)
-	if err != nil {
-		return nil, err
-	}
-	o := obs.New(obs.NewRunID(), nil, obs.NewLogger(w, format, lvl))
+	o := obs.New(obs.NewRunID(), nil, slog.New(h))
 	if c.TraceSlowest > 0 {
 		o.SetTracer(obs.NewTracer(obs.TracerConfig{Slowest: c.TraceSlowest}))
 	}
@@ -86,6 +82,40 @@ func (c *Config) Start(w io.Writer) (*Run, error) {
 		r.srv = srv
 	}
 	return r, nil
+}
+
+// handler builds the slog handler -log-format and -log-level select.
+func (c *Config) handler(w io.Writer) (slog.Handler, error) {
+	lvl, err := parseLevel(c.LogLevel)
+	if err != nil {
+		return nil, err
+	}
+	if c.Verbose {
+		lvl = slog.LevelDebug
+	}
+	opts := &slog.HandlerOptions{Level: lvl}
+	switch strings.ToLower(c.LogFormat) {
+	case "text":
+		return slog.NewTextHandler(w, opts), nil
+	case "json":
+		return slog.NewJSONHandler(w, opts), nil
+	}
+	return nil, fmt.Errorf("obscli: unknown log format %q (want text or json)", c.LogFormat)
+}
+
+// parseLevel resolves a -log-level name, case-insensitively.
+func parseLevel(s string) (slog.Level, error) {
+	switch strings.ToLower(s) {
+	case "debug":
+		return slog.LevelDebug, nil
+	case "info":
+		return slog.LevelInfo, nil
+	case "warn", "warning":
+		return slog.LevelWarn, nil
+	case "error":
+		return slog.LevelError, nil
+	}
+	return 0, fmt.Errorf("obscli: unknown log level %q (want debug, info, warn or error)", s)
 }
 
 // Addr returns the debug server's bound address ("" when none runs).

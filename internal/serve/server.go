@@ -802,10 +802,9 @@ func (s *Server) attempt(j *job, sp *obs.TraceSpan) (*JobResult, error) {
 		return nil, err
 	}
 	// Each job runs as its own obs run over the server's shared registry
-	// and logger: metrics aggregate service-wide, status stays per-job.
-	jobObs := obs.New(j.id, s.o.Registry(), s.o.Log())
+	// and log output: metrics aggregate service-wide, status stays per-job.
+	jobObs := s.o.Child(j.id)
 	opt.Obs = jobObs
-	opt.Chaos = s.cfg.Chaos
 	opt.Degrade = opt.Method == core.MethodEvolution
 	ckpt := checkpointPath(s.cfg.Dir, j.id)
 	if opt.Method == core.MethodEvolution {
@@ -845,7 +844,7 @@ func (s *Server) attempt(j *job, sp *obs.TraceSpan) (*JobResult, error) {
 	}
 	ctx, cancel := context.WithTimeout(s.ctx, timeout)
 	defer cancel()
-	ctx = obs.ContextWithSpan(ctx, sp)
+	ctx = chaos.NewContext(obs.ContextWithSpan(ctx, sp), s.cfg.Chaos)
 	res, err := core.SynthesizeContext(ctx, c, opt)
 	if err != nil {
 		if errors.Is(context.Cause(s.ctx), errShutdown) {

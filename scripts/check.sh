@@ -3,7 +3,7 @@
 # suite in short mode with the race detector, and finish with a short
 # instrumented optimizer run that exercises the observability path
 # end-to-end (structured JSON logs + a -metrics run snapshot) and must
-# apply at least one mutation. This is
+# apply at least one mutation and record its phase trace. This is
 # the tier-1 check — run it (or `make check`) before every commit.
 #
 # METRICS_OUT overrides where the instrumented run writes its snapshot
@@ -40,6 +40,12 @@ grep -q '"format": *"iddqsyn-run-snapshot"' "$METRICS_OUT" || {
 # run was vacuous.
 grep -Eq '"evolution\.mutation\.applied": *[1-9]' "$METRICS_OUT" || {
     echo "check: instrumented run applied no mutations: $METRICS_OUT" >&2
+    exit 1
+}
+# Tracing is on by default, so the snapshot must hold the run's phase
+# trace, rooted at core.synthesize.
+grep -Eq '"root": *"core\.synthesize"' "$METRICS_OUT" || {
+    echo "check: instrumented run recorded no core.synthesize trace: $METRICS_OUT" >&2
     exit 1
 }
 echo "check: OK"
