@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build test vet lint lint-baseline lint-escape lint-timing race race-soak chaos fuzz-isc fuzz-ckpt fuzz-jobspec fuzz-journal fuzz-directives bench bench-json obs-demo serve-demo serve-soak load-demo torture clean
+.PHONY: check build test vet lint lint-baseline lint-escape lint-timing race race-soak chaos fuzz-isc fuzz-delta fuzz-ckpt fuzz-jobspec fuzz-journal fuzz-directives bench bench-json obs-demo serve-demo serve-soak load-demo torture clean
 
 # Tier-1 verification: vet + build + lint + race-enabled short tests.
 check:
@@ -68,6 +68,11 @@ chaos:
 # Fuzz the ISCAS85 parser (bounded; extend -fuzztime for deeper runs).
 fuzz-isc:
 	$(GO) test ./internal/isc/ -fuzz FuzzRead -fuzztime 30s
+
+# Fuzz the incremental cost update against its from-scratch oracle
+# (scripts/check.sh runs it for 10s).
+fuzz-delta:
+	$(GO) test ./internal/partition/ -run '^$$' -fuzz '^FuzzDeltaCost$$' -fuzztime 30s
 
 # Fuzz the optimizer checkpoint loader (crash-freedom + round-trip).
 fuzz-ckpt:

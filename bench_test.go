@@ -204,6 +204,50 @@ func BenchmarkFullRecomputeCost(b *testing.B) {
 	}
 }
 
+// BenchmarkMoveDelta is the mutation operator's unit of work on a coarse
+// partition: one boundary gate moved into a connected module, then Cost().
+// c1908 is standard-partitioned at its estimated module size, so the two
+// touched modules are as large as the default sizing makes them and the
+// op's cost is dominated by how their estimator terms are updated.
+// Iterations alternate the gate's direction, so every op is the same move
+// on the same two modules and no clone is timed.
+func BenchmarkMoveDelta(b *testing.B) {
+	b.ReportAllocs()
+	e, _ := estimatorFixture(b)
+	w, cons := partition.PaperWeights(), partition.DefaultConstraints()
+	groups := standard.StandardPartition(e, standard.EstimateModuleSize(e, w, cons))
+	p, err := partition.New(e, groups, w, cons)
+	if err != nil {
+		b.Fatal(err)
+	}
+	gate, from, to := -1, 0, 0
+	for mi := 0; mi < p.NumModules() && gate < 0; mi++ {
+		if p.ModuleSize(mi) < 2 {
+			continue
+		}
+		for _, g := range p.BoundaryGates(mi) {
+			if targets := p.ConnectedModules(g); len(targets) > 0 {
+				gate, from, to = g, mi, targets[0]
+				break
+			}
+		}
+	}
+	if gate < 0 {
+		b.Fatal("no boundary move")
+	}
+	moved := []int{gate}
+	p.Cost() // warm the caches
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.MoveGates(moved, from, to); err != nil {
+			b.Fatal(err)
+		}
+		from, to = to, from
+		_ = p.Cost()
+	}
+	b.ReportMetric(float64(p.ModuleSize(from)+p.ModuleSize(to))/2, "gates/module")
+}
+
 func mutatedPartition(b *testing.B) *partition.Partition {
 	b.Helper()
 	c := circuits.MustISCAS85Like("c1908")

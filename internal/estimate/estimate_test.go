@@ -200,6 +200,64 @@ func TestEvalModule(t *testing.T) {
 	}
 }
 
+// The set-bit walk must list exactly the members, in order, across word
+// boundaries.
+func TestBitsetAppendMembers(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 50; trial++ {
+		capacity := 1 + rng.Intn(200)
+		b := newBitset(capacity)
+		var want []int32
+		for i := 0; i < capacity; i++ {
+			if rng.Intn(4) == 0 || i == 63 || i == 64 {
+				b.set(i)
+				want = append(want, int32(i))
+			}
+		}
+		got := b.appendMembers([]int32{-7})
+		if len(got) != len(want)+1 || got[0] != -7 {
+			t.Fatalf("capacity %d: appended %v after -7, want %v", capacity, got, want)
+		}
+		for i := range want {
+			if got[i+1] != want[i] {
+				t.Fatalf("capacity %d: appended %v after -7, want %v", capacity, got, want)
+			}
+		}
+	}
+	if got := newBitset(10).appendMembers(nil); len(got) != 0 {
+		t.Errorf("empty set: members %v", got)
+	}
+}
+
+// FinishModule fed exact counts — including counts reached by AddActivity
+// deltas — must reproduce EvalModule bit for bit.
+func TestFinishModuleMatchesEvalModule(t *testing.T) {
+	a, err := celllib.Annotate(circuits.MustISCAS85Like("c432"), celllib.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(a, DefaultParams())
+	logic := a.Circuit.LogicGates()
+	gates := logic[:len(logic)/3]
+	sep, act := e.ModuleCounts(gates)
+	// Walk the profile of a larger group down to this one by deltas.
+	_, delta := e.ModuleCounts(logic[:len(logic)/2])
+	for _, g := range logic[len(logic)/3 : len(logic)/2] {
+		e.TS.AddActivity(delta, g, -1)
+	}
+	for tm := range act {
+		if delta[tm] != act[tm] {
+			t.Fatalf("n(%d) by deltas = %d, counted %d", tm, delta[tm], act[tm])
+		}
+	}
+	got, want := e.FinishModule(gates, sep, delta), e.EvalModule(gates)
+	if got.Separation != want.Separation || got.IDDMax != want.IDDMax || got.Rs != want.Rs ||
+		got.Cs != want.Cs || got.LeakND != want.LeakND || got.Settle != want.Settle ||
+		got.SensorArea != want.SensorArea {
+		t.Errorf("FinishModule %+v, EvalModule %+v", got, want)
+	}
+}
+
 func TestEvalModuleEmpty(t *testing.T) {
 	a := annotatedC17(t)
 	e := New(a, DefaultParams())

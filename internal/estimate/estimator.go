@@ -185,7 +185,7 @@ type Module struct {
 	LeakND     float64 // worst-case fault-free IDDQ,nd, A
 	Settle     float64 // Δ(τ): current-decay + sensing time, s (§3.4)
 	Separation int     // S(M) of §3.3
-	Activity   []int   // n(t) profile over the time grid
+	Activity   []int   // n(t) profile over the time grid; shared, read-only
 }
 
 // Discriminability returns d(M) = IDDQ,th / IDDQ,nd (§2).
@@ -221,17 +221,47 @@ func mustFinite(name string, v float64) float64 {
 	return v
 }
 
-// EvalModule computes all per-module estimates for a gate group.
+// EvalModule computes all per-module estimates for a gate group from
+// scratch: it counts the group's integer terms S(M) and n(t)
+// (ModuleCounts) and finishes the float terms from them exactly as
+// FinishModule does.
 func (e *Estimator) EvalModule(gates []int) *Module {
+	return e.evalModule(gates, 0, nil)
+}
+
+// FinishModule computes the per-module estimates of a gate group whose
+// integer terms the caller already holds: sep = S(M) and act = n(t), a
+// profile of length TS.Depth()+1 that the returned Module retains as its
+// Activity (so the caller must not modify it afterwards). The float terms
+// — îDD,max, Rs, Cs, IDDQ,nd, Δ(τ) — are summed in ascending gate order,
+// so the result is bit-identical to EvalModule of the same gates whenever
+// sep and act are exact.
+func (e *Estimator) FinishModule(gates []int, sep int, act []int) *Module {
+	return e.evalModule(gates, sep, act)
+}
+
+// ModuleCounts returns the integer §3 terms of a gate group: its
+// separation S(M) (§3.3) and its activity profile n(t) (§3.1/§3.2).
+func (e *Estimator) ModuleCounts(gates []int) (sep int, act []int) {
+	sc := e.getScratch()
+	sep = e.separationScratch(gates, sc.inModule)
+	e.scratch.Put(sc)
+	return sep, e.TS.ActivityProfile(gates)
+}
+
+// evalModule is the one module-finishing path: act == nil counts the
+// integer terms first.
+func (e *Estimator) evalModule(gates []int, sep int, act []int) *Module {
 	if e.evalCalls != nil {
 		e.evalCalls.Inc()
 		defer e.evalSeconds.ObserveSince(time.Now())
 	}
+	if act == nil {
+		sep, act = e.ModuleCounts(gates)
+	}
 	//lint:ignore hotalloc the Module is the call's result, retained in the partition's estimate cache
-	m := &Module{Gates: gates}
+	m := &Module{Gates: gates, Separation: sep, Activity: act}
 	if len(gates) == 0 {
-		//lint:ignore hotalloc retained in the returned Module; empty modules only
-		m.Activity = make([]int, e.TS.Depth()+1)
 		return m
 	}
 	sc := e.getScratch()
@@ -253,8 +283,6 @@ func (e *Estimator) EvalModule(gates []int) *Module {
 	}
 	m.LeakND = mustFinite("IDDQ,nd", m.LeakND)
 	m.Settle = must(electrical.SettlingTime(m.Tau, m.IDDMax, e.P.IDDQth))
-	m.Separation = e.separationScratch(gates, sc.inModule)
-	m.Activity = e.TS.ActivityProfile(gates)
 	return m
 }
 

@@ -23,8 +23,8 @@ func newBitset(capacity int) bitset {
 	return make(bitset, (capacity+64)/64)
 }
 
-func (b bitset) set(i int)      { b[i/64] |= 1 << uint(i%64) }
-func (b bitset) has(i int) bool { return b[i/64]&(1<<uint(i%64)) != 0 }
+func (b bitset) set(i int) { b[i/64] |= 1 << uint(i%64) }
+
 func (b bitset) orShift1(src bitset) {
 	// b |= src << 1, the "transition arrives one stage later" transfer.
 	var carry uint64
@@ -37,12 +37,15 @@ func (b bitset) orShift1(src bitset) {
 	}
 }
 
-func (b bitset) count() int {
-	n := 0
-	for _, w := range b {
-		n += bits.OnesCount64(w)
+// appendMembers appends the set's members to dst in ascending order,
+// visiting only the set bits (one TrailingZeros64 per member).
+func (b bitset) appendMembers(dst []int32) []int32 {
+	for wi, w := range b {
+		for ; w != 0; w &= w - 1 {
+			dst = append(dst, int32(wi*64+bits.TrailingZeros64(w)))
+		}
 	}
-	return n
+	return dst
 }
 
 // TimeSets holds, for every gate g, the set of possible transition times
@@ -53,14 +56,19 @@ func (b bitset) count() int {
 type TimeSets struct {
 	c     *circuit.Circuit
 	depth int
-	sets  []bitset
+	// times[start[g]:start[g+1]] is T(g) in ascending order. The sets are
+	// built as bitsets and their members extracted once, so every profile
+	// loop visits a gate's transition times directly instead of testing
+	// each grid time.
+	times []int32
+	start []int32
 }
 
 // TransitionTimes computes the transition-time sets of all gates by a
 // single topological pass: T(input) = {0}, T(g) = ⋃_{f∈fanin(g)} T(f)+1.
 func TransitionTimes(c *circuit.Circuit) *TimeSets {
 	depth := c.Depth()
-	ts := &TimeSets{c: c, depth: depth, sets: make([]bitset, c.NumGates())}
+	sets := make([]bitset, c.NumGates())
 	for _, id := range c.TopoOrder() {
 		g := &c.Gates[id]
 		b := newBitset(depth + 1)
@@ -68,12 +76,22 @@ func TransitionTimes(c *circuit.Circuit) *TimeSets {
 			b.set(0)
 		} else {
 			for _, f := range g.Fanin {
-				b.orShift1(ts.sets[f])
+				b.orShift1(sets[f])
 			}
 		}
-		ts.sets[id] = b
+		sets[id] = b
+	}
+	ts := &TimeSets{c: c, depth: depth, start: make([]int32, len(sets)+1)}
+	for g, b := range sets {
+		ts.times = b.appendMembers(ts.times)
+		ts.start[g+1] = int32(len(ts.times))
 	}
 	return ts
+}
+
+// of returns T(gate) in ascending order; the slice is shared.
+func (ts *TimeSets) of(gate int) []int32 {
+	return ts.times[ts.start[gate]:ts.start[gate+1]]
 }
 
 // Depth returns the time-grid extent (the circuit depth).
@@ -81,25 +99,25 @@ func (ts *TimeSets) Depth() int { return ts.depth }
 
 // Has reports whether gate can have a transition at grid time t.
 func (ts *TimeSets) Has(gate, t int) bool {
-	if t < 0 || t > ts.depth {
-		return false
+	for _, u := range ts.of(gate) {
+		if int(u) == t {
+			return true
+		}
 	}
-	return ts.sets[gate].has(t)
+	return false
 }
 
 // Times returns the ascending list of possible transition times of gate.
 func (ts *TimeSets) Times(gate int) []int {
 	var out []int
-	for t := 0; t <= ts.depth; t++ {
-		if ts.sets[gate].has(t) {
-			out = append(out, t)
-		}
+	for _, t := range ts.of(gate) {
+		out = append(out, int(t))
 	}
 	return out
 }
 
 // NumTimes returns |T(gate)|, the Lᵢ of §3.1.
-func (ts *TimeSets) NumTimes(gate int) int { return ts.sets[gate].count() }
+func (ts *TimeSets) NumTimes(gate int) int { return len(ts.of(gate)) }
 
 // ActivityProfile returns n(t) for a group of gates: the number of group
 // members that can switch at each grid time t — the activity term of the
@@ -109,14 +127,18 @@ func (ts *TimeSets) ActivityProfile(gates []int) []int {
 	//lint:ignore hotalloc the profile is retained in the returned Module estimate, which the partition caches per module
 	prof := make([]int, ts.depth+1)
 	for _, g := range gates {
-		b := ts.sets[g]
-		for t := 0; t <= ts.depth; t++ {
-			if b.has(t) {
-				prof[t]++
-			}
-		}
+		ts.AddActivity(prof, g, 1)
 	}
 	return prof
+}
+
+// AddActivity adds delta to prof[t] at every transition time t of gate.
+// With delta = +1 or -1 it is the exact change of a group's n(t) profile
+// when the gate joins or leaves the group.
+func (ts *TimeSets) AddActivity(prof []int, gate, delta int) {
+	for _, t := range ts.of(gate) {
+		prof[t] += delta
+	}
 }
 
 // MaxCurrent returns the §3.1 upper bound on the maximum transient current
@@ -139,12 +161,9 @@ func (ts *TimeSets) maxCurrentScratch(a *celllib.Annotated, gates []int, prof []
 		prof[t] = 0
 	}
 	for _, g := range gates {
-		b := ts.sets[g]
 		peak := a.Peak[g]
-		for t := 0; t <= ts.depth; t++ {
-			if b.has(t) {
-				prof[t] += peak
-			}
+		for _, t := range ts.of(g) {
+			prof[t] += peak
 		}
 	}
 	var max float64
@@ -160,10 +179,9 @@ func (ts *TimeSets) maxCurrentScratch(a *celllib.Annotated, gates []int, prof []
 // transition times of one gate — the worst simultaneity the gate can see
 // while it is itself switching.
 func (ts *TimeSets) MaxActivityOver(gate int, profile []int) int {
-	b := ts.sets[gate]
 	max := 0
-	for t := 0; t <= ts.depth; t++ {
-		if b.has(t) && profile[t] > max {
+	for _, t := range ts.of(gate) {
+		if profile[t] > max {
 			max = profile[t]
 		}
 	}

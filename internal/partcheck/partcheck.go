@@ -17,6 +17,7 @@ package partcheck
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"iddqsyn/internal/circuit"
@@ -344,6 +345,14 @@ func CompareEstimate(e *estimate.Estimator, mi int, got *estimate.Module) []Viol
 	cmp("IDDQ,nd", got.LeakND, fresh.LeakND)
 	cmp("sensor area", got.SensorArea, fresh.SensorArea)
 	cmp("Δ(τ)", got.Settle, fresh.Settle)
+	// The integer terms are delta-maintained under moves, so they must
+	// match exactly.
+	if got.Separation != fresh.Separation {
+		bad(ConstraintStaleEstimate, "S(M) = %d, recomputed %d", got.Separation, fresh.Separation)
+	}
+	if !slices.Equal(got.Activity, fresh.Activity) {
+		bad(ConstraintStaleEstimate, "n(t) = %v, recomputed %v", got.Activity, fresh.Activity)
+	}
 	return out
 }
 

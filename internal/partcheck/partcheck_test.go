@@ -223,6 +223,26 @@ func TestCompareEstimateDetectsTampering(t *testing.T) {
 	if !gotRail || !gotStale {
 		t.Errorf("tampered Rs: rail=%v stale=%v, want both; got %v", gotRail, gotStale, vs)
 	}
+
+	// A stale integer term — S(M) or one n(t) entry off by one — leaves
+	// every float term intact, so only the exact comparison catches it.
+	tampered = *m
+	tampered.Separation++
+	wantStale(t, "S(M)", CompareEstimate(e, 0, &tampered))
+	tampered = *m
+	tampered.Activity = append([]int(nil), m.Activity...)
+	tampered.Activity[len(tampered.Activity)-1]++
+	wantStale(t, "n(t)", CompareEstimate(e, 0, &tampered))
+	tampered.Activity = tampered.Activity[:len(tampered.Activity)-1]
+	wantStale(t, "short n(t)", CompareEstimate(e, 0, &tampered))
+}
+
+// wantStale asserts that vs is exactly one stale-estimate violation.
+func wantStale(t *testing.T, what string, vs []Violation) {
+	t.Helper()
+	if len(vs) != 1 || vs[0].Constraint != ConstraintStaleEstimate {
+		t.Errorf("tampered %s: got %v, want one %s violation", what, vs, ConstraintStaleEstimate)
+	}
 }
 
 func TestVerifyPartitionAuditsLiveOptimizerState(t *testing.T) {

@@ -99,6 +99,12 @@ func (cv CostVector) Weighted(w Weights) float64 {
 // safely.
 type moduleState struct {
 	gates []int
+	// sep and act are the module's integer §3 terms S(M) and n(t),
+	// counted once by New and kept exact by MoveGates' per-gate deltas.
+	// act is copy-on-write like gates: cached estimates alias it as
+	// their Activity.
+	sep int
+	act []int
 	// est caches the estimator output; nil after a move touched this
 	// module. Immutable once computed, so clones share it.
 	est *estimate.Module
@@ -155,6 +161,10 @@ func New(e *estimate.Estimator, groups [][]int, w Weights, cons Constraints) (*P
 	if covered != c.NumLogicGates() {
 		return nil, fmt.Errorf("partition: covers %d of %d logic gates", covered, c.NumLogicGates())
 	}
+	for mi := range p.modules {
+		ms := &p.modules[mi]
+		ms.sep, ms.act = e.ModuleCounts(ms.gates)
+	}
 	return p, nil
 }
 
@@ -187,7 +197,7 @@ func (p *Partition) Groups() [][]int {
 func (p *Partition) ModuleEstimate(mi int) *estimate.Module {
 	ms := &p.modules[mi]
 	if ms.est == nil {
-		ms.est = p.E.EvalModule(ms.gates)
+		ms.est = p.E.FinishModule(ms.gates, ms.sep, ms.act)
 	}
 	return ms.est
 }
@@ -214,6 +224,17 @@ func (p *Partition) Clone() *Partition {
 // module indices above it shift down (the §4.2 mutation semantics: "if
 // all gates of M are moved, this module is deleted"). It returns the
 // possibly-adjusted index of the target module.
+//
+// The two modules' integer terms are updated per moved gate g rather than
+// recounted: with ρ-hop neighbourhood N(g) and hop distance d,
+//
+//	S(src) -= ρ·(|src|−1) − Σ_{n∈N(g)∩src} (ρ−d(g,n))
+//	S(dst) += ρ·|dst|     − Σ_{n∈N(g)∩dst} (ρ−d(g,n))
+//
+// (sizes before g moves), and n(t) drops by one in src and rises by one
+// in dst at each t ∈ T(g). Updating the terms therefore costs
+// O(|N(g)| + |T(g)|) per moved gate instead of a recount of both modules;
+// only the copy-on-write gate lists and profiles are copied whole.
 func (p *Partition) MoveGates(gates []int, from, to int) (int, error) {
 	if from == to {
 		return to, fmt.Errorf("partition: move within module %d", from)
@@ -230,28 +251,59 @@ func (p *Partition) MoveGates(gates []int, from, to int) (int, error) {
 	// Build replacement slices rather than editing in place: the old
 	// slices may be shared with clones and with cached estimate.Module
 	// values, both of which rely on them never changing.
-	//lint:ignore hotalloc copy-on-write by design: a fresh, exactly-sized slice keeps clones and cached estimates valid
-	newDst := make([]int, len(dst.gates), len(dst.gates)+len(gates))
-	copy(newDst, dst.gates)
-	moved := 0
+	// The two profiles share one allocation; each is capped at its own
+	// length, so neither can grow into the other.
+	//lint:ignore hotalloc copy-on-write by design: cached estimates alias the old profiles as their Activity
+	acts := make([]int, len(src.act)+len(dst.act))
+	srcAct, dstAct := acts[:len(src.act):len(src.act)], acts[len(src.act):]
+	copy(srcAct, src.act)
+	copy(dstAct, dst.act)
+	rho, ts := p.E.P.Rho, p.E.TS
+	srcSep, dstSep := src.sep, dst.sep
+	srcLen, dstLen := len(src.gates), len(dst.gates)
 	for _, g := range gates {
 		if p.moduleOf[g] == to {
 			continue // duplicate in the argument list
 		}
+		nearSrc, nearDst := 0, 0
+		nbrs, dists := p.E.Neighborhood(g)
+		for i, nb := range nbrs {
+			m, near := p.moduleOf[nb], rho-int(dists[i])
+			if m == from {
+				nearSrc += near
+			}
+			if m == to {
+				nearDst += near
+			}
+		}
+		srcLen--
+		srcSep -= rho*srcLen - nearSrc
+		dstSep += rho*dstLen - nearDst
+		dstLen++
+		ts.AddActivity(srcAct, g, -1)
+		ts.AddActivity(dstAct, g, 1)
 		p.moduleOf[g] = to
-		newDst = append(newDst, g)
-		moved++
 	}
-	//lint:ignore hotalloc copy-on-write by design (see newDst above)
-	newSrc := make([]int, 0, len(src.gates)-moved)
+	// One pass over the sorted source splits it into the gates that stay
+	// and the moved ones, which merge into the sorted target.
+	//lint:ignore hotalloc copy-on-write by design: a fresh, exactly-sized slice keeps clones and cached estimates valid
+	newSrc := make([]int, 0, srcLen)
+	//lint:ignore hotalloc copy-on-write by design (see newSrc above)
+	newDst := make([]int, 0, dstLen)
+	di := 0
 	for _, g := range src.gates {
 		if p.moduleOf[g] == from {
 			newSrc = append(newSrc, g)
+			continue
 		}
+		for ; di < len(dst.gates) && dst.gates[di] < g; di++ {
+			newDst = append(newDst, dst.gates[di])
+		}
+		newDst = append(newDst, g)
 	}
-	sort.Ints(newDst)
-	src.gates, src.est = newSrc, nil
-	dst.gates, dst.est = newDst, nil
+	newDst = append(newDst, dst.gates[di:]...)
+	src.gates, src.sep, src.act, src.est = newSrc, srcSep, srcAct, nil
+	dst.gates, dst.sep, dst.act, dst.est = newDst, dstSep, dstAct, nil
 	p.costValid = false
 	if len(src.gates) == 0 {
 		p.deleteModule(from)

@@ -1,6 +1,7 @@
 #!/bin/sh
 # Repository verification: vet, build everything, then run the full test
-# suite in short mode with the race detector, and finish with a short
+# suite in short mode with the race detector, fuzz the incremental cost
+# update against its from-scratch oracle for 10 s, and finish with a short
 # instrumented optimizer run that exercises the observability path
 # end-to-end (structured JSON logs + a -metrics run snapshot) and must
 # apply at least one mutation and record its phase trace. This is
@@ -26,6 +27,11 @@ echo "== iddqlint -baseline lint.baseline ./..."
 go run ./cmd/iddqlint -baseline lint.baseline ./...
 echo "== go test -race -short ./..."
 go test -race -short ./...
+# The exact-recompute oracle of the incremental cost update: random move
+# sequences must keep every module's S(M), n(t) and the cost vector
+# bit-identical to a from-scratch evaluation.
+echo "== fuzz FuzzDeltaCost (10s)"
+go test -run '^$' -fuzz '^FuzzDeltaCost$' -fuzztime 10s ./internal/partition/
 echo "== chaos soak (go test -run TestChaosSoak ./internal/chaos/)"
 go test -run TestChaosSoak ./internal/chaos/
 echo "== instrumented run (metrics -> $METRICS_OUT)"
