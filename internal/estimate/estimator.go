@@ -222,22 +222,9 @@ func mustFinite(name string, v float64) float64 {
 }
 
 // EvalModule computes all per-module estimates for a gate group from
-// scratch: it counts the group's integer terms S(M) and n(t)
-// (ModuleCounts) and finishes the float terms from them exactly as
-// FinishModule does.
+// scratch: FinishModule with the integer terms counted first.
 func (e *Estimator) EvalModule(gates []int) *Module {
-	return e.evalModule(gates, 0, nil)
-}
-
-// FinishModule computes the per-module estimates of a gate group whose
-// integer terms the caller already holds: sep = S(M) and act = n(t), a
-// profile of length TS.Depth()+1 that the returned Module retains as its
-// Activity (so the caller must not modify it afterwards). The float terms
-// — îDD,max, Rs, Cs, IDDQ,nd, Δ(τ) — are summed in ascending gate order,
-// so the result is bit-identical to EvalModule of the same gates whenever
-// sep and act are exact.
-func (e *Estimator) FinishModule(gates []int, sep int, act []int) *Module {
-	return e.evalModule(gates, sep, act)
+	return e.FinishModule(gates, 0, nil)
 }
 
 // ModuleCounts returns the integer §3 terms of a gate group: its
@@ -249,9 +236,14 @@ func (e *Estimator) ModuleCounts(gates []int) (sep int, act []int) {
 	return sep, e.TS.ActivityProfile(gates)
 }
 
-// evalModule is the one module-finishing path: act == nil counts the
-// integer terms first.
-func (e *Estimator) evalModule(gates []int, sep int, act []int) *Module {
+// FinishModule computes the per-module estimates of a gate group whose
+// integer terms the caller maintains: sep = S(M) and act = n(t), a
+// profile of length TS.Depth()+1 that the returned Module retains as its
+// Activity (so the caller must not modify it afterwards); act == nil
+// counts both first. The float terms — îDD,max, Rs, Cs, IDDQ,nd, Δ(τ) —
+// are summed in ascending gate order, so the result is bit-identical to
+// EvalModule of the same gates whenever sep and act are exact.
+func (e *Estimator) FinishModule(gates []int, sep int, act []int) *Module {
 	if e.evalCalls != nil {
 		e.evalCalls.Inc()
 		defer e.evalSeconds.ObserveSince(time.Now())
