@@ -19,32 +19,35 @@ import (
 )
 
 // deltaCircuits are the oracle's circuits; the fuzzer's first argument
-// picks one.
-var deltaCircuits = []string{"c432", "c880"}
+// picks one. c7552 at module size 8 has ~590 tiny modules, so a move
+// touches a small share of the circuit and most of the D_BIC sweep's
+// gates sit outside the touched modules.
+var deltaCircuits = []string{"c432", "c880", "c7552"}
 
-var (
-	deltaOnce       sync.Once
-	deltaEstimators []*estimate.Estimator
-	deltaErr        error
-)
+// deltaEstimators holds one lazily built estimator per circuit, so inputs
+// that never pick c7552 do not pay for its build.
+var deltaEstimators [3]struct {
+	once sync.Once
+	e    *estimate.Estimator
+	err  error
+}
 
 // deltaEstimator returns the shared (immutable) estimator of circuit i.
 func deltaEstimator(t *testing.T, i int) *estimate.Estimator {
 	t.Helper()
-	deltaOnce.Do(func() {
-		for _, name := range deltaCircuits {
-			a, err := celllib.Annotate(circuits.MustISCAS85Like(name), celllib.Default())
-			if err != nil {
-				deltaErr = err
-				return
-			}
-			deltaEstimators = append(deltaEstimators, estimate.New(a, estimate.DefaultParams()))
+	d := &deltaEstimators[i%len(deltaCircuits)]
+	d.once.Do(func() {
+		a, err := celllib.Annotate(circuits.MustISCAS85Like(deltaCircuits[i%len(deltaCircuits)]), celllib.Default())
+		if err != nil {
+			d.err = err
+			return
 		}
+		d.e = estimate.New(a, estimate.DefaultParams())
 	})
-	if deltaErr != nil {
-		t.Fatal(deltaErr)
+	if d.err != nil {
+		t.Fatal(d.err)
 	}
-	return deltaEstimators[i%len(deltaEstimators)]
+	return d.e
 }
 
 // opReader hands out the fuzz input one decision at a time; an exhausted
@@ -165,18 +168,27 @@ func pickMove(p *partition.Partition, r *opReader, kind int) (gates []int, from,
 	return gates, from, to
 }
 
-// FuzzDeltaCost applies input-driven MoveGates sequences to a c432 or
-// c880 partition at module size 8 and checks every step against the
-// from-scratch oracle. Each step's first byte picks the move: 0-1 a few
-// boundary gates, 2 a whole module, 3 a move on a clone, after which the
-// parent's cached terms must be exactly as before and the walk continues
-// on the clone.
+// FuzzDeltaCost applies input-driven MoveGates sequences to a c432, c880
+// or c7552 partition at module size 8 and checks every step against the
+// from-scratch oracle. Each step's first byte picks what happens:
+//   - 0-1: a few boundary gates move;
+//   - 2: a whole module moves, which deletes it;
+//   - 3: a clone moves; the parent's cached terms must stay exactly as
+//     before, and the walk continues on the clone;
+//   - 4: two moves with WorstDiscriminability between them, which refills
+//     the first move's module estimates before Costs runs;
+//   - 5: the evaluated parent is cloned twice and each clone moves
+//     differently; both clones must match the oracle, the parent's terms
+//     must stay as before, and the walk continues on the parent.
 func FuzzDeltaCost(f *testing.F) {
 	f.Add(uint8(0), []byte{0, 3, 0, 1, 1, 0, 5, 2, 1, 1, 2, 4, 0, 0, 3, 7, 1, 2, 1, 0})
 	f.Add(uint8(0), []byte{2, 0, 1, 0, 2, 1, 0, 0, 2, 5, 1, 1, 3, 2, 0, 0, 0, 1, 9, 2, 0, 3, 1})
 	f.Add(uint8(1), []byte{1, 7, 2, 3, 9, 11, 1, 0, 3, 12, 0, 4, 1, 2, 17, 1, 2, 6, 0, 1, 0, 40, 2, 2, 1, 3})
 	f.Add(uint8(1), []byte{3, 30, 1, 5, 0, 2, 2, 8, 1, 1, 0, 22, 2, 0, 1, 1, 3, 3, 0, 1, 2, 2, 0, 9, 0, 0})
 	f.Add(uint8(1), []byte{2, 1, 1, 2, 2, 1, 2, 3, 0, 2, 4, 1, 2, 5, 0, 0, 0, 2, 1, 1})
+	f.Add(uint8(0), []byte{4, 0, 3, 1, 1, 0, 0, 2, 9, 0, 0, 5, 5, 1, 4, 0, 0, 1, 7, 0, 1, 2, 3, 0, 1, 1})
+	f.Add(uint8(1), []byte{5, 0, 2, 1, 1, 0, 0, 6, 0, 0, 0, 5, 2, 11, 0, 0, 0, 4, 1, 1, 2, 0, 0, 3, 0, 1})
+	f.Add(uint8(2), []byte{0, 40, 1, 2, 0, 5, 0, 123, 0, 1, 1, 4, 0, 77, 2, 0, 0, 3, 5, 1, 200, 0, 0, 1, 0, 2, 9, 1, 0, 0})
 	f.Fuzz(func(t *testing.T, circuit uint8, ops []byte) {
 		e := deltaEstimator(t, int(circuit))
 		p, err := partition.New(e, standard.StandardPartition(e, 8),
@@ -184,35 +196,56 @@ func FuzzDeltaCost(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		const maxSteps = 48
 		r := &opReader{b: ops}
+		move := func(q *partition.Partition, kind, step int) {
+			gates, from, to := pickMove(q, r, kind)
+			if _, err := q.MoveGates(gates, from, to); err != nil {
+				t.Fatalf("step %d: move %v %d->%d: %v", step, gates, from, to, err)
+			}
+		}
+		const maxSteps = 48
 		for step := 0; step < maxSteps && len(r.b) > 0 && p.NumModules() > 1; step++ {
-			kind := r.next(4)
-			if kind == 3 {
+			switch kind := r.next(6); kind {
+			case 3:
 				before, beforeCost := snapshot(p)
 				child := p.Clone()
-				gates, from, to := pickMove(child, r, kind)
-				if _, err := child.MoveGates(gates, from, to); err != nil {
-					t.Fatalf("step %d: clone move %v %d->%d: %v", step, gates, from, to, err)
-				}
+				move(child, kind, step)
 				child.Costs()
-				after, afterCost := snapshot(p)
-				for mi := range before {
-					if !before[mi].equal(after[mi]) {
-						t.Fatalf("step %d: moving a clone changed the parent's module %d", step, mi)
-					}
-				}
-				if beforeCost != afterCost {
-					t.Fatalf("step %d: moving a clone changed the parent's costs", step)
-				}
+				checkParent(t, p, before, beforeCost, step)
 				p = child
-			} else {
-				gates, from, to := pickMove(p, r, kind)
-				if _, err := p.MoveGates(gates, from, to); err != nil {
-					t.Fatalf("step %d: move %v %d->%d: %v", step, gates, from, to, err)
+			case 4:
+				move(p, r.next(3), step)
+				p.WorstDiscriminability()
+				if p.NumModules() > 1 {
+					move(p, r.next(3), step)
 				}
+			case 5:
+				before, beforeCost := snapshot(p)
+				a, b := p.Clone(), p.Clone()
+				move(a, r.next(3), step)
+				move(b, r.next(3), step)
+				checkExact(t, e, a, step)
+				checkExact(t, e, b, step)
+				checkParent(t, p, before, beforeCost, step)
+			default:
+				move(p, kind, step)
 			}
 			checkExact(t, e, p, step)
 		}
 	})
+}
+
+// checkParent asserts that p's cached terms and costs still equal a
+// snapshot taken before its clones were moved.
+func checkParent(t *testing.T, p *partition.Partition, before []moduleTerms, beforeCost [9]uint64, step int) {
+	t.Helper()
+	after, afterCost := snapshot(p)
+	for mi := range before {
+		if !before[mi].equal(after[mi]) {
+			t.Fatalf("step %d: moving a clone changed the parent's module %d", step, mi)
+		}
+	}
+	if beforeCost != afterCost {
+		t.Fatalf("step %d: moving a clone changed the parent's costs", step)
+	}
 }
