@@ -25,6 +25,7 @@ import (
 	"iddqsyn/internal/evolution"
 	"iddqsyn/internal/experiments"
 	"iddqsyn/internal/faults"
+	"iddqsyn/internal/obs"
 	"iddqsyn/internal/partition"
 	"iddqsyn/internal/standard"
 )
@@ -209,8 +210,6 @@ func BenchmarkFullRecomputeCost(b *testing.B) {
 // c1908 is standard-partitioned at its estimated module size, so the two
 // touched modules are as large as the default sizing makes them and the
 // op's cost is dominated by how their estimator terms are updated.
-// Iterations alternate the gate's direction, so every op is the same move
-// on the same two modules and no clone is timed.
 func BenchmarkMoveDelta(b *testing.B) {
 	b.ReportAllocs()
 	e, _ := estimatorFixture(b)
@@ -220,7 +219,44 @@ func BenchmarkMoveDelta(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	gate, from, to := -1, 0, 0
+	from, to := moveBackAndForth(b, p)
+	b.ReportMetric(float64(p.ModuleSize(from)+p.ModuleSize(to))/2, "gates/module")
+}
+
+// BenchmarkBICDelayRepropagate is the same boundary move plus Cost() on
+// c7552 at module size 8 (~440 modules), where the touched modules are a
+// small share of the circuit. It reports how many gates' arrival times the
+// incremental D_BIC sweep recomputes per evaluation.
+func BenchmarkBICDelayRepropagate(b *testing.B) {
+	b.ReportAllocs()
+	a, err := celllib.Annotate(circuits.MustISCAS85Like("c7552"), celllib.Default())
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := estimate.New(a, estimate.DefaultParams())
+	o := obs.New("bench", nil, nil)
+	e.SetObs(o)
+	p, err := partition.New(e, standard.StandardPartition(e, 8),
+		partition.PaperWeights(), partition.DefaultConstraints())
+	if err != nil {
+		b.Fatal(err)
+	}
+	sweeps, gates := o.Counter(estimate.MetricBICDelaySweeps), o.Counter(estimate.MetricBICDelayGates)
+	p.Cost() // the first evaluation sweeps every gate
+	s0, g0 := sweeps.Value(), gates.Value()
+	moveBackAndForth(b, p)
+	if n := sweeps.Value() - s0; n > 0 {
+		b.ReportMetric(float64(gates.Value()-g0)/float64(n), "gates/eval")
+	}
+}
+
+// moveBackAndForth times one boundary gate moved into a connected module,
+// then Cost(), b.N times. Iterations alternate the gate's direction, so
+// every op is the same move on the same two modules and no clone is timed.
+// It returns the two modules.
+func moveBackAndForth(b *testing.B, p *partition.Partition) (from, to int) {
+	b.Helper()
+	gate := -1
 	for mi := 0; mi < p.NumModules() && gate < 0; mi++ {
 		if p.ModuleSize(mi) < 2 {
 			continue
@@ -245,7 +281,7 @@ func BenchmarkMoveDelta(b *testing.B) {
 		from, to = to, from
 		_ = p.Cost()
 	}
-	b.ReportMetric(float64(p.ModuleSize(from)+p.ModuleSize(to))/2, "gates/module")
+	return from, to
 }
 
 func mutatedPartition(b *testing.B) *partition.Partition {

@@ -1,17 +1,19 @@
 package estimate
 
 import (
+	"errors"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
-
-	"errors"
 
 	"iddqsyn/internal/celllib"
 	"iddqsyn/internal/chaos"
 	"iddqsyn/internal/circuit"
 	"iddqsyn/internal/circuits"
 	"iddqsyn/internal/electrical"
+	"iddqsyn/internal/obs"
 )
 
 func annotatedC17(t *testing.T) *celllib.Annotated {
@@ -253,8 +255,100 @@ func TestFinishModuleMatchesEvalModule(t *testing.T) {
 	got, want := e.FinishModule(gates, sep, delta), e.EvalModule(gates)
 	if got.Separation != want.Separation || got.IDDMax != want.IDDMax || got.Rs != want.Rs ||
 		got.Cs != want.Cs || got.LeakND != want.LeakND || got.Settle != want.Settle ||
-		got.SensorArea != want.SensorArea {
+		got.SensorArea != want.SensorArea || !slices.Equal(got.Delay, want.Delay) {
 		t.Errorf("FinishModule %+v, EvalModule %+v", got, want)
+	}
+}
+
+// referenceBICDelay is the §3.2 longest path written out directly: every
+// gate's delay is degraded by δ(g, t) of its module at the gate's level.
+func referenceBICDelay(e *Estimator, moduleOf []int, mods []*Module) float64 {
+	c := e.A.Circuit
+	arrival := make([]float64, c.NumGates())
+	var worst float64
+	for _, id := range c.TopoOrder() {
+		g := &c.Gates[id]
+		if g.Type == circuit.Input {
+			continue
+		}
+		var in float64
+		for _, f := range g.Fanin {
+			in = math.Max(in, arrival[f])
+		}
+		d := e.A.Delay[id]
+		m := mods[moduleOf[id]]
+		n := max(1, m.Activity[c.Levels()[id]])
+		deg, err := electrical.DelayDegradation(n, m.Rs, e.A.Rg[id], e.A.Delay[id], m.Cs)
+		if err != nil {
+			panic(err)
+		}
+		d *= deg
+		arrival[id] = in + d
+		worst = math.Max(worst, arrival[id])
+	}
+	return worst
+}
+
+// The incremental D_BIC update must equal both a full sweep and the
+// direct §3.2 computation bit for bit, and recompute fewer gates than the
+// circuit has when the changed modules are small.
+func TestUpdateBICDelayMatchesFullSweep(t *testing.T) {
+	a, err := celllib.Annotate(circuits.MustISCAS85Like("c432"), celllib.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(a, DefaultParams())
+	o := obs.New("test", nil, nil)
+	e.SetObs(o)
+	c := a.Circuit
+	logic := c.LogicGates()
+	var groups [][]int
+	moduleOf := make([]int, c.NumGates())
+	for i := 0; i < len(logic); i += 8 {
+		grp := logic[i:min(i+8, len(logic))]
+		for _, g := range grp {
+			moduleOf[g] = len(groups)
+		}
+		groups = append(groups, grp)
+	}
+	mods := make([]*Module, len(groups))
+	for mi, grp := range groups {
+		mods[mi] = e.EvalModule(grp)
+	}
+	arrival := make([]float64, c.NumGates())
+	first := e.UpdateBICDelay(arrival, mods, nil)
+	if want := referenceBICDelay(e, moduleOf, mods); math.Float64bits(first) != math.Float64bits(want) {
+		t.Fatalf("full sweep D_BIC = %v, direct computation %v", first, want)
+	}
+	sweeps, gates := o.Counter(MetricBICDelaySweeps), o.Counter(MetricBICDelayGates)
+	if sweeps.Value() != 1 || gates.Value() != uint64(c.NumGates()) {
+		t.Fatalf("full sweep counted %d sweeps over %d gates, want 1 over %d", sweeps.Value(), gates.Value(), c.NumGates())
+	}
+	rng := rand.New(rand.NewSource(3))
+	for step := 0; step < 20; step++ {
+		// Move the last gate of one group to the end of the next one.
+		from := rng.Intn(len(groups) - 1)
+		if len(groups[from]) < 2 {
+			continue
+		}
+		g := groups[from][len(groups[from])-1]
+		groups[from] = slices.Clone(groups[from][:len(groups[from])-1])
+		groups[from+1] = append([]int{g}, groups[from+1]...)
+		slices.Sort(groups[from+1])
+		moduleOf[g] = from + 1
+		mods[from], mods[from+1] = e.EvalModule(groups[from]), e.EvalModule(groups[from+1])
+		before := gates.Value()
+		got := e.UpdateBICDelay(arrival, mods, []int{from + 1, from})
+		recomputed := gates.Value() - before
+		if want := e.BICDelay(moduleOf, mods); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("step %d: incremental D_BIC = %v, full sweep %v", step, got, want)
+		}
+		if want := referenceBICDelay(e, moduleOf, mods); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("step %d: incremental D_BIC = %v, direct computation %v", step, got, want)
+		}
+		if recomputed >= uint64(c.NumLogicGates()) {
+			t.Errorf("step %d: recomputed %d gates, the circuit has %d", step, recomputed, c.NumLogicGates())
+		}
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 
 	"iddqsyn/internal/celllib"
 	"iddqsyn/internal/chaos"
-	"iddqsyn/internal/circuit"
 	"iddqsyn/internal/electrical"
 	"iddqsyn/internal/obs"
 )
@@ -17,10 +16,14 @@ import (
 // Metric names recorded by an observed estimator (see SetObs). Module
 // evaluation is the innermost hot path of every optimizer, so its call
 // count and latency distribution are the primary throughput signal of a
-// run.
+// run. The D_BIC sweep counters give the mean number of arrival times
+// one cost evaluation recomputes: gates over sweeps (a full sweep counts
+// the primary inputs too).
 const (
 	MetricEvalModuleCalls   = "estimate.evalmodule.calls"
 	MetricEvalModuleSeconds = "estimate.evalmodule.seconds"
+	MetricBICDelaySweeps    = "estimate.bicdelay.sweeps"
+	MetricBICDelayGates     = "estimate.bicdelay.gates"
 )
 
 // Params collects the technology- and policy-level constants of the
@@ -62,6 +65,7 @@ type Estimator struct {
 	TS *TimeSets
 
 	nominalDelay float64
+	dag          sweepDAG // the circuit flattened for the D_BIC sweep
 
 	// Per-gate ρ-hop neighbourhoods, precomputed once so that the
 	// separation parameter — by far the most frequently re-evaluated
@@ -76,6 +80,8 @@ type Estimator struct {
 	// optimizer worker pools record through them without contention.
 	evalCalls   *obs.Counter
 	evalSeconds *obs.Histogram
+	bicSweeps   *obs.Counter
+	bicGates    *obs.Counter
 
 	// Fault injector, attached by SetChaos; nil in production. The
 	// injector corrupts the estimator's own outputs (estimate.nan,
@@ -84,19 +90,22 @@ type Estimator struct {
 	chaos *chaos.Injector
 
 	// scratch pools the transient buffers of EvalModule (current profile,
-	// module membership mask) and of the D_BIC sweep (arrival times). Both
-	// run millions of times per optimizer run on concurrent worker pools,
-	// so these must not be allocated per call. Pool contents never affect
-	// results: the buffers are (re)initialized before every use.
+	// module membership mask) and of the D_BIC sweep (per-gate delays,
+	// marks, arrival times). Both run millions of times per optimizer run
+	// on concurrent worker pools, so these must not be allocated per call.
+	// The pool belongs to the estimator, so its buffers are sized for this
+	// circuit. Pool contents never affect results: the buffers are
+	// (re)initialized before every use.
 	scratch sync.Pool
 }
 
-// evalScratch is the transient working memory of one EvalModule or
-// longestPath call.
+// evalScratch is the transient working memory of one EvalModule or D_BIC
+// sweep.
 type evalScratch struct {
-	prof     []float64 // current profile over the time grid
-	inModule []bool    // gate-ID membership mask; all false between uses
-	arrival  []float64 // arrival time per gate ID
+	prof    []float64 // current profile over the time grid
+	mask    []bool    // module membership by gate ID, or sweep marks by position; all false between uses
+	delay   []float64 // degraded delay per gate ID
+	arrival []float64 // arrival time per sweep position, for BICDelay, whose caller keeps none
 }
 
 func (e *Estimator) getScratch() *evalScratch {
@@ -107,7 +116,9 @@ func (e *Estimator) getScratch() *evalScratch {
 			//lint:ignore hotalloc pool miss only
 			prof: make([]float64, e.TS.Depth()+1),
 			//lint:ignore hotalloc pool miss only
-			inModule: make([]bool, e.A.Circuit.NumGates()),
+			mask: make([]bool, e.A.Circuit.NumGates()),
+			//lint:ignore hotalloc pool miss only
+			delay: make([]float64, e.A.Circuit.NumGates()),
 			//lint:ignore hotalloc pool miss only
 			arrival: make([]float64, e.A.Circuit.NumGates()),
 		}
@@ -117,8 +128,10 @@ func (e *Estimator) getScratch() *evalScratch {
 
 // SetObs attaches run telemetry: every EvalModule call increments
 // MetricEvalModuleCalls and records its latency into
-// MetricEvalModuleSeconds. Call it right after New, before the estimator
-// is shared across goroutines; a nil o detaches nothing and keeps the
+// MetricEvalModuleSeconds, and every D_BIC sweep increments
+// MetricBICDelaySweeps and adds the gates it recomputed to
+// MetricBICDelayGates. Call it right after New, before the estimator is
+// shared across goroutines; a nil o detaches nothing and keeps the
 // estimator unobserved.
 func (e *Estimator) SetObs(o *obs.Obs) {
 	if e == nil || o == nil {
@@ -126,6 +139,8 @@ func (e *Estimator) SetObs(o *obs.Obs) {
 	}
 	e.evalCalls = o.Counter(MetricEvalModuleCalls)
 	e.evalSeconds = o.Histogram(MetricEvalModuleSeconds, nil)
+	e.bicSweeps = o.Counter(MetricBICDelaySweeps)
+	e.bicGates = o.Counter(MetricBICDelayGates)
 }
 
 // SetChaos attaches a fault injector that poisons estimator outputs at
@@ -144,8 +159,12 @@ func (e *Estimator) SetChaos(in *chaos.Injector) {
 // once.
 func New(a *celllib.Annotated, p Params) *Estimator {
 	e := &Estimator{P: p, A: a, TS: TransitionTimes(a.Circuit)}
-	e.nominalDelay = e.longestPath(nil, nil)
 	c := a.Circuit
+	c.Levels() // built here, so concurrent FinishModule calls only read it
+	e.dag = newSweepDAG(a)
+	sc := e.getScratch()
+	e.nominalDelay, _ = e.dag.sweep(e.dag.nominal, sc.arrival, 0, nil, 0)
+	e.scratch.Put(sc)
 	e.nbrGate = make([][]int32, c.NumGates())
 	e.nbrDist = make([][]uint8, c.NumGates())
 	for _, g := range c.LogicGates() {
@@ -186,6 +205,11 @@ type Module struct {
 	Settle     float64 // Δ(τ): current-decay + sensing time, s (§3.4)
 	Separation int     // S(M) of §3.3
 	Activity   []int   // n(t) profile over the time grid; shared, read-only
+
+	// Delay holds each gate's degraded delay D(g)·δ(g, t) of §3.2,
+	// aligned with Gates. δ depends only on the module's Rs, Cs and n(t)
+	// at the gate's level, so it is fixed once the module is finished.
+	Delay []float64
 }
 
 // Discriminability returns d(M) = IDDQ,th / IDDQ,nd (§2).
@@ -231,7 +255,7 @@ func (e *Estimator) EvalModule(gates []int) *Module {
 // separation S(M) (§3.3) and its activity profile n(t) (§3.1/§3.2).
 func (e *Estimator) ModuleCounts(gates []int) (sep int, act []int) {
 	sc := e.getScratch()
-	sep = e.separationScratch(gates, sc.inModule)
+	sep = e.separationScratch(gates, sc.mask)
 	e.scratch.Put(sc)
 	return sep, e.TS.ActivityProfile(gates)
 }
@@ -241,8 +265,9 @@ func (e *Estimator) ModuleCounts(gates []int) (sep int, act []int) {
 // profile of length TS.Depth()+1 that the returned Module retains as its
 // Activity (so the caller must not modify it afterwards); act == nil
 // counts both first. The float terms — îDD,max, Rs, Cs, IDDQ,nd, Δ(τ) —
-// are summed in ascending gate order, so the result is bit-identical to
-// EvalModule of the same gates whenever sep and act are exact.
+// are summed in ascending gate order, and each gate's degraded delay
+// depends only on these, so the result is bit-identical to EvalModule of
+// the same gates whenever sep and act are exact.
 func (e *Estimator) FinishModule(gates []int, sep int, act []int) *Module {
 	if e.evalCalls != nil {
 		e.evalCalls.Inc()
@@ -275,6 +300,21 @@ func (e *Estimator) FinishModule(gates []int, sep int, act []int) *Module {
 	}
 	m.LeakND = mustFinite("IDDQ,nd", m.LeakND)
 	m.Settle = must(electrical.SettlingTime(m.Tau, m.IDDMax, e.P.IDDQth))
+	// The degradation of gate g is evaluated at the grid time the critical
+	// transition reaches it — its level, the longest input→g path — using
+	// the module's activity n(t) at exactly that instant.
+	levels := e.A.Circuit.Levels()
+	//lint:ignore hotalloc the degraded delays are part of the Module result, retained with it in the partition's estimate cache
+	m.Delay = make([]float64, len(gates))
+	for i, g := range gates {
+		n := 1
+		if t := levels[g]; t < len(act) && act[t] > 1 {
+			n = act[t]
+		}
+		d := e.A.Delay[g]
+		d *= must(electrical.DelayDegradation(n, m.Rs, e.A.Rg[g], e.A.Delay[g], m.Cs))
+		m.Delay[i] = d
+	}
 	return m
 }
 
@@ -327,64 +367,6 @@ func (e *Estimator) Neighborhood(g int) ([]int32, []uint8) {
 // NominalDelay returns the longest-path delay D of the sensor-free
 // circuit.
 func (e *Estimator) NominalDelay() float64 { return e.nominalDelay }
-
-// BICDelay returns D_BIC: the longest-path delay with every gate's delay
-// degraded by δ(g, t) of §3.2. moduleOf maps each gate ID to its module
-// index (inputs may carry any value); mods holds the corresponding module
-// estimates. The gate delays are "time grid functions": the degradation
-// of gate g is evaluated at the grid time the critical transition reaches
-// it (its level — the longest input→g path), using the module's activity
-// n(t) at exactly that instant, the module's Rs, and its rail capacitance.
-func (e *Estimator) BICDelay(moduleOf []int, mods []*Module) float64 {
-	return e.longestPath(moduleOf, mods)
-}
-
-// longestPath computes the circuit delay; with mods == nil it is the
-// nominal delay, otherwise per-gate degradation factors are applied.
-// Every gate's arrival time is written before any fanout reads it, so the
-// pooled arrival buffer needs no clearing.
-func (e *Estimator) longestPath(moduleOf []int, mods []*Module) float64 {
-	c := e.A.Circuit
-	sc := e.getScratch()
-	defer e.scratch.Put(sc)
-	arrival := sc.arrival
-	var worst float64
-	var levels []int
-	if mods != nil {
-		levels = c.Levels()
-	}
-	for _, id := range c.TopoOrder() {
-		g := &c.Gates[id]
-		if g.Type == circuit.Input {
-			arrival[id] = 0
-			continue
-		}
-		var in float64
-		for _, f := range g.Fanin {
-			if arrival[f] > in {
-				in = arrival[f]
-			}
-		}
-		d := e.A.Delay[id]
-		if mods != nil {
-			mi := moduleOf[id]
-			if mi >= 0 && mi < len(mods) && mods[mi] != nil {
-				m := mods[mi]
-				// Activity at the critical transition's grid time.
-				n := 1
-				if t := levels[id]; t < len(m.Activity) && m.Activity[t] > 1 {
-					n = m.Activity[t]
-				}
-				d *= must(electrical.DelayDegradation(n, m.Rs, e.A.Rg[id], e.A.Delay[id], m.Cs))
-			}
-		}
-		arrival[id] = in + d
-		if arrival[id] > worst {
-			worst = arrival[id]
-		}
-	}
-	return worst
-}
 
 // DelayOverhead returns c₂ = (D_BIC − D) / D of §3.2.
 func (e *Estimator) DelayOverhead(dBIC float64) float64 {

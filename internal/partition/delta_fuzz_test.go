@@ -68,15 +68,21 @@ func (r *opReader) next(n int) int {
 
 // moduleTerms is a deep copy of one module's cached estimate.
 type moduleTerms struct {
-	sep  int
-	act  []int
-	bits [7]uint64
+	sep   int
+	act   []int
+	bits  [7]uint64
+	delay []uint64 // degraded gate delays, as bits
 }
 
 func termsOf(m *estimate.Module) moduleTerms {
+	delay := make([]uint64, len(m.Delay))
+	for i, d := range m.Delay {
+		delay[i] = math.Float64bits(d)
+	}
 	return moduleTerms{
-		sep: m.Separation,
-		act: slices.Clone(m.Activity),
+		sep:   m.Separation,
+		delay: delay,
+		act:   slices.Clone(m.Activity),
 		bits: [7]uint64{
 			math.Float64bits(m.IDDMax), math.Float64bits(m.Rs), math.Float64bits(m.Cs),
 			math.Float64bits(m.Tau), math.Float64bits(m.SensorArea),
@@ -86,7 +92,7 @@ func termsOf(m *estimate.Module) moduleTerms {
 }
 
 func (a moduleTerms) equal(b moduleTerms) bool {
-	return a.sep == b.sep && slices.Equal(a.act, b.act) && a.bits == b.bits
+	return a.sep == b.sep && slices.Equal(a.act, b.act) && a.bits == b.bits && slices.Equal(a.delay, b.delay)
 }
 
 func costBits(cv partition.CostVector) [9]uint64 {

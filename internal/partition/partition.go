@@ -120,6 +120,16 @@ type Partition struct {
 	modules  []moduleState
 	moduleOf []int // gate ID -> module index; -1 for inputs
 
+	// arrival holds every gate's D_BIC arrival time as of the last Costs
+	// evaluation; nil before the first. Clones share it, so it is never
+	// written in place: Costs updates a fresh copy. touched lists the
+	// modules, by current index, whose estimates changed since arrival was
+	// computed — the seeds of the next incremental sweep. It is tracked
+	// here rather than read off nil estimates, because ModuleEstimate
+	// refills those before Costs runs.
+	arrival []float64
+	touched []int
+
 	costValid bool
 	cost      CostVector
 }
@@ -203,17 +213,21 @@ func (p *Partition) ModuleEstimate(mi int) *estimate.Module {
 }
 
 // Clone returns a deep copy sharing the immutable estimator. Module gate
-// slices and cached estimates are shared copy-on-write style: a move
-// replaces the touched modules' slices instead of editing them, so a
-// clone's mutation never reaches its siblings. The descendant loop of the
-// evolution strategy clones every parent λ+χ times per generation, which
-// makes this the optimizer's hottest allocation site — it allocates only
-// the module list and the gate→module index.
+// slices, cached estimates and the arrival vector are shared copy-on-write
+// style: a move replaces the touched modules' slices instead of editing
+// them, and Costs writes a fresh arrival vector, so a clone's mutation
+// never reaches its siblings. The descendant loop of the evolution
+// strategy clones every parent λ+χ times per generation, which makes this
+// the optimizer's hottest allocation site — it allocates only the module
+// list and the gate→module index (and the touched list when the parent
+// has unevaluated moves).
 func (p *Partition) Clone() *Partition {
 	return &Partition{
 		E: p.E, W: p.W, Cons: p.Cons,
 		modules:   append([]moduleState(nil), p.modules...),
 		moduleOf:  append([]int(nil), p.moduleOf...),
+		arrival:   p.arrival,
+		touched:   append([]int(nil), p.touched...),
 		costValid: p.costValid,
 		cost:      p.cost,
 	}
@@ -304,6 +318,8 @@ func (p *Partition) MoveGates(gates []int, from, to int) (int, error) {
 	newDst = append(newDst, dst.gates[di:]...)
 	src.gates, src.sep, src.act, src.est = newSrc, srcSep, srcAct, nil
 	dst.gates, dst.sep, dst.act, dst.est = newDst, dstSep, dstAct, nil
+	p.touch(from)
+	p.touch(to)
 	p.costValid = false
 	if len(src.gates) == 0 {
 		p.deleteModule(from)
@@ -314,6 +330,17 @@ func (p *Partition) MoveGates(gates []int, from, to int) (int, error) {
 	return to, nil
 }
 
+// touch records module mi as changed since the arrival vector was
+// computed.
+func (p *Partition) touch(mi int) {
+	if !slices.Contains(p.touched, mi) {
+		//lint:ignore hotalloc at most one growth per descendant: Clone hands a clone an empty list, and Costs truncates it for reuse
+		p.touched = append(p.touched, mi)
+	}
+}
+
+// deleteModule removes module mi, shifting the indices above it down in
+// moduleOf and in the touched list.
 func (p *Partition) deleteModule(mi int) {
 	p.modules = slices.Delete(p.modules, mi, mi+1)
 	for g, m := range p.moduleOf {
@@ -321,6 +348,18 @@ func (p *Partition) deleteModule(mi int) {
 			p.moduleOf[g] = m - 1
 		}
 	}
+	kept := 0
+	for _, t := range p.touched {
+		if t == mi {
+			continue
+		}
+		if t > mi {
+			t--
+		}
+		p.touched[kept] = t
+		kept++
+	}
+	p.touched = p.touched[:kept]
 }
 
 // BoundaryGates returns the gates of module mi directly connected (in the
@@ -432,7 +471,16 @@ func (p *Partition) Costs() CostVector {
 		areaSum += m.SensorArea
 		sepSum += m.Separation
 	}
-	dBIC := p.E.BICDelay(p.moduleOf, mods)
+	// The arrival vector is re-propagated from the touched modules' gates
+	// into a copy, because clones may share the old one.
+	//lint:ignore hotalloc copy-on-write by design: the evaluated partition retains its arrival vector, and clones share the old one
+	arrival, touched := append([]float64(nil), p.arrival...), p.touched
+	if arrival == nil {
+		//lint:ignore hotalloc first evaluation of a partition only
+		arrival, touched = make([]float64, len(p.moduleOf)), nil // sweep every gate
+	}
+	dBIC := p.E.UpdateBICDelay(arrival, mods, touched)
+	p.arrival, p.touched = arrival, p.touched[:0]
 	cv := CostVector{
 		LogArea:       math.Log1p(areaSum),
 		DelayOverhead: p.E.DelayOverhead(dBIC),
