@@ -320,6 +320,11 @@ func checkModule(e *estimate.Estimator, mi int, gates []int, lim Limits, r *Repo
 // is exact in the model: any drift means the cached estimates no longer
 // describe the module they claim to.
 func CompareEstimate(e *estimate.Estimator, mi int, got *estimate.Module) []Violation {
+	return compareEstimate(e, mi, got, e.EvalModule(got.Gates))
+}
+
+// compareEstimate is CompareEstimate against a given fresh evaluation.
+func compareEstimate(e *estimate.Estimator, mi int, got, fresh *estimate.Module) []Violation {
 	var out []Violation
 	bad := func(constraint, format string, args ...interface{}) {
 		out = append(out, Violation{
@@ -334,7 +339,6 @@ func CompareEstimate(e *estimate.Estimator, mi int, got *estimate.Module) []Viol
 				got.Rs*got.IDDMax, e.P.RailLimit, rel)
 		}
 	}
-	fresh := e.EvalModule(got.Gates)
 	cmp := func(name string, gotV, want float64) {
 		if !closeTo(gotV, want) {
 			bad(ConstraintStaleEstimate, "%s = %.6g, recomputed %.6g", name, gotV, want)
@@ -353,7 +357,48 @@ func CompareEstimate(e *estimate.Estimator, mi int, got *estimate.Module) []Viol
 	if !slices.Equal(got.Activity, fresh.Activity) {
 		bad(ConstraintStaleEstimate, "n(t) = %v, recomputed %v", got.Activity, fresh.Activity)
 	}
+	// The degraded gate delays feed the incremental D_BIC sweep, whose
+	// result is bit-identical to a full one only if they are exact.
+	if i := firstBitDiff(got.Delay, fresh.Delay); i >= 0 {
+		if i < len(got.Delay) && i < len(fresh.Delay) {
+			bad(ConstraintStaleEstimate, "degraded delay of gate %d = %g, recomputed %g",
+				fresh.Gates[i], got.Delay[i], fresh.Delay[i])
+		} else {
+			bad(ConstraintStaleEstimate, "%d degraded delays, recomputed %d", len(got.Delay), len(fresh.Delay))
+		}
+	}
 	return out
+}
+
+// firstBitDiff returns the first index at which a and b differ bitwise,
+// min(len(a), len(b)) when one is a proper prefix of the other, and -1
+// when they are identical.
+func firstBitDiff(a, b []float64) int {
+	for i := range min(len(a), len(b)) {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return i
+		}
+	}
+	if len(a) != len(b) {
+		return min(len(a), len(b))
+	}
+	return -1
+}
+
+// compareDBIc audits a D_BIC figure against a full longest-path sweep
+// over fresh module estimates. The partition updates D_BIC incrementally,
+// re-propagating arrival times only from the modules a move touched, and
+// that update is exact by construction, so any difference is a stale
+// estimate.
+func compareDBIc(e *estimate.Estimator, moduleOf []int, fresh []*estimate.Module, got float64) []Violation {
+	want := e.BICDelay(moduleOf, fresh)
+	if math.Float64bits(got) == math.Float64bits(want) {
+		return nil
+	}
+	return []Violation{{
+		Constraint: ConstraintStaleEstimate, Module: -1,
+		Detail: fmt.Sprintf("D_BIC = %.17g s, full sweep %.17g s", got, want),
+	}}
 }
 
 // closeTo compares within float-noise relative tolerance.

@@ -1,6 +1,7 @@
 package partcheck
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -235,6 +236,32 @@ func TestCompareEstimateDetectsTampering(t *testing.T) {
 	wantStale(t, "n(t)", CompareEstimate(e, 0, &tampered))
 	tampered.Activity = tampered.Activity[:len(tampered.Activity)-1]
 	wantStale(t, "short n(t)", CompareEstimate(e, 0, &tampered))
+
+	// So does one degraded gate delay off by one ulp, which would make the
+	// incremental D_BIC sweep diverge from a full one.
+	tampered = *m
+	tampered.Delay = append([]float64(nil), m.Delay...)
+	tampered.Delay[1] = math.Nextafter(tampered.Delay[1], math.Inf(1))
+	wantStale(t, "degraded delay", CompareEstimate(e, 0, &tampered))
+
+	// A D_BIC one ulp off a full sweep over fresh estimates is stale too.
+	p, err := partition.New(e, [][]int{
+		ids(t, c, "g1", "g3", "g5"),
+		ids(t, c, "g2", "g4", "g6"),
+	}, partition.PaperWeights(), partition.DefaultConstraints())
+	if err != nil {
+		t.Fatal(err)
+	}
+	moduleOf := make([]int, c.NumGates())
+	for g := range moduleOf {
+		moduleOf[g] = p.ModuleOf(g)
+	}
+	fresh := []*estimate.Module{e.EvalModule(p.AppendModuleGates(nil, 0)), e.EvalModule(p.AppendModuleGates(nil, 1))}
+	dBIC := p.Costs().DBIc
+	if vs := compareDBIc(e, moduleOf, fresh, dBIC); len(vs) != 0 {
+		t.Fatalf("incremental D_BIC flagged: %v", vs)
+	}
+	wantStale(t, "D_BIC", compareDBIc(e, moduleOf, fresh, math.Nextafter(dBIC, 0)))
 }
 
 // wantStale asserts that vs is exactly one stale-estimate violation.
