@@ -21,6 +21,7 @@ type sweepDAG struct {
 	// faninOff[i+1]], likewise for fanouts.
 	faninOff, fanin   []int32
 	fanoutOff, fanout []int32
+	lastFanout        []int32 // the latest fanout position of each position; -1 for none
 }
 
 func newSweepDAG(a *celllib.Annotated) sweepDAG {
@@ -28,11 +29,12 @@ func newSweepDAG(a *celllib.Annotated) sweepDAG {
 	order := c.TopoOrder()
 	n := len(order)
 	d := sweepDAG{
-		pos:       make([]int32, n),
-		gate:      make([]int32, n),
-		nominal:   make([]float64, n),
-		faninOff:  make([]int32, 0, n+1),
-		fanoutOff: make([]int32, 0, n+1),
+		pos:        make([]int32, n),
+		gate:       make([]int32, n),
+		nominal:    make([]float64, n),
+		faninOff:   make([]int32, 0, n+1),
+		fanoutOff:  make([]int32, 0, n+1),
+		lastFanout: make([]int32, n),
 	}
 	for i, g := range order {
 		d.pos[g], d.gate[i] = int32(i), int32(g)
@@ -47,9 +49,12 @@ func newSweepDAG(a *celllib.Annotated) sweepDAG {
 			d.fanin = append(d.fanin, d.pos[f])
 		}
 		d.fanoutOff = append(d.fanoutOff, int32(len(d.fanout)))
+		last := int32(-1)
 		for _, f := range gate.Fanout {
 			d.fanout = append(d.fanout, d.pos[f])
+			last = max(last, d.pos[f])
 		}
+		d.lastFanout[d.pos[g]] = last
 	}
 	d.faninOff = append(d.faninOff, int32(len(d.fanin)))
 	d.fanoutOff = append(d.fanoutOff, int32(len(d.fanout)))
@@ -57,26 +62,22 @@ func newSweepDAG(a *celllib.Annotated) sweepDAG {
 }
 
 // sweep is the longest-path sweep behind the nominal delay, BICDelay and
-// UpdateBICDelay. It walks the positions from `from` on and recomputes the
+// UpdateBICDelay. It walks positions from through last and recomputes the
 // arrival time of every marked one — the latest fanin arrival plus its
 // delay, so 0 for a primary input — clearing its mark. When a recomputed
 // arrival differs bitwise from the stored one, its fanouts, which come
-// later in the order, are marked too; pending counts the marks not yet
-// visited and ends the walk at zero. mark == nil marks every position,
-// which makes a full sweep over arbitrary arrival contents (from must then
-// be 0). It returns the worst arrival over all positions and the number of
-// positions recomputed.
-func (d *sweepDAG) sweep(delay, arrival []float64, from int, mark []bool, pending int) (worst float64, gates int) {
-	for i := from; i < len(arrival); i++ {
+// later in the order, are marked too, and last extends to the latest of
+// them. mark == nil marks every position from through last; over
+// arbitrary arrival contents that is a full sweep only with from = 0 and
+// last the final position. It returns the worst arrival over all positions and the
+// number of positions recomputed.
+func (d *sweepDAG) sweep(delay, arrival []float64, from, last int, mark []bool) (worst float64, gates int) {
+	for i := from; i <= last; i++ {
 		if mark != nil {
-			if pending == 0 {
-				break
-			}
 			if !mark[i] {
 				continue
 			}
 			mark[i] = false
-			pending--
 		}
 		gates++
 		var in float64
@@ -88,11 +89,9 @@ func (d *sweepDAG) sweep(delay, arrival []float64, from int, mark []bool, pendin
 		at := in + delay[d.gate[i]]
 		if mark != nil && math.Float64bits(at) != math.Float64bits(arrival[i]) {
 			for _, f := range d.fanout[d.fanoutOff[i]:d.fanoutOff[i+1]] {
-				if !mark[f] {
-					mark[f] = true
-					pending++
-				}
+				mark[f] = true
 			}
+			last = max(last, int(d.lastFanout[i]))
 		}
 		arrival[i] = at
 	}
@@ -151,20 +150,30 @@ func (e *Estimator) bicDelay(sc *evalScratch, arrival []float64, moduleOf []int,
 		}
 	}
 	var mark []bool
-	from, pending := 0, 0
+	from, last := 0, len(arrival)-1
 	if touched != nil {
-		mark, from = sc.mask, len(arrival)
+		from = len(arrival)
+		seeds := 0
 		for _, mi := range touched {
 			for _, g := range mods[mi].Gates {
-				if p := int(e.dag.pos[g]); !mark[p] {
+				from = min(from, int(e.dag.pos[g]))
+			}
+			seeds += len(mods[mi].Gates)
+		}
+		// Dense seeds reach most positions after the first of them, where
+		// recomputing every position costs less than tracking marks.
+		if seeds*8 < len(arrival)-from {
+			mark, last = sc.mask, -1
+			for _, mi := range touched {
+				for _, g := range mods[mi].Gates {
+					p := int(e.dag.pos[g])
 					mark[p] = true
-					pending++
-					from = min(from, p)
+					last = max(last, p)
 				}
 			}
 		}
 	}
-	worst, gates := e.dag.sweep(sc.delay, arrival, from, mark, pending)
+	worst, gates := e.dag.sweep(sc.delay, arrival, from, last, mark)
 	if e.bicSweeps != nil {
 		e.bicSweeps.Inc()
 		e.bicGates.Add(uint64(gates))

@@ -163,7 +163,7 @@ func New(a *celllib.Annotated, p Params) *Estimator {
 	c.Levels() // built here, so concurrent FinishModule calls only read it
 	e.dag = newSweepDAG(a)
 	sc := e.getScratch()
-	e.nominalDelay, _ = e.dag.sweep(e.dag.nominal, sc.arrival, 0, nil, 0)
+	e.nominalDelay, _ = e.dag.sweep(e.dag.nominal, sc.arrival, 0, c.NumGates()-1, nil)
 	e.scratch.Put(sc)
 	e.nbrGate = make([][]int32, c.NumGates())
 	e.nbrDist = make([][]uint8, c.NumGates())
