@@ -69,8 +69,8 @@ func newSweepDAG(a *celllib.Annotated) sweepDAG {
 // later in the order, are marked too, and last extends to the latest of
 // them. mark == nil marks every position from through last; over
 // arbitrary arrival contents that is a full sweep only with from = 0 and
-// last the final position. It returns the worst arrival over all positions and the
-// number of positions recomputed.
+// last the final position. It returns the worst arrival over all
+// positions and the number of positions recomputed.
 func (d *sweepDAG) sweep(delay, arrival []float64, from, last int, mark []bool) (worst float64, gates int) {
 	for i := from; i <= last; i++ {
 		if mark != nil {
@@ -122,19 +122,21 @@ func (e *Estimator) BICDelay(moduleOf []int, mods []*Module) float64 {
 // were before the modules listed in touched changed; it is updated in
 // place to the arrival times under mods, and D_BIC is returned. Only the
 // touched modules' gates, and the gates downstream whose fanin arrival
-// then changes, are recomputed. An unrecomputed gate has an unchanged
-// delay and unchanged fanin arrivals, and the worst arrival is a maximum
-// over the same values, so the result is bit-identical to a full sweep.
-// touched == nil means arrival holds nothing valid: every gate is
-// recomputed.
+// then changes, are recomputed; when the touched gates are dense, every
+// gate from the first of them on is. An unrecomputed gate has an
+// unchanged delay and unchanged fanin arrivals, and the worst arrival is
+// a maximum over the same values, so the result is bit-identical to a
+// full sweep. touched == nil means arrival holds nothing valid: every
+// gate is recomputed.
 func (e *Estimator) UpdateBICDelay(arrival []float64, mods []*Module, touched []int) float64 {
 	sc := e.getScratch()
 	defer e.scratch.Put(sc)
 	return e.bicDelay(sc, arrival, nil, mods, touched)
 }
 
-// bicDelay scatters the modules' degraded delays into sc.delay, marks the
-// touched modules' gates and sweeps from the earliest of them. With
+// bicDelay scatters the modules' degraded delays into sc.delay, seeds the
+// sweep with the touched modules' gates and sweeps from the earliest of
+// them. With
 // moduleOf == nil every gate an estimate lists takes its delay from it;
 // otherwise only the gates moduleOf maps to that estimate do.
 func (e *Estimator) bicDelay(sc *evalScratch, arrival []float64, moduleOf []int, mods []*Module, touched []int) float64 {
