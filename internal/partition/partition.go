@@ -118,7 +118,7 @@ type Partition struct {
 	Cons Constraints
 
 	modules  []moduleState
-	moduleOf []int // gate ID -> module index; -1 for inputs
+	moduleOf []int32 // gate ID -> module index; -1 for inputs (int32 halves what Clone copies)
 
 	// arrival holds every gate's D_BIC arrival time as of the last Costs
 	// evaluation; nil before the first. Clones share it, so it is never
@@ -140,7 +140,7 @@ func New(e *estimate.Estimator, groups [][]int, w Weights, cons Constraints) (*P
 	c := e.A.Circuit
 	p := &Partition{
 		E: e, W: w, Cons: cons,
-		moduleOf: make([]int, c.NumGates()),
+		moduleOf: make([]int32, c.NumGates()),
 	}
 	for i := range p.moduleOf {
 		p.moduleOf[i] = -1
@@ -162,7 +162,7 @@ func New(e *estimate.Estimator, groups [][]int, w Weights, cons Constraints) (*P
 				return nil, fmt.Errorf("partition: gate %q assigned twice", c.Gates[g].Name)
 			}
 			ms.gates = append(ms.gates, g)
-			p.moduleOf[g] = mi
+			p.moduleOf[g] = int32(mi)
 			covered++
 		}
 		sort.Ints(ms.gates)
@@ -192,7 +192,7 @@ func (p *Partition) AppendModuleGates(dst []int, mi int) []int {
 func (p *Partition) ModuleSize(mi int) int { return len(p.modules[mi].gates) }
 
 // ModuleOf returns the module index of a gate (-1 for primary inputs).
-func (p *Partition) ModuleOf(gate int) int { return p.moduleOf[gate] }
+func (p *Partition) ModuleOf(gate int) int { return int(p.moduleOf[gate]) }
 
 // Groups returns the whole partition as gate-ID groups.
 func (p *Partition) Groups() [][]int {
@@ -225,7 +225,7 @@ func (p *Partition) Clone() *Partition {
 	return &Partition{
 		E: p.E, W: p.W, Cons: p.Cons,
 		modules:   append([]moduleState(nil), p.modules...),
-		moduleOf:  append([]int(nil), p.moduleOf...),
+		moduleOf:  append([]int32(nil), p.moduleOf...),
 		arrival:   p.arrival,
 		touched:   append([]int(nil), p.touched...),
 		costValid: p.costValid,
@@ -257,8 +257,9 @@ func (p *Partition) MoveGates(gates []int, from, to int) (int, error) {
 		return to, fmt.Errorf("partition: module index out of range (%d -> %d)", from, to)
 	}
 	src, dst := &p.modules[from], &p.modules[to]
+	from32, to32 := int32(from), int32(to)
 	for _, g := range gates {
-		if p.moduleOf[g] != from {
+		if p.moduleOf[g] != from32 {
 			return to, fmt.Errorf("partition: gate %d not in module %d", g, from)
 		}
 	}
@@ -276,17 +277,17 @@ func (p *Partition) MoveGates(gates []int, from, to int) (int, error) {
 	srcSep, dstSep := src.sep, dst.sep
 	srcLen, dstLen := len(src.gates), len(dst.gates)
 	for _, g := range gates {
-		if p.moduleOf[g] == to {
+		if p.moduleOf[g] == to32 {
 			continue // duplicate in the argument list
 		}
 		nearSrc, nearDst := 0, 0
 		nbrs, dists := p.E.Neighborhood(g)
 		for i, nb := range nbrs {
 			m, near := p.moduleOf[nb], rho-int(dists[i])
-			if m == from {
+			if m == from32 {
 				nearSrc += near
 			}
-			if m == to {
+			if m == to32 {
 				nearDst += near
 			}
 		}
@@ -296,7 +297,7 @@ func (p *Partition) MoveGates(gates []int, from, to int) (int, error) {
 		dstLen++
 		ts.AddActivity(srcAct, g, -1)
 		ts.AddActivity(dstAct, g, 1)
-		p.moduleOf[g] = to
+		p.moduleOf[g] = to32
 	}
 	// One pass over the sorted source splits it into the gates that stay
 	// and the moved ones, which merge into the sorted target.
@@ -306,7 +307,7 @@ func (p *Partition) MoveGates(gates []int, from, to int) (int, error) {
 	newDst := make([]int, 0, dstLen)
 	di := 0
 	for _, g := range src.gates {
-		if p.moduleOf[g] == from {
+		if p.moduleOf[g] == from32 {
 			newSrc = append(newSrc, g)
 			continue
 		}
@@ -344,7 +345,7 @@ func (p *Partition) touch(mi int) {
 func (p *Partition) deleteModule(mi int) {
 	p.modules = slices.Delete(p.modules, mi, mi+1)
 	for g, m := range p.moduleOf {
-		if m > mi {
+		if m > int32(mi) {
 			p.moduleOf[g] = m - 1
 		}
 	}
@@ -377,7 +378,7 @@ func (p *Partition) AppendBoundaryGates(dst []int, mi int) []int {
 	c := p.E.A.Circuit
 	for _, g := range p.modules[mi].gates {
 		for _, nb := range c.Neighbors(g) {
-			if p.moduleOf[nb] != mi {
+			if p.moduleOf[nb] != int32(mi) {
 				dst = append(dst, g)
 				break
 			}
@@ -401,8 +402,8 @@ func (p *Partition) AppendConnectedModules(dst []int, gate int) []int {
 	own := p.moduleOf[gate]
 	start := len(dst)
 	for _, nb := range c.Neighbors(gate) {
-		m := p.moduleOf[nb]
-		if m < 0 || m == own {
+		m := int(p.moduleOf[nb])
+		if m < 0 || m == int(own) {
 			continue
 		}
 		dup := false
@@ -527,7 +528,7 @@ func (p *Partition) Verify() error {
 				return fmt.Errorf("gate %d in modules %d and %d", g, p, mi)
 			}
 			seen[g] = mi
-			if p.moduleOf[g] != mi {
+			if p.moduleOf[g] != int32(mi) {
 				return fmt.Errorf("gate %d: moduleOf says %d, found in %d", g, p.moduleOf[g], mi)
 			}
 			if c.Gates[g].Type == circuit.Input {
