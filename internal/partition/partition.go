@@ -99,15 +99,21 @@ func (cv CostVector) Weighted(w Weights) float64 {
 // safely.
 type moduleState struct {
 	gates []int
-	// sep and act are the module's integer §3 terms S(M) and n(t),
-	// counted once by New and kept exact by MoveGates' per-gate deltas.
-	// act is copy-on-write like gates: cached estimates alias it as
-	// their Activity.
-	sep int
-	act []int
+	// counts holds the module's integer §3 terms, behind a pointer so
+	// that Clone copies one word for them. It is copy-on-write like
+	// gates: MoveGates replaces it, never edits it.
+	counts *moduleCounts
 	// est caches the estimator output; nil after a move touched this
 	// module. Immutable once computed, so clones share it.
 	est *estimate.Module
+}
+
+// moduleCounts are a module's S(M) and n(t), counted once by New and
+// kept exact by MoveGates' per-gate deltas. Cached estimates alias act as
+// their Activity.
+type moduleCounts struct {
+	sep int
+	act []int
 }
 
 // Partition is a mutable partition of the circuit's logic gates with
@@ -171,9 +177,11 @@ func New(e *estimate.Estimator, groups [][]int, w Weights, cons Constraints) (*P
 	if covered != c.NumLogicGates() {
 		return nil, fmt.Errorf("partition: covers %d of %d logic gates", covered, c.NumLogicGates())
 	}
+	counts := make([]moduleCounts, len(p.modules))
 	for mi := range p.modules {
 		ms := &p.modules[mi]
-		ms.sep, ms.act = e.ModuleCounts(ms.gates)
+		counts[mi].sep, counts[mi].act = e.ModuleCounts(ms.gates)
+		ms.counts = &counts[mi]
 	}
 	return p, nil
 }
@@ -207,7 +215,7 @@ func (p *Partition) Groups() [][]int {
 func (p *Partition) ModuleEstimate(mi int) *estimate.Module {
 	ms := &p.modules[mi]
 	if ms.est == nil {
-		ms.est = p.E.FinishModule(ms.gates, ms.sep, ms.act)
+		ms.est = p.E.FinishModule(ms.gates, ms.counts.sep, ms.counts.act)
 	}
 	return ms.est
 }
@@ -268,13 +276,14 @@ func (p *Partition) MoveGates(gates []int, from, to int) (int, error) {
 	// values, both of which rely on them never changing.
 	// The two profiles share one allocation; each is capped at its own
 	// length, so neither can grow into the other.
+	sc, dc := src.counts, dst.counts
 	//lint:ignore hotalloc copy-on-write by design: cached estimates alias the old profiles as their Activity
-	acts := make([]int, len(src.act)+len(dst.act))
-	srcAct, dstAct := acts[:len(src.act):len(src.act)], acts[len(src.act):]
-	copy(srcAct, src.act)
-	copy(dstAct, dst.act)
+	acts := make([]int, len(sc.act)+len(dc.act))
+	srcAct, dstAct := acts[:len(sc.act):len(sc.act)], acts[len(sc.act):]
+	copy(srcAct, sc.act)
+	copy(dstAct, dc.act)
 	rho, ts := p.E.P.Rho, p.E.TS
-	srcSep, dstSep := src.sep, dst.sep
+	srcSep, dstSep := sc.sep, dc.sep
 	srcLen, dstLen := len(src.gates), len(dst.gates)
 	for _, g := range gates {
 		if p.moduleOf[g] == to32 {
@@ -317,8 +326,10 @@ func (p *Partition) MoveGates(gates []int, from, to int) (int, error) {
 		newDst = append(newDst, g)
 	}
 	newDst = append(newDst, dst.gates[di:]...)
-	src.gates, src.sep, src.act, src.est = newSrc, srcSep, srcAct, nil
-	dst.gates, dst.sep, dst.act, dst.est = newDst, dstSep, dstAct, nil
+	//lint:ignore hotalloc copy-on-write by design: clones keep the old counts; both new ones share one allocation
+	counts := &[2]moduleCounts{{srcSep, srcAct}, {dstSep, dstAct}}
+	src.gates, src.counts, src.est = newSrc, &counts[0], nil
+	dst.gates, dst.counts, dst.est = newDst, &counts[1], nil
 	p.touch(from)
 	p.touch(to)
 	p.costValid = false
