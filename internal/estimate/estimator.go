@@ -311,9 +311,7 @@ func (e *Estimator) FinishModule(gates []int, sep int, act []int) *Module {
 		if t := levels[g]; t < len(act) && act[t] > 1 {
 			n = act[t]
 		}
-		d := e.A.Delay[g]
-		d *= must(electrical.DelayDegradation(n, m.Rs, e.A.Rg[g], e.A.Delay[g], m.Cs))
-		m.Delay[i] = d
+		m.Delay[i] = e.A.Delay[g] * must(electrical.DelayDegradation(n, m.Rs, e.A.Rg[g], e.A.Delay[g], m.Cs))
 	}
 	return m
 }

@@ -359,30 +359,18 @@ func compareEstimate(e *estimate.Estimator, mi int, got, fresh *estimate.Module)
 	}
 	// The degraded gate delays feed the incremental D_BIC sweep, whose
 	// result is bit-identical to a full one only if they are exact.
-	if i := firstBitDiff(got.Delay, fresh.Delay); i >= 0 {
-		if i < len(got.Delay) && i < len(fresh.Delay) {
+	if len(got.Delay) != len(fresh.Delay) {
+		bad(ConstraintStaleEstimate, "%d degraded delays, recomputed %d", len(got.Delay), len(fresh.Delay))
+		return out
+	}
+	for i, d := range got.Delay {
+		if math.Float64bits(d) != math.Float64bits(fresh.Delay[i]) {
 			bad(ConstraintStaleEstimate, "degraded delay of gate %d = %g, recomputed %g",
-				fresh.Gates[i], got.Delay[i], fresh.Delay[i])
-		} else {
-			bad(ConstraintStaleEstimate, "%d degraded delays, recomputed %d", len(got.Delay), len(fresh.Delay))
+				fresh.Gates[i], d, fresh.Delay[i])
+			break
 		}
 	}
 	return out
-}
-
-// firstBitDiff returns the first index at which a and b differ bitwise,
-// min(len(a), len(b)) when one is a proper prefix of the other, and -1
-// when they are identical.
-func firstBitDiff(a, b []float64) int {
-	for i := range min(len(a), len(b)) {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return i
-		}
-	}
-	if len(a) != len(b) {
-		return min(len(a), len(b))
-	}
-	return -1
 }
 
 // compareDBIc audits a D_BIC figure against a full longest-path sweep
