@@ -346,7 +346,7 @@ func (p *Partition) MoveGates(gates []int, from, to int) (int, error) {
 // computed.
 func (p *Partition) touch(mi int) {
 	if !slices.Contains(p.touched, mi) {
-		//lint:ignore hotalloc at most one growth per descendant: Clone hands a clone an empty list, and Costs truncates it for reuse
+		//lint:ignore hotalloc a few words per descendant: Clone hands a clone an empty list, and Costs truncates it for reuse
 		p.touched = append(p.touched, mi)
 	}
 }
