@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build test vet lint lint-baseline lint-escape lint-timing race race-soak chaos fuzz-isc fuzz-delta fuzz-ckpt fuzz-jobspec fuzz-journal fuzz-directives bench bench-json obs-demo serve-demo serve-soak load-demo torture clean
+.PHONY: check build test vet lint lint-baseline lint-escape lint-timing race race-soak chaos fuzz-isc fuzz-delta fuzz-ckpt fuzz-jobspec fuzz-journal fuzz-directives bench obs-demo serve-demo serve-soak load-demo torture clean
 
 # Tier-1 verification: vet + build + lint + race-enabled short tests.
 check:
@@ -121,11 +121,6 @@ torture:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# The committed perf trajectory: BenchmarkEvolve + BenchmarkServeSubmit
-# rendered to BENCH_<n>.json (BENCH_PR / BENCH_OUT override).
-bench-json:
-	sh scripts/bench.sh
 
 clean:
 	$(GO) clean ./...

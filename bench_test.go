@@ -135,11 +135,6 @@ func benchmarkConvergence(b *testing.B, circuit string) {
 	b.ReportMetric(float64(evals), "evaluations")
 }
 
-// BenchmarkEvolve is the canonical optimizer figure for the committed
-// perf trajectory (BENCH_<n>.json via scripts/bench.sh): one full c432
-// evolution to convergence per iteration.
-func BenchmarkEvolve(b *testing.B) { benchmarkConvergence(b, "c432") }
-
 func BenchmarkEvolutionConvergence_C432(b *testing.B)  { benchmarkConvergence(b, "c432") }
 func BenchmarkEvolutionConvergence_C880(b *testing.B)  { benchmarkConvergence(b, "c880") }
 func BenchmarkEvolutionConvergence_C1908(b *testing.B) { benchmarkConvergence(b, "c1908") }
@@ -333,6 +328,22 @@ func estimatorFixture(b *testing.B) (*estimate.Estimator, [][]int) {
 	e := estimate.New(a, estimate.DefaultParams())
 	groups := standard.StandardPartition(e, 220)
 	return e, groups
+}
+
+// BenchmarkEstimatorBuild_C7552 times estimate.New on the largest
+// benchmark circuit: transition-time sets, the nominal delay sweep and the
+// per-gate ρ-hop neighbourhood table. Every synthesis builds one.
+func BenchmarkEstimatorBuild_C7552(b *testing.B) {
+	b.ReportAllocs()
+	a, err := celllib.Annotate(circuits.MustISCAS85Like("c7552"), celllib.Default())
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := estimate.DefaultParams()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = estimate.New(a, p)
+	}
 }
 
 func BenchmarkEstimatorsModuleEval(b *testing.B) {

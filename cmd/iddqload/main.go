@@ -100,7 +100,7 @@ func parseFlags() *config {
 	flag.DurationVar(&c.sloP99, "slo-p99", 2*time.Second, "p99 end-to-end latency SLO")
 	flag.IntVar(&c.pr, "pr", 8, "report index n in LOAD_<n>.json")
 	flag.StringVar(&c.out, "out", "", "report path (default LOAD_<pr>.json)")
-	flag.StringVar(&c.summaryOut, "summary", "", "also write a compact latency summary JSON here (bench.sh embeds it)")
+	flag.StringVar(&c.summaryOut, "summary", "", "also write a compact latency summary JSON here")
 	flag.StringVar(&c.tracezOut, "tracez-out", "", "after the run, save the /tracez Chrome trace_event export here")
 	flag.IntVar(&c.inprocWorkers, "inproc-workers", 2, "in-process server: job worker pool size")
 	flag.IntVar(&c.inprocQueueCap, "inproc-queue-cap", serve.DefaultQueueCap, "in-process server: admission queue bound")

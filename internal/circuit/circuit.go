@@ -14,6 +14,7 @@ package circuit
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 )
 
@@ -340,46 +341,51 @@ func dedupSorted(xs []int) []int {
 	return xs[:w]
 }
 
-// BoundedDistances runs a breadth-first search in the undirected logic
-// graph from gate src and returns hop distances to every logic gate
-// reachable within maxHops. Unreached gates are absent from the map.
-// This implements the separation parameter S(gi, gj) of §3.3 before the
-// cap ρ is applied.
-func (c *Circuit) BoundedDistances(src, maxHops int) map[int]int {
-	dist := map[int]int{src: 0}
-	frontier := []int{src}
-	for d := 1; d <= maxHops && len(frontier) > 0; d++ {
-		var next []int
-		for _, g := range frontier {
-			for _, nb := range c.Neighbors(g) {
-				if _, seen := dist[nb]; !seen {
-					dist[nb] = d
-					next = append(next, nb)
-				}
-			}
-		}
-		frontier = next
-	}
-	return dist
+// HopScratch is the reusable working memory of AppendWithinHops: a hop
+// count per gate, a visited bitset and the BFS queue. The zero value is
+// ready to use; the bitset is all clear between calls. A HopScratch is not
+// safe for concurrent use.
+type HopScratch struct {
+	hops  []int32
+	seen  []uint64
+	queue []int32
 }
 
-// FaninCone returns the set of gate IDs (including primary inputs and g
-// itself) that can reach gate g. It is used for cone extraction and for
-// ATPG reasoning.
-func (c *Circuit) FaninCone(g int) map[int]bool {
-	cone := map[int]bool{g: true}
-	stack := []int{g}
-	for len(stack) > 0 {
-		x := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, f := range c.Gates[x].Fanin {
-			if !cone[f] {
-				cone[f] = true
-				stack = append(stack, f)
+// AppendWithinHops runs a breadth-first search in the undirected logic
+// graph (see Neighbors) from gate src and appends to gates every logic
+// gate within k hops of it, src itself excluded, in ascending ID order,
+// and to hops the matching hop counts: the separation parameter S(gi, gj)
+// of §3.3 before the cap ρ is applied.
+func (c *Circuit) AppendWithinHops(s *HopScratch, src, k int, gates, hops []int32) ([]int32, []int32) {
+	if n := len(c.Gates); len(s.hops) < n {
+		s.hops, s.seen = make([]int32, n), make([]uint64, (n+63)/64)
+	}
+	s.seen[src>>6] |= 1 << (src & 63)
+	s.hops[src] = 0
+	// The queue is in non-decreasing hop order, so the search stops at
+	// the first gate k hops out.
+	q := append(s.queue[:0], int32(src))
+	for head := 0; head < len(q) && int(s.hops[q[head]]) < k; head++ {
+		d := s.hops[q[head]] + 1
+		for _, nb := range c.Neighbors(int(q[head])) {
+			if w, bit := nb>>6, uint64(1)<<(nb&63); s.seen[w]&bit == 0 {
+				s.seen[w] |= bit
+				s.hops[nb] = d
+				q = append(q, int32(nb))
 			}
 		}
 	}
-	return cone
+	s.queue = q
+	s.seen[src>>6] &^= 1 << (src & 63)
+	for w, word := range s.seen {
+		for ; word != 0; word &= word - 1 {
+			id := w<<6 | bits.TrailingZeros64(word)
+			gates = append(gates, int32(id))
+			hops = append(hops, s.hops[id])
+		}
+		s.seen[w] = 0
+	}
+	return gates, hops
 }
 
 // Stats summarises a circuit for reports and generator validation.

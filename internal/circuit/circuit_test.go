@@ -188,11 +188,23 @@ func TestNeighbors(t *testing.T) {
 	}
 }
 
+// withinHops runs AppendWithinHops from src into fresh slices and returns
+// the hop count of every reached gate.
+func withinHops(c *Circuit, src, k int) map[int]int32 {
+	var s HopScratch
+	gates, hops := c.AppendWithinHops(&s, src, k, nil, nil)
+	dist := make(map[int]int32, len(gates))
+	for i, g := range gates {
+		dist[int(g)] = hops[i]
+	}
+	return dist
+}
+
 func TestBoundedDistances(t *testing.T) {
 	c := buildC17(t)
 	g1, _ := c.GateByName("g1")
 	g6, _ := c.GateByName("g6")
-	dist := c.BoundedDistances(g1.ID, 10)
+	dist := withinHops(c, g1.ID, 10)
 	// g1 -> g5 (1 hop), g5 -> g3 (2), g3 -> g2,g6 (3)
 	g5, _ := c.GateByName("g5")
 	g3, _ := c.GateByName("g3")
@@ -206,30 +218,12 @@ func TestBoundedDistances(t *testing.T) {
 		t.Errorf("dist(g1,g6) = %d, want 3", dist[g6.ID])
 	}
 	// With a tight cap, far gates must be absent.
-	dist1 := c.BoundedDistances(g1.ID, 1)
+	dist1 := withinHops(c, g1.ID, 1)
 	if _, ok := dist1[g6.ID]; ok {
 		t.Error("g6 should be unreachable within 1 hop of g1")
 	}
-	if dist1[g1.ID] != 0 {
-		t.Error("distance to self should be 0")
-	}
-}
-
-func TestFaninCone(t *testing.T) {
-	c := buildC17(t)
-	g5, _ := c.GateByName("g5")
-	cone := c.FaninCone(g5.ID)
-	for _, name := range []string{"g5", "g1", "g3", "g2", "I1", "I2", "I3", "I4"} {
-		g, _ := c.GateByName(name)
-		if !cone[g.ID] {
-			t.Errorf("%s should be in fanin cone of g5", name)
-		}
-	}
-	for _, name := range []string{"I5", "g4", "g6"} {
-		g, _ := c.GateByName(name)
-		if cone[g.ID] {
-			t.Errorf("%s should not be in fanin cone of g5", name)
-		}
+	if _, ok := dist1[g1.ID]; ok {
+		t.Error("the source itself should be left out")
 	}
 }
 
@@ -430,8 +424,8 @@ func TestRandomCircuitInvariants(t *testing.T) {
 	}
 }
 
-// Property: BoundedDistances is symmetric (undirected graph) for random
-// gate pairs.
+// Property: AppendWithinHops distances are symmetric (undirected graph)
+// for random gate pairs.
 func TestBoundedDistancesSymmetric(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -439,8 +433,8 @@ func TestBoundedDistancesSymmetric(t *testing.T) {
 		logic := c.LogicGates()
 		a := logic[rng.Intn(len(logic))]
 		b := logic[rng.Intn(len(logic))]
-		da := c.BoundedDistances(a, c.NumGates())
-		db := c.BoundedDistances(b, c.NumGates())
+		da := withinHops(c, a, c.NumGates())
+		db := withinHops(c, b, c.NumGates())
 		va, oka := da[b]
 		vb, okb := db[a]
 		if oka != okb {

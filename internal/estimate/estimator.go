@@ -3,12 +3,12 @@ package estimate
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"time"
 
 	"iddqsyn/internal/celllib"
 	"iddqsyn/internal/chaos"
+	"iddqsyn/internal/circuit"
 	"iddqsyn/internal/electrical"
 	"iddqsyn/internal/obs"
 )
@@ -69,11 +69,13 @@ type Estimator struct {
 
 	// Per-gate ρ-hop neighbourhoods, precomputed once so that the
 	// separation parameter — by far the most frequently re-evaluated
-	// estimate during evolution — needs no repeated BFS. nbrGate[g] lists
-	// the logic gates within ρ hops of g (excluding g), nbrDist[g] the
-	// matching hop counts.
-	nbrGate [][]int32
-	nbrDist [][]uint8
+	// estimate during evolution — needs no repeated BFS. They form one
+	// table in compressed sparse rows: nbrGate[nbrOff[g]:nbrOff[g+1]]
+	// lists the logic gates within ρ hops of g (excluding g) in ascending
+	// ID order, and the same range of nbrDist the matching hop counts.
+	nbrOff  []int32
+	nbrGate []int32
+	nbrDist []uint8
 
 	// Telemetry handles, resolved once by SetObs; nil (no-op) when the
 	// estimator is unobserved. The metrics themselves are atomic, so the
@@ -165,28 +167,17 @@ func New(a *celllib.Annotated, p Params) *Estimator {
 	sc := e.getScratch()
 	e.nominalDelay, _ = e.dag.sweep(e.dag.nominal, sc.arrival, 0, c.NumGates()-1, nil)
 	e.scratch.Put(sc)
-	e.nbrGate = make([][]int32, c.NumGates())
-	e.nbrDist = make([][]uint8, c.NumGates())
-	for _, g := range c.LogicGates() {
-		dist := c.BoundedDistances(g, p.Rho)
-		// Iterate the neighbor map in sorted order: the cache's layout
-		// feeds float summations in the cost path, where accumulation
-		// order changes the rounding and breaks bit-identical resume.
-		nbs := make([]int, 0, len(dist))
-		for nb := range dist {
-			if nb != g {
-				nbs = append(nbs, nb)
+	e.nbrOff = make([]int32, c.NumGates()+1)
+	var hs circuit.HopScratch
+	var hops []int32
+	for g := range c.Gates {
+		if c.Gates[g].Type != circuit.Input {
+			e.nbrGate, hops = c.AppendWithinHops(&hs, g, p.Rho, e.nbrGate, hops[:0])
+			for _, h := range hops {
+				e.nbrDist = append(e.nbrDist, uint8(h))
 			}
 		}
-		sort.Ints(nbs)
-		gates := make([]int32, 0, len(nbs))
-		dists := make([]uint8, 0, len(nbs))
-		for _, nb := range nbs {
-			gates = append(gates, int32(nb))
-			dists = append(dists, uint8(dist[nb]))
-		}
-		e.nbrGate[g] = gates
-		e.nbrDist[g] = dists
+		e.nbrOff[g+1] = int32(len(e.nbrGate))
 	}
 	return e
 }
@@ -341,7 +332,7 @@ func (e *Estimator) separationScratch(gates []int, inModule []bool) int {
 	pairs := len(gates) * (len(gates) - 1) / 2
 	sum := rho * pairs
 	for _, g := range gates {
-		nbrs, dists := e.nbrGate[g], e.nbrDist[g]
+		nbrs, dists := e.Neighborhood(g)
 		for i, nb := range nbrs {
 			if nb > int32(g) && inModule[nb] {
 				sum -= rho - int(dists[i])
@@ -359,7 +350,8 @@ func (e *Estimator) separationScratch(gates []int, inModule []bool) int {
 // their hop distances. The slices are shared; callers must not modify
 // them.
 func (e *Estimator) Neighborhood(g int) ([]int32, []uint8) {
-	return e.nbrGate[g], e.nbrDist[g]
+	lo, hi := e.nbrOff[g], e.nbrOff[g+1]
+	return e.nbrGate[lo:hi:hi], e.nbrDist[lo:hi:hi]
 }
 
 // NominalDelay returns the longest-path delay D of the sensor-free

@@ -183,21 +183,17 @@ func DefaultConfig() Config {
 // down-sampled with rng.
 func ExtractBridges(c *circuit.Circuit, cfg Config, rng *rand.Rand) []Fault {
 	var out []Fault
-	logic := c.LogicGates()
-	for _, g := range logic {
-		dist := c.BoundedDistances(g, cfg.BridgeHops)
-		var near []int
-		for nb := range dist {
-			if nb > g { // each unordered pair once
-				near = append(near, nb)
-			}
-		}
-		sort.Ints(near)
+	var hs circuit.HopScratch
+	var near, hops []int32
+	for _, g := range c.LogicGates() {
+		near, hops = c.AppendWithinHops(&hs, g, cfg.BridgeHops, near[:0], hops[:0])
 		for _, nb := range near {
-			out = append(out, Fault{
-				Kind: Bridge, A: g, B: nb,
-				Current: cfg.VDD / cfg.BridgeRes,
-			})
+			if int(nb) > g { // each unordered pair once
+				out = append(out, Fault{
+					Kind: Bridge, A: g, B: int(nb),
+					Current: cfg.VDD / cfg.BridgeRes,
+				})
+			}
 		}
 	}
 	if cfg.MaxBridges > 0 && len(out) > cfg.MaxBridges {

@@ -18,6 +18,7 @@ package seq
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"iddqsyn/internal/circuit"
@@ -138,18 +139,19 @@ func OrderScanChain(s *Sequential, rho int) (optimized ScanOrder, declared ScanO
 	if rho < 1 {
 		rho = 1
 	}
-	// Pairwise capped distances between FF locations.
+	// Pairwise capped distances between FF locations. Two FFs driven by
+	// the same gate are at distance 0.
 	dist := make([][]int, n)
+	var hs circuit.HopScratch
+	var near, hops []int32
 	for i := range dist {
 		dist[i] = make([]int, n)
-		d := s.Comb.BoundedDistances(s.FFs[i].PPO, rho)
+		src := s.FFs[i].PPO
+		near, hops = s.Comb.AppendWithinHops(&hs, src, rho, near[:0], hops[:0])
 		for j := range dist {
-			if i == j {
-				continue
-			}
-			if v, ok := d[s.FFs[j].PPO]; ok {
-				dist[i][j] = v
-			} else {
+			if k, ok := slices.BinarySearch(near, int32(s.FFs[j].PPO)); ok {
+				dist[i][j] = int(hops[k])
+			} else if s.FFs[j].PPO != src {
 				dist[i][j] = rho
 			}
 		}
