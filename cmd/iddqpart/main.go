@@ -7,7 +7,7 @@
 //
 //	iddqpart [-method evolution|standard] [-lib cells.lib] [-size N]
 //	         [-modules K] [-d 10] [-rail 0.2] [-gens 250] [-seed 1]
-//	         [-workers N] [-timeout 30m] [-checkpoint run.ckpt]
+//	         [-timeout 30m] [-checkpoint run.ckpt]
 //	         [-checkpoint-every 10] [-resume run.ckpt] [-verify] [-v]
 //	         [-debug-addr :6060] [-metrics run.json]
 //	         [-log-format text|json] [-log-level warn] [-trace-slowest 8]
@@ -94,7 +94,6 @@ func run() (code int, retErr error) {
 	rail := flag.Float64("rail", 0.2, "maximum virtual-rail perturbation r*, volts")
 	gens := flag.Int("gens", 0, "override evolution generation budget")
 	seed := flag.Int64("seed", 1, "evolution seed")
-	workers := flag.Int("workers", 0, "parallel cost-evaluation workers (0/1 = sequential)")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget; on expiry the best-so-far design is reported (0 = none)")
 	ckptPath := flag.String("checkpoint", "", "write crash-safe optimizer checkpoints to this file")
 	ckptEvery := flag.Int("checkpoint-every", 0, "checkpoint cadence in generations (0 = default)")
@@ -141,7 +140,6 @@ func run() (code int, retErr error) {
 	opt.Constraints = &cons
 	eprm := evolution.DefaultParams()
 	eprm.Seed = *seed
-	eprm.Workers = *workers
 	if *gens > 0 {
 		eprm.MaxGenerations = *gens
 	}

@@ -3,6 +3,7 @@ package estimate
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"time"
 
@@ -167,19 +168,66 @@ func New(a *celllib.Annotated, p Params) *Estimator {
 	sc := e.getScratch()
 	e.nominalDelay, _ = e.dag.sweep(e.dag.nominal, sc.arrival, 0, c.NumGates()-1, nil)
 	e.scratch.Put(sc)
-	e.nbrOff = make([]int32, c.NumGates()+1)
-	var hs circuit.HopScratch
-	var hops []int32
-	for g := range c.Gates {
-		if c.Gates[g].Type != circuit.Input {
-			e.nbrGate, hops = c.AppendWithinHops(&hs, g, p.Rho, e.nbrGate, hops[:0])
-			for _, h := range hops {
-				e.nbrDist = append(e.nbrDist, uint8(h))
-			}
-		}
-		e.nbrOff[g+1] = int32(len(e.nbrGate))
-	}
+	e.buildNeighborhoods()
 	return e
+}
+
+// buildNeighborhoods fills the ρ-hop table on runtime.GOMAXPROCS(0)
+// goroutines. Each takes a contiguous range of gate IDs and searches it
+// with its own HopScratch into its own rows, recording row ends relative
+// to its range in nbrOff; the rows are then rebased and copied, in range
+// order, into exactly sized nbrGate and nbrDist. Every row is the same
+// AppendWithinHops result a single pass would produce, so the table is
+// identical for any worker count.
+func (e *Estimator) buildNeighborhoods() {
+	c, rho := e.A.Circuit, e.P.Rho
+	n := c.NumGates()
+	if n > 0 {
+		c.Neighbors(0) // builds the lazy adjacency cache, so the workers only read it
+	}
+	type rows struct {
+		lo, hi int // the worker's gate IDs
+		gates  []int32
+		dist   []uint8
+	}
+	parts := make([]rows, min(runtime.GOMAXPROCS(0), n))
+	for w := range parts {
+		parts[w].lo, parts[w].hi = w*n/len(parts), (w+1)*n/len(parts)
+	}
+	e.nbrOff = make([]int32, n+1)
+	var wg sync.WaitGroup
+	wg.Add(len(parts))
+	for w := range parts {
+		go func(r *rows) {
+			defer wg.Done()
+			var hs circuit.HopScratch
+			var hops []int32
+			for g := r.lo; g < r.hi; g++ {
+				if c.Gates[g].Type != circuit.Input {
+					r.gates, hops = c.AppendWithinHops(&hs, g, rho, r.gates, hops[:0])
+					for _, h := range hops {
+						r.dist = append(r.dist, uint8(h))
+					}
+				}
+				e.nbrOff[g+1] = int32(len(r.gates))
+			}
+		}(&parts[w])
+	}
+	wg.Wait()
+	total := 0
+	for _, r := range parts {
+		total += len(r.gates)
+	}
+	e.nbrGate, e.nbrDist = make([]int32, total), make([]uint8, total)
+	base := 0
+	for _, r := range parts {
+		copy(e.nbrGate[base:], r.gates)
+		copy(e.nbrDist[base:], r.dist)
+		for g := r.lo; g < r.hi; g++ {
+			e.nbrOff[g+1] += int32(base)
+		}
+		base += len(r.gates)
+	}
 }
 
 // Module is the estimator output for one gate group: everything the cost

@@ -146,22 +146,26 @@ func TestCheckpointPersistentDiskFaultSurfaces(t *testing.T) {
 // carries chaos.ErrInjected through the recover boundary — the signal the
 // degradation layer keys on.
 func TestInjectedWorkerPanicKeepsErrorChain(t *testing.T) {
-	env, prm := controlSetup(t)
-	prm.Workers = 4
-	sched, err := chaos.ParseSchedule("seed=2,after=6,sites=evolution.worker.panic")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := chaos.NewContext(context.Background(), chaos.New(sched, nil))
-	_, werr := runChain(ctx, env.e, env.w, env.cons, prm, nil)
-	if werr == nil {
-		t.Fatal("injected worker panic must surface as an error")
-	}
-	if !errors.Is(werr, chaos.ErrInjected) {
-		t.Errorf("recovered error %v lost chaos.ErrInjected from its chain", werr)
-	}
-	if !strings.Contains(werr.Error(), "panicked") {
-		t.Errorf("error %q should say the worker panicked", werr)
+	for _, procs := range []int{1, 4} {
+		t.Run(procsName[procs], func(t *testing.T) {
+			setProcs(t, procs)
+			env, prm := controlSetup(t)
+			sched, err := chaos.ParseSchedule("seed=2,after=6,sites=evolution.worker.panic")
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := chaos.NewContext(context.Background(), chaos.New(sched, nil))
+			_, werr := runChain(ctx, env.e, env.w, env.cons, prm, nil)
+			if werr == nil {
+				t.Fatal("injected worker panic must surface as an error")
+			}
+			if !errors.Is(werr, chaos.ErrInjected) {
+				t.Errorf("recovered error %v lost chaos.ErrInjected from its chain", werr)
+			}
+			if !strings.Contains(werr.Error(), "panicked") {
+				t.Errorf("error %q should say the worker panicked", werr)
+			}
+		})
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -177,6 +178,13 @@ func (s *state) run(ctx context.Context, ctl *Control) (*Result, error) {
 	if ctl != nil {
 		trace = ctl.Trace
 	}
+	evals := newEvalPool(s.prm.Mu*(s.prm.Lambda+s.prm.Chi), s.obs.evalSeconds, s.chaos)
+	defer evals.close()
+	if s.res.Best == nil {
+		if err := s.evaluateStarts(evals); err != nil {
+			return nil, err
+		}
+	}
 	for gen := s.nextGen; gen <= s.prm.MaxGenerations; gen++ {
 		if s.stall >= s.prm.StallGenerations {
 			break // resumed from a checkpoint of an already-stalled run
@@ -189,12 +197,15 @@ func (s *state) run(ctx context.Context, ctl *Control) (*Result, error) {
 		if s.obs.on {
 			genStart = time.Now()
 		}
-		// Mutation is sequential (single deterministic rand stream);
-		// the cost evaluations below may run on a worker pool. The
-		// evaluate trace span covers both — descendant construction and
-		// the parallel cost evaluations are one causal phase.
+		// Mutation is sequential (single deterministic rand stream); each
+		// descendant goes to the pool as soon as it is built, so the
+		// cost evaluations overlap the rest of the clone-and-mutate
+		// phase. The evaluate trace span covers both — descendant
+		// construction and the cost evaluations are one causal phase.
 		evalTsp := s.tsp.StartChild("evolution.evaluate")
 		descendants := make([]*individual, 0, len(s.pop)*(s.prm.Lambda+s.prm.Chi))
+		evals.start(gen)
+	build:
 		for _, parent := range s.pop {
 			for l := 0; l < s.prm.Lambda; l++ {
 				s.obs.mutAttempts.Inc()
@@ -204,10 +215,14 @@ func (s *state) run(ctx context.Context, ctl *Control) (*Result, error) {
 					continue
 				}
 				s.obs.mutApplied.Inc()
-				descendants = append(descendants, &individual{
+				d := &individual{
 					p: child, m: adaptStep(parent.m, s.prm.Epsilon, s.rng),
 					origin: originMutation,
-				})
+				}
+				if !evals.submit(len(descendants), d) {
+					break build
+				}
+				descendants = append(descendants, d)
 			}
 			for x := 0; x < s.prm.Chi; x++ {
 				s.obs.mcAttempts.Inc()
@@ -217,14 +232,18 @@ func (s *state) run(ctx context.Context, ctl *Control) (*Result, error) {
 					continue
 				}
 				s.obs.mcApplied.Inc()
-				descendants = append(descendants, &individual{
+				d := &individual{
 					p: child, m: adaptStep(parent.m, s.prm.Epsilon, s.rng),
 					origin: originMonteCarlo,
-				})
+				}
+				if !evals.submit(len(descendants), d) {
+					break build
+				}
+				descendants = append(descendants, d)
 			}
 			parent.age++
 		}
-		evalErr := evaluate(descendants, s.prm.Workers, costOf, s.obs.evalSeconds, s.chaos)
+		evalErr := evals.wait()
 		evalTsp.End()
 		if evalErr != nil {
 			return nil, evalErr
@@ -290,6 +309,27 @@ func (s *state) run(ctx context.Context, ctl *Control) (*Result, error) {
 	return s.res, nil
 }
 
+// evaluateStarts costs a fresh run's start population on the pool and
+// takes its cheapest individual as the first best-so-far. A resumed run
+// skips it: its population carries the checkpointed costs.
+func (s *state) evaluateStarts(pool *evalPool) error {
+	pool.start(0)
+	for i, ind := range s.pop {
+		if !pool.submit(i, ind) {
+			break
+		}
+	}
+	if err := pool.wait(); err != nil {
+		return err
+	}
+	s.res.Evaluations += len(s.pop)
+	s.obs.evaluations.Add(uint64(len(s.pop)))
+	best := cheapest(s.pop)
+	s.res.Best = best.p.Clone()
+	s.res.BestCost = best.cost
+	return nil
+}
+
 // writeCheckpoint persists the current state (with the metrics snapshot
 // embedded) and records the write in the telemetry.
 func (s *state) writeCheckpoint(path string) error {
@@ -327,100 +367,171 @@ func (s *state) interrupt(ctxErr error, ctl *Control) (*Result, error) {
 	return s.res, nil
 }
 
-// testEvalHook, when non-nil, runs before every descendant cost
-// evaluation. Tests use it to inject a panic into a worker and assert it
-// surfaces as an error instead of crashing the process.
+// testEvalHook, when non-nil, runs before every cost evaluation. Tests
+// use it to inject a panic into an evaluation and assert it surfaces as
+// an error instead of crashing the process.
 var testEvalHook func(i int, p *partition.Partition)
 
-// evaluate fills in the cost of every descendant, using up to `workers`
-// goroutines. Each descendant is an independent clone and cost is pure,
-// so the parallel evaluation is race-free and bit-identical to the
-// sequential one. A panic inside a cost evaluation (however it is
-// provoked — corrupted state, a bug in an estimator, an injected fault)
-// is recovered and returned as an error naming the offending descendant;
-// when the panic value is itself an error (the estimator's numeric guards
-// panic with wrapped errors) it is wrapped rather than stringified, so
-// errors.Is sees through the recover boundary. A cost that comes back
-// NaN/Inf without panicking is likewise an error (ErrNonFiniteCost): a
-// poisoned number must never enter selection or a checkpoint. The
-// remaining workers drain and exit cleanly. A non-nil hist receives the
-// per-descendant evaluation latency in seconds; a non-nil inj probes the
-// chaos sites evolution.worker.panic / evolution.worker.delay before each
-// evaluation.
+// evalPool evaluates individual costs on runtime.GOMAXPROCS(0)
+// goroutines, one pool per run: GOMAXPROCS−1 helpers and the generation
+// loop itself. The loop stays the only user of the counted random
+// stream: it clones and mutates every descendant in order and submits
+// each one as soon as it is built, so the helpers' cost evaluations
+// overlap the next clone-and-mutate; once a batch is built, the loop
+// evaluates what the helpers have not taken yet. On one core there are
+// no helpers and the loop evaluates everything, as a sequential loop
+// would. Each descendant is an independent clone and costOf is pure, so
+// which goroutine evaluates it, and when, cannot change a bit of the
+// result.
 //
-//lint:hotpath descendant evaluation loop — every cost evaluation of a run flows through here
-func evaluate(descendants []*individual, workers int, cost func(*partition.Partition) float64, hist *obs.Histogram, inj *chaos.Injector) error {
-	//lint:ignore hotalloc one closure per evaluate call, amortized over the λ descendants it evaluates
-	eval := func(i int) (err error) {
-		//lint:ignore hotalloc one deferred recover guard per descendant; the panic boundary is the point of the worker
-		defer func() {
-			if r := recover(); r != nil {
-				if perr, ok := r.(error); ok {
-					err = fmt.Errorf("evolution: cost evaluation of descendant %d/%d panicked: %w",
-						i, len(descendants), perr)
-				} else {
-					err = fmt.Errorf("evolution: cost evaluation of descendant %d/%d panicked: %v",
-						i, len(descendants), r)
-				}
-			}
-		}()
-		if testEvalHook != nil {
-			testEvalHook(i, descendants[i].p)
-		}
-		inj.MustPass(chaos.SiteEvalPanic)
-		inj.Sleep(chaos.SiteEvalDelay)
-		if hist != nil {
-			defer hist.ObserveSince(time.Now())
-		}
-		c := cost(descendants[i].p)
-		if math.IsNaN(c) || math.IsInf(c, 0) {
-			return fmt.Errorf("evolution: descendant %d/%d cost is %g: %w",
-				i, len(descendants), c, partition.ErrNonFiniteCost)
-		}
-		descendants[i].cost = c
-		return nil
-	}
+// One batch (a generation, or the start population) is in flight at a
+// time: submit adds to it, wait ends it. A panic inside a cost evaluation
+// (however it is provoked — corrupted state, a bug in an estimator, an
+// injected fault) is recovered and becomes the batch's error, naming the
+// offending individual; when the panic value is itself an error (the
+// estimator's numeric guards panic with wrapped errors) it is wrapped
+// rather than stringified, so errors.Is sees through the recover
+// boundary. A cost that comes back NaN/Inf without panicking is likewise
+// an error (ErrNonFiniteCost): a poisoned number must never enter
+// selection or a checkpoint. Once a batch has failed, the remaining
+// individuals are skipped and the loop stops submitting.
+type evalPool struct {
+	jobs    chan evalJob
+	helpers sync.WaitGroup
+	hist    *obs.Histogram  // per-individual evaluation latency; nil when unobserved
+	inj     *chaos.Injector // probes evolution.worker.panic / .delay before each evaluation
 
-	if workers <= 1 || len(descendants) < 2 {
-		for i := range descendants {
-			if err := eval(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if workers > len(descendants) {
-		workers = len(descendants)
-	}
-	var (
-		wg       sync.WaitGroup
-		next     int64 = -1
-		failed   atomic.Bool
-		mu       sync.Mutex
-		firstErr error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		//lint:ignore hotalloc one worker closure per evaluate call, amortized over the λ evaluations it runs
+	gen     int // the batch's generation, 0 for the start population; set before its first submit
+	pending sync.WaitGroup
+	failed  atomic.Bool
+	mu      sync.Mutex
+	err     error // guarded by mu; the batch's first failure
+}
+
+// evalJob is one submitted individual and its index in the batch.
+type evalJob struct {
+	i   int
+	ind *individual
+}
+
+// newEvalPool starts the run's helpers. buffer is the job queue's
+// capacity: one generation's descendants, so the loop can build a whole
+// generation ahead of the helpers.
+func newEvalPool(buffer int, hist *obs.Histogram, inj *chaos.Injector) *evalPool {
+	p := &evalPool{jobs: make(chan evalJob, buffer), hist: hist, inj: inj}
+	n := runtime.GOMAXPROCS(0) - 1
+	p.helpers.Add(n)
+	for w := 0; w < n; w++ {
 		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= len(descendants) || failed.Load() {
-					return
-				}
-				if err := eval(i); err != nil {
-					failed.Store(true)
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					return
-				}
+			defer p.helpers.Done()
+			for j := range p.jobs {
+				p.run(j)
 			}
 		}()
 	}
-	wg.Wait()
-	return firstErr
+	return p
+}
+
+// close stops the helpers once they have drained the queue. Every return
+// path of a run calls it, so no helper outlives its run.
+func (p *evalPool) close() {
+	close(p.jobs)
+	p.helpers.Wait()
+}
+
+// start opens the batch of generation gen (0 = the start population).
+func (p *evalPool) start(gen int) {
+	p.gen = gen
+	p.failed.Store(false)
+	p.mu.Lock()
+	p.err = nil
+	p.mu.Unlock()
+}
+
+// submit queues the cost evaluation of ind, the i-th individual of the
+// current batch; when the queue is full the loop evaluates it at once. It
+// reports false, queueing nothing, once the batch has failed: the loop
+// then stops building descendants.
+func (p *evalPool) submit(i int, ind *individual) bool {
+	if p.failed.Load() {
+		return false
+	}
+	p.pending.Add(1)
+	j := evalJob{i: i, ind: ind}
+	select {
+	case p.jobs <- j:
+	default:
+		p.run(j)
+	}
+	return true
+}
+
+// wait evaluates the queued individuals the helpers have not taken, blocks
+// until every submitted individual of the batch has a cost (or was
+// skipped after a failure) and returns the batch's first error.
+func (p *evalPool) wait() error {
+	for queued := true; queued; {
+		select {
+		case j := <-p.jobs:
+			p.run(j)
+		default:
+			queued = false
+		}
+	}
+	p.pending.Wait()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.err
+}
+
+// run evaluates one submitted individual unless its batch has failed.
+func (p *evalPool) run(j evalJob) {
+	if !p.failed.Load() {
+		if err := p.eval(j); err != nil {
+			p.fail(err)
+		}
+	}
+	p.pending.Done()
+}
+
+func (p *evalPool) fail(err error) {
+	p.mu.Lock()
+	if p.err == nil {
+		p.err = err
+	}
+	p.mu.Unlock()
+	p.failed.Store(true)
+}
+
+// eval computes one individual's cost behind the panic boundary.
+//
+//lint:hotpath descendant evaluation — every cost evaluation of a run flows through here
+func (p *evalPool) eval(j evalJob) (err error) {
+	//lint:ignore hotalloc one deferred recover guard per evaluation; the panic boundary is the point of the worker
+	defer func() {
+		if r := recover(); r != nil {
+			if perr, ok := r.(error); ok {
+				err = fmt.Errorf("evolution: cost evaluation of descendant %d of generation %d panicked: %w",
+					j.i, p.gen, perr)
+			} else {
+				err = fmt.Errorf("evolution: cost evaluation of descendant %d of generation %d panicked: %v",
+					j.i, p.gen, r)
+			}
+		}
+	}()
+	if testEvalHook != nil {
+		testEvalHook(j.i, j.ind.p)
+	}
+	p.inj.MustPass(chaos.SiteEvalPanic)
+	p.inj.Sleep(chaos.SiteEvalDelay)
+	if p.hist != nil {
+		defer p.hist.ObserveSince(time.Now())
+	}
+	c := costOf(j.ind.p)
+	if math.IsNaN(c) || math.IsInf(c, 0) {
+		return fmt.Errorf("evolution: descendant %d of generation %d cost is %g: %w",
+			j.i, p.gen, c, partition.ErrNonFiniteCost)
+	}
+	j.ind.cost = c
+	return nil
 }

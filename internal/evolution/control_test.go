@@ -7,14 +7,27 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"iddqsyn/internal/circuits"
 	"iddqsyn/internal/estimate"
 	"iddqsyn/internal/partition"
 )
+
+// procsName names the subtests that run under GOMAXPROCS 1 and 4.
+var procsName = map[int]string{1: "sequential", 4: "workers4"}
+
+// setProcs runs the rest of the test under runtime.GOMAXPROCS(n), which
+// sizes the cost-evaluation pool, and restores the old value afterwards.
+func setProcs(t *testing.T, n int) {
+	t.Helper()
+	old := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
 
 // controlSetup builds an optimization environment on a circuit large
 // enough that the optimizer runs for many generations without stalling,
@@ -110,12 +123,12 @@ func TestPreCancelledContext(t *testing.T) {
 // The acceptance test of the run-control layer: a run interrupted
 // mid-flight and resumed from its checkpoint must end with exactly the
 // final cost, partition and bookkeeping of a run that was never
-// interrupted — for sequential and parallel cost evaluation alike.
+// interrupted — on one core and on four alike.
 func TestCheckpointResumeBitIdentical(t *testing.T) {
-	for _, workers := range []int{0, 4} {
-		t.Run(map[int]string{0: "sequential", 4: "workers4"}[workers], func(t *testing.T) {
+	for _, procs := range []int{1, 4} {
+		t.Run(procsName[procs], func(t *testing.T) {
+			setProcs(t, procs)
 			env, prm := controlSetup(t)
-			prm.Workers = workers
 
 			baseline, err := runChain(context.Background(), env.e, env.w, env.cons, prm, nil)
 			if err != nil {
@@ -303,10 +316,10 @@ func TestResumeRejectsWrongCircuit(t *testing.T) {
 }
 
 func TestWorkerPanicSurfacesAsError(t *testing.T) {
-	for _, workers := range []int{0, 4} {
-		t.Run(map[int]string{0: "sequential", 4: "workers4"}[workers], func(t *testing.T) {
+	for _, procs := range []int{1, 4} {
+		t.Run(procsName[procs], func(t *testing.T) {
+			setProcs(t, procs)
 			env, prm := controlSetup(t)
-			prm.Workers = workers
 			var calls atomic.Int64
 			testEvalHook = func(i int, p *partition.Partition) {
 				if calls.Add(1) == int64(prm.Mu+3) { // past the initial population, inside generation 1
@@ -325,6 +338,56 @@ func TestWorkerPanicSurfacesAsError(t *testing.T) {
 			}
 			if !strings.Contains(msg, "injected evaluation fault") {
 				t.Errorf("error %q should carry the panic value", msg)
+			}
+		})
+	}
+}
+
+// A panic in the first descendant of a generation, raised while the loop
+// may still be cloning the rest, ends the run with an error naming that
+// descendant: the loop stops submitting, Optimize returns instead of
+// blocking on a send, and every pool worker exits with the run.
+func TestPanicInFirstDescendantStopsTheGeneration(t *testing.T) {
+	for _, procs := range []int{1, 4} {
+		t.Run(procsName[procs], func(t *testing.T) {
+			setProcs(t, procs)
+			env, prm := controlSetup(t)
+			prm.Lambda = 40 // a long clone-and-mutate phase behind the panicking descendant
+			var calls atomic.Int64
+			testEvalHook = func(i int, p *partition.Partition) {
+				// The first μ calls cost the start population; index 0
+				// after them is generation 1's first descendant.
+				if n := calls.Add(1); i == 0 && n > int64(prm.Mu) {
+					panic("first descendant fault")
+				}
+			}
+			defer func() { testEvalHook = nil }()
+
+			baseline := runtime.NumGoroutine()
+			done := make(chan error, 1)
+			go func() {
+				_, err := runChain(context.Background(), env.e, env.w, env.cons, prm, nil)
+				done <- err
+			}()
+			var err error
+			select {
+			case err = <-done:
+			case <-time.After(30 * time.Second):
+				t.Fatal("Optimize did not return after a worker panic")
+			}
+			if err == nil {
+				t.Fatal("injected panic must surface as an error")
+			}
+			if msg := err.Error(); !strings.Contains(msg, "descendant 0 of generation 1 panicked") ||
+				!strings.Contains(msg, "first descendant fault") {
+				t.Errorf("error %q should name descendant 0 of generation 1 and carry the panic value", msg)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > baseline {
+				t.Errorf("%d goroutines after the run, %d before: pool workers leaked", n, baseline)
 			}
 		})
 	}

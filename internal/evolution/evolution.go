@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 
 	"iddqsyn/internal/estimate"
 	"iddqsyn/internal/obs"
@@ -33,12 +34,6 @@ type Params struct {
 	StallGenerations int // stop after this many generations without improvement
 
 	Seed int64
-
-	// Workers sets the number of goroutines evaluating descendant costs
-	// in parallel. Mutation stays sequential (one rand stream), so the
-	// result is bit-identical for any worker count. 0 or 1 evaluates
-	// sequentially.
-	Workers int
 }
 
 // DefaultParams returns a configuration that converges on every benchmark
@@ -125,9 +120,7 @@ const infeasiblePenalty = 1e9
 
 // costOf grades a partition for selection: the weighted global cost plus
 // the graded infeasibility penalty. It is pure (no shared state), so
-// descendants can be evaluated on a worker pool. It is annotated as a hot
-// root directly (not just via evaluate) because evaluate receives it as a
-// function value, an indirect call the static call graph cannot resolve.
+// descendants can be evaluated on a worker pool.
 //
 //lint:hotpath cost of every descendant, λ times per generation — the estimate sweep underneath dominates run time
 func costOf(p *partition.Partition) float64 {
@@ -178,21 +171,11 @@ func Optimize(ctx context.Context, starts []*partition.Partition, prm Params, ct
 		"circuit", circuit,
 		"mu", prm.Mu, "lambda", prm.Lambda, "chi", prm.Chi,
 		"max_generations", prm.MaxGenerations, "seed", prm.Seed,
-		"workers", prm.Workers)
+		"workers", runtime.GOMAXPROCS(0))
 	if singleModule(starts) {
 		s.obs.log.Warn("single-module start population: mutation operators inapplicable",
 			"circuit", circuit, "starts", len(starts))
 	}
-	// The initial evaluation runs sequentially (it is μ cheap calls) but
-	// through the same panic-recovering path as the generation loop.
-	if err := evaluate(s.pop, 1, costOf, s.obs.evalSeconds, s.chaos); err != nil {
-		return nil, err
-	}
-	s.res.Evaluations += len(s.pop)
-	s.obs.evaluations.Add(uint64(len(s.pop)))
-	best := cheapest(s.pop)
-	s.res.Best = best.p.Clone()
-	s.res.BestCost = best.cost
 	return s.run(ctx, ctl)
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -335,19 +336,18 @@ func TestInfeasibleStartsRecover(t *testing.T) {
 	}
 }
 
-// Parallel descendant evaluation must be bit-identical to sequential
+// Descendant evaluation on four cores must be bit-identical to one core
 // (mutation stays on one rand stream) and race-free.
 func TestParallelEvaluationMatchesSequential(t *testing.T) {
 	e := estimatorFor(t, circuits.MustISCAS85Like("c432"))
 	w := partition.PaperWeights()
 	cons := partition.DefaultConstraints()
-	base := DefaultParams()
-	base.MaxGenerations = 25
-	base.StallGenerations = 25
+	prm := DefaultParams()
+	prm.MaxGenerations = 25
+	prm.StallGenerations = 25
 
-	run := func(workers int) *Result {
-		prm := base
-		prm.Workers = workers
+	run := func(procs int) *Result {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		starts, err := ChainStarts(e, w, cons, 8, prm)
 		if err != nil {
 			t.Fatal(err)
@@ -358,7 +358,7 @@ func TestParallelEvaluationMatchesSequential(t *testing.T) {
 		}
 		return res
 	}
-	seq := run(0)
+	seq := run(1)
 	par := run(4)
 	if seq.BestCost != par.BestCost || seq.Evaluations != par.Evaluations {
 		t.Errorf("parallel run diverged: %.9g/%d vs %.9g/%d",

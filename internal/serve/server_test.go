@@ -410,6 +410,58 @@ func TestServerRestartRunsJournaledJobs(t *testing.T) {
 	}
 }
 
+// A spec side file journaled while specs still carried "workers" is read
+// leniently on restart: the replayed job runs to completion.
+func TestServerRecoversSpecNamingWorkers(t *testing.T) {
+	dir := t.TempDir()
+	a, err := New(Config{Dir: dir, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := &JobSpec{Netlist: c17Netlist(t), Generations: 10, Seed: 5}
+	j, _, err := a.submit(spec, "acme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Close()
+
+	path := specPath(dir, j.id)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]any
+	if err := json.Unmarshal(data, &fields); err != nil {
+		t.Fatal(err)
+	}
+	fields["workers"] = 2
+	if data, err = json.Marshal(fields); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	b, err := New(Config{Dir: dir, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	rj := b.lookup(j.id)
+	if rj == nil || rj.spec == nil {
+		t.Fatal("job with a workers field in its spec file not replayed")
+	}
+	b.Start()
+	select {
+	case <-rj.done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("replayed job never finished")
+	}
+	if st := rj.status(); st.Phase != "done" {
+		t.Fatalf("replayed job ended %s: %s", st.Phase, st.Detail)
+	}
+}
+
 // In-process shutdown/resume equality: stop the server mid-run, reopen
 // the data dir, finish the job — the final cost must be bit-identical
 // to an uninterrupted run of the same spec, by the evolution package's

@@ -57,8 +57,6 @@ type JobSpec struct {
 	Generations int `json:"generations,omitempty"`
 	// Seed seeds the evolution strategy (0 = 1, the CLI default).
 	Seed int64 `json:"seed,omitempty"`
-	// Workers sets parallel cost-evaluation workers (0/1 = sequential).
-	Workers int `json:"workers,omitempty"`
 	// Discriminability is the required d (0 = 10, the paper's value).
 	Discriminability float64 `json:"discriminability,omitempty"`
 	// Timeout is the per-job wall-clock budget as a Go duration string
@@ -114,8 +112,6 @@ func (s *JobSpec) Validate() error {
 		return fmt.Errorf("%w: modules %d is negative", ErrSpec, s.Modules)
 	case s.Generations < 0 || s.Generations > MaxSpecGenerations:
 		return fmt.Errorf("%w: generations %d outside [0, %d]", ErrSpec, s.Generations, MaxSpecGenerations)
-	case s.Workers < 0:
-		return fmt.Errorf("%w: workers %d is negative", ErrSpec, s.Workers)
 	case s.Discriminability < 0:
 		return fmt.Errorf("%w: discriminability %g is negative", ErrSpec, s.Discriminability)
 	}
@@ -179,7 +175,6 @@ func (s *JobSpec) Options() (core.Options, error) {
 	if s.Seed == 0 {
 		eprm.Seed = 1
 	}
-	eprm.Workers = s.Workers
 	if s.Generations > 0 {
 		eprm.MaxGenerations = s.Generations
 	}
@@ -235,8 +230,6 @@ func (s *JobSpec) Hash() (string, error) {
 	fmt.Fprintf(h, "v1\n%s\n", bench.Fingerprint(c))
 	fmt.Fprintf(h, "method=%s size=%d modules=%d gens=%d seed=%d d=%g timeout=%s\n",
 		method, s.ModuleSize, s.Modules, gens, seed, d, timeout)
-	// Workers deliberately excluded: the evolution result is bit-identical
-	// for any worker count, so parallelism must not split the cache.
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 

@@ -74,6 +74,17 @@ func TestParseJobSpecNamedErrors(t *testing.T) {
 	}
 }
 
+// The evaluation-worker count is no longer a spec field: the worker pool
+// follows GOMAXPROCS. A submission that still names it is a spec error,
+// like any other unknown field.
+func TestParseJobSpecRejectsWorkers(t *testing.T) {
+	body := `{"netlist": ` + jsonString(c17Netlist(t)) + `, "workers": 2}`
+	_, err := ParseJobSpec("application/json", []byte(body))
+	if !errors.Is(err, ErrSpec) || !strings.Contains(err.Error(), `"workers"`) {
+		t.Fatalf("err = %v, want ErrSpec naming the workers field", err)
+	}
+}
+
 func TestJobSpecHash(t *testing.T) {
 	nl := c17Netlist(t)
 	a := &JobSpec{Netlist: nl, Generations: 10}
@@ -97,10 +108,6 @@ func TestJobSpecHash(t *testing.T) {
 	d := &JobSpec{Netlist: nl, Generations: 11}
 	if hd, _ := d.Hash(); hd == ha {
 		t.Fatal("a different generation budget must produce a different hash")
-	}
-	w := &JobSpec{Netlist: nl, Generations: 10, Workers: 4}
-	if hw, _ := w.Hash(); hw != ha {
-		t.Fatal("workers must not split the cache: the result is bit-identical for any worker count")
 	}
 	// Defaulted fields hash identically to their explicit defaults: the
 	// runtime treats them the same, so the cache must too.
