@@ -1,22 +1,17 @@
 GO ?= go
 
-.PHONY: check build test vet lint lint-baseline lint-escape lint-timing race race-soak chaos fuzz-isc fuzz-delta fuzz-ckpt fuzz-jobspec fuzz-journal fuzz-directives bench obs-demo serve-demo serve-soak load-demo torture clean
+.PHONY: check build test vet lint lint-escape lint-timing race race-soak chaos fuzz-isc fuzz-delta fuzz-ckpt fuzz-jobspec fuzz-journal fuzz-directives bench obs-demo serve-demo serve-soak load-demo torture clean
 
 # Tier-1 verification: vet + build + lint + race-enabled short tests.
 check:
 	sh scripts/check.sh
 
 # Types-aware project-specific static analysis: determinism taint,
-# error-wrap and mutex-guard discipline, panic policy, context
-# cancellation, Close/Sync errors, atomic rename (see cmd/iddqlint).
-# Findings already recorded in lint.baseline are suppressed.
+# error-wrap and lock discipline, panic policy, context cancellation,
+# Close/Sync errors, atomic rename (see cmd/iddqlint). Any finding fails;
+# //lint:ignore <analyzer> <reason> is the only suppression.
 lint:
-	$(GO) run ./cmd/iddqlint -baseline lint.baseline ./...
-
-# Regenerate the committed lint baseline. Only for deliberately
-# accepting existing findings — the goal state is an empty baseline.
-lint-baseline:
-	$(GO) run ./cmd/iddqlint -baseline-update ./...
+	$(GO) run ./cmd/iddqlint ./...
 
 # Cross-check the hotalloc analyzer against the compiler's escape
 # analysis (-gcflags=-m=1): every compiler heap diagnostic inside a hot
@@ -28,7 +23,7 @@ lint-escape:
 # Per-analyzer wall-clock breakdown of a full lint run, to keep the 30s
 # lint CI budget honest when adding analyzers.
 lint-timing:
-	$(GO) run ./cmd/iddqlint -timing -baseline lint.baseline ./...
+	$(GO) run ./cmd/iddqlint -timing ./...
 
 build:
 	$(GO) build ./...

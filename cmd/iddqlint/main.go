@@ -20,11 +20,8 @@
 //	-enable names     comma-separated analyzers to run (default: all)
 //	-disable names    comma-separated analyzers to skip
 //	-root dir         module root (default: current directory)
-//	-parallel n       max packages analyzed concurrently (default GOMAXPROCS)
 //	-json             emit findings as JSON instead of text
 //	-sarif file       write a SARIF 2.1.0 log to file ("-" for stdout)
-//	-baseline file    subtract grandfathered findings recorded in file
-//	-baseline-update  rewrite the baseline file from current findings
 //	-fact-debug       dump exported facts to stderr after the run
 //	-escapecheck      diff hotalloc against the compiler's escape
 //	                  analysis (go build -gcflags=-m=1); exit 1 on an
@@ -39,12 +36,12 @@
 //	-timing           print a per-analyzer wall-clock breakdown after
 //	                  the run, to keep the lint CI budget honest
 //
-// The exit status is 0 when the tree is clean (or fully absorbed by the
-// baseline), 1 when findings were reported, and 2 on usage, load,
-// type-check or analyzer failure — the same convention as go vet, so
-// `make lint` and CI can distinguish "dirty tree" from "broken tooling".
+// The exit status is 0 when the tree is clean, 1 when findings were
+// reported, and 2 on usage, load, type-check or analyzer failure — the
+// same convention as go vet, so `make lint` and CI can distinguish
+// "dirty tree" from "broken tooling".
 //
-// Individual findings can be suppressed with a reasoned directive on or
+// The one way to suppress a finding is a reasoned directive on or
 // directly above the flagged line:
 //
 //	//lint:ignore <analyzer> <reason>
@@ -71,7 +68,7 @@ import (
 )
 
 // toolVersion is reported in SARIF logs.
-const toolVersion = "4.0.0"
+const toolVersion = "5.0.0"
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -84,11 +81,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	enable := fs.String("enable", "", "comma-separated analyzers to run (default: all)")
 	disable := fs.String("disable", "", "comma-separated analyzers to skip")
 	root := fs.String("root", "", "module root (default: current directory)")
-	parallel := fs.Int("parallel", 0, "max packages analyzed concurrently (0 = GOMAXPROCS)")
 	jsonOut := fs.Bool("json", false, "emit findings as JSON")
 	sarifPath := fs.String("sarif", "", "write a SARIF 2.1.0 log to this file (\"-\" for stdout)")
-	baselinePath := fs.String("baseline", "", "baseline file of grandfathered findings")
-	baselineUpdate := fs.Bool("baseline-update", false, "rewrite the baseline file from current findings")
 	factDebug := fs.Bool("fact-debug", false, "dump exported facts to stderr after the run")
 	escapeCheck := fs.Bool("escapecheck", false, "cross-check hotalloc against the compiler's escape analysis (-gcflags=-m=1)")
 	raceCheck := fs.Bool("racecheck", false, "cross-check sharedstate against the race detector (seeded corpus + race soaks)")
@@ -144,7 +138,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	opts := analysis.Options{
-		Parallel:       *parallel,
 		Applies:        lint.Applies,
 		KnownAnalyzers: lint.Names(),
 		RootsOnly:      true,
@@ -164,46 +157,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if timings != nil {
 		timings.write(stderr)
-	}
-
-	bpath := *baselinePath
-	if bpath == "" && *baselineUpdate {
-		bpath = filepath.Join(dir, analysis.BaselinePathDefault)
-	}
-	if *baselineUpdate {
-		f, err := os.Create(bpath)
-		if err == nil {
-			err = analysis.WriteBaseline(f, findings, dir)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(stderr, "iddqlint:", err)
-			return 2
-		}
-		fmt.Fprintf(stdout, "iddqlint: wrote %d finding(s) to %s\n", len(findings), bpath)
-		return 0
-	}
-	if bpath != "" {
-		f, err := os.Open(bpath)
-		if err != nil {
-			fmt.Fprintln(stderr, "iddqlint:", err)
-			return 2
-		}
-		baseline, err := analysis.ParseBaseline(f)
-		_ = f.Close() // read-only
-
-		if err != nil {
-			fmt.Fprintf(stderr, "iddqlint: %s: %v\n", bpath, err)
-			return 2
-		}
-		var absorbed int
-		findings, absorbed = baseline.Filter(findings, dir)
-		if absorbed > 0 {
-			fmt.Fprintf(stderr, "iddqlint: baseline absorbed %d finding(s) (%d recorded)\n",
-				absorbed, baseline.Len())
-		}
 	}
 
 	if *sarifPath != "" {

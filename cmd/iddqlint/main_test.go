@@ -118,50 +118,18 @@ func TestSARIFOutput(t *testing.T) {
 	}
 }
 
-func TestBaselineWorkflow(t *testing.T) {
-	root := writeModule(t, map[string]string{"p/p.go": dirtyFile})
-	var out, errb bytes.Buffer
-	// Grandfather the current findings.
-	if code := run([]string{"-root", root, "-baseline-update"}, &out, &errb); code != 0 {
-		t.Fatalf("baseline-update exit %d; stderr: %s", code, errb.String())
-	}
-	bpath := filepath.Join(root, "lint.baseline")
-	if _, err := os.Stat(bpath); err != nil {
-		t.Fatal(err)
-	}
-	// Now the tree is clean modulo the baseline.
-	out.Reset()
-	errb.Reset()
-	if code := run([]string{"-root", root, "-baseline", bpath}, &out, &errb); code != 0 {
-		t.Fatalf("baselined run exit %d; stdout: %s stderr: %s", code, out.String(), errb.String())
-	}
-	if !strings.Contains(errb.String(), "absorbed 1") {
-		t.Fatalf("expected absorption note, got %s", errb.String())
-	}
-	// A new finding is still fresh.
-	extra := filepath.Join(root, "p", "q.go")
-	if err := os.WriteFile(extra, []byte(strings.Replace(dirtyFile, "func f", "func g", 1)), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	errb.Reset()
-	if code := run([]string{"-root", root, "-baseline", bpath}, &out, &errb); code != 1 {
-		t.Fatalf("exit %d, want 1 for fresh finding; stdout: %s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "q.go") || strings.Contains(out.String(), "p.go:") {
-		t.Fatalf("only the fresh finding should print: %s", out.String())
-	}
-}
-
 func TestListAndSelection(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{"-list"}, &out, &errb); code != 0 {
 		t.Fatalf("-list exit %d", code)
 	}
-	for _, name := range []string{"determtaint", "errwrapcheck", "mutexguard", "lintdirective"} {
+	for _, name := range []string{"determtaint", "errwrapcheck", "sharedstate", "lintdirective"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list missing %s:\n%s", name, out.String())
 		}
+	}
+	if n := strings.Count(out.String(), "\n"); n != 13 {
+		t.Errorf("-list printed %d lines, want 12 analyzers plus lintdirective:\n%s", n, out.String())
 	}
 	if code := run([]string{"-enable", "nosuch"}, &out, &errb); code != 2 {
 		t.Fatalf("-enable nosuch exit %d, want 2", code)

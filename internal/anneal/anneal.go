@@ -111,18 +111,6 @@ func (r *Result) interrupt(ctxErr error, optimizer string) {
 	r.Err = fmt.Errorf("anneal: %s interrupted after %d moves: %w", optimizer, r.Moves, ctxErr)
 }
 
-// penalised returns the cost with the same graded infeasibility penalty
-// the evolution strategy uses, so the optimizers chase the same landscape.
-//
-//lint:hotpath anneal move loop cost — evaluated once per candidate move
-func penalised(p *partition.Partition) float64 {
-	c := p.Cost()
-	if worst := p.WorstDiscriminability(); worst < p.Cons.MinDiscriminability {
-		c += 1e9 * (1 + math.Log(p.Cons.MinDiscriminability/worst))
-	}
-	return c
-}
-
 // moveBuf holds the reusable buffers of randomMove. One buffer serves a
 // whole optimizer run; the slices never escape a single call.
 type moveBuf struct {
@@ -186,7 +174,7 @@ func Anneal(ctx context.Context, start *partition.Partition, prm Params) (res *R
 
 	rng := rand.New(rand.NewSource(prm.Seed))
 	cur := start.Clone()
-	curCost := penalised(cur)
+	curCost := cur.PenalisedCost()
 	res = &Result{Best: cur.Clone(), BestCost: curCost}
 	var mb moveBuf
 
@@ -216,7 +204,7 @@ func Anneal(ctx context.Context, start *partition.Partition, prm Params) (res *R
 			moves.Inc()
 			inj.MustPass(chaos.SiteAnnealPanic)
 			inj.Sleep(chaos.SiteAnnealDelay)
-			candCost := penalised(cand)
+			candCost := cand.PenalisedCost()
 			if err := checkFinite(candCost, res.Moves); err != nil {
 				return res, err
 			}
@@ -255,7 +243,7 @@ func calibrateTemp(p *partition.Partition, baseCost float64, rng *rand.Rand, mb 
 		if !randomMove(cand, rng, mb) {
 			break
 		}
-		if d := penalised(cand) - baseCost; d > 0 {
+		if d := cand.PenalisedCost() - baseCost; d > 0 {
 			upSum += d
 			ups++
 		}
@@ -291,7 +279,7 @@ func HillClimb(ctx context.Context, start *partition.Partition, maxMoves, patien
 
 	rng := rand.New(rand.NewSource(seed))
 	cur := start.Clone()
-	curCost := penalised(cur)
+	curCost := cur.PenalisedCost()
 	res = &Result{Best: cur.Clone(), BestCost: curCost}
 	log.Info("hill climb begin",
 		"circuit", start.E.A.Circuit.Name, "max_moves", maxMoves,
@@ -316,7 +304,7 @@ func HillClimb(ctx context.Context, start *partition.Partition, maxMoves, patien
 		moves.Inc()
 		inj.MustPass(chaos.SiteAnnealPanic)
 		inj.Sleep(chaos.SiteAnnealDelay)
-		candCost := penalised(cand)
+		candCost := cand.PenalisedCost()
 		if err := checkFinite(candCost, res.Moves); err != nil {
 			return res, err
 		}

@@ -100,14 +100,15 @@ func TestRetryAfterTransientFaultIsBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
-	// A one-shot fault kills the first attempt; the retry re-runs the
-	// identical seeded optimization with the fault already spent.
+	// A one-shot fault kills the first attempt; with Degrade set, the
+	// retry re-runs the identical seeded optimization with the fault
+	// already spent.
 	inj := chaos.New(mustSchedule(t, "seed=4,after=5,sites=evolution.worker.panic"), nil)
 	o := obs.New("retry", nil, nil)
 	res, err := SynthesizeContext(chaos.NewContext(context.Background(), inj), chaosCircuit(t), Options{
-		Evolution:        chaosParams(),
-		Obs:              o,
-		OptimizerRetries: 1,
+		Evolution: chaosParams(),
+		Obs:       o,
+		Degrade:   true,
 	})
 	if err != nil {
 		t.Fatalf("Synthesize with one-shot fault + retry: %v", err)

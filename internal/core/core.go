@@ -104,20 +104,16 @@ type Options struct {
 	// on the context only (chaos.NewContext).
 	Obs *obs.Obs
 
-	// Degrade enables graceful degradation: when every optimizer attempt
-	// fails (a poisoned estimator, persistent checkpoint I/O failure, a
-	// worker panic storm), the synthesis falls back to greedy standard
-	// partitioning instead of failing outright. The fallback result is
-	// marked (Result.Degraded, Obs.SetDegraded, MetricDegraded) so it can
-	// never masquerade as a converged optimization.
+	// Degrade enables graceful degradation: a failed evolution run is
+	// retried once — the retry re-runs the identical seeded optimization,
+	// so after a transient fault it reproduces the uninjected run
+	// bit-identically — and when that attempt fails too (a poisoned
+	// estimator, persistent checkpoint I/O failure, a worker panic storm),
+	// the synthesis falls back to greedy standard partitioning instead of
+	// failing outright. The fallback result is marked (Result.Degraded,
+	// Obs.SetDegraded, MetricDegraded) so it can never masquerade as a
+	// converged optimization.
 	Degrade bool
-
-	// OptimizerRetries is how many times a failed evolution run is
-	// retried before failing (or degrading, with Degrade set). Each
-	// retry re-runs the identical seeded optimization, so a retry after a
-	// transient fault reproduces the uninjected run bit-identically.
-	// 0 means one retry when Degrade is set, none otherwise.
-	OptimizerRetries int
 }
 
 // Result is a synthesized IDDQ-testable design.
@@ -151,16 +147,7 @@ func SynthesizeContext(ctx context.Context, c *circuit.Circuit, opt Options) (re
 	// Last-resort containment: whatever a poisoned estimator or injected
 	// fault manages to blow up, the synthesis ends with a named error —
 	// never a process crash, never an unvalidated result.
-	defer func() {
-		if r := recover(); r != nil {
-			res = nil
-			if perr, ok := r.(error); ok {
-				err = fmt.Errorf("core: synthesis panicked: %w", perr)
-			} else {
-				err = fmt.Errorf("core: synthesis panicked: %v", r)
-			}
-		}
-	}()
+	defer contain(&res, &err, "synthesis")
 	o := opt.Obs
 	if o == nil {
 		o = obs.FromContext(ctx)
@@ -217,8 +204,8 @@ func SynthesizeContext(ctx context.Context, c *circuit.Circuit, opt Options) (re
 	ctx = obs.ContextWithSpan(ctx, optTsp) // evolution generations attach here
 	switch opt.Method {
 	case MethodEvolution:
-		attempts := 1 + opt.OptimizerRetries
-		if opt.Degrade && opt.OptimizerRetries <= 0 {
+		attempts := 1
+		if opt.Degrade {
 			attempts = 2
 		}
 		var er *evolution.Result
@@ -300,16 +287,7 @@ func SynthesizeContext(ctx context.Context, c *circuit.Circuit, opt Options) (re
 func runEvolution(ctx context.Context, e *estimate.Estimator,
 	w partition.Weights, cons partition.Constraints, eprm evolution.Params,
 	opt Options) (er *evolution.Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			er = nil
-			if perr, ok := r.(error); ok {
-				err = fmt.Errorf("core: optimizer panicked: %w", perr)
-			} else {
-				err = fmt.Errorf("core: optimizer panicked: %v", r)
-			}
-		}
-	}()
+	defer contain(&er, &err, "optimizer")
 	if opt.Resume != nil {
 		er, err = evolution.Resume(ctx, opt.Resume, e, w, cons, opt.Control)
 	} else {
@@ -331,16 +309,7 @@ func runEvolution(ctx context.Context, e *estimate.Estimator,
 // than a crash.
 func standardGroups(opt Options, e *estimate.Estimator, w partition.Weights,
 	cons partition.Constraints) (p *partition.Partition, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			p = nil
-			if perr, ok := r.(error); ok {
-				err = fmt.Errorf("core: standard partitioning panicked: %w", perr)
-			} else {
-				err = fmt.Errorf("core: standard partitioning panicked: %v", r)
-			}
-		}
-	}()
+	defer contain(&p, &err, "standard partitioning")
 	var groups [][]int
 	if opt.Modules > 0 {
 		groups = standard.StandardPartitionK(e, opt.Modules)
@@ -389,4 +358,23 @@ func (r *Result) Report() string {
 			m.Discriminability(r.Estimator.P.IDDQth))
 	}
 	return sb.String()
+}
+
+// contain converts a panic escaping a core phase into an error naming the
+// phase and clears the phase's result, so a panicking phase never hands
+// out a partial value. Error-valued panics (the estimator's numeric
+// guards, injected faults) are wrapped with %w so errors.Is sees through
+// the recover boundary. Used as: defer contain(&res, &err, "synthesis").
+func contain[T any](res *T, err *error, phase string) {
+	r := recover()
+	if r == nil {
+		return
+	}
+	var zero T
+	*res = zero
+	if perr, ok := r.(error); ok {
+		*err = fmt.Errorf("core: %s panicked: %w", phase, perr)
+	} else {
+		*err = fmt.Errorf("core: %s panicked: %v", phase, r)
+	}
 }

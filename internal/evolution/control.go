@@ -380,9 +380,9 @@ var testEvalHook func(i int, p *partition.Partition)
 // overlap the next clone-and-mutate; once a batch is built, the loop
 // evaluates what the helpers have not taken yet. On one core there are
 // no helpers and the loop evaluates everything, as a sequential loop
-// would. Each descendant is an independent clone and costOf is pure, so
-// which goroutine evaluates it, and when, cannot change a bit of the
-// result.
+// would. Each descendant is an independent clone and PenalisedCost writes
+// only that clone, so which goroutine evaluates it, and when, cannot
+// change a bit of the result.
 //
 // One batch (a generation, or the start population) is in flight at a
 // time: submit adds to it, wait ends it. A panic inside a cost evaluation
@@ -527,7 +527,7 @@ func (p *evalPool) eval(j evalJob) (err error) {
 	if p.hist != nil {
 		defer p.hist.ObserveSince(time.Now())
 	}
-	c := costOf(j.ind.p)
+	c := j.ind.p.PenalisedCost()
 	if math.IsNaN(c) || math.IsInf(c, 0) {
 		return fmt.Errorf("evolution: descendant %d of generation %d cost is %g: %w",
 			j.i, p.gen, c, partition.ErrNonFiniteCost)

@@ -111,26 +111,6 @@ type individual struct {
 	origin uint8
 }
 
-// infeasiblePenalty grades constraint violations: Γ(Π) is a hard
-// constraint in the paper, but an all-infeasible population needs a
-// gradient towards feasibility, so a violation adds a penalty that
-// dominates every regular cost term yet still orders individuals by how
-// far their worst module is from the required discriminability.
-const infeasiblePenalty = 1e9
-
-// costOf grades a partition for selection: the weighted global cost plus
-// the graded infeasibility penalty. It is pure (no shared state), so
-// descendants can be evaluated on a worker pool.
-//
-//lint:hotpath cost of every descendant, λ times per generation — the estimate sweep underneath dominates run time
-func costOf(p *partition.Partition) float64 {
-	c := p.Cost()
-	if worst := p.WorstDiscriminability(); worst < p.Cons.MinDiscriminability {
-		c += infeasiblePenalty * (1 + math.Log(p.Cons.MinDiscriminability/worst))
-	}
-	return c
-}
-
 // Optimize runs the evolution cycle on an explicit start population
 // (ChainStarts builds the §4.2 one). Every start partition must share the
 // same estimator, weights and constraints. Infeasible individuals

@@ -383,7 +383,7 @@ func TestDescendantAllocs(t *testing.T) {
 	step := func() {
 		child := p.Clone()
 		mutate(child, 2, rng, &sc)
-		costOf(child)
+		child.PenalisedCost()
 	}
 	for i := 0; i < 32; i++ {
 		step() // warm the lazy caches and scratch pools

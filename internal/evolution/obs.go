@@ -12,6 +12,7 @@ import (
 	"log/slog"
 
 	"iddqsyn/internal/obs"
+	"iddqsyn/internal/partition"
 )
 
 // Metric names recorded by the optimizer. Exposed as constants so tests
@@ -175,7 +176,7 @@ func (r *runObs) countInfeasible(descendants []*individual) {
 	}
 	n := uint64(0)
 	for _, d := range descendants {
-		if d.cost >= infeasiblePenalty {
+		if d.cost >= partition.InfeasiblePenalty {
 			n++
 		}
 	}

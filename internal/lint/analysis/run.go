@@ -29,9 +29,6 @@ const DirectiveAnalyzer = "lintdirective"
 
 // Options configures one Program.Run.
 type Options struct {
-	// Parallel bounds the number of packages type-checked and analyzed
-	// concurrently; 0 means GOMAXPROCS.
-	Parallel int
 	// Applies, when non-nil, gates which analyzers run on which package
 	// (by import path). An analyzer that does not apply is skipped for
 	// that package, and ignore directives naming it there are left alone.
@@ -92,10 +89,6 @@ type pkgState struct {
 // panicking/failing analyzer — as distinct from findings, so drivers can
 // exit 2 rather than 1 (see cmd/iddqlint).
 func (prog *Program) Run(analyzers []*Analyzer, opts Options) ([]Finding, error) {
-	parallel := opts.Parallel
-	if parallel <= 0 {
-		parallel = runtime.GOMAXPROCS(0)
-	}
 	known := map[string]bool{}
 	for _, n := range opts.KnownAnalyzers {
 		known[n] = true
@@ -131,7 +124,7 @@ func (prog *Program) Run(analyzers []*Analyzer, opts Options) ([]Finding, error)
 		failures []error
 	)
 	runWave := func(wave []*Analyzer, deps func(*Package) []*Package, typeCheck bool) {
-		prog.schedule(parallel, deps, func(pkg *Package) {
+		prog.schedule(deps, func(pkg *Package) {
 			fs, errs := prog.runPackage(pkg, wave, opts, facts, states[pkg], typeCheck)
 			mu.Lock()
 			if opts.RootsOnly && !rootSet[pkg] {
@@ -179,11 +172,11 @@ func (prog *Program) Run(analyzers []*Analyzer, opts Options) ([]Finding, error)
 	return findings, nil
 }
 
-// schedule runs work once per package, in parallel, respecting deps: a
-// package starts only after work finished on every package deps returns
-// for it. With deps = Imports this is dependency order; with deps = the
-// dependents map it is the same graph walked backwards.
-func (prog *Program) schedule(parallel int, deps func(*Package) []*Package, work func(*Package)) {
+// schedule runs work once per package on GOMAXPROCS workers, respecting
+// deps: a package starts only after work finished on every package deps
+// returns for it. With deps = Imports this is dependency order; with
+// deps = the dependents map it is the same graph walked backwards.
+func (prog *Program) schedule(deps func(*Package) []*Package, work func(*Package)) {
 	waiting := map[*Package]int{}
 	unlocks := map[*Package][]*Package{}
 	ready := make(chan *Package, len(prog.Packages))
@@ -200,7 +193,7 @@ func (prog *Program) schedule(parallel int, deps func(*Package) []*Package, work
 	done := make(chan *Package, len(prog.Packages))
 
 	var wg sync.WaitGroup
-	for w := 0; w < parallel; w++ {
+	for range runtime.GOMAXPROCS(0) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

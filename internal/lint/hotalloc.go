@@ -60,7 +60,7 @@ var HotAlloc = &analysis.Analyzer{
 // exported for the function objects a hot function calls, so hotness
 // crosses package boundaries against the import direction.
 type HotFact struct {
-	Root   string // qualified name of the annotated root, e.g. "evolution.costOf"
+	Root   string // qualified name of the annotated root, e.g. "partition.PenalisedCost"
 	Reason string // the root's annotation reason
 }
 

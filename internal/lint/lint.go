@@ -22,8 +22,6 @@
 //     checkpoint bytes. Taint facts cross package boundaries.
 //   - errwrapcheck: errors passed to fmt.Errorf use %w, never %v/%s/%q,
 //     so sentinel errors survive wrapping for errors.Is/As.
-//   - mutexguard: fields annotated `// guarded by mu` are only accessed
-//     by functions that lock mu (or are named *Locked).
 //   - hotalloc: call-graph hot-path allocation analysis; functions
 //     reachable from //lint:hotpath roots must not allocate (composite
 //     literals, make/new, unamortized append, interface boxing, closures,
@@ -44,8 +42,10 @@
 //     cross-package spawn facts) must be accessed under a *consistent*
 //     discipline — flagged when accessed both under and outside a guard,
 //     under disjoint locks on different paths, or mixing sync/atomic with
-//     plain loads/stores. The dynamic race-soak cross-check (-racecheck)
-//     re-attributes GORACE reports to these findings.
+//     plain loads/stores. Fields and package variables annotated
+//     `// guarded by mu` are flagged at every access made without mu held
+//     (outside *Locked functions). The dynamic race-soak cross-check
+//     (-racecheck) re-attributes GORACE reports to these findings.
 //
 // The suite runs on a whole-program type-checked view (see the analysis
 // package): packages are loaded and type-checked once, analyzers run in
@@ -56,7 +56,8 @@
 //	//lint:ignore <analyzer> <reason>
 //
 // The analyzer name must match exactly, and a directive that suppresses
-// nothing is itself reported, so stale exemptions cannot linger.
+// nothing is itself reported, so stale exemptions cannot linger. The
+// directive is the only way to suppress a finding.
 package lint
 
 import (
@@ -71,7 +72,7 @@ import (
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		NoRandGlobal, PanicPolicy, CtxLoop, CloseCheck, RenameAtomic,
-		DetermTaint, ErrWrapCheck, MutexGuard,
+		DetermTaint, ErrWrapCheck,
 		HotAlloc, LockOrder, GoLeak, SpanEnd, SharedState,
 	}
 }

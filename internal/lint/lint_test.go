@@ -38,10 +38,6 @@ func TestErrWrapCheck(t *testing.T) {
 	analysistest.Run(t, "testdata", lint.ErrWrapCheck, "errwrapcheck")
 }
 
-func TestMutexGuard(t *testing.T) {
-	analysistest.Run(t, "testdata", lint.MutexGuard, "mutexguard")
-}
-
 // TestHotAlloc covers the reverse-wave call-graph analysis: the driver
 // package declares the hotpath roots and dispatches through an interface;
 // the kernel package becomes hot purely through facts exported by the
@@ -68,6 +64,15 @@ func TestSpanEnd(t *testing.T) {
 // initialization, constructor locals, *Locked helpers).
 func TestSharedState(t *testing.T) {
 	analysistest.Run(t, "testdata", lint.SharedState, "sharedstate")
+}
+
+// TestSharedStateGuardedBy pins the `// guarded by mu` check: accesses
+// without mu held are reported at the access, flow-sensitively (an
+// access after mu.Unlock() is bare), while deferred unlocks, the
+// early-return idiom, closures defined under the lock, RLock, *Locked
+// helpers and constructor locals pass.
+func TestSharedStateGuardedBy(t *testing.T) {
+	analysistest.Run(t, "testdata", lint.SharedState, "sharedstate/guard")
 }
 
 // TestSharedStateCrossPackage pins the reverse-wave fact flow: app (the
@@ -119,11 +124,11 @@ func TestByNameUnknown(t *testing.T) {
 	if _, ok := lint.ByName("nosuch"); ok {
 		t.Fatal("ByName(nosuch) succeeded")
 	}
-	if len(lint.Analyzers()) != 13 {
-		t.Fatalf("expected 13 analyzers, got %d", len(lint.Analyzers()))
+	if len(lint.Analyzers()) != 12 {
+		t.Fatalf("expected 12 analyzers, got %d", len(lint.Analyzers()))
 	}
 	names := lint.Names()
-	if len(names) != 14 || names[len(names)-1] != "lintdirective" {
-		t.Fatalf("Names() = %v, want 13 analyzers plus lintdirective", names)
+	if len(names) != 13 || names[len(names)-1] != "lintdirective" {
+		t.Fatalf("Names() = %v, want 12 analyzers plus lintdirective", names)
 	}
 }

@@ -31,8 +31,8 @@ import (
 //
 // Self-edges (re-acquiring the same structural mutex) are not reported:
 // two instances of one type may be locked in sequence legitimately
-// (hand-over-hand), and instance-level reentrancy is the mutexguard /
-// runtime deadlock detector's territory. Only cycles between *distinct*
+// (hand-over-hand), and instance-level reentrancy is the runtime
+// deadlock detector's territory. Only cycles between *distinct*
 // mutexes are flagged, at every edge that participates in the cycle.
 var LockOrder = &analysis.Analyzer{
 	Name: "lockorder",

@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"regexp"
 	"sort"
 	"strings"
 	"sync"
@@ -13,9 +14,10 @@ import (
 )
 
 // SharedState is the whole-program lockset analysis: it computes which
-// struct fields are reachable from more than one goroutine and, for
-// every access to such a field, the set of structural mutexes held at
-// the access — reporting fields whose locksets are *inconsistent*:
+// struct fields and package-level variables are reachable from more than
+// one goroutine and, for every access to such a field, the set of
+// structural mutexes held at the access — reporting fields whose locksets
+// are *inconsistent*:
 //
 //   - accessed both under a guard and bare (a lock that only sometimes
 //     protects a field protects nothing);
@@ -41,8 +43,8 @@ import (
 // *inconsistency* — the cases where the code itself disagrees about
 // what protects the field. Accesses before the first `go` statement of
 // the spawning function are exempt (ordered by the spawn), as are
-// constructor-local values and *Locked functions (guard held by the
-// caller, mutexguard's convention).
+// constructor-local values and *Locked functions (the caller holds the
+// guard).
 //
 // Findings are reported at the field declaration, one per field, so one
 // reasoned //lint:ignore sharedstate <reason> documents the field's
@@ -50,11 +52,25 @@ import (
 // re-attributes every GORACE report from the race soaks to these
 // fields' access sites: a dynamic race with no static candidate means
 // this model has a hole.
+//
+// The code can also state the discipline: a struct field or package
+// variable declared with a comment
+//
+//	count int // guarded by mu
+//
+// must be accessed with a mutex named mu held — a lockset entry whose
+// structural id ends in ".mu". This check runs on every in-package
+// access, whether or not the field is shared, before the happens-before
+// exemption, and reports at the access itself. The lockset is
+// flow-sensitive: an access after mu.Unlock() is bare even when the
+// function locked mu earlier. *Locked functions, constructor-local
+// values and sync-typed fields keep their exemptions.
 var SharedState = &analysis.Analyzer{
 	Name: "sharedstate",
-	Doc: "lockset analysis over goroutine-shared struct fields: flag fields accessed " +
+	Doc: "lockset analysis over goroutine-shared fields and variables: flag fields accessed " +
 		"both under and outside a guard, under disjoint locks, or mixing sync/atomic " +
-		"with plain access — the data-race shapes the race detector needs luck to catch",
+		"with plain access, and `// guarded by mu` fields accessed without mu held — " +
+		"the data-race shapes the race detector needs luck to catch",
 	FactTypes: []analysis.Fact{(*SpawnedFact)(nil), (*FieldAccessesFact)(nil)},
 	Direction: analysis.Reverse,
 	Run:       runSharedState,
@@ -167,6 +183,7 @@ func runSharedState(pass *analysis.Pass) (interface{}, error) {
 	}
 
 	ctxs, multi := computeContexts(pass, funcs, scans)
+	guards := collectGuards(pass)
 
 	// Resolve every raw access into an AccessSite tagged with the
 	// goroutine contexts its enclosing scope runs in.
@@ -182,6 +199,10 @@ func runSharedState(pass *analysis.Pass) (interface{}, error) {
 		}
 		fnMulti := anyMulti(ctxs[fn.obj], multi)
 		for _, ra := range sc.accesses {
+			if guard, ok := guards[ra.field]; ok && !holds(ra.locks, guard) {
+				pass.Reportf(ra.pos, "%q is guarded by %q (see its declaration) but %s is not held here; "+
+					"acquire %s.Lock/RLock first or use a *Locked accessor", ra.field.Name(), guard, guard, guard)
+			}
 			if ra.spawnID == "" && sc.firstSpawn != token.NoPos && ra.pos < sc.firstSpawn &&
 				len(fnCtx) == 1 && fnCtx[0] == MainContext && !fnMulti {
 				// Happens-before exemption: an access in the spawning
@@ -244,6 +265,75 @@ func runSharedState(pass *analysis.Pass) (interface{}, error) {
 		pass.Reportf(field.Pos(), "%s", fieldMessage(id, kinds, sites))
 	}
 	return res, nil
+}
+
+// guardedByRE anchors the annotation to the start of a comment line (or
+// the start of a sentence), so prose that merely *mentions* the
+// convention does not register as an annotation.
+var guardedByRE = regexp.MustCompile(`(?m)(?:^|\. )guarded by ([A-Za-z_][A-Za-z0-9_]*)`)
+
+// collectGuards maps the package's guarded objects (struct fields and
+// package-level variables) to the name of their guarding mutex.
+func collectGuards(pass *analysis.Pass) map[*types.Var]string {
+	guards := map[*types.Var]string{}
+	add := func(names []*ast.Ident, guard string) {
+		if guard == "" {
+			return
+		}
+		for _, name := range names {
+			if v, ok := pass.TypesInfo.Defs[name].(*types.Var); ok {
+				guards[v] = guard
+			}
+		}
+	}
+	for _, f := range pass.Pkg.CheckedFiles {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch nn := n.(type) {
+			case *ast.StructType:
+				for _, field := range nn.Fields.List {
+					add(field.Names, guardAnnotation(field.Doc, field.Comment))
+				}
+			case *ast.GenDecl:
+				for _, spec := range nn.Specs {
+					vs, ok := spec.(*ast.ValueSpec)
+					if !ok {
+						continue
+					}
+					guard := guardAnnotation(vs.Doc, vs.Comment)
+					if guard == "" && len(nn.Specs) == 1 {
+						guard = guardAnnotation(nn.Doc, nil)
+					}
+					if v, ok := pass.TypesInfo.Defs[vs.Names[0]].(*types.Var); ok && v.Parent() == pass.TypesPkg.Scope() {
+						add(vs.Names, guard)
+					}
+				}
+			}
+			return true
+		})
+	}
+	return guards
+}
+
+func guardAnnotation(groups ...*ast.CommentGroup) string {
+	for _, g := range groups {
+		if g == nil {
+			continue
+		}
+		if m := guardedByRE.FindStringSubmatch(g.Text()); m != nil {
+			return m[1]
+		}
+	}
+	return ""
+}
+
+// holds reports whether a sorted lockset holds a mutex named guard.
+func holds(locks []string, guard string) bool {
+	for _, l := range locks {
+		if strings.HasSuffix(l, "."+guard) {
+			return true
+		}
+	}
+	return false
 }
 
 // judgeField decides whether a field's access sites are inconsistent.
@@ -435,7 +525,8 @@ func anyMulti(set map[string]bool, multi map[string]bool) bool {
 // ---------------------------------------------------------------------
 // Per-function body scan.
 
-// rawAccess is one field access before context resolution.
+// rawAccess is one field or package-variable access before context
+// resolution.
 type rawAccess struct {
 	field   *types.Var
 	pos     token.Pos
@@ -726,6 +817,13 @@ func (st *scanState) walkExprs(n ast.Node) {
 		case *ast.SelectorExpr:
 			st.access(nn, true)
 			return false
+		case *ast.Ident:
+			// A bare identifier names a package-level variable; the only
+			// fields it can name are composite-literal keys, which build a
+			// fresh value rather than access a shared one.
+			if v := st.tracked(nn); v != nil && !v.IsField() {
+				st.record(v, nn.Pos(), false, st.writes[nn])
+			}
 		}
 		return true
 	})
@@ -888,17 +986,11 @@ func (st *scanState) access(e ast.Expr, descend bool) {
 }
 
 // recordAccess appends one raw access if the selector resolves to a
-// non-exempt struct field.
+// non-exempt struct field or package-level variable.
 func (st *scanState) recordAccess(sel *ast.SelectorExpr, atomic, write bool) {
-	field, ok := st.pass.TypesInfo.Uses[sel.Sel].(*types.Var)
-	if !ok || !field.IsField() || field.Name() == "_" || field.Pkg() == nil {
+	v := st.tracked(sel.Sel)
+	if v == nil {
 		return
-	}
-	if st.locked {
-		return // *Locked: the caller holds the guard (mutexguard's contract)
-	}
-	if syncType(field.Type()) {
-		return // mutexes, wait groups, atomic.Int64 & co guard themselves
 	}
 	if st.constructorLocal(sel.X) {
 		return // freshly built value, not shared yet
@@ -906,12 +998,33 @@ func (st *scanState) recordAccess(sel *ast.SelectorExpr, atomic, write bool) {
 	if st.valueCopyBase(sel.X) {
 		return // field of a by-value parameter/receiver: frame-local copy
 	}
+	st.record(v, sel.Sel.Pos(), atomic, write)
+}
+
+// record appends one raw access to v under the currently held lockset.
+func (st *scanState) record(v *types.Var, pos token.Pos, atomic, write bool) {
 	locks := append([]string(nil), st.held...)
 	sort.Strings(locks)
 	st.scan.accesses = append(st.scan.accesses, rawAccess{
-		field: field, pos: sel.Sel.Pos(), locks: locks,
+		field: v, pos: pos, locks: locks,
 		atomic: atomic, write: write, spawnID: st.spawnID,
 	})
+}
+
+// tracked resolves an identifier use to the struct field or
+// package-level variable it accesses, or nil when the access is exempt.
+func (st *scanState) tracked(id *ast.Ident) *types.Var {
+	v, ok := st.pass.TypesInfo.Uses[id].(*types.Var)
+	if !ok || v.Name() == "_" || v.Pkg() == nil || (!v.IsField() && v.Parent() != v.Pkg().Scope()) {
+		return nil
+	}
+	if st.locked {
+		return nil // *Locked: the caller holds the guard
+	}
+	if syncType(v.Type()) {
+		return nil // mutexes, wait groups, atomic.Int64 & co guard themselves
+	}
+	return v
 }
 
 // constructorLocal reports whether the access base bottoms out in a

@@ -1,5 +1,5 @@
-// Package mutexguard pins the `// guarded by mu` annotation check.
-package mutexguard
+// Package guard pins sharedstate's `// guarded by mu` annotation check.
+package guard
 
 import "sync"
 
@@ -41,7 +41,7 @@ func newCounter() *counter {
 	return c
 }
 
-// rlockRead holds the read lock — RLock counts.
+// gauge holds the read lock — RLock counts.
 type gauge struct {
 	mu sync.RWMutex
 	v  float64 // guarded by mu
@@ -73,6 +73,44 @@ func lookupBad(name string) *counter {
 }
 
 func ignoredLookup(name string) *counter {
-	//lint:ignore mutexguard snapshot read is racy by design here
+	//lint:ignore sharedstate snapshot read is racy by design here
 	return registry[name]
+}
+
+// ReadAfterUnlock locked mu earlier, but the read comes after the
+// Unlock: the lockset is flow-sensitive, so the read is bare.
+func (c *counter) ReadAfterUnlock() int {
+	c.mu.Lock()
+	c.n++
+	c.mu.Unlock()
+	return c.n // want `"n" is guarded by "mu"`
+}
+
+// DeferredUnlock keeps mu held to the function's end, past a branch.
+func (c *counter) DeferredUnlock() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.n > 0 {
+		c.last = c.n
+	}
+	return c.last
+}
+
+// EarlyReturn releases mu only on the path that leaves the function.
+func (c *counter) EarlyReturn(bad bool) {
+	c.mu.Lock()
+	if bad {
+		c.mu.Unlock()
+		return
+	}
+	c.n++
+	c.mu.Unlock()
+}
+
+// ClosureUnderLock defines and calls its callback with mu held.
+func (c *counter) ClosureUnderLock() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	bump := func() { c.n++ }
+	bump()
 }

@@ -119,7 +119,7 @@ func (p *pool) Hits() int {
 
 // ---------------------------------------------------------------------
 // Silent: every access under the same mutex, including through a
-// *Locked helper (the caller holds the guard — mutexguard's contract).
+// *Locked helper (the caller holds the guard).
 
 type safe struct {
 	mu sync.Mutex

@@ -518,6 +518,28 @@ func (p *Partition) Cost() float64 {
 	return p.Costs().Weighted(p.W)
 }
 
+// InfeasiblePenalty grades constraint violations: Γ(Π) is a hard
+// constraint in the paper, but an all-infeasible population needs a
+// gradient towards feasibility, so a violation adds a penalty that
+// dominates every regular cost term yet still orders partitions by how
+// far their worst module is from the required discriminability.
+const InfeasiblePenalty = 1e9
+
+// PenalisedCost is the cost both optimizers minimise: the weighted global
+// cost C(Π) plus the graded infeasibility penalty, so the evolution
+// strategy and the annealers chase the same landscape. It writes only
+// state p owns (its module estimates and cost cache), so independent
+// clones can be evaluated on a worker pool.
+//
+//lint:hotpath cost of every evolution descendant and every annealing move — the estimate sweep underneath dominates run time
+func (p *Partition) PenalisedCost() float64 {
+	c := p.Cost()
+	if worst := p.WorstDiscriminability(); worst < p.Cons.MinDiscriminability {
+		c += InfeasiblePenalty * (1 + math.Log(p.Cons.MinDiscriminability/worst))
+	}
+	return c
+}
+
 // Verify checks the structural invariants (disjoint cover of all logic
 // gates, consistent moduleOf, ascending module gate lists, no empty
 // modules) and returns the first violation. Used by tests and as a

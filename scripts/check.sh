@@ -23,8 +23,8 @@ go build ./...
 # change cannot break the benchmark unnoticed.
 echo "== (cd cmd/iddqbench && go vet ./...)"
 (cd cmd/iddqbench && go vet ./...)
-echo "== iddqlint -baseline lint.baseline ./..."
-go run ./cmd/iddqlint -baseline lint.baseline ./...
+echo "== iddqlint ./..."
+go run ./cmd/iddqlint ./...
 echo "== go test -race -short ./..."
 go test -race -short ./...
 # The exact-recompute oracle of the incremental cost update: random move
