@@ -241,3 +241,29 @@ func (idx *implIndex) implementations(ifaceMethod *types.Func) []*types.Func {
 	idx.cache[ifaceMethod] = out
 	return out
 }
+
+// fnInfo pairs a declaration with its object.
+type fnInfo struct {
+	decl *ast.FuncDecl
+	obj  *types.Func
+}
+
+// packageFuncs lists every function declaration with a body in the
+// package's type-checked files.
+func packageFuncs(pass *analysis.Pass) []fnInfo {
+	var out []fnInfo
+	for _, f := range pass.Pkg.CheckedFiles {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			obj, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
+			if obj == nil {
+				continue
+			}
+			out = append(out, fnInfo{fd, obj})
+		}
+	}
+	return out
+}

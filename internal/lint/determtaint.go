@@ -99,7 +99,7 @@ func pkgBase(path string) string {
 func runDetermTaint(pass *analysis.Pass) (interface{}, error) {
 	t := &taintChecker{pass: pass, inScopePkg: determScopePackages[pkgBase(pass.Pkg.Path)]}
 
-	funcs := t.packageFuncs()
+	funcs := packageFuncs(pass)
 	// Fixpoint over the package's own call graph: keep re-deriving
 	// function taint until no new fact appears, so helper chains within
 	// the package resolve regardless of declaration order. Facts from
@@ -125,30 +125,6 @@ func runDetermTaint(pass *analysis.Pass) (interface{}, error) {
 type taintChecker struct {
 	pass       *analysis.Pass
 	inScopePkg bool
-}
-
-// fnInfo pairs a declaration with its object.
-type fnInfo struct {
-	decl *ast.FuncDecl
-	obj  *types.Func
-}
-
-func (t *taintChecker) packageFuncs() []fnInfo {
-	var out []fnInfo
-	for _, f := range t.pass.Pkg.CheckedFiles {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			obj, _ := t.pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if obj == nil {
-				continue
-			}
-			out = append(out, fnInfo{fd, obj})
-		}
-	}
-	return out
 }
 
 // inScope reports whether fn participates in the determinism contract.
@@ -308,7 +284,7 @@ func (st *taintState) exprTaint(expr ast.Expr) *TaintedFact {
 		}
 		switch nn := n.(type) {
 		case *ast.CallExpr:
-			callee := st.t.calleeOf(nn)
+			callee := calleeFuncOf(st.t.pass, nn)
 			if st.t.isExempt(callee) {
 				return false // observation sink/source: prune
 			}
@@ -414,7 +390,7 @@ func (st *taintState) unsortedAppendTarget(funcBody *ast.BlockStmt, r *ast.Range
 // sortTarget returns the object of the first argument of a sort.* /
 // slices.Sort* call (the slice being sorted), or nil.
 func (st *taintState) sortTarget(call *ast.CallExpr) types.Object {
-	callee := st.t.calleeOf(call)
+	callee := calleeFuncOf(st.t.pass, call)
 	if callee == nil || callee.Pkg() == nil {
 		return nil
 	}
@@ -436,31 +412,8 @@ func (st *taintState) sortTarget(call *ast.CallExpr) types.Object {
 	return nil
 }
 
-// calleeOf resolves a call's static callee object (nil for indirect
-// calls, builtins and type conversions).
-func (t *taintChecker) calleeOf(call *ast.CallExpr) types.Object {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if obj := t.pass.TypesInfo.Uses[fun]; obj != nil {
-			if _, ok := obj.(*types.Func); ok {
-				return obj
-			}
-		}
-	case *ast.SelectorExpr:
-		if sel, ok := t.pass.TypesInfo.Selections[fun]; ok {
-			return sel.Obj()
-		}
-		if obj := t.pass.TypesInfo.Uses[fun.Sel]; obj != nil {
-			if _, ok := obj.(*types.Func); ok {
-				return obj
-			}
-		}
-	}
-	return nil
-}
-
 // isExempt reports whether the callee belongs to an observation package.
-func (t *taintChecker) isExempt(callee types.Object) bool {
+func (t *taintChecker) isExempt(callee *types.Func) bool {
 	if callee == nil || callee.Pkg() == nil {
 		return false
 	}
@@ -468,7 +421,7 @@ func (t *taintChecker) isExempt(callee types.Object) bool {
 }
 
 // sourceFact classifies a callee as a primary nondeterminism source.
-func (t *taintChecker) sourceFact(callee types.Object, pos token.Pos) *TaintedFact {
+func (t *taintChecker) sourceFact(callee *types.Func, pos token.Pos) *TaintedFact {
 	if callee == nil || callee.Pkg() == nil {
 		return nil
 	}
@@ -483,8 +436,7 @@ func (t *taintChecker) sourceFact(callee types.Object, pos token.Pos) *TaintedFa
 		// *rand.Rand are exactly the policy, and the New*/NewSource
 		// constructors BUILD the seeded stream from an explicit seed —
 		// they are how determinism is achieved, not how it is lost.
-		if fn, ok := callee.(*types.Func); ok && fn.Type().(*types.Signature).Recv() == nil &&
-			!strings.HasPrefix(callee.Name(), "New") {
+		if callee.Type().(*types.Signature).Recv() == nil && !strings.HasPrefix(callee.Name(), "New") {
 			return &TaintedFact{Source: "global math/rand." + callee.Name(), At: t.posOf(pos)}
 		}
 	}
@@ -493,7 +445,7 @@ func (t *taintChecker) sourceFact(callee types.Object, pos token.Pos) *TaintedFa
 
 // calleeFact looks up a TaintedFact for the callee, from this package's
 // in-progress analysis or from a dependency's exported facts.
-func (t *taintChecker) calleeFact(callee types.Object) *TaintedFact {
+func (t *taintChecker) calleeFact(callee *types.Func) *TaintedFact {
 	if callee == nil || t.isExempt(callee) {
 		return nil
 	}
@@ -586,9 +538,6 @@ func (st *taintState) nonLocalLValue(expr ast.Expr) bool {
 // plain local assignment, plus order-dependent map ranges and racy
 // selects.
 func (t *taintChecker) reportFunc(fn fnInfo) {
-	if t.pass.IsTestFile(fileOf(t.pass, fn.decl)) {
-		return
-	}
 	st := t.analyzeLocals(fn)
 	seen := map[token.Pos]bool{}
 
@@ -600,7 +549,7 @@ func (t *taintChecker) reportFunc(fn fnInfo) {
 			}
 			switch nn := node.(type) {
 			case *ast.CallExpr:
-				callee := t.calleeOf(nn)
+				callee := calleeFuncOf(t.pass, nn)
 				if t.isExempt(callee) {
 					return false // observation consumption: prune args
 				}
@@ -692,7 +641,7 @@ func (t *taintChecker) reportTaintedUses(st *taintState, fn fnInfo) {
 			if rid != nil {
 				return false
 			}
-			if call, ok := n.(*ast.CallExpr); ok && t.isExempt(t.calleeOf(call)) {
+			if call, ok := n.(*ast.CallExpr); ok && t.isExempt(calleeFuncOf(t.pass, call)) {
 				return false
 			}
 			if id, ok := n.(*ast.Ident); ok {
@@ -712,7 +661,7 @@ func (t *taintChecker) reportTaintedUses(st *taintState, fn fnInfo) {
 	ast.Inspect(fn.decl.Body, func(n ast.Node) bool {
 		switch nn := n.(type) {
 		case *ast.CallExpr:
-			if t.isExempt(t.calleeOf(nn)) {
+			if t.isExempt(calleeFuncOf(t.pass, nn)) {
 				return false
 			}
 		case *ast.ReturnStmt:
@@ -798,7 +747,7 @@ func (st *taintState) serializingCall(r *ast.RangeStmt) *ast.CallExpr {
 		case *ast.Ident:
 			name = fun.Name
 		}
-		if !serializerNames[name] || st.t.isExempt(st.t.calleeOf(call)) {
+		if !serializerNames[name] || st.t.isExempt(calleeFuncOf(st.t.pass, call)) {
 			return true
 		}
 		uses := false
@@ -868,14 +817,4 @@ func isDoneRecv(stmt ast.Stmt) bool {
 			strings.Contains(strings.ToLower(x.Name), "cancel")
 	}
 	return false
-}
-
-// fileOf returns the *ast.File containing the declaration.
-func fileOf(pass *analysis.Pass, decl ast.Node) *ast.File {
-	for _, f := range pass.Files {
-		if f.Pos() <= decl.Pos() && decl.Pos() <= f.End() {
-			return f
-		}
-	}
-	return pass.Files[0]
 }

@@ -29,9 +29,6 @@ var ErrWrapCheck = &analysis.Analyzer{
 func runErrWrapCheck(pass *analysis.Pass) (interface{}, error) {
 	errIface := types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
 	for _, f := range pass.Pkg.CheckedFiles {
-		if pass.IsTestFile(f) {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok || !isFmtErrorf(pass, call) || len(call.Args) < 2 {

@@ -23,14 +23,9 @@ import (
 type SpawnSite struct {
 	// Go is the statement itself; Go.Pos() is the reporting position.
 	Go *ast.GoStmt
-	// Lit is the spawned function literal (`go func(){...}()`), nil for
-	// named spawns.
-	Lit *ast.FuncLit
 	// Callee is the statically resolved spawned function (`go f(x)`,
 	// `go s.run()`), nil for literals and unresolvable calls.
 	Callee *types.Func
-	// Enclosing is the function declaration containing the statement.
-	Enclosing *types.Func
 	// InLoop reports that the statement sits inside a for/range statement
 	// of its enclosing function: the site can mint many goroutine
 	// instances, which may race each other even with no other goroutine
@@ -50,54 +45,48 @@ func (s SpawnSite) ID(fset *token.FileSet) string {
 	return filepath.Base(pos.Filename) + ":" + strconv.Itoa(pos.Line)
 }
 
-// GoroutineInventory walks every non-test file of the package and
-// returns its `go` statements in source order, classified.
+// GoroutineInventory walks the function declarations of the package's
+// type-checked (non-test) files and returns their `go` statements in
+// source order, classified.
 func GoroutineInventory(pass *analysis.Pass) []SpawnSite {
 	var sites []SpawnSite
 	for _, f := range pass.Pkg.CheckedFiles {
-		if pass.IsTestFile(f) {
-			continue
-		}
 		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				collectSpawns(pass, fd.Body, false, &sites)
 			}
-			enclosing, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			collectSpawns(pass, fd.Body, enclosing, false, &sites)
 		}
 	}
 	return sites
 }
 
-// collectSpawns records every GoStmt under n. loops tracks whether the
-// walk is currently inside a for/range statement.
-func collectSpawns(pass *analysis.Pass, n ast.Node, enclosing *types.Func, inLoop bool, out *[]SpawnSite) {
+// collectSpawns records every GoStmt under n. inLoop tracks whether the
+// walk is currently inside a for/range statement: its body, condition
+// and post statement run once per iteration, its init statement and
+// range expression once.
+func collectSpawns(pass *analysis.Pass, n ast.Node, inLoop bool, out *[]SpawnSite) {
+	if n == nil {
+		return
+	}
 	ast.Inspect(n, func(n ast.Node) bool {
 		switch nn := n.(type) {
 		case *ast.ForStmt:
-			collectSpawns(pass, nn.Body, enclosing, true, out)
-			if nn.Init != nil {
-				collectSpawns(pass, nn.Init, enclosing, inLoop, out)
-			}
+			collectSpawns(pass, nn.Init, inLoop, out)
+			collectSpawns(pass, nn.Cond, true, out)
+			collectSpawns(pass, nn.Post, true, out)
+			collectSpawns(pass, nn.Body, true, out)
 			return false
 		case *ast.RangeStmt:
-			collectSpawns(pass, nn.Body, enclosing, true, out)
+			collectSpawns(pass, nn.X, inLoop, out)
+			collectSpawns(pass, nn.Body, true, out)
 			return false
 		case *ast.GoStmt:
-			site := SpawnSite{
+			*out = append(*out, SpawnSite{
 				Go:        nn,
-				Enclosing: enclosing,
+				Callee:    calleeFuncOf(pass, nn.Call),
 				InLoop:    inLoop,
 				Accounted: goStmtAccounted(pass, nn),
-			}
-			switch fun := ast.Unparen(nn.Call.Fun).(type) {
-			case *ast.FuncLit:
-				site.Lit = fun
-			default:
-				site.Callee = calleeFuncOf(pass, nn.Call)
-			}
-			*out = append(*out, site)
+			})
 			// Keep walking: the spawned literal body may itself spawn.
 			return true
 		}

@@ -520,23 +520,3 @@ func isStringType(pass *analysis.Pass, e ast.Expr) bool {
 	b, ok := tv.Type.Underlying().(*types.Basic)
 	return ok && b.Info()&types.IsString != 0
 }
-
-// packageFuncs lists every function declaration with a body in the
-// package's type-checked files.
-func packageFuncs(pass *analysis.Pass) []fnInfo {
-	var out []fnInfo
-	for _, f := range pass.Pkg.CheckedFiles {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			obj, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if obj == nil {
-				continue
-			}
-			out = append(out, fnInfo{fd, obj})
-		}
-	}
-	return out
-}

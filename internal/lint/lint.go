@@ -30,6 +30,7 @@
 //   - lockorder: lock-acquisition-order cycles (A held while acquiring B,
 //     elsewhere B held while acquiring A) — static deadlock risks,
 //     expanded through per-function acquisition summaries across packages.
+//     It reads the held sets of sharedstate's flow-sensitive body scan.
 //   - goleak: `go` statements with no visible stop path (no context,
 //     channel operation, or WaitGroup) — goroutines that cannot be shut
 //     down or awaited.

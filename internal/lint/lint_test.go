@@ -46,6 +46,9 @@ func TestHotAlloc(t *testing.T) {
 	analysistest.Run(t, "testdata", lint.HotAlloc, "hotalloc/driver", "hotalloc/kernel")
 }
 
+// TestLockOrder covers cycles formed directly and through acquisition
+// summaries, self-edges, a lock released only on an early-exit arm, and
+// goroutines spawned under a lock (which do not hold it).
 func TestLockOrder(t *testing.T) {
 	analysistest.Run(t, "testdata", lint.LockOrder, "lockorder")
 }
@@ -68,9 +71,10 @@ func TestSharedState(t *testing.T) {
 
 // TestSharedStateGuardedBy pins the `// guarded by mu` check: accesses
 // without mu held are reported at the access, flow-sensitively (an
-// access after mu.Unlock() is bare), while deferred unlocks, the
-// early-return idiom, closures defined under the lock, RLock, *Locked
-// helpers and constructor locals pass.
+// access after mu.Unlock() is bare, and so is one in a deferred literal
+// that runs after it), while deferred unlocks, the early-return idiom,
+// closures defined under the lock, literals that lock for themselves,
+// RLock, *Locked helpers and constructor locals pass.
 func TestSharedStateGuardedBy(t *testing.T) {
 	analysistest.Run(t, "testdata", lint.SharedState, "sharedstate/guard")
 }

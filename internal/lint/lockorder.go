@@ -20,20 +20,30 @@ import (
 // Mutexes are identified structurally, not by instance: a field mutex is
 // "pkg.Type.field", a package-level mutex is "pkg.name". This matches how
 // lock hierarchies are designed (all instances of a type share one rank)
-// and keeps the analysis flow-insensitive and cheap. Within a function the
-// held set is tracked by a linear scan in source order: Lock/RLock pushes,
-// Unlock/RUnlock pops, a *deferred* unlock holds to the end of the
-// function. Calls are expanded one level deep through per-function
-// acquisition summaries (AcquiresFact), which cross package boundaries in
-// the forward (dependencies-first) direction — the serve layer calling
-// into store with a lock held is exactly the cross-package shape that
-// produced real deadlocks elsewhere.
+// and keeps the analysis cheap. The held set comes from sharedstate's
+// body scan (scanFunc), so both analyzers track locks the same way: flow
+// sensitively, with the lock effects of an arm that cannot fall through
+// (return, break, panic) dropped after it, switch and select cases
+// walked as alternatives, a deferred unlock holding to function end, and
+// the body of a `go` literal starting from an empty held set. Its steps
+// form edges among themselves but stay out of the enclosing function's
+// summary, as does a named `go f()`: the spawned goroutine never holds
+// the spawner's locks.
+//
+// Direct calls are expanded through per-function acquisition summaries
+// (AcquiresFact), which cross package boundaries in the forward
+// (dependencies-first) direction — the serve layer calling into store
+// with a lock held is exactly the cross-package shape that produced real
+// deadlocks elsewhere. That direction is why lockorder stays a separate
+// analyzer from sharedstate, whose goroutine contexts flow the other way.
+// Interface-method calls are not expanded.
 //
 // Self-edges (re-acquiring the same structural mutex) are not reported:
 // two instances of one type may be locked in sequence legitimately
 // (hand-over-hand), and instance-level reentrancy is the runtime
 // deadlock detector's territory. Only cycles between *distinct*
-// mutexes are flagged, at every edge that participates in the cycle.
+// mutexes are flagged, at every edge that participates in the cycle,
+// once per edge at its first position in file order.
 var LockOrder = &analysis.Analyzer{
 	Name: "lockorder",
 	Doc: "detect lock-acquisition-order cycles across functions and packages " +
@@ -57,127 +67,78 @@ func (f *AcquiresFact) String() string {
 	return "acquires " + strings.Join(f.Mutexes, ", ")
 }
 
-// lockEvent is one mutex operation or call site in source order.
-type lockEvent struct {
-	pos      token.Pos
-	mutex    string      // structural ID ("" for call events)
-	op       string      // "lock", "unlock", "call"
-	deferred bool        // inside a defer statement
-	callee   *types.Func // for op "call"
-}
-
 func runLockOrder(pass *analysis.Pass) (interface{}, error) {
 	funcs := packageFuncs(pass)
-	events := make(map[*types.Func][]lockEvent, len(funcs))
+	steps := make(map[*types.Func][]lockStep, len(funcs))
+	acq := make(map[*types.Func]map[string]bool, len(funcs))
 	for _, fn := range funcs {
-		events[fn.obj] = lockEvents(pass, fn.decl.Body)
+		steps[fn.obj] = scanFunc(pass, fn).steps
+		acq[fn.obj] = map[string]bool{}
 	}
 
-	// Fixpoint: transitive acquisition summaries over this package's call
-	// graph, seeded with imported facts for out-of-package callees.
-	acq := make(map[*types.Func]map[string]bool, len(funcs))
-	for fn := range events {
-		acq[fn] = map[string]bool{}
-	}
-	calleeAcquires := func(callee *types.Func) []string {
-		if local, ok := acq[callee]; ok {
-			ids := make([]string, 0, len(local))
-			for id := range local {
-				ids = append(ids, id)
-			}
-			return ids
+	// acquired lists what one step acquires: its mutex, or its callee's
+	// summary (this package's in-progress one, else the imported fact).
+	acquired := func(s lockStep) []string {
+		if s.callee == nil {
+			return []string{s.mutex}
+		}
+		if local, ok := acq[s.callee]; ok {
+			return sortedKeys(local)
 		}
 		fact := new(AcquiresFact)
-		if pass.ImportObjectFact(callee, fact) {
+		if pass.ImportObjectFact(s.callee, fact) {
 			return fact.Mutexes
 		}
 		return nil
 	}
+
+	// Fixpoint: transitive acquisition summaries over this package's call
+	// graph, seeded with imported facts for out-of-package callees.
 	for changed := true; changed; {
 		changed = false
-		for _, f := range funcs {
-			fn, evs := f.obj, events[f.obj]
-			for _, ev := range evs {
-				switch ev.op {
-				case "lock":
-					if !acq[fn][ev.mutex] {
-						acq[fn][ev.mutex] = true
+		for _, fn := range funcs {
+			for _, s := range steps[fn.obj] {
+				if s.inGo {
+					continue
+				}
+				for _, id := range acquired(s) {
+					if !acq[fn.obj][id] {
+						acq[fn.obj][id] = true
 						changed = true
-					}
-				case "call":
-					for _, id := range calleeAcquires(ev.callee) {
-						if !acq[fn][id] {
-							acq[fn][id] = true
-							changed = true
-						}
 					}
 				}
 			}
 		}
 	}
 	for fn, ids := range acq {
-		if len(ids) == 0 {
-			continue
+		if len(ids) > 0 {
+			pass.ExportObjectFact(fn, &AcquiresFact{Mutexes: sortedKeys(ids)})
 		}
-		sorted := make([]string, 0, len(ids))
-		for id := range ids {
-			sorted = append(sorted, id)
-		}
-		sort.Strings(sorted)
-		pass.ExportObjectFact(fn, &AcquiresFact{Mutexes: sorted})
 	}
 
-	// Edge pass: replay each function's events with a held-set; every
-	// acquisition (direct or through a call summary) while another mutex is
-	// held records an ordered edge.
+	// Edge pass: every acquisition (direct or through a call summary)
+	// while another mutex is held records an ordered edge at its first
+	// position in file order.
 	type edge struct {
 		pos    token.Pos
-		via    string // what was being acquired/called when the edge formed
 		caller string
 	}
 	edges := map[string]map[string]edge{}
-	addEdge := func(from, to string, pos token.Pos, via, caller string) {
-		if from == to {
-			return // structural self-edge: hand-over-hand, not an order cycle
-		}
-		if edges[from] == nil {
-			edges[from] = map[string]edge{}
-		}
-		if _, ok := edges[from][to]; !ok {
-			edges[from][to] = edge{pos: pos, via: via, caller: caller}
-		}
-	}
-	// File order, so the representative position of a repeated edge is
-	// stable run to run.
-	for _, f := range funcs {
-		fn, evs := f.obj, events[f.obj]
-		var held []string
-		for _, ev := range evs {
-			switch ev.op {
-			case "lock":
-				for _, h := range held {
-					addEdge(h, ev.mutex, ev.pos, ev.mutex, fn.Name())
-				}
-				held = append(held, ev.mutex)
-			case "unlock":
-				if ev.deferred {
-					continue // deferred unlock: held to function end
-				}
-				for i := len(held) - 1; i >= 0; i-- {
-					if held[i] == ev.mutex {
-						held = append(held[:i], held[i+1:]...)
-						break
+	for _, fn := range funcs {
+		for _, s := range steps[fn.obj] {
+			if len(s.held) == 0 {
+				continue
+			}
+			for _, to := range acquired(s) {
+				for _, from := range s.held {
+					if from == to {
+						continue // structural self-edge: hand-over-hand, not an order cycle
 					}
-				}
-			case "call":
-				if len(held) == 0 {
-					continue
-				}
-				ids := calleeAcquires(ev.callee)
-				sort.Strings(ids)
-				for _, id := range ids {
-					for _, h := range held {
-						addEdge(h, id, ev.pos, ev.callee.Name()+" (which acquires "+id+")", fn.Name())
+					if edges[from] == nil {
+						edges[from] = map[string]edge{}
+					}
+					if e, ok := edges[from][to]; !ok || s.pos < e.pos {
+						edges[from][to] = edge{pos: s.pos, caller: fn.obj.Name()}
 					}
 				}
 			}
@@ -225,37 +186,6 @@ func runLockOrder(pass *analysis.Pass) (interface{}, error) {
 		}
 	}
 	return nil, nil
-}
-
-// lockEvents scans one function body in source order for mutex
-// operations and resolvable calls.
-func lockEvents(pass *analysis.Pass, body *ast.BlockStmt) []lockEvent {
-	var evs []lockEvent
-	var walk func(n ast.Node, deferred bool)
-	walk = func(n ast.Node, deferred bool) {
-		ast.Inspect(n, func(n ast.Node) bool {
-			if d, ok := n.(*ast.DeferStmt); ok {
-				walk(d.Call, true)
-				return false
-			}
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if recv, op, ok := mutexOp(pass, call); ok {
-				if id := mutexID(pass, recv); id != "" {
-					evs = append(evs, lockEvent{pos: call.Pos(), mutex: id, op: op, deferred: deferred})
-				}
-				return true
-			}
-			if callee := calleeFuncOf(pass, call); callee != nil && !isInterfaceMethod(callee) {
-				evs = append(evs, lockEvent{pos: call.Pos(), op: "call", deferred: deferred, callee: callee})
-			}
-			return true
-		})
-	}
-	walk(body, false)
-	return evs
 }
 
 // mutexOp recognizes calls of the sync lock methods, returning the

@@ -33,8 +33,9 @@ import (
 // contexts propagate through the package call graph, across package
 // boundaries via SpawnedFact in the reverse (dependents-first) wave, so
 // a serve-layer `go` statement marks the obs helper it ultimately calls.
-// Locksets reuse lockorder's structural mutex identity ("pkg.Type.mu"),
-// so the two analyzers name the same lock the same way.
+// Locksets use structural mutex ids ("pkg.Type.mu"), and lockorder reads
+// the same body scan (scanFunc's lock steps), so the two analyzers name
+// and track the same lock the same way.
 //
 // Consistently-unguarded shared fields are deliberately not reported:
 // channel handoffs, WaitGroup joins and start-before-spawn ordering are
@@ -169,20 +170,27 @@ func runSharedState(pass *analysis.Pass) (interface{}, error) {
 	if len(funcs) == 0 {
 		return &SharedStateResult{Pkg: pass.Pkg.Path}, nil
 	}
-	byObj := make(map[*types.Func]fnInfo, len(funcs))
-	for _, fn := range funcs {
-		byObj[fn.obj] = fn
-	}
+	// Scan every function body once: accesses, lock steps, call edges,
+	// go-literal subscopes. Interface calls resolve to every visible
+	// implementation here, not in the scan, which lockorder shares.
 	impl := newImplIndex(pass.TypesPkg)
-
-	// Scan every function body once: accesses, lock events, call edges,
-	// go-literal subscopes.
 	scans := make(map[*types.Func]*fnScan, len(funcs))
 	for _, fn := range funcs {
-		scans[fn.obj] = scanFunc(pass, fn, impl)
+		sc := scanFunc(pass, fn)
+		for _, d := range sc.dispatch {
+			for _, m := range impl.implementations(d.method) {
+				sc.edge(pass, d.spawn, m)
+			}
+		}
+		scans[fn.obj] = sc
 	}
 
-	ctxs, multi := computeContexts(pass, funcs, scans)
+	sites := GoroutineInventory(pass)
+	spawnIDs := make(map[*ast.GoStmt]string, len(sites))
+	for _, sp := range sites {
+		spawnIDs[sp.Go] = sp.ID(pass.Fset)
+	}
+	ctxs, multi := computeContexts(pass, funcs, scans, sites, spawnIDs)
 	guards := collectGuards(pass)
 
 	// Resolve every raw access into an AccessSite tagged with the
@@ -193,7 +201,7 @@ func runSharedState(pass *analysis.Pass) (interface{}, error) {
 	}
 	for _, fn := range funcs {
 		sc := scans[fn.obj]
-		fnCtx := sortedCtx(ctxs[fn.obj])
+		fnCtx := sortedKeys(ctxs[fn.obj])
 		if len(fnCtx) == 0 {
 			fnCtx = []string{MainContext}
 		}
@@ -203,7 +211,7 @@ func runSharedState(pass *analysis.Pass) (interface{}, error) {
 				pass.Reportf(ra.pos, "%q is guarded by %q (see its declaration) but %s is not held here; "+
 					"acquire %s.Lock/RLock first or use a *Locked accessor", ra.field.Name(), guard, guard, guard)
 			}
-			if ra.spawnID == "" && sc.firstSpawn != token.NoPos && ra.pos < sc.firstSpawn &&
+			if ra.spawn == nil && sc.firstSpawn != token.NoPos && ra.pos < sc.firstSpawn &&
 				len(fnCtx) == 1 && fnCtx[0] == MainContext && !fnMulti {
 				// Happens-before exemption: an access in the spawning
 				// function before its first `go` statement is ordered
@@ -212,12 +220,13 @@ func runSharedState(pass *analysis.Pass) (interface{}, error) {
 				continue
 			}
 			site := ra.site(pass, fn)
-			if ra.spawnID != "" {
+			if ra.spawn != nil {
 				// Inside a `go func(){...}` literal: the body runs only on
 				// that spawn's goroutine. The literal races itself when the
 				// spawn sits in a loop or the spawner runs concurrently.
-				site.Contexts = []string{ra.spawnID}
-				site.Multi = multi[ra.spawnID] || len(fnCtx) > 1 || fnMulti
+				id := spawnIDs[ra.spawn]
+				site.Contexts = []string{id}
+				site.Multi = multi[id] || len(fnCtx) > 1 || fnMulti
 			} else {
 				site.Contexts = fnCtx
 				site.Multi = fnMulti
@@ -501,7 +510,7 @@ func sortSites(sites []AccessSite) {
 	})
 }
 
-func sortedCtx(set map[string]bool) []string {
+func sortedKeys(set map[string]bool) []string {
 	if len(set) == 0 {
 		return nil
 	}
@@ -528,12 +537,12 @@ func anyMulti(set map[string]bool, multi map[string]bool) bool {
 // rawAccess is one field or package-variable access before context
 // resolution.
 type rawAccess struct {
-	field   *types.Var
-	pos     token.Pos
-	locks   []string // sorted snapshot of the held set
-	atomic  bool
-	write   bool
-	spawnID string // non-empty: inside the `go` literal spawned at this site
+	field  *types.Var
+	pos    token.Pos
+	locks  []string // sorted snapshot of the held set
+	atomic bool
+	write  bool
+	spawn  *ast.GoStmt // non-nil: inside the `go` literal this statement spawns
 }
 
 func (ra rawAccess) site(pass *analysis.Pass, fn fnInfo) AccessSite {
@@ -550,41 +559,57 @@ func (ra rawAccess) site(pass *analysis.Pass, fn fnInfo) AccessSite {
 // fnScan is one function's scan result.
 type fnScan struct {
 	accesses []rawAccess
-	// normCalls are in-package call/reference edges on the function's own
-	// goroutine (go-literal bodies excluded — their edges carry the
-	// literal's spawn context instead).
-	normCalls []*types.Func
-	// extCalls are the same edges to functions of imported packages.
-	extCalls []*types.Func
-	// litCalls maps a spawn id to the calls made inside that literal.
-	litCalls map[string][]*types.Func
-	litExt   map[string][]*types.Func
-	// spawns are the `go` statements in the body (literal and named).
-	spawns []SpawnSite
+	// calls are the in-package call edges, keyed by the `go` statement
+	// whose literal body makes them (nil: the function's own goroutine).
+	calls map[*ast.GoStmt][]*types.Func
+	// ext are the same edges to functions of imported in-module packages.
+	ext map[*ast.GoStmt][]*types.Func
+	// dispatch are the interface-method calls, left for the consumer to
+	// resolve (and turn into edges) or to skip.
+	dispatch []dispatchCall
+	// steps are the lock acquisitions and direct calls, each with the
+	// lockset held before it, in walk order: lockorder's input.
+	steps []lockStep
 	// firstSpawn is the position of the first `go` statement, or NoPos.
 	// Accesses before it are ordered before everything the goroutine
 	// does (the spawn is a happens-before edge), so they are exempt.
 	firstSpawn token.Pos
 }
 
+// dispatchCall is one interface-method call and its goroutine scope.
+type dispatchCall struct {
+	method *types.Func
+	spawn  *ast.GoStmt
+}
+
+// lockStep is one lock acquisition (mutex set) or direct, non-interface
+// call to an in-module function (callee set), with the structural
+// mutexes held just before it.
+type lockStep struct {
+	pos    token.Pos
+	mutex  string
+	callee *types.Func
+	held   []string
+	inGo   bool // inside a `go` literal: runs on the spawned goroutine
+}
+
 // scanState carries the walk's mutable state.
 type scanState struct {
-	pass    *analysis.Pass
-	fn      fnInfo
-	impl    *implIndex
-	scan    *fnScan
-	writes  map[ast.Node]bool // selector nodes in write position
-	locked  bool              // function inherits its guard (*Locked)
-	spawnID string            // current go-literal context ("" = main body)
-	held    []string          // structural mutex ids currently held
+	pass   *analysis.Pass
+	fn     fnInfo
+	scan   *fnScan
+	writes map[ast.Node]bool // selector nodes in write position
+	locked bool              // function inherits its guard (*Locked)
+	spawn  *ast.GoStmt       // current go-literal scope (nil = main body)
+	held   []string          // structural mutex ids currently held
 }
 
 // scanFunc walks one function body in source order, tracking the held
-// lockset, and collects accesses, call edges and spawns.
-func scanFunc(pass *analysis.Pass, fn fnInfo, impl *implIndex) *fnScan {
-	sc := &fnScan{litCalls: map[string][]*types.Func{}, litExt: map[string][]*types.Func{}}
+// lockset, and collects accesses, lock steps and call edges.
+func scanFunc(pass *analysis.Pass, fn fnInfo) *fnScan {
+	sc := &fnScan{calls: map[*ast.GoStmt][]*types.Func{}, ext: map[*ast.GoStmt][]*types.Func{}}
 	st := &scanState{
-		pass: pass, fn: fn, impl: impl, scan: sc,
+		pass: pass, fn: fn, scan: sc,
 		writes: map[ast.Node]bool{},
 		locked: strings.HasSuffix(fn.obj.Name(), "Locked"),
 	}
@@ -727,9 +752,7 @@ func (st *scanState) stmt(s ast.Stmt) {
 		// deferred call for accesses but ignore its unlocks.
 		if recv, op, ok := mutexOp(st.pass, nn.Call); ok {
 			if op == "lock" {
-				if id := mutexID(st.pass, recv); id != "" {
-					st.held = append(st.held, id)
-				}
+				st.acquire(nn.Call.Pos(), mutexID(st.pass, recv))
 			}
 			st.access(recv, false)
 			return
@@ -829,28 +852,20 @@ func (st *scanState) walkExprs(n ast.Node) {
 	})
 }
 
-// goStmt records the spawn and, for literals, walks the body as a fresh
-// goroutine scope: empty lockset, context = this spawn site.
+// goStmt walks a spawned literal's body as a fresh goroutine scope:
+// empty lockset, context = this spawn site. A named spawn (`go f()`) is
+// no call of this goroutine, so it adds no edge and no lock step; the
+// spawn topology itself comes from the goroutine inventory.
 func (st *scanState) goStmt(g *ast.GoStmt) {
-	site := SpawnSite{Go: g, Enclosing: st.fn.obj, InLoop: inLoop(st.fn.decl.Body, g)}
 	if st.scan.firstSpawn == token.NoPos {
 		st.scan.firstSpawn = g.Pos()
 	}
-	switch fun := ast.Unparen(g.Call.Fun).(type) {
-	case *ast.FuncLit:
-		site.Lit = fun
-		st.scan.spawns = append(st.scan.spawns, site)
-		id := site.ID(st.pass.Fset)
+	if lit, ok := ast.Unparen(g.Call.Fun).(*ast.FuncLit); ok {
 		inner := &scanState{
-			pass: st.pass, fn: st.fn, impl: st.impl, scan: st.scan,
-			writes: st.writes,
-			locked: st.locked, spawnID: id,
+			pass: st.pass, fn: st.fn, scan: st.scan,
+			writes: st.writes, locked: st.locked, spawn: g,
 		}
-		inner.prepass(fun.Body)
-		inner.walk(fun.Body)
-	default:
-		site.Callee = calleeFuncOf(st.pass, g.Call)
-		st.scan.spawns = append(st.scan.spawns, site)
+		inner.walk(lit.Body)
 	}
 	// Arguments are evaluated on the spawning goroutine.
 	for _, arg := range g.Call.Args {
@@ -864,16 +879,14 @@ func (st *scanState) goStmt(g *ast.GoStmt) {
 func (st *scanState) call(call *ast.CallExpr) bool {
 	if recv, op, ok := mutexOp(st.pass, call); ok {
 		id := mutexID(st.pass, recv)
-		if id != "" {
-			switch op {
-			case "lock":
-				st.held = append(st.held, id)
-			case "unlock":
-				for i := len(st.held) - 1; i >= 0; i-- {
-					if st.held[i] == id {
-						st.held = append(st.held[:i], st.held[i+1:]...)
-						break
-					}
+		switch {
+		case op == "lock":
+			st.acquire(call.Pos(), id)
+		case id != "":
+			for i := len(st.held) - 1; i >= 0; i-- {
+				if st.held[i] == id {
+					st.held = append(st.held[:i], st.held[i+1:]...)
+					break
 				}
 			}
 		}
@@ -887,47 +900,60 @@ func (st *scanState) call(call *ast.CallExpr) bool {
 	}
 	if callee := calleeFuncOf(st.pass, call); callee != nil {
 		if isInterfaceMethod(callee) {
-			for _, m := range st.impl.implementations(callee) {
-				st.edge(m)
-			}
-		} else {
-			st.edge(callee)
+			st.scan.dispatch = append(st.scan.dispatch, dispatchCall{callee, st.spawn})
+		} else if st.scan.edge(st.pass, st.spawn, callee) {
+			st.step(call.Pos(), "", callee)
 		}
 	}
 	// Descend: arguments may access fields, nested calls, etc.
 	for _, arg := range call.Args {
 		st.walkExprs(arg)
 	}
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.SelectorExpr:
 		// Method receiver expression: s.jobs[id].phase() reads fields on
 		// the way to the method.
-		st.walkExprs(sel.X)
+		st.walkExprs(fun.X)
+	case *ast.Ident:
+	default:
+		// A called literal or call result: func() { ... }() runs here.
+		st.walkExprs(fun)
 	}
 	return false
 }
 
-// edge records a call/reference edge in the current scope.
-func (st *scanState) edge(callee *types.Func) {
-	if callee == nil || callee.Pkg() == nil {
+// acquire pushes mutex id onto the held set, recording the lock step
+// first. Function-local mutexes (id "") are not tracked.
+func (st *scanState) acquire(pos token.Pos, id string) {
+	if id == "" {
 		return
 	}
-	if callee.Pkg() == st.pass.TypesPkg {
-		if st.spawnID != "" {
-			st.scan.litCalls[st.spawnID] = append(st.scan.litCalls[st.spawnID], callee)
-		} else {
-			st.scan.normCalls = append(st.scan.normCalls, callee)
-		}
-		return
+	st.step(pos, id, nil)
+	st.held = append(st.held, id)
+}
+
+func (st *scanState) step(pos token.Pos, mutex string, callee *types.Func) {
+	st.scan.steps = append(st.scan.steps, lockStep{
+		pos: pos, mutex: mutex, callee: callee, held: st.snapshot(), inGo: st.spawn != nil,
+	})
+}
+
+// edge records a call edge in the given goroutine scope and reports
+// whether it did: only in-package and in-module callees are kept, since
+// stdlib callees are opaque.
+func (sc *fnScan) edge(pass *analysis.Pass, spawn *ast.GoStmt, callee *types.Func) bool {
+	if callee.Pkg() == nil {
+		return false
 	}
-	// Only in-module packages matter; stdlib callees are opaque.
-	if !strings.HasPrefix(callee.Pkg().Path(), modulePathPrefix(st.pass)) {
-		return
+	if callee.Pkg() == pass.TypesPkg {
+		sc.calls[spawn] = append(sc.calls[spawn], callee)
+		return true
 	}
-	if st.spawnID != "" {
-		st.scan.litExt[st.spawnID] = append(st.scan.litExt[st.spawnID], callee)
-	} else {
-		st.scan.extCalls = append(st.scan.extCalls, callee)
+	if !strings.HasPrefix(callee.Pkg().Path(), modulePathPrefix(pass)) {
+		return false
 	}
+	sc.ext[spawn] = append(sc.ext[spawn], callee)
+	return true
 }
 
 // modulePathPrefix derives the module prefix from the package path
@@ -1007,7 +1033,7 @@ func (st *scanState) record(v *types.Var, pos token.Pos, atomic, write bool) {
 	sort.Strings(locks)
 	st.scan.accesses = append(st.scan.accesses, rawAccess{
 		field: v, pos: pos, locks: locks,
-		atomic: atomic, write: write, spawnID: st.spawnID,
+		atomic: atomic, write: write, spawn: st.spawn,
 	})
 }
 
@@ -1142,47 +1168,20 @@ func syncType(t types.Type) bool {
 	return false
 }
 
-// inLoop reports whether pos-bearing node g sits inside a for/range
-// statement of body.
-func inLoop(body *ast.BlockStmt, g *ast.GoStmt) bool {
-	in := false
-	var walk func(n ast.Node, loop bool)
-	walk = func(n ast.Node, loop bool) {
-		ast.Inspect(n, func(n ast.Node) bool {
-			if in {
-				return false
-			}
-			switch nn := n.(type) {
-			case *ast.ForStmt:
-				walk(nn.Body, true)
-				return false
-			case *ast.RangeStmt:
-				walk(nn.Body, true)
-				return false
-			case *ast.GoStmt:
-				if nn == g && loop {
-					in = true
-				}
-			}
-			return !in
-		})
-	}
-	walk(body, false)
-	return in
-}
-
 // ---------------------------------------------------------------------
 // Goroutine-context propagation.
 
 // computeContexts assigns every package function the set of goroutine
 // contexts it may run in: MainContext for functions callable from the
 // original goroutine (exported, main/init, or normally referenced), and
-// a spawn-site id per `go` statement that reaches it. The sets
+// a spawn-site id per `go` statement that reaches it. Spawn sites come
+// from the goroutine inventory, keyed to their ids by spawnIDs. The sets
 // propagate through normal call edges to a fixpoint; cross-package
 // spawns arrive via SpawnedFact (imported, from dependents analyzed
 // earlier in the reverse wave) and leave via the same fact for
 // imported callees.
-func computeContexts(pass *analysis.Pass, funcs []fnInfo, scans map[*types.Func]*fnScan) (map[*types.Func]map[string]bool, map[string]bool) {
+func computeContexts(pass *analysis.Pass, funcs []fnInfo, scans map[*types.Func]*fnScan,
+	sites []SpawnSite, spawnIDs map[*ast.GoStmt]string) (map[*types.Func]map[string]bool, map[string]bool) {
 	ctx := map[*types.Func]map[string]bool{}
 	multi := map[string]bool{}
 	addCtx := func(fn *types.Func, c string) bool {
@@ -1199,18 +1198,15 @@ func computeContexts(pass *analysis.Pass, funcs []fnInfo, scans map[*types.Func]
 	// Which in-package functions are referenced at all, and how.
 	referenced := map[*types.Func]bool{}
 	for _, sc := range scans {
-		for _, callee := range sc.normCalls {
-			referenced[callee] = true
-		}
-		for _, calls := range sc.litCalls {
-			for _, callee := range calls {
+		for _, callees := range sc.calls {
+			for _, callee := range callees {
 				referenced[callee] = true
 			}
 		}
-		for _, sp := range sc.spawns {
-			if sp.Callee != nil {
-				referenced[sp.Callee] = true
-			}
+	}
+	for _, sp := range sites {
+		if sp.Callee != nil {
+			referenced[sp.Callee] = true
 		}
 	}
 
@@ -1230,27 +1226,23 @@ func computeContexts(pass *analysis.Pass, funcs []fnInfo, scans map[*types.Func]
 			}
 		}
 	}
-	for _, fn := range funcs {
-		sc := scans[fn.obj]
-		for _, sp := range sc.spawns {
-			if sp.Callee == nil || sp.Callee.Pkg() != pass.TypesPkg {
+	for _, sp := range sites {
+		id := spawnIDs[sp.Go]
+		if sp.InLoop {
+			multi[id] = true
+		}
+		if sp.Callee != nil && sp.Callee.Pkg() == pass.TypesPkg {
+			addCtx(sp.Callee, id)
+		}
+	}
+	for _, sc := range scans {
+		// Calls inside a go-literal run in that literal's context.
+		for g, callees := range sc.calls {
+			if g == nil {
 				continue
 			}
-			id := sp.ID(pass.Fset)
-			addCtx(sp.Callee, id)
-			if sp.InLoop {
-				multi[id] = true
-			}
-		}
-		for id := range sc.litCalls {
-			// Calls inside a go-literal run in that literal's context.
-			for _, callee := range sc.litCalls[id] {
-				addCtx(callee, id)
-			}
-		}
-		for _, sp := range sc.spawns {
-			if sp.Lit != nil && sp.InLoop {
-				multi[sp.ID(pass.Fset)] = true
+			for _, callee := range callees {
+				addCtx(callee, spawnIDs[g])
 			}
 		}
 	}
@@ -1264,10 +1256,7 @@ func computeContexts(pass *analysis.Pass, funcs []fnInfo, scans map[*types.Func]
 			if len(from) == 0 {
 				continue
 			}
-			for _, callee := range scans[fn.obj].normCalls {
-				if callee.Pkg() != pass.TypesPkg {
-					continue
-				}
+			for _, callee := range scans[fn.obj].calls[nil] {
 				for c := range from {
 					if addCtx(callee, c) {
 						changed = true
@@ -1294,17 +1283,18 @@ func computeContexts(pass *analysis.Pass, funcs []fnInfo, scans map[*types.Func]
 		f.Sites = append(f.Sites, ids...)
 		f.Multi = f.Multi || m
 	}
+	for _, sp := range sites {
+		id := spawnIDs[sp.Go]
+		note(sp.Callee, []string{id}, multi[id])
+	}
 	for _, fn := range funcs {
 		sc := scans[fn.obj]
-		for _, sp := range sc.spawns {
-			if sp.Callee != nil && sp.Callee.Pkg() != pass.TypesPkg {
-				id := sp.ID(pass.Fset)
-				note(sp.Callee, []string{id}, sp.InLoop || multi[id])
+		for g, callees := range sc.ext {
+			if g == nil {
+				continue
 			}
-		}
-		for id, callees := range sc.litExt {
 			for _, callee := range callees {
-				note(callee, []string{id}, multi[id])
+				note(callee, []string{spawnIDs[g]}, multi[spawnIDs[g]])
 			}
 		}
 		goCtx := make([]string, 0, len(ctx[fn.obj]))
@@ -1316,7 +1306,7 @@ func computeContexts(pass *analysis.Pass, funcs []fnInfo, scans map[*types.Func]
 			}
 		}
 		if len(goCtx) > 0 {
-			for _, callee := range sc.extCalls {
+			for _, callee := range sc.ext[nil] {
 				note(callee, goCtx, m)
 			}
 		}

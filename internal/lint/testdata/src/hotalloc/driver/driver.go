@@ -53,14 +53,14 @@ func fill(dst []int, n int) []int {
 func describe(n int) int {
 	msg := tag(n) + tag(n) // want `string concatenation on the hot path`
 	sink(n)                // want `interface boxing on the hot path`
-	f := func() int { // want `closure on the hot path`
+	f := func() int {      // want `closure on the hot path`
 		return n
 	}
-	xs := []int{n} // want `composite literal on the hot path`
+	xs := []int{n}         // want `composite literal on the hot path`
 	m := map[int]int{n: n} // want `composite literal on the hot path`
-	p := new(pair) // want `new on the hot path`
-	q := make([]int, n) // want `make on the hot path`
-	ok := []int{n} //lint:ignore hotalloc golden: justified site stays silent
+	p := new(pair)         // want `new on the hot path`
+	q := make([]int, n)    // want `make on the hot path`
+	ok := []int{n}         //lint:ignore hotalloc golden: justified site stays silent
 	return len(msg) + f() + len(xs) + len(m) + p.a + len(q) + len(ok)
 }
 
@@ -86,7 +86,7 @@ func cold(n int) []int {
 }
 
 /*lint:hotpath*/ // want `hotpath directive requires a reason`
-func badRoot() {}
+func badRoot()   {}
 
 func notRoot() {
 	/*lint:hotpath stray*/ // want `hotpath directive must be in the doc comment`

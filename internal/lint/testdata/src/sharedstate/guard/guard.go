@@ -114,3 +114,22 @@ func (c *counter) ClosureUnderLock() {
 	bump := func() { c.n++ }
 	bump()
 }
+
+// DeferredClosureBare writes n in a deferred literal that runs after
+// the Unlock: a called literal's body is walked in place.
+func (c *counter) DeferredClosureBare() {
+	defer func() {
+		c.n = 0 // want `"n" is guarded by "mu"`
+	}()
+	c.mu.Lock()
+	c.mu.Unlock()
+}
+
+// CalledClosureLocks takes mu inside a literal it calls at once.
+func (c *counter) CalledClosureLocks() {
+	func() {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		c.n++
+	}()
+}

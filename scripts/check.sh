@@ -1,11 +1,12 @@
 #!/bin/sh
-# Repository verification: vet, build everything, then run the full test
-# suite in short mode with the race detector, fuzz the incremental cost
-# update against its from-scratch oracle for 10 s, and finish with a short
-# instrumented optimizer run that exercises the observability path
-# end-to-end (structured JSON logs + a -metrics run snapshot) and must
-# apply at least one mutation and record its phase trace. This is
-# the tier-1 check — run it (or `make check`) before every commit.
+# Repository verification: gofmt, vet, build everything, then run the
+# full test suite in short mode with the race detector, fuzz the
+# incremental cost update against its from-scratch oracle for 10 s, and
+# finish with a short instrumented optimizer run that exercises the
+# observability path end-to-end (structured JSON logs + a -metrics run
+# snapshot) and must apply at least one mutation and record its phase
+# trace. This is the tier-1 check — run it (or `make check`) before
+# every commit.
 #
 # METRICS_OUT overrides where the instrumented run writes its snapshot
 # (CI uploads it as a workflow artifact).
@@ -14,6 +15,12 @@ cd "$(dirname "$0")/.."
 
 METRICS_OUT="${METRICS_OUT:-/tmp/iddqsyn-check-metrics.json}"
 
+echo "== gofmt -l ."
+test -z "$(gofmt -l .)" || {
+    echo "check: gofmt wants to reformat:" >&2
+    gofmt -l . >&2
+    exit 1
+}
 echo "== go vet ./..."
 go vet ./...
 echo "== go build ./..."
