@@ -218,6 +218,22 @@ func BenchmarkMoveDelta(b *testing.B) {
 	b.ReportMetric(float64(p.ModuleSize(from)+p.ModuleSize(to))/2, "gates/module")
 }
 
+// BenchmarkFinishModule_C1908 is module finish alone: the float terms of
+// one c1908 standard module at the estimated module size, from S(M) and
+// n(t) the caller holds, as a partition does after every move.
+func BenchmarkFinishModule_C1908(b *testing.B) {
+	b.ReportAllocs()
+	e, _ := estimatorFixture(b)
+	w, cons := partition.PaperWeights(), partition.DefaultConstraints()
+	gates := standard.StandardPartition(e, standard.EstimateModuleSize(e, w, cons))[0]
+	sep, act := e.ModuleCounts(gates)
+	b.ReportMetric(float64(len(gates)), "gates/module")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = e.FinishModule(gates, sep, act)
+	}
+}
+
 // BenchmarkBICDelayRepropagate is the same boundary move plus Cost() on
 // c7552 at module size 8 (~440 modules), where the touched modules are a
 // small share of the circuit. It reports how many gates' arrival times the

@@ -89,21 +89,43 @@ func SensorArea(a0, a1, rs float64) (float64, error) {
 // constant never sees the perturbation. With cs → 0 the model reduces to
 // the exact series-resistance result 1 + n·Rs/Rg (see the package tests,
 // which verify this against a transient simulation of the network).
+//
+// It is Degrade applied to DelayDamping. The damping depends only on the
+// gate's (d, rg) and the module's (rs, cs), so a caller finishing many
+// gates of one module can compute it once per distinct (d, rg).
 func DelayDegradation(n int, rs, rg, d, cs float64) (float64, error) {
-	if n < 1 {
-		n = 1
+	damp, err := DelayDamping(rs, rg, d, cs)
+	if err != nil {
+		return 0, err
 	}
+	return Degrade(n, rs, rg, damp), nil
+}
+
+// DelayDamping returns the second-order factor 1 − exp(−d/(rs·cs)) of
+// DelayDegradation (1 when cs ≤ 0), after validating every input of the
+// model: non-finite values wrap ErrNonFinite, and rs, rg and d must be
+// positive.
+func DelayDamping(rs, rg, d, cs float64) (float64, error) {
 	if !finite(rs, rg, d, cs) {
 		return 0, fmt.Errorf("%w: DelayDegradation(rs=%g, rg=%g, d=%g, cs=%g)", ErrNonFinite, rs, rg, d, cs)
 	}
 	if rs <= 0 || rg <= 0 || d <= 0 {
 		return 0, fmt.Errorf("electrical: non-positive rs=%g/rg=%g/d=%g", rs, rg, d)
 	}
-	damp := 1.0
-	if cs > 0 {
-		damp = 1 - math.Exp(-d/(rs*cs))
+	if cs <= 0 {
+		return 1, nil
 	}
-	return 1 + float64(n)*rs/rg*damp, nil
+	return 1 - math.Exp(-d/(rs*cs)), nil
+}
+
+// Degrade returns δ = 1 + n·rs/rg·damp for a damping factor from
+// DelayDamping of the same rs and rg; n < 1 counts as 1 (the gate itself
+// switches). It does no validation of its own.
+func Degrade(n int, rs, rg, damp float64) float64 {
+	if n < 1 {
+		n = 1
+	}
+	return 1 + float64(n)*rs/rg*damp
 }
 
 // SettlingTime returns Δ(τ) of §3.4: the time for the transient supply

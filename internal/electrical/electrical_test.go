@@ -3,6 +3,7 @@ package electrical
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -356,6 +357,69 @@ func TestNonFiniteInputsRejected(t *testing.T) {
 		}
 		if !errors.Is(c.err, ErrNonFinite) {
 			t.Errorf("%s: error %v does not wrap ErrNonFinite", c.name, c.err)
+		}
+	}
+}
+
+// DelayDegradation is Degrade applied to DelayDamping, and both equal the
+// single-expression model 1 + n·Rs/Rg·(1 − exp(−d/(Rs·Cs))) bit for bit,
+// so callers that compute the damping once per (d, rg) get the same
+// factors. Invalid inputs fail DelayDamping and DelayDegradation with the
+// same error: ErrNonFinite for NaN or ±Inf, a non-positive error for
+// rs, rg or d ≤ 0.
+func TestDelayDegradationIsDegradeOfDamping(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	logUniform := func(lo, hi float64) float64 {
+		return math.Exp(math.Log(lo) + rng.Float64()*(math.Log(hi)-math.Log(lo)))
+	}
+	for i := 0; i < 10000; i++ {
+		n := rng.Intn(60) - 2
+		rs, rg, d := logUniform(1e-2, 1e4), logUniform(10, 1e6), logUniform(1e-13, 1e-7)
+		cs := 0.0
+		if i%8 != 0 {
+			cs = logUniform(1e-16, 1e-9)
+		}
+		got, err := DelayDegradation(n, rs, rg, d, cs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		damp, err := DelayDamping(rs, rg, d, cs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 1.0
+		if cs > 0 {
+			want = 1 - math.Exp(-d/(rs*cs))
+		}
+		want = 1 + float64(max(n, 1))*rs/rg*want
+		if split := Degrade(n, rs, rg, damp); math.Float64bits(got) != math.Float64bits(split) ||
+			math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("n=%d rs=%g rg=%g d=%g cs=%g: DelayDegradation %v, Degrade∘DelayDamping %v, formula %v",
+				n, rs, rg, d, cs, got, split, want)
+		}
+	}
+
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		rs, rg, d, cs float64
+		nonFinite     bool
+	}{
+		{nan, 1e3, 1e-9, 1e-12, true},
+		{10, inf, 1e-9, 1e-12, true},
+		{10, 1e3, -inf, 1e-12, true},
+		{10, 1e3, 1e-9, nan, true},
+		{0, 1e3, 1e-9, 1e-12, false},
+		{10, -1, 1e-9, 1e-12, false},
+		{10, 1e3, 0, 0, false},
+	} {
+		_, errDeg := DelayDegradation(2, c.rs, c.rg, c.d, c.cs)
+		_, errDamp := DelayDamping(c.rs, c.rg, c.d, c.cs)
+		if errDeg == nil || errDamp == nil || errDeg.Error() != errDamp.Error() {
+			t.Errorf("%+v: DelayDegradation error %v, DelayDamping error %v; want the same error", c, errDeg, errDamp)
+			continue
+		}
+		if errors.Is(errDeg, ErrNonFinite) != c.nonFinite || errors.Is(errDamp, ErrNonFinite) != c.nonFinite {
+			t.Errorf("%+v: errors %v / %v; wrap ErrNonFinite = %v wanted", c, errDeg, errDamp, c.nonFinite)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package estimate
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -35,7 +36,7 @@ type Params struct {
 	AreaA1    float64 // sensor area model: sensing/bypass term coefficient
 	CsSensor  float64 // intrinsic sensor capacitance at the virtual rail, F
 	IDDQth    float64 // sensing threshold IDDQ,th, A (§2)
-	Rho       int     // separation-parameter cap ρ (§3.3)
+	Rho       int     // separation-parameter cap ρ (§3.3), at most 256
 }
 
 // DefaultParams returns the constants used throughout the experiments:
@@ -68,15 +69,25 @@ type Estimator struct {
 	nominalDelay float64
 	dag          sweepDAG // the circuit flattened for the D_BIC sweep
 
-	// Per-gate ρ-hop neighbourhoods, precomputed once so that the
-	// separation parameter — by far the most frequently re-evaluated
-	// estimate during evolution — needs no repeated BFS. They form one
-	// table in compressed sparse rows: nbrGate[nbrOff[g]:nbrOff[g+1]]
-	// lists the logic gates within ρ hops of g (excluding g) in ascending
-	// ID order, and the same range of nbrDist the matching hop counts.
-	nbrOff  []int32
-	nbrGate []int32
-	nbrDist []uint8
+	// Per-gate neighbourhoods, precomputed once so that the separation
+	// parameter — by far the most frequently re-evaluated estimate during
+	// evolution — needs no repeated BFS. A pair d ≥ ρ hops apart (or
+	// disconnected) is capped at ρ and saves nothing against ρ·pairs, so
+	// only pairs within ρ−1 hops are kept. They form one table in
+	// compressed sparse rows: nbrGate[nbrOff[g]:nbrOff[g+1]] lists the
+	// logic gates within ρ−1 hops of g (excluding g) in ascending ID
+	// order, and the same range of nbrWeight their weights ρ − d, each in
+	// 1..ρ−1.
+	nbrOff    []int32
+	nbrGate   []int32
+	nbrWeight []uint8
+
+	// class numbers the distinct bit patterns of (A.Delay[g], A.Rg[g]),
+	// so FinishModule computes the delay damping of §3.2 once per class
+	// present in a module rather than once per gate; numClasses counts
+	// them.
+	class      []int32
+	numClasses int
 
 	// Telemetry handles, resolved once by SetObs; nil (no-op) when the
 	// estimator is unobserved. The metrics themselves are atomic, so the
@@ -109,6 +120,7 @@ type evalScratch struct {
 	mask    []bool    // module membership by gate ID, or sweep marks by position; all false between uses
 	delay   []float64 // degraded delay per gate ID
 	arrival []float64 // arrival time per sweep position, for BICDelay, whose caller keeps none
+	damp    []float64 // delay damping per class; 0 = not computed yet
 }
 
 func (e *Estimator) getScratch() *evalScratch {
@@ -124,6 +136,8 @@ func (e *Estimator) getScratch() *evalScratch {
 			delay: make([]float64, e.A.Circuit.NumGates()),
 			//lint:ignore hotalloc pool miss only
 			arrival: make([]float64, e.A.Circuit.NumGates()),
+			//lint:ignore hotalloc pool miss only
+			damp: make([]float64, e.numClasses),
 		}
 	}
 	return sc
@@ -157,12 +171,27 @@ func (e *Estimator) SetChaos(in *chaos.Injector) {
 	e.chaos = in
 }
 
+// ErrRhoTooLarge reports a separation cap ρ above 256: the hop table
+// stores each weight ρ − d in a uint8, and its largest weight is ρ − 1.
+var ErrRhoTooLarge = errors.New("estimate: ρ exceeds 256")
+
+// mustFitHopWeights panics with ErrRhoTooLarge unless every weight ρ − d
+// of the hop table fits a uint8.
+func mustFitHopWeights(rho int) {
+	if rho > math.MaxUint8+1 {
+		panic(fmt.Errorf("%w: ρ = %d", ErrRhoTooLarge, rho))
+	}
+}
+
 // New builds an Estimator, computing the transition-time sets, the
-// nominal (sensor-free) circuit delay, and the bounded-distance cache
-// once.
+// nominal (sensor-free) circuit delay, the delay classes and the
+// bounded-distance cache once. It panics with ErrRhoTooLarge when
+// p.Rho > 256.
 func New(a *celllib.Annotated, p Params) *Estimator {
+	mustFitHopWeights(p.Rho)
 	e := &Estimator{P: p, A: a, TS: TransitionTimes(a.Circuit)}
 	c := a.Circuit
+	e.class, e.numClasses = delayClasses(a)
 	c.Levels() // built here, so concurrent FinishModule calls only read it
 	e.dag = newSweepDAG(a)
 	sc := e.getScratch()
@@ -172,13 +201,31 @@ func New(a *celllib.Annotated, p Params) *Estimator {
 	return e
 }
 
-// buildNeighborhoods fills the ρ-hop table on runtime.GOMAXPROCS(0)
+// delayClasses gives every gate the id of its (A.Delay[g], A.Rg[g]) bit
+// pattern, numbered in order of first appearance, and returns the number
+// of distinct patterns.
+func delayClasses(a *celllib.Annotated) ([]int32, int) {
+	ids := make(map[[2]uint64]int32)
+	class := make([]int32, a.Circuit.NumGates())
+	for g := range class {
+		key := [2]uint64{math.Float64bits(a.Delay[g]), math.Float64bits(a.Rg[g])}
+		id, ok := ids[key]
+		if !ok {
+			id = int32(len(ids))
+			ids[key] = id
+		}
+		class[g] = id
+	}
+	return class, len(ids)
+}
+
+// buildNeighborhoods fills the hop table on runtime.GOMAXPROCS(0)
 // goroutines. Each takes a contiguous range of gate IDs and searches it
-// with its own HopScratch into its own rows, recording row ends relative
-// to its range in nbrOff; the rows are then rebased and copied, in range
-// order, into exactly sized nbrGate and nbrDist. Every row is the same
-// AppendWithinHops result a single pass would produce, so the table is
-// identical for any worker count.
+// within ρ−1 hops with its own HopScratch into its own rows, recording
+// row ends relative to its range in nbrOff; the rows are then rebased and
+// copied, in range order, into exactly sized nbrGate and nbrWeight. Every
+// row is the same AppendWithinHops result a single pass would produce, so
+// the table is identical for any worker count.
 func (e *Estimator) buildNeighborhoods() {
 	c, rho := e.A.Circuit, e.P.Rho
 	n := c.NumGates()
@@ -188,7 +235,7 @@ func (e *Estimator) buildNeighborhoods() {
 	type rows struct {
 		lo, hi int // the worker's gate IDs
 		gates  []int32
-		dist   []uint8
+		weight []uint8
 	}
 	parts := make([]rows, min(runtime.GOMAXPROCS(0), n))
 	for w := range parts {
@@ -204,9 +251,9 @@ func (e *Estimator) buildNeighborhoods() {
 			var hops []int32
 			for g := r.lo; g < r.hi; g++ {
 				if c.Gates[g].Type != circuit.Input {
-					r.gates, hops = c.AppendWithinHops(&hs, g, rho, r.gates, hops[:0])
+					r.gates, hops = c.AppendWithinHops(&hs, g, rho-1, r.gates, hops[:0])
 					for _, h := range hops {
-						r.dist = append(r.dist, uint8(h))
+						r.weight = append(r.weight, uint8(rho-int(h)))
 					}
 				}
 				e.nbrOff[g+1] = int32(len(r.gates))
@@ -218,11 +265,11 @@ func (e *Estimator) buildNeighborhoods() {
 	for _, r := range parts {
 		total += len(r.gates)
 	}
-	e.nbrGate, e.nbrDist = make([]int32, total), make([]uint8, total)
+	e.nbrGate, e.nbrWeight = make([]int32, total), make([]uint8, total)
 	base := 0
 	for _, r := range parts {
 		copy(e.nbrGate[base:], r.gates)
-		copy(e.nbrDist[base:], r.dist)
+		copy(e.nbrWeight[base:], r.weight)
 		for g := r.lo; g < r.hi; g++ {
 			e.nbrOff[g+1] += int32(base)
 		}
@@ -341,8 +388,14 @@ func (e *Estimator) FinishModule(gates []int, sep int, act []int) *Module {
 	m.Settle = must(electrical.SettlingTime(m.Tau, m.IDDMax, e.P.IDDQth))
 	// The degradation of gate g is evaluated at the grid time the critical
 	// transition reaches it — its level, the longest input→g path — using
-	// the module's activity n(t) at exactly that instant.
+	// the module's activity n(t) at exactly that instant. Its damping
+	// depends only on the module's Rs, Cs and the gate's class, whose
+	// members share D(g) and Rg(g) bit for bit, so it is computed (and
+	// its inputs validated) once per class; a zero entry is recomputed,
+	// which yields the same bits.
 	levels := e.A.Circuit.Levels()
+	damp := sc.damp
+	clear(damp)
 	//lint:ignore hotalloc the degraded delays are part of the Module result, retained with it in the partition's estimate cache
 	m.Delay = make([]float64, len(gates))
 	for i, g := range gates {
@@ -350,7 +403,11 @@ func (e *Estimator) FinishModule(gates []int, sep int, act []int) *Module {
 		if t := levels[g]; t < len(act) && act[t] > 1 {
 			n = act[t]
 		}
-		m.Delay[i] = e.A.Delay[g] * must(electrical.DelayDegradation(n, m.Rs, e.A.Rg[g], e.A.Delay[g], m.Cs))
+		k := e.class[g]
+		if damp[k] == 0 {
+			damp[k] = must(electrical.DelayDamping(m.Rs, e.A.Rg[g], e.A.Delay[g], m.Cs))
+		}
+		m.Delay[i] = e.A.Delay[g] * electrical.Degrade(n, m.Rs, e.A.Rg[g], damp[k])
 	}
 	return m
 }
@@ -359,9 +416,9 @@ func (e *Estimator) FinishModule(gates []int, sep int, act []int) *Module {
 // the separation parameter S(gi, gj) — the undirected hop distance in the
 // circuit graph, forced to ρ when the distance exceeds ρ or no path
 // exists. S(M) is minimal when the module is a tightly connected cluster.
-// Pairs farther than ρ hops (or disconnected) contribute exactly ρ, so
-// S(M) = ρ·(number of pairs) − Σ_{near pairs} (ρ − dist); only the cached
-// ρ-hop neighbourhoods need to be scanned.
+// Pairs ρ or more hops apart (or disconnected) contribute exactly ρ, so
+// S(M) = ρ·(number of pairs) − Σ_{near pairs} (ρ − dist) over the pairs
+// within ρ−1 hops; only the cached weights ρ − dist need to be scanned.
 func (e *Estimator) SeparationModule(gates []int) int {
 	return e.separationScratch(gates, make([]bool, e.A.Circuit.NumGates()))
 }
@@ -380,10 +437,10 @@ func (e *Estimator) separationScratch(gates []int, inModule []bool) int {
 	pairs := len(gates) * (len(gates) - 1) / 2
 	sum := rho * pairs
 	for _, g := range gates {
-		nbrs, dists := e.Neighborhood(g)
+		nbrs, weights := e.Neighborhood(g)
 		for i, nb := range nbrs {
 			if nb > int32(g) && inModule[nb] {
-				sum -= rho - int(dists[i])
+				sum -= int(weights[i])
 			}
 		}
 	}
@@ -393,13 +450,14 @@ func (e *Estimator) separationScratch(gates []int, inModule []bool) int {
 	return sum
 }
 
-// Neighborhood returns the cached ρ-hop neighbourhood of gate g: the
-// logic gates within ρ hops of g (excluding g) in ascending ID order, and
-// their hop distances. The slices are shared; callers must not modify
-// them.
+// Neighborhood returns the cached neighbourhood of gate g: the logic
+// gates within ρ−1 hops of g (excluding g) in ascending ID order, and
+// their weights ρ − d for hop distance d, each in 1..ρ−1. Every gate
+// missing from it is ρ or more hops away (or unreachable) and weighs 0.
+// The slices are shared; callers must not modify them.
 func (e *Estimator) Neighborhood(g int) ([]int32, []uint8) {
 	lo, hi := e.nbrOff[g], e.nbrOff[g+1]
-	return e.nbrGate[lo:hi:hi], e.nbrDist[lo:hi:hi]
+	return e.nbrGate[lo:hi:hi], e.nbrWeight[lo:hi:hi]
 }
 
 // NominalDelay returns the longest-path delay D of the sensor-free

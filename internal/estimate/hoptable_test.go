@@ -10,11 +10,11 @@ import (
 	"iddqsyn/internal/circuits"
 )
 
-// TestNeighborhoodTableExactForAnyWorkerCount builds the ρ-hop table
-// under GOMAXPROCS 1, 2, 3 and 8, so the workers' range boundaries fall
-// both on primary inputs (empty rows) and on logic gates, and checks
-// every gate's row against a fresh AppendWithinHops and the table's
-// arrays for append slack.
+// TestNeighborhoodTableExactForAnyWorkerCount builds the hop table under
+// GOMAXPROCS 1, 2, 3 and 8, so the workers' range boundaries fall both on
+// primary inputs (empty rows) and on logic gates, and checks every gate's
+// row against a fresh AppendWithinHops within ρ−1 hops, weighted ρ − d,
+// and the table's arrays for append slack.
 func TestNeighborhoodTableExactForAnyWorkerCount(t *testing.T) {
 	names := []string{"c432"}
 	if !testing.Short() {
@@ -43,23 +43,23 @@ func TestNeighborhoodTableExactForAnyWorkerCount(t *testing.T) {
 		for _, k := range procs {
 			runtime.GOMAXPROCS(k)
 			e := New(a, DefaultParams())
-			if len(e.nbrGate) != cap(e.nbrGate) || len(e.nbrDist) != cap(e.nbrDist) {
-				t.Errorf("%s, %d workers: nbrGate len %d cap %d, nbrDist len %d cap %d; want exact sizes",
-					name, k, len(e.nbrGate), cap(e.nbrGate), len(e.nbrDist), cap(e.nbrDist))
+			if len(e.nbrGate) != cap(e.nbrGate) || len(e.nbrWeight) != cap(e.nbrWeight) {
+				t.Errorf("%s, %d workers: nbrGate len %d cap %d, nbrWeight len %d cap %d; want exact sizes",
+					name, k, len(e.nbrGate), cap(e.nbrGate), len(e.nbrWeight), cap(e.nbrWeight))
 			}
 			for g := range c.Gates {
 				var want []int32
 				var hops []int32
 				if c.Gates[g].Type != circuit.Input {
-					want, hops = c.AppendWithinHops(&hs, g, e.P.Rho, nil, nil)
+					want, hops = c.AppendWithinHops(&hs, g, e.P.Rho-1, nil, nil)
 				}
-				wantDist := make([]uint8, len(hops))
+				wantWeight := make([]uint8, len(hops))
 				for i, h := range hops {
-					wantDist[i] = uint8(h)
+					wantWeight[i] = uint8(e.P.Rho - int(h))
 				}
-				gates, dist := e.Neighborhood(g)
-				if !slices.Equal(gates, want) || !slices.Equal(dist, wantDist) {
-					t.Fatalf("%s, %d workers: gate %d row %v/%v, want %v/%v", name, k, g, gates, dist, want, wantDist)
+				gates, weight := e.Neighborhood(g)
+				if !slices.Equal(gates, want) || !slices.Equal(weight, wantWeight) {
+					t.Fatalf("%s, %d workers: gate %d row %v/%v, want %v/%v", name, k, g, gates, weight, want, wantWeight)
 				}
 			}
 		}

@@ -248,13 +248,16 @@ func (p *Partition) Clone() *Partition {
 // possibly-adjusted index of the target module.
 //
 // The two modules' integer terms are updated per moved gate g rather than
-// recounted: with ρ-hop neighbourhood N(g) and hop distance d,
+// recounted: with N(g) the gates within ρ−1 hops of g and d the hop
+// distance,
 //
 //	S(src) -= ρ·(|src|−1) − Σ_{n∈N(g)∩src} (ρ−d(g,n))
 //	S(dst) += ρ·|dst|     − Σ_{n∈N(g)∩dst} (ρ−d(g,n))
 //
-// (sizes before g moves), and n(t) drops by one in src and rises by one
-// in dst at each t ∈ T(g). Updating the terms therefore costs
+// (sizes before g moves; a gate ρ or more hops away has its distance
+// capped at ρ and adds 0, so N(g) and its cached weights ρ−d hold every
+// non-zero term), and n(t) drops by one in src and rises by one in dst at
+// each t ∈ T(g). Updating the terms therefore costs
 // O(|N(g)| + |T(g)|) per moved gate instead of a recount of both modules;
 // only the copy-on-write gate lists and profiles are copied whole.
 func (p *Partition) MoveGates(gates []int, from, to int) (int, error) {
@@ -290,9 +293,9 @@ func (p *Partition) MoveGates(gates []int, from, to int) (int, error) {
 			continue // duplicate in the argument list
 		}
 		nearSrc, nearDst := 0, 0
-		nbrs, dists := p.E.Neighborhood(g)
+		nbrs, weights := p.E.Neighborhood(g)
 		for i, nb := range nbrs {
-			m, near := p.moduleOf[nb], rho-int(dists[i])
+			m, near := p.moduleOf[nb], int(weights[i])
 			if m == from32 {
 				nearSrc += near
 			}

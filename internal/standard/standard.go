@@ -99,10 +99,12 @@ func EstimateModuleSize(e *estimate.Estimator, w partition.Weights, cons partiti
 // remains, or the maximum module size is reached. Because the evolution
 // operators can merge but never create modules, a module keeps absorbing
 // fresh chains (restarted from a free gate adjacent to it) until it
-// reaches the target size, so the start population already has the module
-// granularity the size estimator asked for. Chains are formed while free
-// gates remain; different rng streams produce the different start
-// partitions of the start population.
+// reaches the target size or no free gate adjacent to it remains. A module
+// that runs out of adjacent free gates stays smaller, and each start gate
+// still free opens a new module, so a start can hold many times
+// ⌈gates/size⌉ modules, most of them leftover fragments the evolution must
+// merge. Chains are formed while free gates remain; different rng streams
+// produce the different start partitions of the start population.
 func ChainStartPartition(c *circuit.Circuit, maxModuleSize int, rng *rand.Rand) [][]int {
 	if maxModuleSize < 1 {
 		maxModuleSize = 1
@@ -184,14 +186,15 @@ func adjacentFree(buf []int, c *circuit.Circuit, module []int, free []bool) []in
 // a minimum sum. If there are multiple choices, a gate of this set is
 // selected such that the path lengths to all the gates not yet clustered
 // give a maximum sum." Path lengths are undirected hop distances capped
-// at ρ (unreachable pairs count ρ), matching the separation parameter, so
-// the estimator's ρ-hop neighbourhoods hold every distance needed.
+// at ρ (unreachable pairs count ρ), matching the separation parameter.
 //
 // The capped distances from g to a set X sum to ρ·|X| − Σ (ρ − d) over the
-// members of X within ρ hops of g, and ρ·|X| is common to every candidate.
-// So the minimum sum to the module is the maximum nearness
-// near[g] = Σ_{clustered c, g ∈ N_ρ(c)} (ρ − d), and the maximum sum to the
-// other free gates is the minimum nearness to them.
+// members of X within ρ−1 hops of g (a farther member's distance is capped
+// at ρ, so it adds 0), and ρ·|X| is common to every candidate. So the
+// minimum sum to the module is the maximum nearness
+// near[g] = Σ_{clustered c, g ∈ N(c)} (ρ − d), and the maximum sum to the
+// other free gates is the minimum nearness to them. The estimator's
+// neighbourhoods N(c) hold exactly these pairs with their weights ρ − d.
 func StandardPartition(e *estimate.Estimator, moduleSize int) [][]int {
 	if moduleSize < 1 {
 		moduleSize = 1
@@ -217,10 +220,10 @@ func StandardPartition(e *estimate.Estimator, moduleSize int) [][]int {
 			if len(module) == moduleSize {
 				break
 			}
-			gates, dists := e.Neighborhood(g)
+			gates, weights := e.Neighborhood(g)
 			for i, h := range gates {
 				if free[h] {
-					near[h] += e.P.Rho - int(dists[i])
+					near[h] += int(weights[i])
 				}
 			}
 		}
@@ -246,10 +249,10 @@ func closest(e *estimate.Estimator, free []bool, near []int) int {
 			continue
 		}
 		far := 0
-		gates, dists := e.Neighborhood(g)
+		gates, weights := e.Neighborhood(g)
 		for i, h := range gates {
 			if free[h] {
-				far += e.P.Rho - int(dists[i])
+				far += int(weights[i])
 			}
 		}
 		if best < 0 || far < minFar {
