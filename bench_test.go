@@ -234,6 +234,28 @@ func BenchmarkFinishModule_C1908(b *testing.B) {
 	}
 }
 
+// BenchmarkChainStartPartition_C1908 and _C2670 time one §4.2 start
+// partition at the circuit's estimated module size; every synthesis builds
+// μ = 8 of them on one goroutine before the first generation.
+func BenchmarkChainStartPartition_C1908(b *testing.B) { benchmarkChainStart(b, "c1908") }
+func BenchmarkChainStartPartition_C2670(b *testing.B) { benchmarkChainStart(b, "c2670") }
+
+func benchmarkChainStart(b *testing.B, name string) {
+	b.ReportAllocs()
+	a, err := celllib.Annotate(circuits.MustISCAS85Like(name), celllib.Default())
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := estimate.New(a, estimate.DefaultParams())
+	size := standard.EstimateModuleSize(e, partition.PaperWeights(), partition.DefaultConstraints())
+	rng := rand.New(rand.NewSource(1))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = standard.ChainStartPartition(a.Circuit, size, rng)
+	}
+	b.ReportMetric(float64(size), "size")
+}
+
 // BenchmarkBICDelayRepropagate is the same boundary move plus Cost() on
 // c7552 at module size 8 (~440 modules), where the touched modules are a
 // small share of the circuit. It reports how many gates' arrival times the

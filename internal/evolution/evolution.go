@@ -306,7 +306,10 @@ func selectBest(pool []*individual, mu int) []*individual {
 // averaged parameters (standard.EstimateModuleSize). It takes no context
 // on purpose: a cancelled run must still return a best-so-far Result, so
 // the start population has to exist before Optimize can honour
-// cancellation at generation boundaries.
+// cancellation at generation boundaries. The starts are built one after
+// another because they share the stream: start i's draws begin where start
+// i−1's ended, and how many draws a start takes depends on the chains it
+// grew.
 func ChainStarts(e *estimate.Estimator, w partition.Weights, cons partition.Constraints, size int, prm Params) ([]*partition.Partition, error) {
 	if err := prm.validate(); err != nil {
 		return nil, err

@@ -8,6 +8,7 @@ package standard
 import (
 	"cmp"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 
@@ -105,51 +106,105 @@ func EstimateModuleSize(e *estimate.Estimator, w partition.Weights, cons partiti
 // ⌈gates/size⌉ modules, most of them leftover fragments the evolution must
 // merge. Chains are formed while free gates remain; different rng streams
 // produce the different start partitions of the start population.
+//
+// The module's frontier is kept incrementally as two bitsets over gate
+// IDs: free, and adj, the union of the module gates' neighbours. A restart
+// counts adj & free, draws k once and takes the k-th member in ascending
+// ID order, so it costs O(gates/64) words instead of a rebuild and sort of
+// the frontier, and a whole start costs O(gates + restarts·gates/64).
 func ChainStartPartition(c *circuit.Circuit, maxModuleSize int, rng *rand.Rand) [][]int {
 	if maxModuleSize < 1 {
 		maxModuleSize = 1
 	}
 	order := nearInputsFirst(c)
-	free := make([]bool, c.NumGates())
+	free := make(gateSet, (c.NumGates()+63)/64)
+	adj := make(gateSet, len(free))
 	for _, g := range order {
-		free[g] = true
+		free.add(g)
+	}
+	output := make([]bool, c.NumGates())
+	for _, o := range c.Outputs {
+		output[o] = true
+	}
+	// take moves g from the free gates into the module's frontier.
+	take := func(g int) {
+		free.remove(g)
+		for _, nb := range c.Neighbors(g) {
+			adj.add(nb)
+		}
 	}
 
 	var groups [][]int
 	var nexts []int
 	for _, start := range order {
-		if !free[start] {
+		if !free.has(start) {
 			continue
 		}
+		clear(adj)
 		module := []int{start}
-		free[start] = false
+		take(start)
 		cur := start
 		for len(module) < maxModuleSize {
 			nexts = nexts[:0]
-			if !c.IsOutput(cur) {
+			if !output[cur] {
 				for _, f := range c.Gates[cur].Fanout {
-					if free[f] {
+					if free.has(f) {
 						nexts = append(nexts, f)
 					}
 				}
 			}
-			if len(nexts) == 0 {
+			if len(nexts) > 0 {
+				cur = nexts[rng.Intn(len(nexts))]
+			} else {
 				// Chain ended (primary output or no free successor):
 				// restart from a free gate adjacent to the module so the
 				// module stays connected.
-				nexts = adjacentFree(nexts, c, module, free)
-				if len(nexts) == 0 {
+				n := adj.countAnd(free)
+				if n == 0 {
 					break
 				}
+				cur = adj.nthAnd(free, rng.Intn(n))
 			}
-			cur = nexts[rng.Intn(len(nexts))]
-			free[cur] = false
+			take(cur)
 			module = append(module, cur)
 		}
 		slices.Sort(module)
 		groups = append(groups, module)
 	}
 	return groups
+}
+
+// gateSet is a bitset over gate IDs.
+type gateSet []uint64
+
+func (s gateSet) has(g int) bool { return s[g>>6]&(1<<(g&63)) != 0 }
+func (s gateSet) add(g int)      { s[g>>6] |= 1 << (g & 63) }
+func (s gateSet) remove(g int)   { s[g>>6] &^= 1 << (g & 63) }
+
+// countAnd returns |s ∩ t|.
+func (s gateSet) countAnd(t gateSet) int {
+	n := 0
+	for i, w := range s {
+		n += bits.OnesCount64(w & t[i])
+	}
+	return n
+}
+
+// nthAnd returns the k-th (0-based) member of s ∩ t in ascending order,
+// or -1 when k ≥ countAnd(t).
+func (s gateSet) nthAnd(t gateSet, k int) int {
+	for i, w := range s {
+		w &= t[i]
+		if n := bits.OnesCount64(w); k >= n {
+			k -= n
+			continue
+		}
+		for ; k > 0; k-- {
+			w &= w - 1 // drop the lowest member
+		}
+		return i<<6 | bits.TrailingZeros64(w)
+	}
+	return -1
 }
 
 // nearInputsFirst returns the logic gates ordered by level, lowest ID
@@ -162,21 +217,6 @@ func nearInputsFirst(c *circuit.Circuit) []int {
 		return cmp.Or(cmp.Compare(levels[a], levels[b]), cmp.Compare(a, b))
 	})
 	return order
-}
-
-// adjacentFree lists the free gates directly connected to the module,
-// ascending and without duplicates, in buf's storage.
-func adjacentFree(buf []int, c *circuit.Circuit, module []int, free []bool) []int {
-	dst := buf[:0]
-	for _, g := range module {
-		for _, nb := range c.Neighbors(g) {
-			if free[nb] {
-				dst = append(dst, nb)
-			}
-		}
-	}
-	slices.Sort(dst)
-	return slices.Compact(dst)
 }
 
 // StandardPartition implements the §5 baseline: "the process starts with

@@ -3,6 +3,7 @@ package standard
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -125,32 +126,147 @@ func TestChainStartPartitionCovers(t *testing.T) {
 	}
 }
 
+// Every start module must be one connected piece of the circuit graph: a
+// chain plus the chains restarted from gates adjacent to it. A BFS over
+// Neighbors inside each module must reach all of it.
 func TestChainStartPartitionIsChain(t *testing.T) {
-	// Each multi-gate module must be a fanout chain: gate i+1 in the
-	// module is a fanout of gate i in generation order. After sorting we
-	// can at least check connectivity within the module graph.
-	c := circuits.MustISCAS85Like("c432")
-	rng := rand.New(rand.NewSource(7))
-	groups := ChainStartPartition(c, 5, rng)
-	checkCover(t, c, groups)
-	for _, grp := range groups {
-		if len(grp) < 2 {
+	c1908 := circuits.MustISCAS85Like("c1908")
+	for _, tc := range []struct {
+		c    *circuit.Circuit
+		size int
+		seed int64
+	}{
+		{circuits.MustISCAS85Like("c432"), 5, 7},
+		{c1908, estimatedSize(t, c1908), 3},
+	} {
+		groups := ChainStartPartition(tc.c, tc.size, rand.New(rand.NewSource(tc.seed)))
+		checkCover(t, tc.c, groups)
+		inGrp := make([]bool, tc.c.NumGates())
+		seen := make([]bool, tc.c.NumGates())
+		for _, grp := range groups {
+			if len(grp) > tc.size {
+				t.Fatalf("%s: module of %d gates exceeds size %d", tc.c.Name, len(grp), tc.size)
+			}
+			for _, g := range grp {
+				inGrp[g] = true
+			}
+			seen[grp[0]] = true
+			queue, reached := []int{grp[0]}, 1
+			for len(queue) > 0 {
+				g := queue[0]
+				queue = queue[1:]
+				for _, nb := range tc.c.Neighbors(g) {
+					if inGrp[nb] && !seen[nb] {
+						seen[nb] = true
+						reached++
+						queue = append(queue, nb)
+					}
+				}
+			}
+			if reached != len(grp) {
+				t.Fatalf("%s: module %v falls apart: BFS reaches %d of %d gates", tc.c.Name, grp, reached, len(grp))
+			}
+			for _, g := range grp {
+				inGrp[g] = false
+			}
+		}
+	}
+}
+
+// estimatedSize is the module size a synthesis starts c's partitions at.
+func estimatedSize(t *testing.T, c *circuit.Circuit) int {
+	t.Helper()
+	return EstimateModuleSize(estimatorFor(t, c), partition.PaperWeights(), partition.DefaultConstraints())
+}
+
+// chainStartReference is the constructor ChainStartPartition replaced: it
+// rebuilds and sorts the module's whole free frontier at every restart.
+// The two must agree on the groups and on how many draws they take.
+func chainStartReference(c *circuit.Circuit, maxModuleSize int, rng *rand.Rand) [][]int {
+	if maxModuleSize < 1 {
+		maxModuleSize = 1
+	}
+	order := nearInputsFirst(c)
+	free := make([]bool, c.NumGates())
+	for _, g := range order {
+		free[g] = true
+	}
+	var groups [][]int
+	var nexts []int
+	for _, start := range order {
+		if !free[start] {
 			continue
 		}
-		inGrp := make([]bool, c.NumGates())
-		for _, g := range grp {
-			inGrp[g] = true
-		}
-		for _, g := range grp {
-			connected := false
-			for _, nb := range c.Neighbors(g) {
-				if inGrp[nb] {
-					connected = true
+		module := []int{start}
+		free[start] = false
+		cur := start
+		for len(module) < maxModuleSize {
+			nexts = nexts[:0]
+			if !c.IsOutput(cur) {
+				for _, f := range c.Gates[cur].Fanout {
+					if free[f] {
+						nexts = append(nexts, f)
+					}
+				}
+			}
+			if len(nexts) == 0 {
+				nexts = adjacentFreeReference(nexts, c, module, free)
+				if len(nexts) == 0 {
 					break
 				}
 			}
-			if !connected {
-				t.Fatalf("gate %d isolated inside its chain module %v", g, grp)
+			cur = nexts[rng.Intn(len(nexts))]
+			free[cur] = false
+			module = append(module, cur)
+		}
+		slices.Sort(module)
+		groups = append(groups, module)
+	}
+	return groups
+}
+
+// adjacentFreeReference lists the free gates directly connected to the
+// module, ascending and without duplicates, in buf's storage.
+func adjacentFreeReference(buf []int, c *circuit.Circuit, module []int, free []bool) []int {
+	dst := buf[:0]
+	for _, g := range module {
+		for _, nb := range c.Neighbors(g) {
+			if free[nb] {
+				dst = append(dst, nb)
+			}
+		}
+	}
+	slices.Sort(dst)
+	return slices.Compact(dst)
+}
+
+// ChainStartPartition must build exactly the reference's groups and leave
+// the rng stream where the reference leaves it: ChainStarts draws all μ
+// starts from one stream, so one extra or missing draw shifts every later
+// start. The reference's restarts are quadratic in the module size, so
+// -short checks seed 1 only.
+func TestChainStartPartitionMatchesReference(t *testing.T) {
+	cs := []*circuit.Circuit{circuits.C17()}
+	for _, name := range circuits.Names() {
+		cs = append(cs, circuits.MustISCAS85Like(name))
+	}
+	seeds := int64(5)
+	if testing.Short() {
+		seeds = 1
+	}
+	for _, c := range cs {
+		n := c.NumLogicGates()
+		for _, size := range []int{1, 2, 8, estimatedSize(t, c), (n + 1) / 2, n + 1} {
+			for seed := int64(1); seed <= seeds; seed++ {
+				gotRng, wantRng := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+				got := ChainStartPartition(c, size, gotRng)
+				want := chainStartReference(c, size, wantRng)
+				if !equalGroups(got, want) {
+					t.Fatalf("%s size %d seed %d: %d groups differ from the reference's %d", c.Name, size, seed, len(got), len(want))
+				}
+				if g, w := gotRng.Int63(), wantRng.Int63(); g != w {
+					t.Fatalf("%s size %d seed %d: next draw %d, reference %d: the draw counts differ", c.Name, size, seed, g, w)
+				}
 			}
 		}
 	}
