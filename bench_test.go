@@ -283,6 +283,34 @@ func BenchmarkBICDelayRepropagate(b *testing.B) {
 	}
 }
 
+// BenchmarkDescendant_C7552 is one evolution descendant on c7552 at module
+// size 8: Clone an evaluated parent, move one boundary gate into a
+// connected module, and Cost() the clone. Unlike
+// BenchmarkBICDelayRepropagate, which moves one partition back and forth,
+// it pays for what the descendant loop copies: the module list, the
+// gate→module index and the clone's arrival times.
+func BenchmarkDescendant_C7552(b *testing.B) {
+	b.ReportAllocs()
+	a, err := celllib.Annotate(circuits.MustISCAS85Like("c7552"), celllib.Default())
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := estimate.New(a, estimate.DefaultParams())
+	p, err := partition.New(e, standard.StandardPartition(e, 8),
+		partition.PaperWeights(), partition.DefaultConstraints())
+	if err != nil {
+		b.Fatal(err)
+	}
+	p.Cost() // the parent is evaluated, as every selected individual is
+	rng := rand.New(rand.NewSource(7))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := p.Clone()
+		moveOneGate(b, q, rng)
+		_ = q.Cost()
+	}
+}
+
 // moveBackAndForth times one boundary gate moved into a connected module,
 // then Cost(), b.N times. Iterations alternate the gate's direction, so
 // every op is the same move on the same two modules and no clone is timed.

@@ -290,8 +290,9 @@ func referenceBICDelay(e *Estimator, moduleOf []int, mods []*Module) float64 {
 }
 
 // The incremental D_BIC update must equal both a full sweep and the
-// direct §3.2 computation bit for bit, and recompute fewer gates than the
-// circuit has when the changed modules are small.
+// direct §3.2 computation bit for bit, report exactly the positions whose
+// arrival time changed, and recompute fewer gates than the circuit has
+// when the changed modules are small.
 func TestUpdateBICDelayMatchesFullSweep(t *testing.T) {
 	a, err := celllib.Annotate(circuits.MustISCAS85Like("c432"), celllib.Default())
 	if err != nil {
@@ -316,7 +317,7 @@ func TestUpdateBICDelayMatchesFullSweep(t *testing.T) {
 		mods[mi] = e.EvalModule(grp)
 	}
 	arrival := make([]float64, c.NumGates())
-	first := e.UpdateBICDelay(arrival, mods, nil)
+	first, _ := e.UpdateBICDelay(arrival, mods, nil, nil)
 	if want := referenceBICDelay(e, moduleOf, mods); math.Float64bits(first) != math.Float64bits(want) {
 		t.Fatalf("full sweep D_BIC = %v, direct computation %v", first, want)
 	}
@@ -337,9 +338,18 @@ func TestUpdateBICDelayMatchesFullSweep(t *testing.T) {
 		slices.Sort(groups[from+1])
 		moduleOf[g] = from + 1
 		mods[from], mods[from+1] = e.EvalModule(groups[from]), e.EvalModule(groups[from+1])
-		before := gates.Value()
-		got := e.UpdateBICDelay(arrival, mods, []int{from + 1, from})
+		before, old := gates.Value(), slices.Clone(arrival)
+		got, changed := e.UpdateBICDelay(arrival, mods, []int{from + 1, from}, nil)
 		recomputed := gates.Value() - before
+		var diff []int32
+		for i := range arrival {
+			if math.Float64bits(arrival[i]) != math.Float64bits(old[i]) {
+				diff = append(diff, int32(i))
+			}
+		}
+		if !slices.Equal(changed, diff) {
+			t.Fatalf("step %d: reported changed positions %v, arrival times differ at %v", step, changed, diff)
+		}
 		if want := e.BICDelay(moduleOf, mods); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("step %d: incremental D_BIC = %v, full sweep %v", step, got, want)
 		}
@@ -348,6 +358,88 @@ func TestUpdateBICDelayMatchesFullSweep(t *testing.T) {
 		}
 		if recomputed >= uint64(c.NumLogicGates()) {
 			t.Errorf("step %d: recomputed %d gates, the circuit has %d", step, recomputed, c.NumLogicGates())
+		}
+	}
+}
+
+// UpdateBICDelay skips the delays of modules that end before the first
+// seed. With one module per gate every seed's own module ends at the seed,
+// so a skip condition off by one position leaves a stale delay there: the
+// updated arrival times must equal a full sweep's at every position.
+func TestUpdateBICDelaySingletonModules(t *testing.T) {
+	a, err := celllib.Annotate(circuits.MustISCAS85Like("c432"), celllib.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(a, DefaultParams())
+	c := a.Circuit
+	logic := c.LogicGates()
+	mods := make([]*Module, len(logic))
+	for i, g := range logic {
+		mods[i] = e.EvalModule([]int{g})
+	}
+	arrival := make([]float64, c.NumGates())
+	e.UpdateBICDelay(arrival, mods, nil, nil)
+	rng := rand.New(rand.NewSource(5))
+	for step := 0; step < 50; step++ {
+		k := rng.Intn(len(mods))
+		m := *mods[k]
+		m.Delay = []float64{m.Delay[0] * (1 + rng.Float64())}
+		mods[k] = &m
+		got, _ := e.UpdateBICDelay(arrival, mods, []int{k}, nil)
+		delay := make([]float64, c.NumGates())
+		for _, m := range mods {
+			delay[e.dag.pos[m.Gates[0]]] = m.Delay[0]
+		}
+		want := make([]float64, c.NumGates())
+		e.dag.sweep(delay, want, 0, len(want)-1, nil, nil)
+		for i := range want {
+			if math.Float64bits(arrival[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("step %d: arrival at position %d = %v, full sweep %v", step, i, arrival[i], want[i])
+			}
+		}
+		if w := e.dag.worst(want); math.Float64bits(got) != math.Float64bits(w) {
+			t.Fatalf("step %d: D_BIC = %v, full sweep %v", step, got, w)
+		}
+	}
+}
+
+// D_BIC is the worst arrival over the fanout-free positions only. Every
+// delay is non-negative, so that must equal the maximum over all
+// positions bit for bit, for the nominal delays and for degraded ones.
+func TestWorstArrivalOverSinksIsGlobalMax(t *testing.T) {
+	names := append([]string{"c17"}, circuits.Names()...)
+	for _, name := range names {
+		c := circuits.C17()
+		if name != "c17" {
+			c = circuits.MustISCAS85Like(name)
+		}
+		a, err := celllib.Annotate(c, celllib.Default())
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := New(a, DefaultParams())
+		maxAll := func(arrival []float64) float64 {
+			var worst float64
+			for _, at := range arrival {
+				worst = math.Max(worst, at)
+			}
+			return worst
+		}
+		nominal := make([]float64, c.NumGates())
+		e.dag.sweep(e.dag.nominal, nominal, 0, len(nominal)-1, nil, nil)
+		if got, want := e.NominalDelay(), maxAll(nominal); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s: nominal delay over sinks %v, over all positions %v", name, got, want)
+		}
+		logic := c.LogicGates()
+		var mods []*Module
+		for i := 0; i < len(logic); i += 8 {
+			mods = append(mods, e.EvalModule(logic[i:min(i+8, len(logic))]))
+		}
+		arrival := make([]float64, c.NumGates())
+		got, _ := e.UpdateBICDelay(arrival, mods, nil, nil)
+		if want := maxAll(arrival); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s: D_BIC over sinks %v, over all positions %v", name, got, want)
 		}
 	}
 }

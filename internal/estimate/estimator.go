@@ -104,12 +104,13 @@ type Estimator struct {
 	chaos *chaos.Injector
 
 	// scratch pools the transient buffers of EvalModule (current profile,
-	// module membership mask) and of the D_BIC sweep (per-gate delays,
-	// marks, arrival times). Both run millions of times per optimizer run
-	// on concurrent worker pools, so these must not be allocated per call.
-	// The pool belongs to the estimator, so its buffers are sized for this
-	// circuit. Pool contents never affect results: the buffers are
-	// (re)initialized before every use.
+	// module membership mask) and of the D_BIC sweep (per-position
+	// delays, marks, arrival times). Both run millions of times per
+	// optimizer run on concurrent worker pools, so these must not be
+	// allocated per call. The pool belongs to the estimator, so its
+	// buffers are sized for this circuit. Pool contents never affect
+	// results: every entry a call reads is written earlier in that call,
+	// except the primary inputs' delays, which are 0 in every buffer.
 	scratch sync.Pool
 }
 
@@ -118,8 +119,9 @@ type Estimator struct {
 type evalScratch struct {
 	prof    []float64 // current profile over the time grid
 	mask    []bool    // module membership by gate ID, or sweep marks by position; all false between uses
-	delay   []float64 // degraded delay per gate ID
+	delay   []float64 // degraded delay per sweep position; always 0 at primary inputs
 	arrival []float64 // arrival time per sweep position, for BICDelay, whose caller keeps none
+	changed []int32   // positions a BICDelay or nominal sweep changed; room for all, so it never grows
 	damp    []float64 // delay damping per class; 0 = not computed yet
 }
 
@@ -136,6 +138,8 @@ func (e *Estimator) getScratch() *evalScratch {
 			delay: make([]float64, e.A.Circuit.NumGates()),
 			//lint:ignore hotalloc pool miss only
 			arrival: make([]float64, e.A.Circuit.NumGates()),
+			//lint:ignore hotalloc pool miss only
+			changed: make([]int32, 0, e.A.Circuit.NumGates()),
 			//lint:ignore hotalloc pool miss only
 			damp: make([]float64, e.numClasses),
 		}
@@ -195,7 +199,8 @@ func New(a *celllib.Annotated, p Params) *Estimator {
 	c.Levels() // built here, so concurrent FinishModule calls only read it
 	e.dag = newSweepDAG(a)
 	sc := e.getScratch()
-	e.nominalDelay, _ = e.dag.sweep(e.dag.nominal, sc.arrival, 0, c.NumGates()-1, nil)
+	_, sc.changed = e.dag.sweep(e.dag.nominal, sc.arrival, 0, c.NumGates()-1, nil, sc.changed[:0])
+	e.nominalDelay = e.dag.worst(sc.arrival)
 	e.scratch.Put(sc)
 	e.buildNeighborhoods()
 	return e
@@ -296,6 +301,11 @@ type Module struct {
 	// aligned with Gates. δ depends only on the module's Rs, Cs and n(t)
 	// at the gate's level, so it is fixed once the module is finished.
 	Delay []float64
+
+	// lastPos is the latest D_BIC sweep position among Gates, -1 for
+	// none: UpdateBICDelay skips the delays of a module that ends before
+	// the sweep starts.
+	lastPos int32
 }
 
 // Discriminability returns d(M) = IDDQ,th / IDDQ,nd (§2).
@@ -363,7 +373,7 @@ func (e *Estimator) FinishModule(gates []int, sep int, act []int) *Module {
 		sep, act = e.ModuleCounts(gates)
 	}
 	//lint:ignore hotalloc the Module is the call's result, retained in the partition's estimate cache
-	m := &Module{Gates: gates, Separation: sep, Activity: act}
+	m := &Module{Gates: gates, Separation: sep, Activity: act, lastPos: -1}
 	if len(gates) == 0 {
 		return m
 	}
@@ -408,6 +418,7 @@ func (e *Estimator) FinishModule(gates []int, sep int, act []int) *Module {
 			damp[k] = must(electrical.DelayDamping(m.Rs, e.A.Rg[g], e.A.Delay[g], m.Cs))
 		}
 		m.Delay[i] = e.A.Delay[g] * electrical.Degrade(n, m.Rs, e.A.Rg[g], damp[k])
+		m.lastPos = max(m.lastPos, e.dag.pos[g])
 	}
 	return m
 }

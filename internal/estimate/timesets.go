@@ -6,7 +6,11 @@
 // trade accuracy for speed so the evolution algorithm can evaluate a large
 // number of partitions: they are deliberately pessimistic (all gates at
 // equal path depth are assumed to switch simultaneously) but computable in
-// time linear in the circuit size.
+// time linear in the circuit size. The BIC-degraded delay D_BIC is also
+// maintained incrementally for a caller that keeps arrival times between
+// evaluations (UpdateBICDelay): only the gates downstream of changed
+// modules are recomputed, and the positions whose arrival time changed
+// are reported, so the caller can keep them as a sparse patch.
 package estimate
 
 import (

@@ -1,12 +1,14 @@
 // The exact-recompute oracle for incremental cost evaluation: random
-// MoveGates sequences on a fine-grained partition must leave every cached
-// module term and every cost field bit-identical to a from-scratch
-// evaluation of the same groups.
+// MoveGates sequences on a partition must leave every cached module term
+// and every cost field bit-identical to a from-scratch evaluation of the
+// same groups.
 
 package partition_test
 
 import (
+	"errors"
 	"math"
+	"math/rand"
 	"slices"
 	"sync"
 	"testing"
@@ -18,15 +20,20 @@ import (
 	"iddqsyn/internal/standard"
 )
 
-// deltaCircuits are the oracle's circuits; the fuzzer's first argument
-// picks one. c7552 at module size 8 has ~590 tiny modules, so a move
-// touches a small share of the circuit and most of the D_BIC sweep's
-// gates sit outside the touched modules.
-var deltaCircuits = []string{"c432", "c880", "c7552"}
+// deltaCircuits are the oracle's circuits and their start module sizes;
+// the fuzzer's first argument picks one. c7552 at module size 8 has ~590
+// tiny modules, so a move touches a small share of the circuit and most
+// of the D_BIC sweep's gates sit outside the touched modules. c1908 at
+// its estimated module size (size 0) has a few large modules, whose
+// dense seeds make the sweep recompute most positions.
+var deltaCircuits = []struct {
+	name string
+	size int
+}{{"c432", 8}, {"c880", 8}, {"c7552", 8}, {"c1908", 0}}
 
 // deltaEstimators holds one lazily built estimator per circuit, so inputs
 // that never pick c7552 do not pay for its build.
-var deltaEstimators [3]struct {
+var deltaEstimators [4]struct {
 	once sync.Once
 	e    *estimate.Estimator
 	err  error
@@ -37,7 +44,7 @@ func deltaEstimator(t *testing.T, i int) *estimate.Estimator {
 	t.Helper()
 	d := &deltaEstimators[i%len(deltaCircuits)]
 	d.once.Do(func() {
-		a, err := celllib.Annotate(circuits.MustISCAS85Like(deltaCircuits[i%len(deltaCircuits)]), celllib.Default())
+		a, err := celllib.Annotate(circuits.MustISCAS85Like(deltaCircuits[i%len(deltaCircuits)].name), celllib.Default())
 		if err != nil {
 			d.err = err
 			return
@@ -48,6 +55,23 @@ func deltaEstimator(t *testing.T, i int) *estimate.Estimator {
 		t.Fatal(d.err)
 	}
 	return d.e
+}
+
+// deltaStart returns the standard partition of circuit i at its oracle
+// module size.
+func deltaStart(t *testing.T, i int) *partition.Partition {
+	t.Helper()
+	e := deltaEstimator(t, i)
+	w, cons := partition.PaperWeights(), partition.DefaultConstraints()
+	size := deltaCircuits[i%len(deltaCircuits)].size
+	if size == 0 {
+		size = standard.EstimateModuleSize(e, w, cons)
+	}
+	p, err := partition.New(e, standard.StandardPartition(e, size), w, cons)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 // opReader hands out the fuzz input one decision at a time; an exhausted
@@ -134,12 +158,26 @@ func checkExact(t *testing.T, e *estimate.Estimator, p *partition.Partition, ste
 			t.Fatalf("step %d: module %d: cached estimate differs from EvalModule", step, mi)
 		}
 	}
+	checkCosts(t, e, p, step)
+}
+
+// checkCosts asserts that p's cost vector and every arrival time it
+// keeps for the next incremental sweep equal a from-scratch evaluation of
+// its groups bit for bit.
+func checkCosts(t *testing.T, e *estimate.Estimator, p *partition.Partition, step int) {
+	t.Helper()
 	fresh, err := partition.New(e, p.Groups(), p.W, p.Cons)
 	if err != nil {
 		t.Fatalf("step %d: rebuild: %v", step, err)
 	}
 	if got, want := p.Costs(), fresh.Costs(); costBits(got) != costBits(want) {
 		t.Fatalf("step %d: incremental costs %+v, from scratch %+v", step, got, want)
+	}
+	got, want := p.ArrivalTimes(), fresh.ArrivalTimes()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("step %d: arrival time at sweep position %d = %v, from scratch %v", step, i, got[i], want[i])
+		}
 	}
 }
 
@@ -175,8 +213,9 @@ func pickMove(p *partition.Partition, r *opReader, kind int) (gates []int, from,
 }
 
 // FuzzDeltaCost applies input-driven MoveGates sequences to a c432, c880
-// or c7552 partition at module size 8 and checks every step against the
-// from-scratch oracle. Each step's first byte picks what happens:
+// or c7552 partition at module size 8, or a c1908 partition at its
+// estimated module size, and checks every step against the from-scratch
+// oracle. Each step's first byte picks what happens:
 //   - 0-1: a few boundary gates move;
 //   - 2: a whole module moves, which deletes it;
 //   - 3: a clone moves; the parent's cached terms must stay exactly as
@@ -185,7 +224,13 @@ func pickMove(p *partition.Partition, r *opReader, kind int) (gates []int, from,
 //     the first move's module estimates before Costs runs;
 //   - 5: the evaluated parent is cloned twice and each clone moves
 //     differently; both clones must match the oracle, the parent's terms
-//     must stay as before, and the walk continues on the parent.
+//     must stay as before, and the walk continues on the parent;
+//   - 6 (once per input; later ones act as 0): a chain of at least
+//     chainDepth descendants of descendants. Each link clones the last
+//     descendant twice, moves and evaluates both siblings, checks both
+//     costs against the oracle and continues on one of them, so the
+//     arrival-time patch grows, rebases to a fresh base and is shared by
+//     the siblings of every link.
 func FuzzDeltaCost(f *testing.F) {
 	f.Add(uint8(0), []byte{0, 3, 0, 1, 1, 0, 5, 2, 1, 1, 2, 4, 0, 0, 3, 7, 1, 2, 1, 0})
 	f.Add(uint8(0), []byte{2, 0, 1, 0, 2, 1, 0, 0, 2, 5, 1, 1, 3, 2, 0, 0, 0, 1, 9, 2, 0, 3, 1})
@@ -195,13 +240,11 @@ func FuzzDeltaCost(f *testing.F) {
 	f.Add(uint8(0), []byte{4, 0, 3, 1, 1, 0, 0, 2, 9, 0, 0, 5, 5, 1, 4, 0, 0, 1, 7, 0, 1, 2, 3, 0, 1, 1})
 	f.Add(uint8(1), []byte{5, 0, 2, 1, 1, 0, 0, 6, 0, 0, 0, 5, 2, 11, 0, 0, 0, 4, 1, 1, 2, 0, 0, 3, 0, 1})
 	f.Add(uint8(2), []byte{0, 40, 1, 2, 0, 5, 0, 123, 0, 1, 1, 4, 0, 77, 2, 0, 0, 3, 5, 1, 200, 0, 0, 1, 0, 2, 9, 1, 0, 0})
+	f.Add(uint8(2), chainInput(1))
+	f.Add(uint8(3), chainInput(2))
 	f.Fuzz(func(t *testing.T, circuit uint8, ops []byte) {
 		e := deltaEstimator(t, int(circuit))
-		p, err := partition.New(e, standard.StandardPartition(e, 8),
-			partition.PaperWeights(), partition.DefaultConstraints())
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := deltaStart(t, int(circuit))
 		r := &opReader{b: ops}
 		move := func(q *partition.Partition, kind, step int) {
 			gates, from, to := pickMove(q, r, kind)
@@ -210,8 +253,9 @@ func FuzzDeltaCost(f *testing.F) {
 			}
 		}
 		const maxSteps = 48
+		chained := false
 		for step := 0; step < maxSteps && len(r.b) > 0 && p.NumModules() > 1; step++ {
-			switch kind := r.next(6); kind {
+			switch kind := r.next(7); kind {
 			case 3:
 				before, beforeCost := snapshot(p)
 				child := p.Clone()
@@ -233,12 +277,43 @@ func FuzzDeltaCost(f *testing.F) {
 				checkExact(t, e, a, step)
 				checkExact(t, e, b, step)
 				checkParent(t, p, before, beforeCost, step)
+			case 6:
+				if chained {
+					move(p, 0, step)
+					break
+				}
+				chained = true
+				p.Costs()
+				for depth := chainDepth + r.next(8); depth > 0 && p.NumModules() > 1; depth-- {
+					sib := [2]*partition.Partition{p.Clone(), p.Clone()}
+					for _, q := range sib {
+						move(q, r.next(2), step)
+						checkCosts(t, e, q, step)
+					}
+					p = sib[r.next(2)]
+				}
 			default:
 				move(p, kind, step)
 			}
 			checkExact(t, e, p, step)
 		}
 	})
+}
+
+// chainDepth is the least number of links in FuzzDeltaCost's chain step.
+const chainDepth = 30
+
+// chainInput is a seed input for FuzzDeltaCost: one chain step followed
+// by enough pseudo-random bytes (from seed) to give every link's two
+// moves their own gates and targets.
+func chainInput(seed int64) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	b := make([]byte, 1, 512)
+	b[0] = 6
+	for len(b) < cap(b) {
+		b = append(b, byte(rng.Intn(256)))
+	}
+	return b
 }
 
 // checkParent asserts that p's cached terms and costs still equal a
@@ -254,4 +329,117 @@ func checkParent(t *testing.T, p *partition.Partition, before []moduleTerms, bef
 	if beforeCost != afterCost {
 		t.Fatalf("step %d: moving a clone changed the parent's costs", step)
 	}
+}
+
+// moveRandomBoundary moves one random boundary gate of q into a connected
+// module.
+func moveRandomBoundary(q *partition.Partition, rng *rand.Rand) error {
+	for attempt := 0; attempt < 64; attempt++ {
+		from := rng.Intn(q.NumModules())
+		cand := q.BoundaryGates(from)
+		if len(cand) == 0 {
+			continue
+		}
+		g := cand[rng.Intn(len(cand))]
+		if targets := q.ConnectedModules(g); len(targets) > 0 {
+			_, err := q.MoveGates([]int{g}, from, targets[rng.Intn(len(targets))])
+			return err
+		}
+	}
+	return errors.New("no boundary move found")
+}
+
+// mustMoveRandomBoundary is moveRandomBoundary, failing t on an error.
+func mustMoveRandomBoundary(t *testing.T, q *partition.Partition, rng *rand.Rand) {
+	t.Helper()
+	if err := moveRandomBoundary(q, rng); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A chain of descendants of descendants on c7552 at module size 8 must
+// take every path of the arrival-time layout within chainDepth links — a
+// patch that grows on an inherited base, a rebase to a fresh base, and
+// two siblings whose patches sit on one shared base — and every
+// evaluation must match the from-scratch oracle.
+func TestDescendantChainArrivalLayout(t *testing.T) {
+	e := deltaEstimator(t, 2)
+	p := deltaStart(t, 2)
+	p.Costs()
+	rng := rand.New(rand.NewSource(1))
+	var grew, rebased, shared bool
+	for depth := 0; depth < chainDepth && !(grew && rebased && shared); depth++ {
+		parentBase, parentPatch := p.ArrivalLayout()
+		a, b := p.Clone(), p.Clone()
+		mustMoveRandomBoundary(t, a, rng)
+		mustMoveRandomBoundary(t, b, rng)
+		checkCosts(t, e, a, depth)
+		checkCosts(t, e, b, depth)
+		aBase, aPatch := a.ArrivalLayout()
+		bBase, bPatch := b.ArrivalLayout()
+		grew = grew || aBase == parentBase && aPatch > parentPatch && parentPatch > 0
+		rebased = rebased || aBase != parentBase
+		shared = shared || aBase == bBase && aPatch > 0 && bPatch > 0
+		p = a
+	}
+	if !grew || !rebased || !shared {
+		t.Fatalf("chain of %d: patch grew %v, rebased %v, siblings shared a base %v; want all", chainDepth, grew, rebased, shared)
+	}
+}
+
+// Clones of one evaluated parent share its module records, base vector
+// and patch. Moving and evaluating eight of them on eight goroutines, and
+// cloning the parent again afterwards, must write none of these: every
+// cost, the parent's included, equals a from-scratch evaluation. Run it
+// under the race detector.
+func TestConcurrentDescendantsShareParent(t *testing.T) {
+	e := deltaEstimator(t, 2)
+	p := deltaStart(t, 2)
+	p.Costs()
+	rng := rand.New(rand.NewSource(2))
+	// Descend until the parent has a patch of its own, so the clones
+	// below share a patch as well as a base.
+	for i := 0; ; i++ {
+		if _, n := p.ArrivalLayout(); n > 0 {
+			break
+		}
+		if i == 8 {
+			t.Fatal("parent has no arrival patch to share")
+		}
+		p = p.Clone()
+		mustMoveRandomBoundary(t, p, rng)
+		p.Costs()
+	}
+	want := costBits(p.Costs())
+	const workers = 8
+	kids := make([]*partition.Partition, workers)
+	for i := range kids {
+		kids[i] = p.Clone()
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, workers)
+	for i, q := range kids {
+		wg.Add(1)
+		go func(i int, q *partition.Partition) {
+			defer wg.Done()
+			errs[i] = moveRandomBoundary(q, rand.New(rand.NewSource(int64(10+i))))
+			q.PenalisedCost()
+		}(i, q)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("clone %d: %v", i, err)
+		}
+	}
+	if got := costBits(p.Costs()); got != want {
+		t.Fatal("evaluating the clones changed the parent's cached costs")
+	}
+	checkCosts(t, e, p, 0)
+	for i, q := range kids {
+		checkCosts(t, e, q, i)
+	}
+	again := p.Clone()
+	mustMoveRandomBoundary(t, again, rng)
+	checkExact(t, e, again, workers)
 }

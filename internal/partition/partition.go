@@ -13,11 +13,14 @@
 // modules invalidates only the touched modules' estimates, so the
 // evolution algorithm of §4 can evaluate descendants cheaply ("costs are
 // recomputed just for the modified modules"). The descendant loop clones
-// and discards thousands of partitions per generation, so the module
-// representation is allocation-lean: each module's gate set is a sorted
-// int slice that is immutable once built (MoveGates replaces the touched
-// modules' slices instead of editing them), which lets Clone share every
-// unmodified slice and every cached estimate copy-on-write style.
+// and discards thousands of partitions per generation, so a descendant
+// copies only what it changes: each module is one pointer to an immutable
+// record (sorted gate set, S(M), n(t)) plus its cached estimate, and
+// MoveGates replaces the touched modules' records instead of editing
+// them, which lets Clone share every unmodified record and every cached
+// estimate copy-on-write style. The D_BIC arrival times are likewise a
+// shared immutable base vector plus a sorted sparse patch of the
+// positions that differ from it.
 package partition
 
 import (
@@ -91,30 +94,42 @@ func (cv CostVector) Weighted(w Weights) float64 {
 		w.Modules*cv.Modules
 }
 
-// moduleState is one module of the partition. gates is the module's gate
-// set as ascending IDs; together with Partition.moduleOf it is the source
-// of truth for membership. The slice is immutable once assigned:
-// MoveGates builds replacement slices for the touched modules, so clones
-// and cached estimates (whose Gates field aliases it) can share it
+// moduleState is one module of the partition: two words, so that Clone
+// copies little per module. rec is the module's membership and integer
+// terms; together with Partition.moduleOf it is the source of truth for
+// membership. The record is immutable once assigned: MoveGates builds
+// replacement records for the touched modules, so clones and cached
+// estimates (whose Gates and Activity fields alias it) can share it
 // safely.
 type moduleState struct {
-	gates []int
-	// counts holds the module's integer §3 terms, behind a pointer so
-	// that Clone copies one word for them. It is copy-on-write like
-	// gates: MoveGates replaces it, never edits it.
-	counts *moduleCounts
+	rec *moduleRecord
 	// est caches the estimator output; nil after a move touched this
 	// module. Immutable once computed, so clones share it.
 	est *estimate.Module
 }
 
-// moduleCounts are a module's S(M) and n(t), counted once by New and
-// kept exact by MoveGates' per-gate deltas. Cached estimates alias act as
-// their Activity.
-type moduleCounts struct {
-	sep int
-	act []int
+// moduleRecord is a module's gate set as ascending IDs and its §3 integer
+// terms S(M) and n(t), counted once by New and kept exact by MoveGates'
+// per-gate deltas.
+type moduleRecord struct {
+	gates []int
+	sep   int
+	act   []int
 }
+
+// patchEntry is one arrival time that differs from a partition's base
+// vector: the arrival at sweep position pos.
+type patchEntry struct {
+	pos int32
+	at  float64
+}
+
+// rebaseDiv bounds a partition's arrival patch: once the patch would
+// hold more than 1/rebaseDiv of the positions, Costs stores a fresh full
+// vector instead. A patch entry takes twice the bytes of a vector entry,
+// so any rebaseDiv ≥ 2 keeps a patch smaller than the vector it stands
+// for; 4 measured best (see DESIGN.md §5).
+const rebaseDiv = 4
 
 // Partition is a mutable partition of the circuit's logic gates with
 // incremental cost evaluation.
@@ -126,14 +141,17 @@ type Partition struct {
 	modules  []moduleState
 	moduleOf []int32 // gate ID -> module index; -1 for inputs (int32 halves what Clone copies)
 
-	// arrival holds every gate's D_BIC arrival time as of the last Costs
-	// evaluation; nil before the first. Clones share it, so it is never
-	// written in place: Costs updates a fresh copy. touched lists the
-	// modules, by current index, whose estimates changed since arrival was
-	// computed — the seeds of the next incremental sweep. It is tracked
-	// here rather than read off nil estimates, because ModuleEstimate
-	// refills those before Costs runs.
-	arrival []float64
+	// The D_BIC arrival time at each sweep position as of the last Costs
+	// evaluation is base, overridden at the ascending positions of patch;
+	// base is nil before the first evaluation. Clones share both, so
+	// neither is ever written in place: Costs builds a fresh patch, or a
+	// fresh base once the patch grows past 1/rebaseDiv of the positions.
+	// touched lists the modules, by current index, whose estimates
+	// changed since those arrival times were computed — the seeds of the
+	// next incremental sweep. It is tracked here rather than read off nil
+	// estimates, because ModuleEstimate refills those before Costs runs.
+	base    []float64
+	patch   []patchEntry
 	touched []int
 
 	costValid bool
@@ -152,11 +170,14 @@ func New(e *estimate.Estimator, groups [][]int, w Weights, cons Constraints) (*P
 		p.moduleOf[i] = -1
 	}
 	covered := 0
+	recs := make([]moduleRecord, len(groups))
+	p.modules = make([]moduleState, len(groups))
 	for mi, gates := range groups {
 		if len(gates) == 0 {
 			return nil, fmt.Errorf("partition: module %d is empty", mi)
 		}
-		ms := moduleState{gates: make([]int, 0, len(gates))}
+		rec := &recs[mi]
+		rec.gates = make([]int, 0, len(gates))
 		for _, g := range gates {
 			if g < 0 || g >= c.NumGates() {
 				return nil, fmt.Errorf("partition: gate %d out of range", g)
@@ -167,21 +188,18 @@ func New(e *estimate.Estimator, groups [][]int, w Weights, cons Constraints) (*P
 			if p.moduleOf[g] != -1 {
 				return nil, fmt.Errorf("partition: gate %q assigned twice", c.Gates[g].Name)
 			}
-			ms.gates = append(ms.gates, g)
+			rec.gates = append(rec.gates, g)
 			p.moduleOf[g] = int32(mi)
 			covered++
 		}
-		sort.Ints(ms.gates)
-		p.modules = append(p.modules, ms)
+		sort.Ints(rec.gates)
+		p.modules[mi].rec = rec
 	}
 	if covered != c.NumLogicGates() {
 		return nil, fmt.Errorf("partition: covers %d of %d logic gates", covered, c.NumLogicGates())
 	}
-	counts := make([]moduleCounts, len(p.modules))
-	for mi := range p.modules {
-		ms := &p.modules[mi]
-		counts[mi].sep, counts[mi].act = e.ModuleCounts(ms.gates)
-		ms.counts = &counts[mi]
+	for _, ms := range p.modules {
+		ms.rec.sep, ms.rec.act = e.ModuleCounts(ms.rec.gates)
 	}
 	return p, nil
 }
@@ -193,11 +211,11 @@ func (p *Partition) NumModules() int { return len(p.modules) }
 // returns the extended slice; AppendModuleGates(nil, mi) is a fresh copy
 // the caller may modify.
 func (p *Partition) AppendModuleGates(dst []int, mi int) []int {
-	return append(dst, p.modules[mi].gates...)
+	return append(dst, p.modules[mi].rec.gates...)
 }
 
 // ModuleSize returns the number of gates in module mi.
-func (p *Partition) ModuleSize(mi int) int { return len(p.modules[mi].gates) }
+func (p *Partition) ModuleSize(mi int) int { return len(p.modules[mi].rec.gates) }
 
 // ModuleOf returns the module index of a gate (-1 for primary inputs).
 func (p *Partition) ModuleOf(gate int) int { return int(p.moduleOf[gate]) }
@@ -215,26 +233,27 @@ func (p *Partition) Groups() [][]int {
 func (p *Partition) ModuleEstimate(mi int) *estimate.Module {
 	ms := &p.modules[mi]
 	if ms.est == nil {
-		ms.est = p.E.FinishModule(ms.gates, ms.counts.sep, ms.counts.act)
+		ms.est = p.E.FinishModule(ms.rec.gates, ms.rec.sep, ms.rec.act)
 	}
 	return ms.est
 }
 
-// Clone returns a deep copy sharing the immutable estimator. Module gate
-// slices, cached estimates and the arrival vector are shared copy-on-write
-// style: a move replaces the touched modules' slices instead of editing
-// them, and Costs writes a fresh arrival vector, so a clone's mutation
-// never reaches its siblings. The descendant loop of the evolution
-// strategy clones every parent λ+χ times per generation, which makes this
-// the optimizer's hottest allocation site — it allocates only the module
-// list and the gate→module index (and the touched list when the parent
-// has unevaluated moves).
+// Clone returns a deep copy sharing the immutable estimator. Module
+// records, cached estimates and the arrival times are shared
+// copy-on-write style: a move replaces the touched modules' records
+// instead of editing them, and Costs stores a fresh patch or base, so a
+// clone's mutation never reaches its siblings. The descendant loop of the
+// evolution strategy clones every parent λ+χ times per generation, which
+// makes this the optimizer's hottest allocation site — it allocates only
+// the module list (two words per module) and the gate→module index (and
+// the touched list when the parent has unevaluated moves).
 func (p *Partition) Clone() *Partition {
 	return &Partition{
 		E: p.E, W: p.W, Cons: p.Cons,
 		modules:   append([]moduleState(nil), p.modules...),
 		moduleOf:  append([]int32(nil), p.moduleOf...),
-		arrival:   p.arrival,
+		base:      p.base,
+		patch:     p.patch,
 		touched:   append([]int(nil), p.touched...),
 		costValid: p.costValid,
 		cost:      p.cost,
@@ -259,7 +278,8 @@ func (p *Partition) Clone() *Partition {
 // non-zero term), and n(t) drops by one in src and rises by one in dst at
 // each t ∈ T(g). Updating the terms therefore costs
 // O(|N(g)| + |T(g)|) per moved gate instead of a recount of both modules;
-// only the copy-on-write gate lists and profiles are copied whole.
+// only the copy-on-write records' gate lists and profiles are copied
+// whole.
 func (p *Partition) MoveGates(gates []int, from, to int) (int, error) {
 	if from == to {
 		return to, fmt.Errorf("partition: move within module %d", from)
@@ -274,12 +294,12 @@ func (p *Partition) MoveGates(gates []int, from, to int) (int, error) {
 			return to, fmt.Errorf("partition: gate %d not in module %d", g, from)
 		}
 	}
-	// Build replacement slices rather than editing in place: the old
-	// slices may be shared with clones and with cached estimate.Module
+	// Build replacement records rather than editing in place: the old
+	// records may be shared with clones and with cached estimate.Module
 	// values, both of which rely on them never changing.
 	// The two profiles share one allocation; each is capped at its own
 	// length, so neither can grow into the other.
-	sc, dc := src.counts, dst.counts
+	sc, dc := src.rec, dst.rec
 	//lint:ignore hotalloc copy-on-write by design: cached estimates alias the old profiles as their Activity
 	acts := make([]int, len(sc.act)+len(dc.act))
 	srcAct, dstAct := acts[:len(sc.act):len(sc.act)], acts[len(sc.act):]
@@ -287,7 +307,7 @@ func (p *Partition) MoveGates(gates []int, from, to int) (int, error) {
 	copy(dstAct, dc.act)
 	rho, ts := p.E.P.Rho, p.E.TS
 	srcSep, dstSep := sc.sep, dc.sep
-	srcLen, dstLen := len(src.gates), len(dst.gates)
+	srcLen, dstLen := len(sc.gates), len(dc.gates)
 	for _, g := range gates {
 		if p.moduleOf[g] == to32 {
 			continue // duplicate in the argument list
@@ -318,25 +338,25 @@ func (p *Partition) MoveGates(gates []int, from, to int) (int, error) {
 	//lint:ignore hotalloc copy-on-write by design (see newSrc above)
 	newDst := make([]int, 0, dstLen)
 	di := 0
-	for _, g := range src.gates {
+	for _, g := range sc.gates {
 		if p.moduleOf[g] == from32 {
 			newSrc = append(newSrc, g)
 			continue
 		}
-		for ; di < len(dst.gates) && dst.gates[di] < g; di++ {
-			newDst = append(newDst, dst.gates[di])
+		for ; di < len(dc.gates) && dc.gates[di] < g; di++ {
+			newDst = append(newDst, dc.gates[di])
 		}
 		newDst = append(newDst, g)
 	}
-	newDst = append(newDst, dst.gates[di:]...)
-	//lint:ignore hotalloc copy-on-write by design: clones keep the old counts; both new ones share one allocation
-	counts := &[2]moduleCounts{{srcSep, srcAct}, {dstSep, dstAct}}
-	src.gates, src.counts, src.est = newSrc, &counts[0], nil
-	dst.gates, dst.counts, dst.est = newDst, &counts[1], nil
+	newDst = append(newDst, dc.gates[di:]...)
+	//lint:ignore hotalloc copy-on-write by design: clones keep the old records; both new ones share one allocation
+	recs := &[2]moduleRecord{{newSrc, srcSep, srcAct}, {newDst, dstSep, dstAct}}
+	src.rec, src.est = &recs[0], nil
+	dst.rec, dst.est = &recs[1], nil
 	p.touch(from)
 	p.touch(to)
 	p.costValid = false
-	if len(src.gates) == 0 {
+	if len(newSrc) == 0 {
 		p.deleteModule(from)
 		if to > from {
 			to--
@@ -345,7 +365,7 @@ func (p *Partition) MoveGates(gates []int, from, to int) (int, error) {
 	return to, nil
 }
 
-// touch records module mi as changed since the arrival vector was
+// touch records module mi as changed since the arrival times were
 // computed.
 func (p *Partition) touch(mi int) {
 	if !slices.Contains(p.touched, mi) {
@@ -390,7 +410,7 @@ func (p *Partition) BoundaryGates(mi int) []int {
 // attempted mutation.
 func (p *Partition) AppendBoundaryGates(dst []int, mi int) []int {
 	c := p.E.A.Circuit
-	for _, g := range p.modules[mi].gates {
+	for _, g := range p.modules[mi].rec.gates {
 		for _, nb := range c.Neighbors(g) {
 			if p.moduleOf[nb] != int32(mi) {
 				dst = append(dst, g)
@@ -452,13 +472,16 @@ func (p *Partition) WorstDiscriminability() float64 {
 	return worst
 }
 
-// costScratch holds the transient module list of one Costs evaluation.
-// The descendant loop evaluates thousands of partitions per generation on
-// a worker pool, so the list is pooled instead of allocated per call;
-// nothing in it survives the call (the module pointers are cleared before
-// the scratch is returned).
+// costScratch holds the transient buffers of one Costs evaluation: the
+// module list, the arrival times the sweep works on and the positions it
+// changed. The descendant loop evaluates thousands of partitions per
+// generation on a worker pool, so they are pooled instead of allocated
+// per call; nothing in them survives the call (the module pointers are
+// cleared before the scratch is returned).
 type costScratch struct {
-	mods []*estimate.Module
+	mods    []*estimate.Module
+	arrival []float64
+	changed []int32
 }
 
 var costScratchPool = sync.Pool{New: func() interface{} { return new(costScratch) }}
@@ -477,6 +500,10 @@ func (p *Partition) Costs() CostVector {
 		//lint:ignore hotalloc pool miss or module-count growth only; steady-state cost evaluations reuse the pooled buffer
 		sc.mods = make([]*estimate.Module, len(p.modules))
 	}
+	if n := len(p.moduleOf); cap(sc.arrival) < n {
+		//lint:ignore hotalloc pool miss or a larger circuit only; steady-state cost evaluations reuse the pooled buffers
+		sc.arrival, sc.changed = make([]float64, n), make([]int32, 0, n)
+	}
 	mods := sc.mods[:len(p.modules)]
 	var areaSum float64
 	sepSum := 0
@@ -486,16 +513,7 @@ func (p *Partition) Costs() CostVector {
 		areaSum += m.SensorArea
 		sepSum += m.Separation
 	}
-	// The arrival vector is re-propagated from the touched modules' gates
-	// into a copy, because clones may share the old one.
-	//lint:ignore hotalloc copy-on-write by design: the evaluated partition retains its arrival vector, and clones share the old one
-	arrival, touched := append([]float64(nil), p.arrival...), p.touched
-	if arrival == nil {
-		//lint:ignore hotalloc first evaluation of a partition only
-		arrival, touched = make([]float64, len(p.moduleOf)), nil // sweep every gate
-	}
-	dBIC := p.E.UpdateBICDelay(arrival, mods, touched)
-	p.arrival, p.touched = arrival, p.touched[:0]
+	dBIC := p.updateArrival(sc, mods)
 	cv := CostVector{
 		LogArea:       math.Log1p(areaSum),
 		DelayOverhead: p.E.DelayOverhead(dBIC),
@@ -514,6 +532,72 @@ func (p *Partition) Costs() CostVector {
 	p.cost = cv
 	p.costValid = true
 	return cv
+}
+
+// updateArrival re-propagates the arrival times from the touched modules'
+// gates and returns D_BIC. Clones may share the base and the patch, so
+// the sweep runs on a pooled copy of both; the partition then keeps its
+// old patch merged with the positions the sweep changed.
+func (p *Partition) updateArrival(sc *costScratch, mods []*estimate.Module) float64 {
+	var dBIC float64
+	if p.base == nil {
+		//lint:ignore hotalloc first evaluation of a partition only
+		base := make([]float64, len(p.moduleOf))
+		dBIC, sc.changed = p.E.UpdateBICDelay(base, mods, nil, sc.changed[:0]) // sweep every gate
+		p.base = base
+		return dBIC
+	}
+	arrival := sc.arrival[:len(p.base)]
+	copy(arrival, p.base)
+	for _, pe := range p.patch {
+		arrival[pe.pos] = pe.at
+	}
+	dBIC, sc.changed = p.E.UpdateBICDelay(arrival, mods, p.touched, sc.changed[:0])
+	p.touched = p.touched[:0]
+	if len(sc.changed) > 0 {
+		p.base, p.patch = p.mergePatch(arrival, sc.changed)
+	}
+	return dBIC
+}
+
+// mergePatch returns the partition's new base and patch: the old patch's
+// positions merged with the ascending changed positions, each holding its
+// time in arrival — or, once that patch would hold more than 1/rebaseDiv
+// of the positions, a copy of arrival as the new base and no patch.
+func (p *Partition) mergePatch(arrival []float64, changed []int32) ([]float64, []patchEntry) {
+	old := p.patch
+	size, i, j := 0, 0, 0
+	for ; i < len(old) && j < len(changed); size++ {
+		switch {
+		case old[i].pos < changed[j]:
+			i++
+		case old[i].pos > changed[j]:
+			j++
+		default:
+			i, j = i+1, j+1
+		}
+	}
+	size += len(old) - i + len(changed) - j
+	if size*rebaseDiv > len(arrival) {
+		//lint:ignore hotalloc copy-on-write by design: the evaluated partition retains its arrival times, and clones share the old base
+		return append([]float64(nil), arrival...), nil
+	}
+	//lint:ignore hotalloc copy-on-write by design: clones share the old patch; this one is exactly sized
+	patch := make([]patchEntry, 0, size)
+	i, j = 0, 0
+	for i < len(old) || j < len(changed) {
+		var pos int32
+		switch {
+		case j == len(changed) || i < len(old) && old[i].pos < changed[j]:
+			pos, i = old[i].pos, i+1
+		case i == len(old) || changed[j] < old[i].pos:
+			pos, j = changed[j], j+1
+		default:
+			pos, i, j = changed[j], i+1, j+1
+		}
+		patch = append(patch, patchEntry{pos, arrival[pos]})
+	}
+	return p.base, patch
 }
 
 // Cost returns the weighted global cost C(Π).
@@ -551,11 +635,11 @@ func (p *Partition) Verify() error {
 	c := p.E.A.Circuit
 	seen := make(map[int]int)
 	for mi, ms := range p.modules {
-		if len(ms.gates) == 0 {
+		if len(ms.rec.gates) == 0 {
 			return fmt.Errorf("module %d empty", mi)
 		}
 		prev := -1
-		for _, g := range ms.gates {
+		for _, g := range ms.rec.gates {
 			if g <= prev {
 				return fmt.Errorf("module %d gate list not ascending at gate %d", mi, g)
 			}
