@@ -22,7 +22,8 @@
 //	-root dir         module root (default: current directory)
 //	-json             emit findings as JSON instead of text
 //	-sarif file       write a SARIF 2.1.0 log to file ("-" for stdout)
-//	-fact-debug       dump exported facts to stderr after the run
+//	-fact-debug       dump the final fact of every (object, fact type)
+//	                  pair to stderr after the run, one sorted line each
 //	-escapecheck      diff hotalloc against the compiler's escape
 //	                  analysis (go build -gcflags=-m=1); exit 1 on an
 //	                  analyzer false negative
@@ -83,7 +84,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	root := fs.String("root", "", "module root (default: current directory)")
 	jsonOut := fs.Bool("json", false, "emit findings as JSON")
 	sarifPath := fs.String("sarif", "", "write a SARIF 2.1.0 log to this file (\"-\" for stdout)")
-	factDebug := fs.Bool("fact-debug", false, "dump exported facts to stderr after the run")
+	factDebug := fs.Bool("fact-debug", false, "dump the final facts to stderr after the run")
 	escapeCheck := fs.Bool("escapecheck", false, "cross-check hotalloc against the compiler's escape analysis (-gcflags=-m=1)")
 	raceCheck := fs.Bool("racecheck", false, "cross-check sharedstate against the race detector (seeded corpus + race soaks)")
 	raceLog := fs.String("racecheck-log", "", "directory for raw GORACE output artifacts (gorace-<scope>.log)")

@@ -2,7 +2,9 @@ package analysis
 
 import (
 	"fmt"
+	"go/token"
 	"go/types"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"sync"
@@ -23,9 +25,6 @@ type factStore struct {
 	mu  sync.RWMutex
 	obj map[objFactKey]Fact
 	pkg map[pkgFactKey]Fact
-	// byAnalyzer records which analyzer exported each fact, for
-	// -fact-debug output.
-	exported []exportRecord
 }
 
 type objFactKey struct {
@@ -36,12 +35,6 @@ type objFactKey struct {
 type pkgFactKey struct {
 	pkg *types.Package
 	t   reflect.Type
-}
-
-type exportRecord struct {
-	Analyzer string
-	Subject  string // object or package description
-	Fact     Fact
 }
 
 func newFactStore() *factStore {
@@ -70,7 +63,6 @@ func (s *factStore) exportObject(a *Analyzer, obj types.Object, fact Fact) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.obj[objFactKey{obj, reflect.TypeOf(fact)}] = fact
-	s.exported = append(s.exported, exportRecord{a.Name, objString(obj), fact})
 }
 
 func (s *factStore) importObject(obj types.Object, fact Fact) bool {
@@ -93,7 +85,6 @@ func (s *factStore) exportPackage(a *Analyzer, pkg *types.Package, fact Fact) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.pkg[pkgFactKey{pkg, reflect.TypeOf(fact)}] = fact
-	s.exported = append(s.exported, exportRecord{a.Name, "package " + pkg.Path(), fact})
 }
 
 func (s *factStore) importPackage(pkg *types.Package, fact Fact) bool {
@@ -107,22 +98,63 @@ func (s *factStore) importPackage(pkg *types.Package, fact Fact) bool {
 	return true
 }
 
-// dump returns every exported fact as "analyzer: subject: fact" lines,
-// sorted, for -fact-debug.
-func (s *factStore) dump() []string {
+// dump returns the final fact per (subject, fact type) as sorted
+// "analyzer: subject: fact" lines, for -fact-debug. Only the stored
+// value is printed, not the sequence of exports that produced it:
+// merged facts (written by several dependents, in whatever order the
+// parallel schedule runs them) print the same on every run. Subjects
+// carry their declaration position (see objString), so every key prints
+// on a line of its own.
+func (s *factStore) dump(analyzers []*Analyzer, prog *Program) []string {
+	owner := map[reflect.Type]string{}
+	for _, a := range analyzers {
+		for _, ft := range a.FactTypes {
+			owner[reflect.TypeOf(ft)] = a.Name
+		}
+	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.exported))
-	for _, r := range s.exported {
-		out = append(out, fmt.Sprintf("%s: %s: %+v", r.Analyzer, r.Subject, r.Fact))
+	out := make([]string, 0, len(s.obj)+len(s.pkg))
+	for k, f := range s.obj {
+		out = append(out, fmt.Sprintf("%s: %s: %+v", owner[k.t], objString(k.obj, prog.fsetOf(k.obj.Pkg())), f))
+	}
+	for k, f := range s.pkg {
+		out = append(out, fmt.Sprintf("%s: package %s: %+v", owner[k.t], k.pkg.Path(), f))
 	}
 	sort.Strings(out)
 	return out
 }
 
-func objString(obj types.Object) string {
-	if pkg := obj.Pkg(); pkg != nil {
-		return pkg.Path() + "." + obj.Name()
+// objString names an object for the fact dump: a function by its full
+// name ("(*pkg.T).M"), anything else by package path and name plus its
+// declaration's file base name and line, so two fields of the same name
+// in one package stay apart. fset is the FileSet the object's position
+// belongs to (see Program.fsetOf).
+func objString(obj types.Object, fset *token.FileSet) string {
+	if fn, ok := obj.(*types.Func); ok {
+		return fn.FullName()
 	}
-	return obj.Name()
+	name := obj.Name()
+	if pkg := obj.Pkg(); pkg != nil {
+		name = pkg.Path() + "." + name
+	}
+	if fset == nil || !obj.Pos().IsValid() {
+		return name
+	}
+	pos := fset.Position(obj.Pos())
+	return fmt.Sprintf("%s (%s:%d)", name, filepath.Base(pos.Filename), pos.Line)
+}
+
+// fsetOf returns the FileSet positioning the objects of pkg: the
+// Program's own for its packages, the shared source importer's for the
+// standard library (nil if it never ran).
+func (prog *Program) fsetOf(pkg *types.Package) *token.FileSet {
+	if pkg != nil {
+		if p := prog.byPath[pkg.Path()]; p != nil && p.Types == pkg {
+			return prog.Fset
+		}
+	}
+	stdMu.Lock()
+	defer stdMu.Unlock()
+	return stdFset
 }

@@ -42,8 +42,9 @@ type Options struct {
 	// patterns; dependency packages are still type-checked and analyzed
 	// so their facts flow, but their diagnostics are dropped.
 	RootsOnly bool
-	// FactDebug, when non-nil, receives one line per exported fact after
-	// the run completes.
+	// FactDebug, when non-nil, receives the final fact of every (object
+	// or package, fact type) pair after the run completes, one sorted
+	// line each.
 	FactDebug io.Writer
 	// OnResult, when non-nil, receives every analyzer Run return value
 	// (including nil ones) with the package it was produced for. It is
@@ -156,7 +157,7 @@ func (prog *Program) Run(analyzers []*Analyzer, opts Options) ([]Finding, error)
 	}
 
 	if opts.FactDebug != nil {
-		for _, line := range facts.dump() {
+		for _, line := range facts.dump(analyzers, prog) {
 			fmt.Fprintln(opts.FactDebug, line)
 		}
 	}

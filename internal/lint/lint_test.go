@@ -1,9 +1,12 @@
 package lint_test
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 
 	"iddqsyn/internal/lint"
+	"iddqsyn/internal/lint/analysis"
 	"iddqsyn/internal/lint/analysistest"
 )
 
@@ -134,5 +137,53 @@ func TestByNameUnknown(t *testing.T) {
 	names := lint.Names()
 	if len(names) != 13 || names[len(names)-1] != "lintdirective" {
 		t.Fatalf("Names() = %v, want 12 analyzers plus lintdirective", names)
+	}
+}
+
+// TestFactDebugFinalFacts runs the whole suite twice over lib and its
+// two dependents app and worker, which merge access sites into the same
+// lib.Store.Val fact in whichever order the parallel reverse wave runs
+// them. The -fact-debug dump must be identical across runs and print
+// each (subject, fact type) pair once, with the final merged value.
+func TestFactDebugFinalFacts(t *testing.T) {
+	dump := func() string {
+		prog, err := analysis.Load(analysis.Config{
+			Root:     "testdata",
+			Patterns: []string{"sharedstate/lib", "sharedstate/app", "sharedstate/worker"},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if _, err := prog.Run(lint.Analyzers(), analysis.Options{
+			KnownAnalyzers: lint.Names(),
+			FactDebug:      &buf,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	first, second := dump(), dump()
+	if first != second {
+		t.Fatalf("fact dumps differ between runs:\n%s\n---\n%s", first, second)
+	}
+	keys := map[string]bool{}
+	merged := false
+	for _, line := range strings.Split(strings.TrimSpace(first), "\n") {
+		parts := strings.SplitN(line, ": ", 3)
+		if len(parts) != 3 {
+			t.Fatalf("malformed fact line %q", line)
+		}
+		key := parts[0] + ": " + parts[1]
+		if keys[key] {
+			t.Errorf("fact key printed twice: %s", key)
+		}
+		keys[key] = true
+		if strings.HasPrefix(parts[1], "sharedstate/lib.Val ") && parts[2] == "2 external access site(s)" {
+			merged = true
+		}
+	}
+	if !merged {
+		t.Errorf("want lib.Store.Val's fact merged from app and worker (2 external access sites), dump:\n%s", first)
 	}
 }
