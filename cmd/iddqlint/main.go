@@ -35,7 +35,9 @@
 //	-racecheck-log d  write each scope's raw -race output to d/gorace-<scope>.log
 //	-racecheck-scopes comma-separated scope names to run (default: all)
 //	-timing           print a per-analyzer wall-clock breakdown after
-//	                  the run, to keep the lint CI budget honest
+//	                  the run, to keep the lint CI budget honest; a
+//	                  package's shared call graph is charged to the
+//	                  first analyzer that reads it (lockorder)
 //
 // The exit status is 0 when the tree is clean, 1 when findings were
 // reported, and 2 on usage, load, type-check or analyzer failure — the

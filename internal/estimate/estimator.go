@@ -350,10 +350,7 @@ func (e *Estimator) EvalModule(gates []int) *Module {
 // ModuleCounts returns the integer §3 terms of a gate group: its
 // separation S(M) (§3.3) and its activity profile n(t) (§3.1/§3.2).
 func (e *Estimator) ModuleCounts(gates []int) (sep int, act []int) {
-	sc := e.getScratch()
-	sep = e.separationScratch(gates, sc.mask)
-	e.scratch.Put(sc)
-	return sep, e.TS.ActivityProfile(gates)
+	return e.SeparationModule(gates), e.TS.ActivityProfile(gates)
 }
 
 // FinishModule computes the per-module estimates of a gate group whose
@@ -430,17 +427,14 @@ func (e *Estimator) FinishModule(gates []int, sep int, act []int) *Module {
 // Pairs ρ or more hops apart (or disconnected) contribute exactly ρ, so
 // S(M) = ρ·(number of pairs) − Σ_{near pairs} (ρ − dist) over the pairs
 // within ρ−1 hops; only the cached weights ρ − dist need to be scanned.
+// The membership mask comes from the scratch pool and is cleared again
+// on return, so pooled masks need no full clear between uses.
 func (e *Estimator) SeparationModule(gates []int) int {
-	return e.separationScratch(gates, make([]bool, e.A.Circuit.NumGates()))
-}
-
-// separationScratch is SeparationModule against a caller-provided
-// membership mask (all false on entry; restored to all false on return so
-// pooled masks need no full clear between uses).
-func (e *Estimator) separationScratch(gates []int, inModule []bool) int {
 	if len(gates) < 2 {
 		return 0
 	}
+	sc := e.getScratch()
+	inModule := sc.mask
 	for _, g := range gates {
 		inModule[g] = true
 	}
@@ -458,6 +452,7 @@ func (e *Estimator) separationScratch(gates []int, inModule []bool) int {
 	for _, g := range gates {
 		inModule[g] = false
 	}
+	e.scratch.Put(sc)
 	return sum
 }
 

@@ -178,19 +178,3 @@ func (ts *TimeSets) maxCurrentScratch(a *celllib.Annotated, gates []int, prof []
 	}
 	return max
 }
-
-// MaxActivityOver returns the largest group activity n(t) over the
-// transition times of one gate — the worst simultaneity the gate can see
-// while it is itself switching.
-func (ts *TimeSets) MaxActivityOver(gate int, profile []int) int {
-	max := 0
-	for _, t := range ts.of(gate) {
-		if profile[t] > max {
-			max = profile[t]
-		}
-	}
-	if max == 0 {
-		max = 1
-	}
-	return max
-}

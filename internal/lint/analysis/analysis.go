@@ -31,6 +31,7 @@ import (
 	"go/token"
 	"go/types"
 	"strings"
+	"sync"
 )
 
 // Direction is the fact-flow direction of an analyzer, which decides the
@@ -104,6 +105,11 @@ type Package struct {
 
 	// importPaths is every import path mentioned by CheckedFiles.
 	importPaths []string
+
+	// shared holds the values Pass.Shared derived from the current
+	// type-check; typeCheck resets it.
+	sharedMu sync.Mutex
+	shared   map[interface{}]interface{}
 }
 
 // Pass connects one Analyzer run to one Package.
@@ -133,6 +139,24 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 // IsTestFile reports whether the file was parsed from a _test.go source.
 func (p *Pass) IsTestFile(f *ast.File) bool {
 	return strings.HasSuffix(p.Fset.Position(f.Pos()).Filename, "_test.go")
+}
+
+// Shared returns the value build derives from the pass's package,
+// building it on the first call for key and returning it to every later
+// pass over the same type-check of the package, in either wave, so
+// analyzers reading one derived structure (iddqlint's call graph) build
+// it once. build may only read the package: it must not report, touch
+// facts, or call Shared for the same package. The Package holds the
+// value until it is type-checked again, so it never outlives the Program.
+func (p *Pass) Shared(key interface{}, build func() interface{}) interface{} {
+	p.Pkg.sharedMu.Lock()
+	defer p.Pkg.sharedMu.Unlock()
+	v, ok := p.Pkg.shared[key]
+	if !ok {
+		v = build()
+		p.Pkg.shared[key] = v
+	}
+	return v
 }
 
 // ExportObjectFact records fact about obj. The fact becomes visible to

@@ -92,5 +92,8 @@ func (prog *Program) typeCheck(pkg *Package) error {
 	}
 	pkg.Types = tpkg
 	pkg.TypesInfo = info
+	pkg.sharedMu.Lock()
+	pkg.shared = map[interface{}]interface{}{}
+	pkg.sharedMu.Unlock()
 	return nil
 }

@@ -2,150 +2,158 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
-	"strings"
 
 	"iddqsyn/internal/lint/analysis"
 )
 
-// HotpathDirective is the comment prefix that declares a hot root:
-//
-//	//lint:hotpath <reason>
-//
-// in the doc comment of a function or method declaration. The reason is
-// mandatory — it documents *why* the function's transitive callees must
-// stay allocation-lean (e.g. "descendant evaluation loop, runs millions
-// of times per optimization"). The hotalloc analyzer propagates a Hot
-// fact from these roots over a conservative static call graph.
-const HotpathDirective = "lint:hotpath"
-
-// ParseHotpath parses one comment's text (with or without the leading
-// //). It returns ok=false when the comment is not a hotpath directive at
-// all, and malformed=true when it is one but carries no reason.
-func ParseHotpath(text string) (reason string, ok, malformed bool) {
-	text = strings.TrimPrefix(text, "//")
-	if strings.HasPrefix(text, "/*") {
-		text = strings.TrimSuffix(strings.TrimPrefix(text, "/*"), "*/")
-	}
-	text = strings.TrimSpace(text)
-	rest, isDir := strings.CutPrefix(text, HotpathDirective)
-	if !isDir {
-		return "", false, false
-	}
-	// Reject "lint:hotpathological": the directive must be followed by
-	// whitespace (or nothing, which is the malformed case).
-	if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
-		return "", false, false
-	}
-	reason = strings.TrimSpace(rest)
-	if reason == "" {
-		return "", true, true
-	}
-	return reason, true, false
+// callGraph is one package's call graph, built once per type-check of
+// the package (see callGraphOf) and read by every analyzer that follows
+// calls: hotalloc propagates hotness along its edges, sharedstate
+// propagates goroutine contexts along its call edges and judges its
+// field accesses, lockorder reads its lock steps, and goleak and
+// sharedstate read the one goroutine inventory.
+type callGraph struct {
+	// funcs are the package's function declarations with a body, in
+	// source order; byObj indexes them.
+	funcs []*fnNode
+	byObj map[*types.Func]*fnNode
+	// spawns is the goroutine inventory: the `go` statements of the
+	// function bodies, in source order.
+	spawns []SpawnSite
+	// module holds the package and its in-module imports, transitively:
+	// the code the lint run analyzes. Calls into any other package
+	// (the standard library) are opaque.
+	module map[*types.Package]bool
+	// methods indexes the named types of the module packages that
+	// declare methods by the names in their pointer method sets: the
+	// candidates an interface call dispatches to.
+	methods map[string][]*types.Named
 }
 
-// hotRoot is one function annotated //lint:hotpath.
-type hotRoot struct {
-	fn     fnInfo
-	reason string
+// fnNode is one function's scan: its edges, its field accesses and its
+// lock steps.
+type fnNode struct {
+	fnInfo
+	edges    []callEdge
+	accesses []rawAccess
+	// steps are the lock acquisitions and direct, non-interface calls to
+	// module functions, each with the lockset held before it, in walk
+	// order: lockorder's input.
+	steps []lockStep
+	// firstSpawn is the position of the first `go` statement, or NoPos.
+	// Accesses before it are ordered before everything the goroutine
+	// does (the spawn is a happens-before edge), so they are exempt.
+	firstSpawn token.Pos
 }
 
-// collectHotRoots finds every hotpath-annotated function declaration in
-// the package and reports directive hygiene violations: a directive with
-// no reason, or one not attached to a function declaration.
-func collectHotRoots(pass *analysis.Pass, funcs []fnInfo) []hotRoot {
-	// Directives legitimately attached to a declaration's doc comment.
-	attached := map[*ast.Comment]bool{}
-	var roots []hotRoot
-	for _, fn := range funcs {
-		if fn.decl.Doc == nil {
+// callEdge is one edge of the graph. Function literals are not edges:
+// their bodies belong to the enclosing function and are scanned in
+// place.
+type callEdge struct {
+	callee *types.Func
+	kind   edgeKind
+	// spawn is the `go` statement whose literal body makes the call, nil
+	// for the function's own goroutine.
+	spawn *ast.GoStmt
+}
+
+// edgeKind separates the edges every analyzer follows from the two kinds
+// only hotalloc follows, which must not move sharedstate's goroutine
+// contexts.
+type edgeKind uint8
+
+const (
+	// edgeCall is a call of a module function: a static call, or an
+	// interface call resolved to one of its module implementations.
+	edgeCall edgeKind = iota
+	// edgeSpawn is the callee of a named `go f()`: it runs on the
+	// spawned goroutine, not on this one.
+	edgeSpawn
+	// edgeRef is a function the body names without calling it in the
+	// module: a function or method value (it may be called by whatever
+	// it is passed to), the interface method of a dynamic call, or a
+	// static callee outside the module.
+	edgeRef
+)
+
+// callGraphKey keys the call graph in analysis.Pass.Shared.
+type callGraphKey struct{}
+
+// callGraphOf returns the package's call graph, built by the first
+// analyzer that asks for it in this lint run and shared with the rest.
+func callGraphOf(pass *analysis.Pass) *callGraph {
+	return pass.Shared(callGraphKey{}, func() interface{} { return buildCallGraph(pass) }).(*callGraph)
+}
+
+func buildCallGraph(pass *analysis.Pass) *callGraph {
+	g := &callGraph{
+		byObj:   map[*types.Func]*fnNode{},
+		module:  map[*types.Package]bool{},
+		methods: map[string][]*types.Named{},
+	}
+	var visit func(p *analysis.Package)
+	visit = func(p *analysis.Package) {
+		if g.module[p.Types] {
+			return
+		}
+		g.module[p.Types] = true
+		g.indexMethods(p.Types)
+		for _, imp := range p.Imports {
+			visit(imp)
+		}
+	}
+	visit(pass.Pkg)
+	for _, fn := range packageFuncs(pass) {
+		n := scanFunc(pass, g, fn)
+		g.funcs = append(g.funcs, n)
+		g.byObj[fn.obj] = n
+	}
+	return g
+}
+
+// indexMethods adds the named types of pkg that declare methods to the
+// method-name index.
+func (g *callGraph) indexMethods(pkg *types.Package) {
+	scope := pkg.Scope()
+	for _, name := range scope.Names() {
+		tn, ok := scope.Lookup(name).(*types.TypeName)
+		if !ok || tn.IsAlias() {
 			continue
 		}
-		for _, c := range fn.decl.Doc.List {
-			reason, ok, malformed := ParseHotpath(c.Text)
-			if !ok {
-				continue
-			}
-			attached[c] = true
-			if malformed {
-				pass.Reportf(c.Pos(),
-					"hotpath directive requires a reason: //lint:hotpath <why this call tree is performance-critical>")
-				continue
-			}
-			roots = append(roots, hotRoot{fn: fn, reason: reason})
+		named, ok := tn.Type().(*types.Named)
+		if !ok || named.NumMethods() == 0 {
+			continue
+		}
+		ms := types.NewMethodSet(types.NewPointer(named))
+		for i := 0; i < ms.Len(); i++ {
+			m := ms.At(i).Obj().Name()
+			g.methods[m] = append(g.methods[m], named)
 		}
 	}
-	for _, f := range pass.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				if _, ok, _ := ParseHotpath(c.Text); ok && !attached[c] {
-					pass.Reportf(c.Pos(),
-						"hotpath directive must be in the doc comment of a function or method declaration")
-				}
-			}
-		}
-	}
-	return roots
 }
 
-// callees resolves the conservative static callee set of one function
-// body: direct calls (functions and methods), interface-dispatch calls
-// (resolved to every concrete implementation visible from the caller's
-// package), and function values referenced without being called (they may
-// be invoked by whatever they are passed to). Function literals are not
-// edges — their bodies belong to the enclosing function and are walked
-// in place by the caller's analysis.
-func callees(pass *analysis.Pass, body ast.Node, impl *implIndex) []*types.Func {
+// implementations returns the module methods an interface-method call
+// may dispatch to. Implementations in packages that depend on the
+// analyzed one are invisible — the conservative gap of a graph built
+// per package — which is acceptable because hot roots and spawned
+// goroutines reach the interfaces they call through their own imports.
+func (g *callGraph) implementations(ifaceMethod *types.Func) []*types.Func {
+	iface, _ := ifaceMethod.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+	if iface == nil {
+		return nil
+	}
 	var out []*types.Func
-	seen := map[*types.Func]bool{}
-	add := func(fn *types.Func) {
-		if fn != nil && !seen[fn] {
-			seen[fn] = true
-			out = append(out, fn)
+	for _, named := range g.methods[ifaceMethod.Name()] {
+		if !types.Implements(named, iface) && !types.Implements(types.NewPointer(named), iface) {
+			continue
+		}
+		obj, _, _ := types.LookupFieldOrMethod(types.NewPointer(named), true, ifaceMethod.Pkg(), ifaceMethod.Name())
+		if m, ok := obj.(*types.Func); ok {
+			out = append(out, m)
 		}
 	}
-	// Funs of direct calls, so bare references can be told apart.
-	calledFuns := map[ast.Expr]bool{}
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if ok {
-			calledFuns[ast.Unparen(call.Fun)] = true
-		}
-		return true
-	})
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch nn := n.(type) {
-		case *ast.CallExpr:
-			callee := calleeFuncOf(pass, nn)
-			if callee == nil {
-				return true
-			}
-			if isInterfaceMethod(callee) {
-				for _, m := range impl.implementations(callee) {
-					add(m)
-				}
-				return true
-			}
-			add(callee)
-		case *ast.Ident:
-			if calledFuns[ast.Expr(nn)] {
-				return true
-			}
-			if fn, ok := pass.TypesInfo.Uses[nn].(*types.Func); ok {
-				add(fn) // function value escapes: assume it gets called
-			}
-		case *ast.SelectorExpr:
-			if calledFuns[ast.Expr(nn)] {
-				return true
-			}
-			if sel, ok := pass.TypesInfo.Selections[nn]; ok {
-				if fn, ok := sel.Obj().(*types.Func); ok {
-					add(fn) // method value: assume it gets called
-				}
-			}
-		}
-		return true
-	})
 	return out
 }
 
@@ -178,68 +186,6 @@ func isInterfaceMethod(fn *types.Func) bool {
 	}
 	_, isIface := sig.Recv().Type().Underlying().(*types.Interface)
 	return isIface
-}
-
-// implIndex resolves interface methods to the concrete methods
-// implementing them, over every named type visible from the analyzed
-// package: its own scope plus the scopes of its (transitively) imported
-// packages. Implementations defined in packages that *depend on* the
-// analyzed one are invisible — the conservative gap of a non-whole-program
-// call graph — which is acceptable here because hot roots and the
-// interfaces they dispatch through live in the same import subtree.
-type implIndex struct {
-	named []*types.Named
-	cache map[*types.Func][]*types.Func
-}
-
-func newImplIndex(pkg *types.Package) *implIndex {
-	idx := &implIndex{cache: map[*types.Func][]*types.Func{}}
-	seen := map[*types.Package]bool{}
-	var visit func(p *types.Package)
-	visit = func(p *types.Package) {
-		if p == nil || seen[p] {
-			return
-		}
-		seen[p] = true
-		scope := p.Scope()
-		for _, name := range scope.Names() {
-			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok || tn.IsAlias() {
-				continue
-			}
-			if named, ok := tn.Type().(*types.Named); ok && named.NumMethods() > 0 {
-				idx.named = append(idx.named, named)
-			}
-		}
-		for _, imp := range p.Imports() {
-			visit(imp)
-		}
-	}
-	visit(pkg)
-	return idx
-}
-
-// implementations returns the concrete methods that an interface-method
-// call could dispatch to.
-func (idx *implIndex) implementations(ifaceMethod *types.Func) []*types.Func {
-	if ms, ok := idx.cache[ifaceMethod]; ok {
-		return ms
-	}
-	iface, _ := ifaceMethod.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
-	var out []*types.Func
-	if iface != nil {
-		for _, named := range idx.named {
-			if !types.Implements(named, iface) && !types.Implements(types.NewPointer(named), iface) {
-				continue
-			}
-			obj, _, _ := types.LookupFieldOrMethod(types.NewPointer(named), true, ifaceMethod.Pkg(), ifaceMethod.Name())
-			if m, ok := obj.(*types.Func); ok {
-				out = append(out, m)
-			}
-		}
-	}
-	idx.cache[ifaceMethod] = out
-	return out
 }
 
 // fnInfo pairs a declaration with its object.

@@ -26,10 +26,10 @@ import (
 // maintainer too. False positives are justified with
 // //lint:ignore goleak <reason> — which documents the actual lifecycle.
 //
-// The `go`-statement discovery itself lives in the shared goroutine
-// inventory (GoroutineInventory): goleak judges each spawn's stop path,
-// sharedstate judges what the spawned goroutines touch, and both see the
-// identical site list.
+// The `go`-statement discovery itself lives in the call graph's
+// goroutine inventory (callGraph.spawns): goleak judges each spawn's
+// stop path, sharedstate judges what the spawned goroutines touch, and
+// both see the identical site list.
 var GoLeak = &analysis.Analyzer{
 	Name: "goleak",
 	Doc: "flag goroutines with no visible stop path (no context, channel operation, " +
@@ -38,7 +38,7 @@ var GoLeak = &analysis.Analyzer{
 }
 
 func runGoLeak(pass *analysis.Pass) (interface{}, error) {
-	for _, site := range GoroutineInventory(pass) {
+	for _, site := range callGraphOf(pass).spawns {
 		if site.Accounted {
 			continue
 		}

@@ -10,14 +10,16 @@ import (
 	"iddqsyn/internal/lint/analysis"
 )
 
-// The goroutine inventory is the shared `go`-statement walk behind the
-// concurrency analyzers: goleak consumes the Accounted classification
-// (does the spawn have a visible stop path?), and sharedstate consumes
-// the spawn topology (which functions run on which spawned goroutines,
-// and whether a spawn site can produce more than one instance). Both
-// analyzers seeing the identical site list is the point — a goroutine
-// goleak can prove stoppable but sharedstate never saw (or vice versa)
-// would be a hole between two checks that claim to cover the same code.
+// The goroutine inventory is the call graph's list of `go` statements
+// (callGraph.spawns), collected by the same body scan as its edges. It
+// feeds the concurrency analyzers: goleak consumes the Accounted
+// classification (does the spawn have a visible stop path?), and
+// sharedstate consumes the spawn topology (which functions run on which
+// spawned goroutines, and whether a spawn site can produce more than one
+// instance). Both analyzers seeing the identical site list is the point
+// — a goroutine goleak can prove stoppable but sharedstate never saw (or
+// vice versa) would be a hole between two checks that claim to cover
+// the same code.
 
 // SpawnSite is one `go` statement in a package's type-checked files.
 type SpawnSite struct {
@@ -43,55 +45,6 @@ type SpawnSite struct {
 func (s SpawnSite) ID(fset *token.FileSet) string {
 	pos := fset.Position(s.Go.Pos())
 	return filepath.Base(pos.Filename) + ":" + strconv.Itoa(pos.Line)
-}
-
-// GoroutineInventory walks the function declarations of the package's
-// type-checked (non-test) files and returns their `go` statements in
-// source order, classified.
-func GoroutineInventory(pass *analysis.Pass) []SpawnSite {
-	var sites []SpawnSite
-	for _, f := range pass.Pkg.CheckedFiles {
-		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				collectSpawns(pass, fd.Body, false, &sites)
-			}
-		}
-	}
-	return sites
-}
-
-// collectSpawns records every GoStmt under n. inLoop tracks whether the
-// walk is currently inside a for/range statement: its body, condition
-// and post statement run once per iteration, its init statement and
-// range expression once.
-func collectSpawns(pass *analysis.Pass, n ast.Node, inLoop bool, out *[]SpawnSite) {
-	if n == nil {
-		return
-	}
-	ast.Inspect(n, func(n ast.Node) bool {
-		switch nn := n.(type) {
-		case *ast.ForStmt:
-			collectSpawns(pass, nn.Init, inLoop, out)
-			collectSpawns(pass, nn.Cond, true, out)
-			collectSpawns(pass, nn.Post, true, out)
-			collectSpawns(pass, nn.Body, true, out)
-			return false
-		case *ast.RangeStmt:
-			collectSpawns(pass, nn.X, inLoop, out)
-			collectSpawns(pass, nn.Body, true, out)
-			return false
-		case *ast.GoStmt:
-			*out = append(*out, SpawnSite{
-				Go:        nn,
-				Callee:    calleeFuncOf(pass, nn.Call),
-				InLoop:    inLoop,
-				Accounted: goStmtAccounted(pass, nn),
-			})
-			// Keep walking: the spawned literal body may itself spawn.
-			return true
-		}
-		return true
-	})
 }
 
 // goStmtAccounted reports whether the spawned goroutine has a visible

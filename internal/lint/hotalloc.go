@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 
 	"iddqsyn/internal/lint/analysis"
 )
@@ -18,13 +19,15 @@ import (
 //
 //	//lint:hotpath <reason>
 //
-// is a hot root; hotness propagates caller→callee over a conservative
-// static call graph (direct calls, interface dispatch resolved against
-// every implementation visible from the caller's package, and function
-// values that escape into arguments). The analyzer runs in the
-// framework's reverse wave — dependents before dependencies — so a Hot
-// fact exported while analyzing evolution (the caller) is visible when
-// partition and estimate (the callees) are analyzed.
+// is a hot root; hotness propagates caller→callee along every edge of
+// the package's call graph (callGraphOf): calls, interface calls
+// resolved to their implementations in the package and its in-module
+// imports, named `go` spawns, and functions named without being called
+// (values that may be called by whatever they are passed to). The
+// analyzer runs in the framework's reverse wave — dependents before
+// dependencies — so a Hot fact exported while analyzing evolution (the
+// caller) is visible when partition and estimate (the callees) are
+// analyzed.
 //
 // Inside hot functions the analyzer flags, pre-escape-analysis, every
 // construct that *can* allocate: composite literals of reference types
@@ -68,6 +71,86 @@ type HotFact struct {
 func (*HotFact) AFact() {}
 
 func (f *HotFact) String() string { return fmt.Sprintf("hot (root %s: %s)", f.Root, f.Reason) }
+
+// HotpathDirective is the comment prefix that declares a hot root:
+//
+//	//lint:hotpath <reason>
+//
+// in the doc comment of a function or method declaration. The reason is
+// mandatory — it documents *why* the function's transitive callees must
+// stay allocation-lean (e.g. "descendant evaluation loop, runs millions
+// of times per optimization"). The hotalloc analyzer propagates a Hot
+// fact from these roots over a conservative static call graph.
+const HotpathDirective = "lint:hotpath"
+
+// ParseHotpath parses one comment's text (with or without the leading
+// //). It returns ok=false when the comment is not a hotpath directive at
+// all, and malformed=true when it is one but carries no reason.
+func ParseHotpath(text string) (reason string, ok, malformed bool) {
+	text = strings.TrimPrefix(text, "//")
+	if strings.HasPrefix(text, "/*") {
+		text = strings.TrimSuffix(strings.TrimPrefix(text, "/*"), "*/")
+	}
+	text = strings.TrimSpace(text)
+	rest, isDir := strings.CutPrefix(text, HotpathDirective)
+	if !isDir {
+		return "", false, false
+	}
+	// Reject "lint:hotpathological": the directive must be followed by
+	// whitespace (or nothing, which is the malformed case).
+	if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
+		return "", false, false
+	}
+	reason = strings.TrimSpace(rest)
+	if reason == "" {
+		return "", true, true
+	}
+	return reason, true, false
+}
+
+// hotRoot is one function annotated //lint:hotpath.
+type hotRoot struct {
+	fn     fnInfo
+	reason string
+}
+
+// collectHotRoots finds every hotpath-annotated function declaration in
+// the package and reports directive hygiene violations: a directive with
+// no reason, or one not attached to a function declaration.
+func collectHotRoots(pass *analysis.Pass, funcs []*fnNode) []hotRoot {
+	// Directives legitimately attached to a declaration's doc comment.
+	attached := map[*ast.Comment]bool{}
+	var roots []hotRoot
+	for _, fn := range funcs {
+		if fn.decl.Doc == nil {
+			continue
+		}
+		for _, c := range fn.decl.Doc.List {
+			reason, ok, malformed := ParseHotpath(c.Text)
+			if !ok {
+				continue
+			}
+			attached[c] = true
+			if malformed {
+				pass.Reportf(c.Pos(),
+					"hotpath directive requires a reason: //lint:hotpath <why this call tree is performance-critical>")
+				continue
+			}
+			roots = append(roots, hotRoot{fn: fn.fnInfo, reason: reason})
+		}
+	}
+	for _, f := range pass.Files {
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				if _, ok, _ := ParseHotpath(c.Text); ok && !attached[c] {
+					pass.Reportf(c.Pos(),
+						"hotpath directive must be in the doc comment of a function or method declaration")
+				}
+			}
+		}
+	}
+	return roots
+}
 
 // hotExemptPackages are package base names whose functions never become
 // hot and whose call sites are not boxing-checked: observation and fault
@@ -126,13 +209,8 @@ func runHotAlloc(pass *analysis.Pass) (interface{}, error) {
 	if hotExemptPackages[pkgBase(pass.Pkg.Path)] {
 		return nil, nil
 	}
-	funcs := packageFuncs(pass)
-	roots := collectHotRoots(pass, funcs)
-
-	byObj := map[*types.Func]fnInfo{}
-	for _, fn := range funcs {
-		byObj[fn.obj] = fn
-	}
+	g := callGraphOf(pass)
+	roots := collectHotRoots(pass, g.funcs)
 
 	// Seed the hot set: this package's annotated roots, plus every
 	// function a dependent package's pass already marked hot.
@@ -147,7 +225,7 @@ func runHotAlloc(pass *analysis.Pass) (interface{}, error) {
 	for _, r := range roots {
 		markHot(r.fn.obj, &HotFact{Root: pkgBase(pass.Pkg.Path) + "." + r.fn.obj.Name(), Reason: r.reason})
 	}
-	for _, fn := range funcs {
+	for _, fn := range g.funcs {
 		fact := new(HotFact)
 		if pass.ImportObjectFact(fn.obj, fact) {
 			markHot(fn.obj, fact)
@@ -157,20 +235,21 @@ func runHotAlloc(pass *analysis.Pass) (interface{}, error) {
 		return &HotAllocResult{Pkg: pass.Pkg.Path}, nil
 	}
 
-	// Propagate caller→callee to a fixpoint. Callees in this package join
+	// Propagate caller→callee to a fixpoint over every edge kind: calls,
+	// named spawns and function references. Callees in this package join
 	// the local worklist; callees elsewhere get the fact exported (their
 	// packages run later in the reverse wave). The observation exemption
 	// stops propagation into obs/chaos.
-	impl := newImplIndex(pass.TypesPkg)
 	for len(work) > 0 {
 		fn := work[0]
 		work = work[1:]
-		decl, ok := byObj[fn]
+		node, ok := g.byObj[fn]
 		if !ok {
 			continue // defined elsewhere; its own package's pass reports it
 		}
 		fact := hot[fn]
-		for _, callee := range callees(pass, decl.decl.Body, impl) {
+		for _, e := range node.edges {
+			callee := e.callee
 			if callee.Pkg() == nil || hotExemptPackages[pkgBase(callee.Pkg().Path())] {
 				continue
 			}
@@ -196,7 +275,7 @@ func runHotAlloc(pass *analysis.Pass) (interface{}, error) {
 
 	// Report allocation sites in this package's hot function bodies.
 	res := &HotAllocResult{Pkg: pass.Pkg.Path}
-	for _, fn := range funcs {
+	for _, fn := range g.funcs {
 		if hot[fn.obj] == nil {
 			continue
 		}
@@ -208,7 +287,7 @@ func runHotAlloc(pass *analysis.Pass) (interface{}, error) {
 			StartLine: start.Line, EndLine: end.Line,
 			Root: hot[fn.obj].Root,
 		})
-		reportHotAllocs(pass, fn, hot[fn.obj], res)
+		reportHotAllocs(pass, fn.fnInfo, hot[fn.obj], res)
 	}
 	return res, nil
 }
@@ -363,13 +442,7 @@ func reportHotCall(pass *analysis.Pass, fn fnInfo, call *ast.CallExpr,
 				// is always inside a cold range, so it is recorded for the
 				// escape cross-check but never reported as a finding.
 				for _, arg := range call.Args {
-					at, ok := pass.TypesInfo.Types[arg]
-					if !ok || at.Type == nil || at.IsNil() {
-						continue
-					}
-					switch at.Type.Underlying().(type) {
-					case *types.Interface, *types.Pointer, *types.Chan, *types.Map, *types.Signature:
-					default:
+					if boxes(pass, arg) {
 						report(arg.Pos(), "interface boxing", "")
 					}
 				}
@@ -399,26 +472,26 @@ func reportHotCall(pass *analysis.Pass, fn fnInfo, call *ast.CallExpr,
 		if pt == nil {
 			break
 		}
-		if _, isIface := pt.Underlying().(*types.Interface); !isIface {
-			continue
+		if _, isIface := pt.Underlying().(*types.Interface); isIface && boxes(pass, arg) {
+			report(arg.Pos(), "interface boxing", "")
 		}
-		at, ok := pass.TypesInfo.Types[arg]
-		if !ok || at.Type == nil {
-			continue
-		}
-		if at.IsNil() {
-			continue
-		}
-		switch at.Type.Underlying().(type) {
-		case *types.Interface:
-			continue // interface→interface: no boxing
-		case *types.Pointer, *types.Chan, *types.Map, *types.Signature:
-			// Pointer-shaped: the value is stored directly in the
-			// interface's data word, no allocation.
-			continue
-		}
-		report(arg.Pos(), "interface boxing", "")
 	}
+}
+
+// boxes reports whether storing arg in an interface allocates: it is a
+// non-nil concrete value that is not pointer-shaped. An interface value
+// needs no boxing, and pointers, channels, maps and funcs are stored
+// directly in the interface's data word.
+func boxes(pass *analysis.Pass, arg ast.Expr) bool {
+	at, ok := pass.TypesInfo.Types[arg]
+	if !ok || at.Type == nil || at.IsNil() {
+		return false
+	}
+	switch at.Type.Underlying().(type) {
+	case *types.Interface, *types.Pointer, *types.Chan, *types.Map, *types.Signature:
+		return false
+	}
+	return true
 }
 
 // paramTypeAt returns the effective parameter type for argument i,

@@ -30,7 +30,7 @@
 //   - lockorder: lock-acquisition-order cycles (A held while acquiring B,
 //     elsewhere B held while acquiring A) — static deadlock risks,
 //     expanded through per-function acquisition summaries across packages.
-//     It reads the held sets of sharedstate's flow-sensitive body scan.
+//     It reads the held sets of the call graph's flow-sensitive body scan.
 //   - goleak: `go` statements with no visible stop path (no context,
 //     channel operation, or WaitGroup) — goroutines that cannot be shut
 //     down or awaited.
@@ -51,7 +51,10 @@
 // The suite runs on a whole-program type-checked view (see the analysis
 // package): packages are loaded and type-checked once, analyzers run in
 // dependency order in parallel across packages, and facts exported while
-// analyzing a dependency are visible to its dependents. A finding can be
+// analyzing a dependency are visible to its dependents. hotalloc,
+// sharedstate, lockorder and goleak read one call graph per package
+// (callgraph.go), built by the first of them to run: one scan of every
+// body, interface calls resolved once against the module's types. A finding can be
 // suppressed with a reasoned directive on or above the flagged line:
 //
 //	//lint:ignore <analyzer> <reason>

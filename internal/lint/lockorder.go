@@ -20,8 +20,9 @@ import (
 // Mutexes are identified structurally, not by instance: a field mutex is
 // "pkg.Type.field", a package-level mutex is "pkg.name". This matches how
 // lock hierarchies are designed (all instances of a type share one rank)
-// and keeps the analysis cheap. The held set comes from sharedstate's
-// body scan (scanFunc), so both analyzers track locks the same way: flow
+// and keeps the analysis cheap. The held set comes from the call graph's
+// body scan (scanFunc), which sharedstate reads too, so both analyzers
+// track locks the same way: flow
 // sensitively, with the lock effects of an arm that cannot fall through
 // (return, break, panic) dropped after it, switch and select cases
 // walked as alternatives, a deferred unlock holding to function end, and
@@ -68,11 +69,9 @@ func (f *AcquiresFact) String() string {
 }
 
 func runLockOrder(pass *analysis.Pass) (interface{}, error) {
-	funcs := packageFuncs(pass)
-	steps := make(map[*types.Func][]lockStep, len(funcs))
+	funcs := callGraphOf(pass).funcs
 	acq := make(map[*types.Func]map[string]bool, len(funcs))
 	for _, fn := range funcs {
-		steps[fn.obj] = scanFunc(pass, fn).steps
 		acq[fn.obj] = map[string]bool{}
 	}
 
@@ -97,7 +96,7 @@ func runLockOrder(pass *analysis.Pass) (interface{}, error) {
 	for changed := true; changed; {
 		changed = false
 		for _, fn := range funcs {
-			for _, s := range steps[fn.obj] {
+			for _, s := range fn.steps {
 				if s.inGo {
 					continue
 				}
@@ -125,7 +124,7 @@ func runLockOrder(pass *analysis.Pass) (interface{}, error) {
 	}
 	edges := map[string]map[string]edge{}
 	for _, fn := range funcs {
-		for _, s := range steps[fn.obj] {
+		for _, s := range fn.steps {
 			if len(s.held) == 0 {
 				continue
 			}

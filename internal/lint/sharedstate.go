@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path/filepath"
 	"regexp"
 	"sort"
 	"strings"
@@ -26,16 +27,18 @@ import (
 //   - accessed both through sync/atomic and as a plain load/store (the
 //     atomic half promises lock-free readers the plain half breaks).
 //
-// Goroutine reachability comes from the shared goroutine inventory
-// (GoroutineInventory, also behind goleak): `go` statements seed
-// goroutine contexts — one per spawn site, loop-spawned sites marked
-// multi-instance because their goroutines race each other — and the
-// contexts propagate through the package call graph, across package
+// Everything the analyzer reads about code comes from the package's
+// call graph (callGraphOf): each function's field accesses with their
+// locksets, its call edges (interface calls resolved to the module's
+// implementations), and the goroutine inventory goleak reads too. `go`
+// statements seed goroutine contexts — one per spawn site, loop-spawned
+// sites marked multi-instance because their goroutines race each other
+// — and the contexts propagate along the call edges, across package
 // boundaries via SpawnedFact in the reverse (dependents-first) wave, so
 // a serve-layer `go` statement marks the obs helper it ultimately calls.
 // Locksets use structural mutex ids ("pkg.Type.mu"), and lockorder reads
-// the same body scan (scanFunc's lock steps), so the two analyzers name
-// and track the same lock the same way.
+// the same scan's lock steps, so the two analyzers name and track the
+// same lock the same way.
 //
 // Consistently-unguarded shared fields are deliberately not reported:
 // channel handoffs, WaitGroup joins and start-before-spawn ordering are
@@ -166,31 +169,15 @@ const (
 )
 
 func runSharedState(pass *analysis.Pass) (interface{}, error) {
-	funcs := packageFuncs(pass)
-	if len(funcs) == 0 {
+	g := callGraphOf(pass)
+	if len(g.funcs) == 0 {
 		return &SharedStateResult{Pkg: pass.Pkg.Path}, nil
 	}
-	// Scan every function body once: accesses, lock steps, call edges,
-	// go-literal subscopes. Interface calls resolve to every visible
-	// implementation here, not in the scan, which lockorder shares.
-	impl := newImplIndex(pass.TypesPkg)
-	scans := make(map[*types.Func]*fnScan, len(funcs))
-	for _, fn := range funcs {
-		sc := scanFunc(pass, fn)
-		for _, d := range sc.dispatch {
-			for _, m := range impl.implementations(d.method) {
-				sc.edge(pass, d.spawn, m)
-			}
-		}
-		scans[fn.obj] = sc
-	}
-
-	sites := GoroutineInventory(pass)
-	spawnIDs := make(map[*ast.GoStmt]string, len(sites))
-	for _, sp := range sites {
+	spawnIDs := make(map[*ast.GoStmt]string, len(g.spawns))
+	for _, sp := range g.spawns {
 		spawnIDs[sp.Go] = sp.ID(pass.Fset)
 	}
-	ctxs, multi := computeContexts(pass, funcs, scans, sites, spawnIDs)
+	ctxs, multi := computeContexts(pass, g, spawnIDs)
 	guards := collectGuards(pass)
 
 	// Resolve every raw access into an AccessSite tagged with the
@@ -199,19 +186,18 @@ func runSharedState(pass *analysis.Pass) (interface{}, error) {
 	record := func(field *types.Var, site AccessSite) {
 		accesses[field] = append(accesses[field], site)
 	}
-	for _, fn := range funcs {
-		sc := scans[fn.obj]
+	for _, fn := range g.funcs {
 		fnCtx := sortedKeys(ctxs[fn.obj])
 		if len(fnCtx) == 0 {
 			fnCtx = []string{MainContext}
 		}
 		fnMulti := anyMulti(ctxs[fn.obj], multi)
-		for _, ra := range sc.accesses {
+		for _, ra := range fn.accesses {
 			if guard, ok := guards[ra.field]; ok && !holds(ra.locks, guard) {
 				pass.Reportf(ra.pos, "%q is guarded by %q (see its declaration) but %s is not held here; "+
 					"acquire %s.Lock/RLock first or use a *Locked accessor", ra.field.Name(), guard, guard, guard)
 			}
-			if ra.spawn == nil && sc.firstSpawn != token.NoPos && ra.pos < sc.firstSpawn &&
+			if ra.spawn == nil && fn.firstSpawn != token.NoPos && ra.pos < fn.firstSpawn &&
 				len(fnCtx) == 1 && fnCtx[0] == MainContext && !fnMulti {
 				// Happens-before exemption: an access in the spawning
 				// function before its first `go` statement is ordered
@@ -219,7 +205,7 @@ func runSharedState(pass *analysis.Pass) (interface{}, error) {
 				// itself is the synchronization.
 				continue
 			}
-			site := ra.site(pass, fn)
+			site := ra.site(pass, fn.fnInfo)
 			if ra.spawn != nil {
 				// Inside a `go func(){...}` literal: the body runs only on
 				// that spawn's goroutine. The literal races itself when the
@@ -462,18 +448,11 @@ func disjointLocks(a, b []string) bool {
 }
 
 func siteRef(s AccessSite) string {
-	ref := trimPath(s.File) + ":" + fmt.Sprint(s.Line)
+	ref := filepath.Base(s.File) + ":" + fmt.Sprint(s.Line)
 	if s.Func != "" {
 		ref += " (" + s.Func + ")"
 	}
 	return ref
-}
-
-func trimPath(p string) string {
-	if i := strings.LastIndexAny(p, `/\`); i >= 0 {
-		return p[i+1:]
-	}
-	return p
 }
 
 // fieldID names a field structurally, matching lockorder's mutex ids:
@@ -532,7 +511,7 @@ func anyMulti(set map[string]bool, multi map[string]bool) bool {
 }
 
 // ---------------------------------------------------------------------
-// Per-function body scan.
+// Per-function body scan: the call graph's nodes (see buildCallGraph).
 
 // rawAccess is one field or package-variable access before context
 // resolution.
@@ -556,32 +535,6 @@ func (ra rawAccess) site(pass *analysis.Pass, fn fnInfo) AccessSite {
 	}
 }
 
-// fnScan is one function's scan result.
-type fnScan struct {
-	accesses []rawAccess
-	// calls are the in-package call edges, keyed by the `go` statement
-	// whose literal body makes them (nil: the function's own goroutine).
-	calls map[*ast.GoStmt][]*types.Func
-	// ext are the same edges to functions of imported in-module packages.
-	ext map[*ast.GoStmt][]*types.Func
-	// dispatch are the interface-method calls, left for the consumer to
-	// resolve (and turn into edges) or to skip.
-	dispatch []dispatchCall
-	// steps are the lock acquisitions and direct calls, each with the
-	// lockset held before it, in walk order: lockorder's input.
-	steps []lockStep
-	// firstSpawn is the position of the first `go` statement, or NoPos.
-	// Accesses before it are ordered before everything the goroutine
-	// does (the spawn is a happens-before edge), so they are exempt.
-	firstSpawn token.Pos
-}
-
-// dispatchCall is one interface-method call and its goroutine scope.
-type dispatchCall struct {
-	method *types.Func
-	spawn  *ast.GoStmt
-}
-
 // lockStep is one lock acquisition (mutex set) or direct, non-interface
 // call to an in-module function (callee set), with the structural
 // mutexes held just before it.
@@ -596,26 +549,29 @@ type lockStep struct {
 // scanState carries the walk's mutable state.
 type scanState struct {
 	pass   *analysis.Pass
-	fn     fnInfo
-	scan   *fnScan
+	g      *callGraph
+	node   *fnNode
 	writes map[ast.Node]bool // selector nodes in write position
 	locked bool              // function inherits its guard (*Locked)
 	spawn  *ast.GoStmt       // current go-literal scope (nil = main body)
 	held   []string          // structural mutex ids currently held
+	// inLoop: inside a for/range body, condition or post statement,
+	// where one `go` statement can mint many goroutines.
+	inLoop bool
 }
 
 // scanFunc walks one function body in source order, tracking the held
-// lockset, and collects accesses, lock steps and call edges.
-func scanFunc(pass *analysis.Pass, fn fnInfo) *fnScan {
-	sc := &fnScan{calls: map[*ast.GoStmt][]*types.Func{}, ext: map[*ast.GoStmt][]*types.Func{}}
+// lockset, and collects edges, accesses and lock steps.
+func scanFunc(pass *analysis.Pass, g *callGraph, fn fnInfo) *fnNode {
+	n := &fnNode{fnInfo: fn}
 	st := &scanState{
-		pass: pass, fn: fn, scan: sc,
+		pass: pass, g: g, node: n,
 		writes: map[ast.Node]bool{},
 		locked: strings.HasSuffix(fn.obj.Name(), "Locked"),
 	}
 	st.prepass(fn.decl.Body)
 	st.walk(fn.decl.Body)
-	return sc
+	return n
 }
 
 // prepass classifies expression positions the main walk cannot judge
@@ -643,10 +599,8 @@ func (st *scanState) prepass(body ast.Node) {
 
 func (st *scanState) markWrite(e ast.Expr) {
 	e = ast.Unparen(e)
-	if star, ok := e.(*ast.StarExpr); ok {
-		// *s.p = v writes through the pointer, reads the field itself.
-		_ = star
-		return
+	if _, ok := e.(*ast.StarExpr); ok {
+		return // *s.p = v writes through the pointer, reads the field itself
 	}
 	st.writes[e] = true
 }
@@ -680,9 +634,7 @@ func (st *scanState) stmt(s ast.Stmt) {
 	case *ast.LabeledStmt:
 		st.stmt(nn.Stmt)
 	case *ast.IfStmt:
-		if nn.Init != nil {
-			st.stmt(nn.Init)
-		}
+		st.stmt(nn.Init)
 		st.walkExprs(nn.Cond)
 		st.branch(nn.Body)
 		if nn.Else != nil {
@@ -693,32 +645,24 @@ func (st *scanState) stmt(s ast.Stmt) {
 			}
 		}
 	case *ast.ForStmt:
-		if nn.Init != nil {
-			st.stmt(nn.Init)
-		}
-		if nn.Cond != nil {
-			st.walkExprs(nn.Cond)
-		}
+		st.stmt(nn.Init)
+		outer := st.inLoop
+		st.inLoop = true
+		st.walkExprs(nn.Cond)
 		st.walk(nn.Body)
-		if nn.Post != nil {
-			st.stmt(nn.Post)
-		}
+		st.stmt(nn.Post)
+		st.inLoop = outer
 	case *ast.RangeStmt:
 		st.walkExprs(nn.X)
-		if nn.Key != nil {
-			st.walkExprs(nn.Key)
-		}
-		if nn.Value != nil {
-			st.walkExprs(nn.Value)
-		}
+		outer := st.inLoop
+		st.inLoop = true
+		st.walkExprs(nn.Key)
+		st.walkExprs(nn.Value)
 		st.walk(nn.Body)
+		st.inLoop = outer
 	case *ast.SwitchStmt:
-		if nn.Init != nil {
-			st.stmt(nn.Init)
-		}
-		if nn.Tag != nil {
-			st.walkExprs(nn.Tag)
-		}
+		st.stmt(nn.Init)
+		st.walkExprs(nn.Tag)
 		for _, c := range nn.Body.List {
 			cc := c.(*ast.CaseClause)
 			for _, e := range cc.List {
@@ -727,9 +671,7 @@ func (st *scanState) stmt(s ast.Stmt) {
 			st.alt(cc.Body)
 		}
 	case *ast.TypeSwitchStmt:
-		if nn.Init != nil {
-			st.stmt(nn.Init)
-		}
+		st.stmt(nn.Init)
 		st.stmt(nn.Assign)
 		for _, c := range nn.Body.List {
 			cc := c.(*ast.CaseClause)
@@ -738,19 +680,13 @@ func (st *scanState) stmt(s ast.Stmt) {
 	case *ast.SelectStmt:
 		for _, c := range nn.Body.List {
 			cc := c.(*ast.CommClause)
-			snap := st.snapshot()
-			if cc.Comm != nil {
-				st.stmt(cc.Comm)
-			}
-			for _, s2 := range cc.Body {
-				st.stmt(s2)
-			}
-			st.restore(snap)
+			st.alt(append([]ast.Stmt{cc.Comm}, cc.Body...))
 		}
 	case *ast.DeferStmt:
 		// A deferred unlock holds the mutex to function end; walk the
 		// deferred call for accesses but ignore its unlocks.
 		if recv, op, ok := mutexOp(st.pass, nn.Call); ok {
+			st.callEdges(nn.Call, edgeCall)
 			if op == "lock" {
 				st.acquire(nn.Call.Pos(), mutexID(st.pass, recv))
 			}
@@ -828,6 +764,9 @@ func terminates(list []ast.Stmt) bool {
 // sort.Slice comparator, but its locks must not leak into the linear
 // scan of the enclosing body).
 func (st *scanState) walkExprs(n ast.Node) {
+	if n == nil {
+		return
+	}
 	ast.Inspect(n, func(n ast.Node) bool {
 		switch nn := n.(type) {
 		case *ast.FuncLit:
@@ -838,6 +777,7 @@ func (st *scanState) walkExprs(n ast.Node) {
 		case *ast.CallExpr:
 			return st.call(nn)
 		case *ast.SelectorExpr:
+			st.ref(nn.Sel) // method value, method expression or pkg.F
 			st.access(nn, true)
 			return false
 		case *ast.Ident:
@@ -847,23 +787,32 @@ func (st *scanState) walkExprs(n ast.Node) {
 			if v := st.tracked(nn); v != nil && !v.IsField() {
 				st.record(v, nn.Pos(), false, st.writes[nn])
 			}
+			st.ref(nn)
 		}
 		return true
 	})
 }
 
-// goStmt walks a spawned literal's body as a fresh goroutine scope:
-// empty lockset, context = this spawn site. A named spawn (`go f()`) is
-// no call of this goroutine, so it adds no edge and no lock step; the
-// spawn topology itself comes from the goroutine inventory.
+// goStmt adds the statement to the goroutine inventory and walks a
+// spawned literal's body as a fresh goroutine scope: empty lockset,
+// context = this spawn site. A named spawn (`go f()`) is no call of this
+// goroutine: it adds a spawn edge but no call edge and no lock step.
 func (st *scanState) goStmt(g *ast.GoStmt) {
-	if st.scan.firstSpawn == token.NoPos {
-		st.scan.firstSpawn = g.Pos()
+	if st.node.firstSpawn == token.NoPos {
+		st.node.firstSpawn = g.Pos()
 	}
-	if lit, ok := ast.Unparen(g.Call.Fun).(*ast.FuncLit); ok {
+	lit, isLit := ast.Unparen(g.Call.Fun).(*ast.FuncLit)
+	var callee *types.Func
+	if !isLit {
+		callee = st.callEdges(g.Call, edgeSpawn)
+	}
+	st.g.spawns = append(st.g.spawns, SpawnSite{
+		Go: g, Callee: callee, InLoop: st.inLoop, Accounted: goStmtAccounted(st.pass, g),
+	})
+	if isLit {
 		inner := &scanState{
-			pass: st.pass, fn: st.fn, scan: st.scan,
-			writes: st.writes, locked: st.locked, spawn: g,
+			pass: st.pass, g: st.g, node: st.node,
+			writes: st.writes, locked: st.locked, spawn: g, inLoop: st.inLoop,
 		}
 		inner.walk(lit.Body)
 	}
@@ -873,10 +822,12 @@ func (st *scanState) goStmt(g *ast.GoStmt) {
 	}
 }
 
-// call handles one call expression: mutex ops mutate the held set,
-// sync/atomic calls become atomic accesses, everything else becomes a
-// call edge. Returns whether Inspect should descend into children.
+// call handles one call expression: its edges first, then mutex ops
+// mutate the held set, sync/atomic calls become atomic accesses, and a
+// static call of a module function becomes a lock step. Returns whether
+// Inspect should descend into children.
 func (st *scanState) call(call *ast.CallExpr) bool {
+	callee := st.callEdges(call, edgeCall)
 	if recv, op, ok := mutexOp(st.pass, call); ok {
 		id := mutexID(st.pass, recv)
 		switch {
@@ -898,12 +849,8 @@ func (st *scanState) call(call *ast.CallExpr) bool {
 	if st.atomicCall(call) {
 		return false
 	}
-	if callee := calleeFuncOf(st.pass, call); callee != nil {
-		if isInterfaceMethod(callee) {
-			st.scan.dispatch = append(st.scan.dispatch, dispatchCall{callee, st.spawn})
-		} else if st.scan.edge(st.pass, st.spawn, callee) {
-			st.step(call.Pos(), "", callee)
-		}
+	if callee != nil && !isInterfaceMethod(callee) && st.g.module[callee.Pkg()] {
+		st.step(call.Pos(), "", callee)
 	}
 	// Descend: arguments may access fields, nested calls, etc.
 	for _, arg := range call.Args {
@@ -933,38 +880,42 @@ func (st *scanState) acquire(pos token.Pos, id string) {
 }
 
 func (st *scanState) step(pos token.Pos, mutex string, callee *types.Func) {
-	st.scan.steps = append(st.scan.steps, lockStep{
+	st.node.steps = append(st.node.steps, lockStep{
 		pos: pos, mutex: mutex, callee: callee, held: st.snapshot(), inGo: st.spawn != nil,
 	})
 }
 
-// edge records a call edge in the given goroutine scope and reports
-// whether it did: only in-package and in-module callees are kept, since
-// stdlib callees are opaque.
-func (sc *fnScan) edge(pass *analysis.Pass, spawn *ast.GoStmt, callee *types.Func) bool {
-	if callee.Pkg() == nil {
-		return false
+// callEdges records the edges of one call in the current goroutine
+// scope and returns its static callee (nil for builtins, conversions and
+// calls of function values). An interface call is resolved here, once,
+// to its module implementations; the interface method itself is only
+// named.
+func (st *scanState) callEdges(call *ast.CallExpr, kind edgeKind) *types.Func {
+	callee := calleeFuncOf(st.pass, call)
+	switch {
+	case callee == nil:
+	case isInterfaceMethod(callee):
+		for _, m := range st.g.implementations(callee) {
+			st.edge(m, kind)
+		}
+		st.edge(callee, edgeRef)
+	case st.g.module[callee.Pkg()]:
+		st.edge(callee, kind)
+	default:
+		st.edge(callee, edgeRef) // outside the module: opaque
 	}
-	if callee.Pkg() == pass.TypesPkg {
-		sc.calls[spawn] = append(sc.calls[spawn], callee)
-		return true
-	}
-	if !strings.HasPrefix(callee.Pkg().Path(), modulePathPrefix(pass)) {
-		return false
-	}
-	sc.ext[spawn] = append(sc.ext[spawn], callee)
-	return true
+	return callee
 }
 
-// modulePathPrefix derives the module prefix from the package path
-// ("iddqsyn/internal/serve" → "iddqsyn/"). Testdata-mode packages have
-// single-element paths and get an empty prefix (everything in-module).
-func modulePathPrefix(pass *analysis.Pass) string {
-	path := pass.Pkg.Path
-	if i := strings.Index(path, "/"); i >= 0 {
-		return path[:i+1]
+// ref records an identifier naming a function without calling it.
+func (st *scanState) ref(id *ast.Ident) {
+	if fn, ok := st.pass.TypesInfo.Uses[id].(*types.Func); ok {
+		st.edge(fn, edgeRef)
 	}
-	return ""
+}
+
+func (st *scanState) edge(callee *types.Func, kind edgeKind) {
+	st.node.edges = append(st.node.edges, callEdge{callee: callee, kind: kind, spawn: st.spawn})
 }
 
 // atomicCall recognizes sync/atomic calls over a field address and
@@ -1031,7 +982,7 @@ func (st *scanState) recordAccess(sel *ast.SelectorExpr, atomic, write bool) {
 func (st *scanState) record(v *types.Var, pos token.Pos, atomic, write bool) {
 	locks := append([]string(nil), st.held...)
 	sort.Strings(locks)
-	st.scan.accesses = append(st.scan.accesses, rawAccess{
+	st.node.accesses = append(st.node.accesses, rawAccess{
 		field: v, pos: pos, locks: locks,
 		atomic: atomic, write: write, spawn: st.spawn,
 	})
@@ -1067,7 +1018,7 @@ func (st *scanState) constructorLocal(base ast.Expr) bool {
 	if !ok || obj.IsField() {
 		return false
 	}
-	body := st.fn.decl.Body
+	body := st.node.decl.Body
 	if obj.Pos() < body.Pos() || obj.Pos() > body.End() {
 		return false
 	}
@@ -1117,7 +1068,7 @@ func (st *scanState) valueCopyBase(base ast.Expr) bool {
 	if !ok || obj.IsField() {
 		return false
 	}
-	decl := st.fn.decl
+	decl := st.node.decl
 	if obj.Pos() < decl.Pos() || obj.Pos() >= decl.Body.Pos() {
 		return false // not declared in the signature
 	}
@@ -1173,15 +1124,15 @@ func syncType(t types.Type) bool {
 
 // computeContexts assigns every package function the set of goroutine
 // contexts it may run in: MainContext for functions callable from the
-// original goroutine (exported, main/init, or normally referenced), and
-// a spawn-site id per `go` statement that reaches it. Spawn sites come
+// original goroutine (exported, main/init, or never called), and a
+// spawn-site id per `go` statement that reaches it. Spawn sites come
 // from the goroutine inventory, keyed to their ids by spawnIDs. The sets
-// propagate through normal call edges to a fixpoint; cross-package
+// propagate through the graph's call edges to a fixpoint; cross-package
 // spawns arrive via SpawnedFact (imported, from dependents analyzed
-// earlier in the reverse wave) and leave via the same fact for
-// imported callees.
-func computeContexts(pass *analysis.Pass, funcs []fnInfo, scans map[*types.Func]*fnScan,
-	sites []SpawnSite, spawnIDs map[*ast.GoStmt]string) (map[*types.Func]map[string]bool, map[string]bool) {
+// earlier in the reverse wave) and leave via the same fact for callees
+// in imported module packages.
+func computeContexts(pass *analysis.Pass, g *callGraph,
+	spawnIDs map[*ast.GoStmt]string) (map[*types.Func]map[string]bool, map[string]bool) {
 	ctx := map[*types.Func]map[string]bool{}
 	multi := map[string]bool{}
 	addCtx := func(fn *types.Func, c string) bool {
@@ -1194,24 +1145,39 @@ func computeContexts(pass *analysis.Pass, funcs []fnInfo, scans map[*types.Func]
 		ctx[fn][c] = true
 		return true
 	}
+	// local reports a call edge into this package; other call edges lead
+	// into imported module packages.
+	local := func(e callEdge) bool { return e.kind == edgeCall && e.callee.Pkg() == pass.TypesPkg }
 
-	// Which in-package functions are referenced at all, and how.
+	// Which in-package functions are called or spawned at all. Calls
+	// inside a go-literal run in that literal's context, a spawned
+	// function in its spawn's.
 	referenced := map[*types.Func]bool{}
-	for _, sc := range scans {
-		for _, callees := range sc.calls {
-			for _, callee := range callees {
-				referenced[callee] = true
+	for _, fn := range g.funcs {
+		for _, e := range fn.edges {
+			if local(e) {
+				referenced[e.callee] = true
+				if e.spawn != nil {
+					addCtx(e.callee, spawnIDs[e.spawn])
+				}
 			}
 		}
 	}
-	for _, sp := range sites {
+	for _, sp := range g.spawns {
+		id := spawnIDs[sp.Go]
+		if sp.InLoop {
+			multi[id] = true
+		}
 		if sp.Callee != nil {
 			referenced[sp.Callee] = true
+			if sp.Callee.Pkg() == pass.TypesPkg {
+				addCtx(sp.Callee, id)
+			}
 		}
 	}
-
-	// Seeds.
-	for _, fn := range funcs {
+	// Exported, main/init and never-called functions run on the original
+	// goroutine; dependents' spawns arrive as facts.
+	for _, fn := range g.funcs {
 		name := fn.obj.Name()
 		if ast.IsExported(name) || name == "main" || name == "init" || !referenced[fn.obj] {
 			addCtx(fn.obj, MainContext)
@@ -1226,39 +1192,22 @@ func computeContexts(pass *analysis.Pass, funcs []fnInfo, scans map[*types.Func]
 			}
 		}
 	}
-	for _, sp := range sites {
-		id := spawnIDs[sp.Go]
-		if sp.InLoop {
-			multi[id] = true
-		}
-		if sp.Callee != nil && sp.Callee.Pkg() == pass.TypesPkg {
-			addCtx(sp.Callee, id)
-		}
-	}
-	for _, sc := range scans {
-		// Calls inside a go-literal run in that literal's context.
-		for g, callees := range sc.calls {
-			if g == nil {
-				continue
-			}
-			for _, callee := range callees {
-				addCtx(callee, spawnIDs[g])
-			}
-		}
-	}
 
-	// Fixpoint over normal call edges: a callee runs wherever its
+	// Fixpoint over the function's own calls: a callee runs wherever its
 	// callers run.
 	for changed := true; changed; {
 		changed = false
-		for _, fn := range funcs {
+		for _, fn := range g.funcs {
 			from := ctx[fn.obj]
 			if len(from) == 0 {
 				continue
 			}
-			for _, callee := range scans[fn.obj].calls[nil] {
+			for _, e := range fn.edges {
+				if !local(e) || e.spawn != nil {
+					continue
+				}
 				for c := range from {
-					if addCtx(callee, c) {
+					if addCtx(e.callee, c) {
 						changed = true
 					}
 				}
@@ -1283,20 +1232,11 @@ func computeContexts(pass *analysis.Pass, funcs []fnInfo, scans map[*types.Func]
 		f.Sites = append(f.Sites, ids...)
 		f.Multi = f.Multi || m
 	}
-	for _, sp := range sites {
+	for _, sp := range g.spawns {
 		id := spawnIDs[sp.Go]
 		note(sp.Callee, []string{id}, multi[id])
 	}
-	for _, fn := range funcs {
-		sc := scans[fn.obj]
-		for g, callees := range sc.ext {
-			if g == nil {
-				continue
-			}
-			for _, callee := range callees {
-				note(callee, []string{spawnIDs[g]}, multi[spawnIDs[g]])
-			}
-		}
+	for _, fn := range g.funcs {
 		goCtx := make([]string, 0, len(ctx[fn.obj]))
 		m := false
 		for c := range ctx[fn.obj] {
@@ -1305,9 +1245,13 @@ func computeContexts(pass *analysis.Pass, funcs []fnInfo, scans map[*types.Func]
 				m = m || multi[c]
 			}
 		}
-		if len(goCtx) > 0 {
-			for _, callee := range sc.ext[nil] {
-				note(callee, goCtx, m)
+		for _, e := range fn.edges {
+			switch {
+			case e.kind != edgeCall || local(e):
+			case e.spawn != nil:
+				note(e.callee, []string{spawnIDs[e.spawn]}, multi[spawnIDs[e.spawn]])
+			case len(goCtx) > 0:
+				note(e.callee, goCtx, m)
 			}
 		}
 	}
