@@ -128,8 +128,8 @@ func TestListAndSelection(t *testing.T) {
 			t.Errorf("-list missing %s:\n%s", name, out.String())
 		}
 	}
-	if n := strings.Count(out.String(), "\n"); n != 13 {
-		t.Errorf("-list printed %d lines, want 12 analyzers plus lintdirective:\n%s", n, out.String())
+	if n := strings.Count(out.String(), "\n"); n != 12 {
+		t.Errorf("-list printed %d lines, want 11 analyzers plus lintdirective:\n%s", n, out.String())
 	}
 	if code := run([]string{"-enable", "nosuch"}, &out, &errb); code != 2 {
 		t.Fatalf("-enable nosuch exit %d, want 2", code)

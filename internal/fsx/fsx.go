@@ -190,7 +190,7 @@ type RetryPolicy struct {
 	MaxDelay time.Duration
 	// Jitter, if non-nil, spreads each backoff uniformly over
 	// [d/2, 3d/2) to decorrelate concurrent retriers. It is an injected,
-	// seeded source (the norandglobal lint bans ambient randomness), and
+	// seeded source (the determtaint lint bans ambient randomness), and
 	// it must not be shared across goroutines without the caller's own
 	// locking.
 	Jitter *rand.Rand
@@ -307,24 +307,12 @@ func (p *RetryPolicy) Do(op func() error) error {
 	return fmt.Errorf("fsx: failed after %d attempts: %w", n, last)
 }
 
-// WriteAtomicRetry is WriteAtomic with bounded retry: every error is
-// treated as transient and the whole protocol is re-run (it is idempotent
-// — the destination only ever changes on a completed rename). The
-// returned error, after the final attempt, wraps the last failure and
-// names the attempt count.
+// WriteAtomicRetry is WriteAtomic with bounded retry: Do over
+// WriteAtomic. Every error is treated as transient and the whole
+// protocol is re-run (it is idempotent — the destination only ever
+// changes on a completed rename). The returned error, after the final
+// attempt, names the attempt count and wraps the last failure, which
+// names the path.
 func WriteAtomicRetry(fs FS, path string, data []byte, pol *RetryPolicy) error {
-	n := pol.attempts()
-	var last error
-	for attempt := 1; attempt <= n; attempt++ {
-		if attempt > 1 {
-			if pol != nil && pol.OnRetry != nil {
-				pol.OnRetry(attempt, last)
-			}
-			pol.sleep(pol.backoff(attempt))
-		}
-		if last = WriteAtomic(fs, path, data); last == nil {
-			return nil
-		}
-	}
-	return fmt.Errorf("fsx: write %s failed after %d attempts: %w", path, n, last)
+	return pol.Do(func() error { return WriteAtomic(fs, path, data) })
 }

@@ -145,12 +145,16 @@ func TestWriteAtomicRetryExhaustsAndNamesAttempts(t *testing.T) {
 	pol := &RetryPolicy{Attempts: 3, BaseDelay: time.Microsecond, Sleep: func(time.Duration) {}}
 	// Persistent fault: every create fails.
 	fs := &persistentFailFS{}
-	err := WriteAtomicRetry(fs, filepath.Join(dir, "x"), []byte("x"), pol)
+	path := filepath.Join(dir, "x")
+	err := WriteAtomicRetry(fs, path, []byte("x"), pol)
 	if err == nil {
 		t.Fatal("persistent fault must exhaust the retries")
 	}
 	if !strings.Contains(err.Error(), "after 3 attempts") {
 		t.Errorf("error %q should name the attempt count", err)
+	}
+	if !strings.Contains(err.Error(), path) {
+		t.Errorf("error %q should name the path", err)
 	}
 	if fs.calls != 3 {
 		t.Errorf("made %d attempts, want 3", fs.calls)

@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 
 	"iddqsyn/internal/lint/analysis"
@@ -16,20 +17,28 @@ import (
 // nondeterministic value may flow into the seeded optimizer path or into
 // checkpoint/snapshot bytes.
 //
-// Taint sources:
+// Taint sources (sourceName classifies the call sources, the first two):
 //
 //   - the wall clock and process identity: time.Now, time.Since,
 //     os.Getpid;
-//   - the process-global math/rand stream (top-level rand functions —
-//     norandglobal flags the call site itself; determtaint additionally
-//     tracks the value as it flows through locals, returns and other
-//     packages);
+//   - the process-global math/rand stream: every package-level
+//     math/rand or math/rand/v2 function except the New* constructors,
+//     which build a stream from an explicit seed;
 //   - map iteration order: a `for range` over a map that appends to an
 //     outer slice (unless that slice is subsequently sorted in the same
 //     function) or writes loop-derived data through a serializer;
 //   - select races: a select with two or more ready-able communication
 //     cases (receives on <-ctx.Done()-style cancellation channels are
 //     exempt) resolves nondeterministically.
+//
+// Three file-level checks hold in every non-test file, on the seeded
+// path or not, because the generator state they guard is process-wide:
+// a reference to a global-stream function (resolved through the type
+// checker, so renamed imports and function values are caught), a dot
+// import of math/rand, which hides such references, and a seed
+// constructor (NewSource, NewPCG, NewChaCha8) whose argument carries
+// taint. A global-stream call or a tainted seed is reported once, by
+// these checks; the flow checks below do not repeat it.
 //
 // Taint propagates through local assignments, function results and
 // stores into non-local memory. A function whose results (or writes
@@ -55,7 +64,8 @@ var DetermTaint = &analysis.Analyzer{
 	Name: "determtaint",
 	Doc: "forbid nondeterministic values (wall clock, process identity, global rand, " +
 		"map iteration order, select races) from flowing into the seeded optimizer " +
-		"path or checkpoint bytes; the statically checked form of the bit-identical-resume invariant",
+		"path or checkpoint bytes, and the process-global math/rand stream and " +
+		"tainted seeds in any non-test code; the statically checked form of the bit-identical-resume invariant",
 	FactTypes: []analysis.Fact{(*TaintedFact)(nil)},
 	Run:       runDetermTaint,
 }
@@ -83,10 +93,21 @@ var determScopePackages = map[string]bool{
 // are neither sources nor sinks (see the analyzer doc).
 var exemptPackages = map[string]bool{"obs": true}
 
-// wallClockFuncs are the per-package nondeterministic value sources.
-var wallClockFuncs = map[string]map[string]string{
-	"time": {"Now": "time.Now", "Since": "time.Since"},
-	"os":   {"Getpid": "os.Getpid"},
+// wallClockFuncs are the wall-clock and process-identity sources, by
+// package path and function name.
+var wallClockFuncs = map[string]map[string]bool{
+	"time": {"Now": true, "Since": true},
+	"os":   {"Getpid": true},
+}
+
+// seedConstructors are the math/rand(/v2) constructors whose arguments
+// seed a source: a tainted argument makes the stream unreproducible.
+var seedConstructors = map[string]bool{"NewSource": true, "NewPCG": true, "NewChaCha8": true}
+
+func isRandPath(path string) bool { return path == "math/rand" || path == "math/rand/v2" }
+
+func isSeedConstructor(fn *types.Func) bool {
+	return fn != nil && fn.Pkg() != nil && isRandPath(fn.Pkg().Path()) && seedConstructors[fn.Name()]
 }
 
 func pkgBase(path string) string {
@@ -113,7 +134,46 @@ func runDetermTaint(pass *analysis.Pass) (interface{}, error) {
 			}
 		}
 	}
-	// Reporting pass: only functions on the seeded optimizer path.
+	// File-level checks, in every non-test file (test files are never
+	// type-checked): no reference to the global stream, no dot import
+	// that would hide one, and no seed constructor fed a tainted value.
+	for _, f := range pass.Pkg.CheckedFiles {
+		if importName(f, "math/rand") == "." || importName(f, "math/rand/v2") == "." {
+			pass.Reportf(f.Pos(), "dot-import of math/rand hides global stream use; import it by name")
+		}
+		for _, decl := range f.Decls {
+			ast.Inspect(decl, func(n ast.Node) bool {
+				switch nn := n.(type) {
+				case *ast.Ident:
+					fn, _ := pass.TypesInfo.Uses[nn].(*types.Func)
+					if _, global := sourceName(fn); global {
+						pass.Reportf(nn.Pos(),
+							"%s.%s draws from the process-global math/rand stream; use an injected seeded *rand.Rand instead",
+							fn.Pkg().Path(), fn.Name())
+					}
+				case *ast.CallExpr:
+					if !isSeedConstructor(calleeFuncOf(pass, nn)) {
+						return true
+					}
+					// Package-level initializers have no locals.
+					st := &taintState{t: t}
+					if fd, ok := decl.(*ast.FuncDecl); ok {
+						st = t.analyzeLocals(fd.Body)
+					}
+					for _, arg := range nn.Args {
+						if fact := st.exprTaint(arg); fact != nil {
+							pass.Reportf(nn.Pos(),
+								"rand source seeded from %s is not reproducible; derive the seed from configuration",
+								fact.Source)
+							break
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	// Flow reports: only functions on the seeded optimizer path.
 	for _, fn := range funcs {
 		if t.inScope(fn) {
 			t.reportFunc(fn)
@@ -148,8 +208,7 @@ func takesRand(obj *types.Func) bool {
 		if !ok || named.Obj().Name() != "Rand" {
 			continue
 		}
-		if pkg := named.Obj().Pkg(); pkg != nil &&
-			(pkg.Path() == "math/rand" || pkg.Path() == "math/rand/v2") {
+		if pkg := named.Obj().Pkg(); pkg != nil && isRandPath(pkg.Path()) {
 			return true
 		}
 	}
@@ -188,7 +247,7 @@ func (st *taintState) setVar(obj types.Object, fact *TaintedFact) bool {
 // analyzeLocals runs the local taint propagation to a fixpoint: local
 // assignments carry taint forward; sort calls cleanse map-order taint;
 // map-range appends introduce it.
-func (t *taintChecker) analyzeLocals(fn fnInfo) *taintState {
+func (t *taintChecker) analyzeLocals(body *ast.BlockStmt) *taintState {
 	st := &taintState{
 		t:        t,
 		vars:     map[types.Object]*TaintedFact{},
@@ -196,55 +255,31 @@ func (t *taintChecker) analyzeLocals(fn fnInfo) *taintState {
 	}
 	for changed := true; changed; {
 		changed = false
-		ast.Inspect(fn.decl.Body, func(n ast.Node) bool {
+		ast.Inspect(body, func(n ast.Node) bool {
 			switch nn := n.(type) {
 			case *ast.AssignStmt:
-				if len(nn.Rhs) == 1 && len(nn.Lhs) >= 1 {
-					if fact := st.exprTaint(nn.Rhs[0]); fact != nil {
-						for _, lhs := range nn.Lhs {
-							if id, ok := lhs.(*ast.Ident); ok && id.Name != "_" {
-								if st.setVar(st.objOf(id), fact) {
-									changed = true
-								}
-							}
-						}
+				for i, lhs := range nn.Lhs {
+					id, ok := lhs.(*ast.Ident)
+					if !ok || id.Name == "_" {
+						continue
 					}
-				} else {
-					for i := range nn.Rhs {
-						if i >= len(nn.Lhs) {
-							break
-						}
-						if fact := st.exprTaint(nn.Rhs[i]); fact != nil {
-							if id, ok := nn.Lhs[i].(*ast.Ident); ok && id.Name != "_" {
-								if st.setVar(st.objOf(id), fact) {
-									changed = true
-								}
-							}
-						}
+					if fact := st.exprTaint(assignedValue(nn, i)); fact != nil && st.setVar(st.objOf(id), fact) {
+						changed = true
 					}
 				}
 			case *ast.ValueSpec:
 				for i, v := range nn.Values {
-					if i >= len(nn.Names) {
-						break
-					}
-					if fact := st.exprTaint(v); fact != nil {
-						if st.setVar(t.pass.TypesInfo.Defs[nn.Names[i]], fact) {
-							changed = true
-						}
+					if fact := st.exprTaint(v); fact != nil && st.setVar(t.pass.TypesInfo.Defs[nn.Names[i]], fact) {
+						changed = true
 					}
 				}
 			case *ast.RangeStmt:
-				if st.isMapRange(nn) {
-					if tgt := st.unsortedAppendTarget(fn.decl.Body, nn); tgt != nil {
-						fact := &TaintedFact{
-							Source: mapOrderSource,
-							At:     st.t.posOf(nn.Pos()),
-						}
-						if st.setVar(tgt, fact) {
-							changed = true
-						}
-					}
+				if !st.isMapRange(nn) {
+					break
+				}
+				if tgt := st.unsortedAppendTarget(body, nn); tgt != nil &&
+					st.setVar(tgt, &TaintedFact{Source: mapOrderSource, At: t.posOf(nn.Pos())}) {
+					changed = true
 				}
 			case *ast.CallExpr:
 				if obj := st.sortTarget(nn); obj != nil && st.vars[obj] != nil &&
@@ -259,6 +294,15 @@ func (t *taintChecker) analyzeLocals(fn fnInfo) *taintState {
 		})
 	}
 	return st
+}
+
+// assignedValue returns the expression assigned to as.Lhs[i]: the i-th
+// right-hand side, or the single one of a tuple assignment.
+func assignedValue(as *ast.AssignStmt, i int) ast.Expr {
+	if len(as.Rhs) == len(as.Lhs) {
+		return as.Rhs[i]
+	}
+	return as.Rhs[0]
 }
 
 func (st *taintState) objOf(id *ast.Ident) types.Object {
@@ -420,25 +464,32 @@ func (t *taintChecker) isExempt(callee *types.Func) bool {
 	return exemptPackages[pkgBase(callee.Pkg().Path())]
 }
 
-// sourceFact classifies a callee as a primary nondeterminism source.
+// sourceName is the one source classifier: it names fn when fn is a
+// primary nondeterminism source ("" otherwise), and reports whether the
+// source is the process-global math/rand stream. Of math/rand(/v2)
+// only package-level functions count: methods on an injected
+// *rand.Rand are exactly the policy, and the New* constructors BUILD
+// the seeded stream from an explicit seed — they are how determinism is
+// achieved, not how it is lost.
+func sourceName(fn *types.Func) (name string, global bool) {
+	if fn == nil || fn.Pkg() == nil {
+		return "", false
+	}
+	path := fn.Pkg().Path()
+	if wallClockFuncs[path][fn.Name()] {
+		return path + "." + fn.Name(), false
+	}
+	if isRandPath(path) && fn.Type().(*types.Signature).Recv() == nil && !strings.HasPrefix(fn.Name(), "New") {
+		return "global math/rand." + fn.Name(), true
+	}
+	return "", false
+}
+
+// sourceFact is the root fact of a call of callee at pos when callee is
+// a source (see sourceName), or nil.
 func (t *taintChecker) sourceFact(callee *types.Func, pos token.Pos) *TaintedFact {
-	if callee == nil || callee.Pkg() == nil {
-		return nil
-	}
-	path := callee.Pkg().Path()
-	if m := wallClockFuncs[path]; m != nil {
-		if desc, ok := m[callee.Name()]; ok {
-			return &TaintedFact{Source: desc, At: t.posOf(pos)}
-		}
-	}
-	if path == "math/rand" || path == "math/rand/v2" {
-		// Package-level stream functions only: methods on an injected
-		// *rand.Rand are exactly the policy, and the New*/NewSource
-		// constructors BUILD the seeded stream from an explicit seed —
-		// they are how determinism is achieved, not how it is lost.
-		if callee.Type().(*types.Signature).Recv() == nil && !strings.HasPrefix(callee.Name(), "New") {
-			return &TaintedFact{Source: "global math/rand." + callee.Name(), At: t.posOf(pos)}
-		}
+	if name, _ := sourceName(callee); name != "" {
+		return &TaintedFact{Source: name, At: t.posOf(pos)}
 	}
 	return nil
 }
@@ -476,17 +527,38 @@ func (t *taintChecker) deriveFact(fn fnInfo) bool {
 	if t.pass.ImportObjectFact(fn.obj, already) {
 		return false
 	}
-	st := t.analyzeLocals(fn)
+	st := t.analyzeLocals(fn.decl.Body)
 	var fact *TaintedFact
-	ast.Inspect(fn.decl.Body, func(n ast.Node) bool {
-		if fact != nil {
+	st.escapes(fn.decl.Body, func(e ast.Expr, _ string) bool {
+		fact = st.exprTaint(e)
+		return fact == nil
+	})
+	if fact == nil {
+		return false
+	}
+	t.pass.ExportObjectFact(fn.obj, fact)
+	return true
+}
+
+// escapes calls visit, in source order, with every expression whose
+// value leaves the activation — return results and right-hand sides
+// stored into non-local memory — and how it leaves, until visit returns
+// false. Arguments of exempt (observation) calls are not walked: what
+// observation consumes does not escape.
+func (st *taintState) escapes(body *ast.BlockStmt, visit func(e ast.Expr, how string) bool) {
+	done := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		if done {
 			return false
 		}
 		switch nn := n.(type) {
+		case *ast.CallExpr:
+			if st.t.isExempt(calleeFuncOf(st.t.pass, nn)) {
+				return false
+			}
 		case *ast.ReturnStmt:
 			for _, res := range nn.Results {
-				if f := st.exprTaint(res); f != nil {
-					fact = f
+				if done = !visit(res, "into a return value"); done {
 					return false
 				}
 			}
@@ -495,23 +567,13 @@ func (t *taintChecker) deriveFact(fn fnInfo) bool {
 				if !st.nonLocalLValue(lhs) {
 					continue
 				}
-				rhs := nn.Rhs[0]
-				if len(nn.Rhs) == len(nn.Lhs) {
-					rhs = nn.Rhs[i]
-				}
-				if f := st.exprTaint(rhs); f != nil {
-					fact = f
+				if done = !visit(assignedValue(nn, i), "into escaping memory"); done {
 					return false
 				}
 			}
 		}
 		return true
 	})
-	if fact == nil {
-		return false
-	}
-	t.pass.ExportObjectFact(fn.obj, fact)
-	return true
 }
 
 // nonLocalLValue reports whether assigning to expr stores outside the
@@ -535,49 +597,57 @@ func (st *taintState) nonLocalLValue(expr ast.Expr) bool {
 // reportFunc reports every use of a tainted value inside a seeded-path
 // function that is not consumed by observation: source calls and
 // tainted-callee calls that feed anything except an exempt call or a
-// plain local assignment, plus order-dependent map ranges and racy
-// selects.
+// plain local assignment, tainted locals that escape, order-dependent
+// map ranges and racy selects. Global-stream calls and seeds are left to
+// the file-level checks, which report them everywhere.
 func (t *taintChecker) reportFunc(fn fnInfo) {
-	st := t.analyzeLocals(fn)
-	seen := map[token.Pos]bool{}
+	body := fn.decl.Body
+	st := t.analyzeLocals(body)
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch nn := n.(type) {
+		case *ast.CallExpr:
+			callee := calleeFuncOf(t.pass, nn)
+			if t.isExempt(callee) {
+				return false // observation consumption: prune args
+			}
+			if isSeedConstructor(callee) {
+				return false // the file-level seed check reports a tainted seed
+			}
+			if _, global := sourceName(callee); global {
+				return true
+			}
+			fact := t.sourceFact(callee, nn.Pos())
+			if fact == nil {
+				fact = t.calleeFact(callee)
+			}
+			if fact != nil && !st.locallyAbsorbed(body, nn) {
+				t.pass.Reportf(nn.Pos(),
+					"nondeterministic value (%s, from %s) flows into the seeded optimizer path; "+
+						"derive it from the injected seeded *rand.Rand or from configuration",
+					fact.Source, fact.At)
+			}
+		case *ast.RangeStmt:
+			t.reportMapRange(st, body, nn)
+		case *ast.SelectStmt:
+			t.reportSelect(nn)
+		}
+		return true
+	})
 
-	var walk func(n ast.Node, path []ast.Node)
-	walk = func(n ast.Node, path []ast.Node) {
-		ast.Inspect(n, func(node ast.Node) bool {
-			if node == nil {
-				return false
-			}
-			switch nn := node.(type) {
-			case *ast.CallExpr:
-				callee := calleeFuncOf(t.pass, nn)
-				if t.isExempt(callee) {
-					return false // observation consumption: prune args
-				}
-				var fact *TaintedFact
-				if f := t.sourceFact(callee, nn.Pos()); f != nil {
-					fact = f
-				} else if f := t.calleeFact(callee); f != nil {
-					fact = f
-				}
-				if fact != nil && !seen[nn.Pos()] && !st.locallyAbsorbed(fn.decl.Body, nn) {
-					seen[nn.Pos()] = true
-					t.pass.Reportf(nn.Pos(),
-						"nondeterministic value (%s, from %s) flows into the seeded optimizer path; "+
-							"derive it from the injected seeded *rand.Rand or from configuration",
-						fact.Source, fact.At)
-				}
-			case *ast.RangeStmt:
-				t.reportMapRange(st, fn, nn)
-			case *ast.SelectStmt:
-				t.reportSelect(nn)
-			}
-			return true
-		})
+	// Tainted locals escaping through returns and non-local stores.
+	if len(st.vars) == 0 {
+		return
 	}
-	walk(fn.decl.Body, nil)
-
-	// Tainted locals consumed outside exempt calls and local assignments.
-	t.reportTaintedUses(st, fn)
+	seen := map[token.Pos]bool{}
+	st.escapes(body, func(e ast.Expr, how string) bool {
+		if id, fact := st.taintedIdent(e); id != nil && !seen[id.Pos()] {
+			seen[id.Pos()] = true
+			t.pass.Reportf(id.Pos(),
+				"%q carries a nondeterministic value (%s, from %s) %s in the seeded optimizer path",
+				id.Name, fact.Source, fact.At, how)
+		}
+		return true
+	})
 }
 
 // locallyAbsorbed reports whether the call's value flows only into a
@@ -593,109 +663,53 @@ func (st *taintState) locallyAbsorbed(body *ast.BlockStmt, call *ast.CallExpr) b
 		}
 		switch as := n.(type) {
 		case *ast.AssignStmt:
-			for _, rhs := range as.Rhs {
-				if rhs == ast.Expr(call) {
-					all := true
-					for _, lhs := range as.Lhs {
-						if _, ok := lhs.(*ast.Ident); !ok {
-							all = false
-						} else if st.nonLocalLValue(lhs) {
-							all = false
-						}
-					}
-					absorbed = all
+			if slices.Contains(as.Rhs, ast.Expr(call)) {
+				absorbed = true
+				for _, lhs := range as.Lhs {
+					_, isIdent := lhs.(*ast.Ident)
+					absorbed = absorbed && isIdent && !st.nonLocalLValue(lhs)
 				}
 			}
 		case *ast.ValueSpec:
-			for _, v := range as.Values {
-				if v == ast.Expr(call) {
-					absorbed = true
-				}
-			}
+			absorbed = slices.Contains(as.Values, ast.Expr(call))
 		}
 		return true
 	})
 	return absorbed
 }
 
-// reportTaintedUses flags identifiers bound to tainted locals wherever
-// they escape: returns, non-local stores, arguments of non-exempt calls.
-func (t *taintChecker) reportTaintedUses(st *taintState, fn fnInfo) {
-	if len(st.vars) == 0 {
-		return
-	}
-	seen := map[token.Pos]bool{}
-	report := func(id *ast.Ident, fact *TaintedFact, how string) {
-		if seen[id.Pos()] {
-			return
+// taintedIdent returns the first identifier in expr bound to a tainted
+// local, outside exempt calls, with its fact. Map-order taint is skipped:
+// it is reported at the range statement itself, and re-flagging every
+// escape of the slice would be noise.
+func (st *taintState) taintedIdent(expr ast.Expr) (*ast.Ident, *TaintedFact) {
+	var rid *ast.Ident
+	var rfact *TaintedFact
+	ast.Inspect(expr, func(n ast.Node) bool {
+		if rid != nil {
+			return false
 		}
-		seen[id.Pos()] = true
-		t.pass.Reportf(id.Pos(),
-			"%q carries a nondeterministic value (%s, from %s) %s in the seeded optimizer path",
-			id.Name, fact.Source, fact.At, how)
-	}
-	taintedIn := func(expr ast.Expr) (*ast.Ident, *TaintedFact) {
-		var rid *ast.Ident
-		var rfact *TaintedFact
-		ast.Inspect(expr, func(n ast.Node) bool {
-			if rid != nil {
-				return false
-			}
-			if call, ok := n.(*ast.CallExpr); ok && t.isExempt(calleeFuncOf(t.pass, call)) {
-				return false
-			}
-			if id, ok := n.(*ast.Ident); ok {
-				if obj := st.objOf(id); obj != nil {
-					// Map-order taint is already reported at the range
-					// statement itself; re-flagging every escape of the
-					// slice would be noise.
-					if f := st.vars[obj]; f != nil && f.Source != "map iteration order" {
-						rid, rfact = id, f
-					}
-				}
-			}
-			return true
-		})
-		return rid, rfact
-	}
-	ast.Inspect(fn.decl.Body, func(n ast.Node) bool {
 		switch nn := n.(type) {
 		case *ast.CallExpr:
-			if t.isExempt(calleeFuncOf(t.pass, nn)) {
-				return false
-			}
-		case *ast.ReturnStmt:
-			for _, res := range nn.Results {
-				if id, f := taintedIn(res); id != nil {
-					report(id, f, "into a return value")
-				}
-			}
-		case *ast.AssignStmt:
-			for i, lhs := range nn.Lhs {
-				if !st.nonLocalLValue(lhs) {
-					continue
-				}
-				rhs := nn.Rhs[0]
-				if len(nn.Rhs) == len(nn.Lhs) {
-					rhs = nn.Rhs[i]
-				}
-				if id, f := taintedIn(rhs); id != nil {
-					report(id, f, "into escaping memory")
-				}
+			return !st.t.isExempt(calleeFuncOf(st.t.pass, nn))
+		case *ast.Ident:
+			if f := st.vars[st.objOf(nn)]; f != nil && f.Source != mapOrderSource {
+				rid, rfact = nn, f
 			}
 		}
 		return true
 	})
+	return rid, rfact
 }
 
 // reportMapRange flags map iterations whose order reaches bytes: an
 // unsorted outer append (checkpoint/snapshot serialization built from a
 // map) or a direct write of loop-derived data through a serializer.
-func (t *taintChecker) reportMapRange(st *taintState, fn fnInfo, r *ast.RangeStmt) {
+func (t *taintChecker) reportMapRange(st *taintState, body *ast.BlockStmt, r *ast.RangeStmt) {
 	if !st.isMapRange(r) {
 		return
 	}
-	if tgt := st.unsortedAppendTarget(fn.decl.Body, r); tgt != nil {
+	if tgt := st.unsortedAppendTarget(body, r); tgt != nil {
 		t.pass.Reportf(r.Pos(),
 			"map iteration order is nondeterministic: %q accumulates it and is never sorted; "+
 				"sort the slice (sort.* / slices.Sort*) before it reaches optimizer state or checkpoint bytes",

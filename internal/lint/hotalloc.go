@@ -237,9 +237,10 @@ func runHotAlloc(pass *analysis.Pass) (interface{}, error) {
 
 	// Propagate caller→callee to a fixpoint over every edge kind: calls,
 	// named spawns and function references. Callees in this package join
-	// the local worklist; callees elsewhere get the fact exported (their
-	// packages run later in the reverse wave). The observation exemption
-	// stops propagation into obs/chaos.
+	// the local worklist; callees in other module packages get the fact
+	// exported (their packages run later in the reverse wave). Callees
+	// outside the module are never analyzed, so they get nothing. The
+	// observation exemption stops propagation into obs/chaos.
 	for len(work) > 0 {
 		fn := work[0]
 		work = work[1:]
@@ -250,7 +251,7 @@ func runHotAlloc(pass *analysis.Pass) (interface{}, error) {
 		fact := hot[fn]
 		for _, e := range node.edges {
 			callee := e.callee
-			if callee.Pkg() == nil || hotExemptPackages[pkgBase(callee.Pkg().Path())] {
+			if !g.module[callee.Pkg()] || hotExemptPackages[pkgBase(callee.Pkg().Path())] {
 				continue
 			}
 			if callee.Pkg() == pass.TypesPkg {

@@ -1,9 +1,6 @@
 // Package lint is the iddqlint analyzer suite: the project-specific
 // static checks that guard the invariants the rest of the system rests on.
 //
-//   - norandglobal: all randomness must flow through an injected, seeded
-//     *rand.Rand (the counted stream), or checkpoint resume stops being
-//     bit-identical.
 //   - panicpolicy: library code under internal/ returns errors; panics are
 //     reserved for must()-style invariant helpers and init-time
 //     registration.
@@ -16,10 +13,16 @@
 //   - renameatomic: files are published with the shared fsx atomic-write
 //     helper (temp file + fsync + rename + directory fsync), never with a
 //     bare os.Rename that silently skips the fsyncs.
-//   - determtaint: types-aware taint analysis; nondeterministic values
+//   - determtaint: the determinism contract, through one source
+//     classifier. Types-aware taint analysis: nondeterministic values
 //     (wall clock, process identity, global rand, map iteration order,
 //     select races) must not flow into the seeded optimizer path or into
-//     checkpoint bytes. Taint facts cross package boundaries.
+//     checkpoint bytes, and taint facts cross package boundaries. In all
+//     non-test code, randomness must flow through an injected, seeded
+//     *rand.Rand (the counted stream): no reference to the
+//     process-global math/rand stream, no dot import of math/rand, no
+//     source seeded from a tainted value — or checkpoint resume stops
+//     being bit-identical.
 //   - errwrapcheck: errors passed to fmt.Errorf use %w, never %v/%s/%q,
 //     so sentinel errors survive wrapping for errors.Is/As.
 //   - hotalloc: call-graph hot-path allocation analysis; functions
@@ -75,7 +78,7 @@ import (
 // Analyzers returns the full iddqlint suite in reporting order.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		NoRandGlobal, PanicPolicy, CtxLoop, CloseCheck, RenameAtomic,
+		PanicPolicy, CtxLoop, CloseCheck, RenameAtomic,
 		DetermTaint, ErrWrapCheck,
 		HotAlloc, LockOrder, GoLeak, SpanEnd, SharedState,
 	}

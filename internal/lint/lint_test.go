@@ -10,8 +10,12 @@ import (
 	"iddqsyn/internal/lint/analysistest"
 )
 
+// TestNoRandGlobal covers determtaint's file-level checks on a package
+// outside the seeded path: references to the process-global math/rand
+// and math/rand/v2 streams and sources seeded from the wall clock or the
+// process id are flagged; explicit seeds and an injected stream are not.
 func TestNoRandGlobal(t *testing.T) {
-	analysistest.Run(t, "testdata", lint.NoRandGlobal, "norandglobal")
+	analysistest.Run(t, "testdata", lint.DetermTaint, "norandglobal")
 }
 
 func TestPanicPolicy(t *testing.T) {
@@ -108,7 +112,7 @@ func TestApplies(t *testing.T) {
 		{"panicpolicy", "iddqsyn/internal/atpg", true},
 		{"panicpolicy", "iddqsyn/cmd/iddqpart", false},
 		{"panicpolicy", "internal/lint", true},
-		{"norandglobal", "iddqsyn/cmd/iddqsim", true},
+		{"determtaint", "iddqsyn/cmd/iddqsim", true},
 		{"ctxloop", "iddqsyn/examples/sweep", true},
 		{"closecheck", "iddqsyn/cmd/table1", true},
 		{"renameatomic", "iddqsyn/internal/fsx", false},
@@ -131,12 +135,12 @@ func TestByNameUnknown(t *testing.T) {
 	if _, ok := lint.ByName("nosuch"); ok {
 		t.Fatal("ByName(nosuch) succeeded")
 	}
-	if len(lint.Analyzers()) != 12 {
-		t.Fatalf("expected 12 analyzers, got %d", len(lint.Analyzers()))
+	if len(lint.Analyzers()) != 11 {
+		t.Fatalf("expected 11 analyzers, got %d", len(lint.Analyzers()))
 	}
 	names := lint.Names()
-	if len(names) != 13 || names[len(names)-1] != "lintdirective" {
-		t.Fatalf("Names() = %v, want 12 analyzers plus lintdirective", names)
+	if len(names) != 12 || names[len(names)-1] != "lintdirective" {
+		t.Fatalf("Names() = %v, want 11 analyzers plus lintdirective", names)
 	}
 }
 
@@ -186,4 +190,53 @@ func TestFactDebugFinalFacts(t *testing.T) {
 	if !merged {
 		t.Errorf("want lib.Store.Val's fact merged from app and worker (2 external access sites), dump:\n%s", first)
 	}
+}
+
+// TestFactsStayInModule runs the suite over goldens where a hot function
+// calls the standard library (kernel.Leaf calls bits.OnesCount) and a
+// spawned body reads a standard-library field (owner.Start reads
+// time.Ticker.C). No pass analyzes a package outside the module, so no
+// fact may land on one: every fact subject must belong to a loaded
+// package.
+func TestFactsStayInModule(t *testing.T) {
+	prog, err := analysis.Load(analysis.Config{
+		Root:     "testdata",
+		Patterns: []string{"hotalloc/driver", "sharedstate"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := prog.Run(lint.Analyzers(), analysis.Options{
+		KnownAnalyzers: lint.Names(),
+		FactDebug:      &buf,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	hotLeaf := false
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		parts := strings.SplitN(line, ": ", 3)
+		if len(parts) != 3 {
+			t.Fatalf("malformed fact line %q", line)
+		}
+		if pkg := factSubjectPackage(parts[1]); prog.Package(pkg) == nil {
+			t.Errorf("fact on %s, outside the module: %s", pkg, line)
+		}
+		hotLeaf = hotLeaf || strings.HasPrefix(line, "hotalloc: hotalloc/kernel.Leaf: hot")
+	}
+	if !hotLeaf {
+		t.Errorf("want kernel.Leaf hot through the driver's fact, dump:\n%s", buf.String())
+	}
+}
+
+// factSubjectPackage extracts the package path from a -fact-debug
+// subject: "package p", "p.F", "(*p.T).M" or "p.Field (file.go:12)".
+func factSubjectPackage(subject string) string {
+	if pkg, ok := strings.CutPrefix(subject, "package "); ok {
+		return pkg
+	}
+	s, _, _ := strings.Cut(subject, " (")
+	s = strings.TrimLeft(s, "(*")
+	s, _, _ = strings.Cut(s, ")")
+	return s[:strings.LastIndex(s, ".")]
 }

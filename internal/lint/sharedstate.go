@@ -197,6 +197,9 @@ func runSharedState(pass *analysis.Pass) (interface{}, error) {
 				pass.Reportf(ra.pos, "%q is guarded by %q (see its declaration) but %s is not held here; "+
 					"acquire %s.Lock/RLock first or use a *Locked accessor", ra.field.Name(), guard, guard, guard)
 			}
+			if !g.module[ra.field.Pkg()] {
+				continue // a field outside the module: no pass reads its sites
+			}
 			if ra.spawn == nil && fn.firstSpawn != token.NoPos && ra.pos < fn.firstSpawn &&
 				len(fnCtx) == 1 && fnCtx[0] == MainContext && !fnMulti {
 				// Happens-before exemption: an access in the spawning

@@ -8,6 +8,7 @@ package evolution
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"os"
 	"sort"
 	"time"
@@ -112,6 +113,20 @@ func runTag() string {
 // chain in the dependency before being exported.
 func chainedSeed() int64 {
 	return clocksrc.Chained2() // want `via clocksrc\.Chained2`
+}
+
+// rollDie draws from the global stream on the seeded path: the call is
+// reported once, by the file-level global-stream check; the flow check
+// does not repeat it.
+func rollDie() int {
+	return rand.Intn(6) // want `^math/rand\.Intn draws from the process-global math/rand stream`
+}
+
+// clockSeeded seeds a stream from the wall clock on the seeded path:
+// reported once, by the file-level seed check, not again where the
+// clock value flows.
+func clockSeeded() *rand.Rand {
+	return rand.New(rand.NewSource(time.Now().UnixNano())) // want `^rand source seeded from time\.Now is not reproducible`
 }
 
 // fixedSeed consumes the dependency's deterministic function: silent.

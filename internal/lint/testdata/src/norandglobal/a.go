@@ -1,8 +1,11 @@
-// Package norandglobal is the golden input for the norandglobal analyzer.
+// Package norandglobal is the golden input for determtaint's file-level
+// checks: the package is outside the seeded optimizer path, and the
+// global-stream and seed rules hold in it all the same.
 package norandglobal
 
 import (
 	mrand "math/rand"
+	rand2 "math/rand/v2"
 	"os"
 	"time"
 )
@@ -13,7 +16,8 @@ func globals() int {
 	x := mrand.Intn(6)                  // want `process-global math/rand`
 	y := mrand.Float64()                // want `process-global math/rand`
 	mrand.Shuffle(3, func(i, j int) {}) // want `process-global math/rand`
-	return x + int(y)
+	z := rand2.Int64()                  // want `math/rand/v2\.Int64 draws from the process-global math/rand stream`
+	return x + int(y) + int(z)
 }
 
 // Bad: wall-clock and process-identity seeds are not reproducible.

@@ -180,7 +180,7 @@ var runSeq atomic.Uint64
 
 // NewRunID mints a unique, sortable run identifier from the wall clock,
 // the process ID and a process-local sequence number. No randomness is
-// involved (the norandglobal lint bans ambient rand), so IDs are
+// involved (the determtaint lint bans ambient rand), so IDs are
 // reproducible in shape: r-<utc timestamp>-<pid>-<seq>.
 func NewRunID() string {
 	return fmt.Sprintf("r-%s-%d-%d",

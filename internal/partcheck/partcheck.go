@@ -63,6 +63,11 @@ type Limits struct {
 	MaxPeakCurrent      float64 // require îDD,max ≤ this, A
 }
 
+// bounded reports whether lim sets any bound.
+func (lim Limits) bounded() bool {
+	return lim.MinDiscriminability > 0 || lim.MaxSettle > 0 || lim.MaxSensorArea > 0 || lim.MaxPeakCurrent > 0
+}
+
 // StructureOnly returns limits that check cover and netlist consistency
 // but no estimator-derived bound — the right setting for checkpoint
 // loads, where a mid-run population may legitimately hold infeasible
@@ -113,16 +118,16 @@ func (r *Report) String() string {
 }
 
 // Verify checks groups against the circuit and, when e is non-nil and a
-// bound in lim is set, against the per-module estimates. Structural
-// violations (inconsistent netlist, non-cover grouping) suppress the
-// module checks, because estimates over a broken grouping are
-// meaningless.
+// bound in lim is set, against the per-module estimates; with no bound
+// set it evaluates nothing. Structural violations (inconsistent netlist,
+// non-cover grouping) suppress the module checks, because estimates over
+// a broken grouping are meaningless.
 func Verify(c *circuit.Circuit, groups [][]int, e *estimate.Estimator, lim Limits) *Report {
 	r := &Report{Circuit: c.Name, Modules: len(groups)}
 	checkAdjacency(c, r)
 	checkAcyclic(c, r)
 	checkCover(c, groups, r)
-	if !r.OK() || e == nil {
+	if !r.OK() || e == nil || !lim.bounded() {
 		return r
 	}
 	for mi, gates := range groups {
@@ -284,10 +289,10 @@ func checkCover(c *circuit.Circuit, groups [][]int, r *Report) {
 	}
 }
 
-// checkModule evaluates one module's estimates and tests each enabled
-// bound, plus the Rs·îDD,max = r* sizing identity whenever the module
-// draws current at all.
-func checkModule(e *estimate.Estimator, mi int, gates []int, lim Limits, r *Report) {
+// checkModule evaluates one module's estimates, tests each bound enabled
+// in lim, and returns the estimates for the callers' further audits. The
+// Rs·îDD,max = r* sizing identity is compareEstimate's.
+func checkModule(e *estimate.Estimator, mi int, gates []int, lim Limits, r *Report) *estimate.Module {
 	m := e.EvalModule(gates)
 	bad := func(constraint, format string, args ...interface{}) {
 		r.Violations = append(r.Violations, Violation{
@@ -311,6 +316,7 @@ func checkModule(e *estimate.Estimator, mi int, gates []int, lim Limits, r *Repo
 	if lim.MaxPeakCurrent > 0 && m.IDDMax > lim.MaxPeakCurrent {
 		bad(ConstraintPeakCurrent, "îDD,max = %.3gA > limit %.3gA", m.IDDMax, lim.MaxPeakCurrent)
 	}
+	return m
 }
 
 // CompareEstimate audits a caller-held module estimate — a partition's

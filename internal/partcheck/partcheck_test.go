@@ -9,6 +9,7 @@ import (
 	"iddqsyn/internal/circuit"
 	"iddqsyn/internal/circuits"
 	"iddqsyn/internal/estimate"
+	"iddqsyn/internal/obs"
 	"iddqsyn/internal/partition"
 )
 
@@ -297,5 +298,32 @@ func TestVerifyPartitionAuditsLiveOptimizerState(t *testing.T) {
 	lim := Feasibility(p.Cons.MinDiscriminability)
 	if got := VerifyPartition(p, lim).OK(); got != p.Feasible() {
 		t.Errorf("partcheck feasibility %v != partition.Feasible() %v", got, p.Feasible())
+	}
+}
+
+// TestVerifyPartitionEvaluatesEachModuleOnce pins the audit's cost: one
+// fresh evaluation per module serves the bounds, the cache audit and the
+// D_BIC sweep, under either limit.
+func TestVerifyPartitionEvaluatesEachModuleOnce(t *testing.T) {
+	c, e := c17Estimator(t)
+	o := obs.New("partcheck", nil, nil)
+	e.SetObs(o)
+	p, err := partition.New(e, [][]int{
+		ids(t, c, "g1", "g3", "g5"),
+		ids(t, c, "g2", "g4", "g6"),
+	}, partition.PaperWeights(), partition.DefaultConstraints())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for mi := 0; mi < p.NumModules(); mi++ {
+		p.ModuleEstimate(mi) // warm the cache: only the audit's own evaluations count
+	}
+	calls := o.Counter(estimate.MetricEvalModuleCalls)
+	for _, lim := range []Limits{StructureOnly(), Feasibility(p.Cons.MinDiscriminability)} {
+		before := calls.Value()
+		VerifyPartition(p, lim)
+		if got, want := calls.Value()-before, uint64(p.NumModules()); got != want {
+			t.Errorf("VerifyPartition(%+v) made %d EvalModule calls, want %d (one per module)", lim, got, want)
+		}
 	}
 }

@@ -13,15 +13,21 @@ import (
 // evaluation).
 func VerifyPartition(p *partition.Partition, lim Limits) *Report {
 	c := p.E.A.Circuit
-	r := Verify(c, p.Groups(), p.E, lim)
+	r := VerifyStructure(c, p.Groups())
 	if !r.OK() {
 		return r
 	}
+	// One fresh evaluation per module serves the bounds, the cache audit
+	// and the D_BIC sweep.
 	fresh := make([]*estimate.Module, p.NumModules())
 	for mi := range fresh {
-		got := p.ModuleEstimate(mi)
-		fresh[mi] = p.E.EvalModule(got.Gates)
-		r.Violations = append(r.Violations, compareEstimate(p.E, mi, got, fresh[mi])...)
+		fresh[mi] = checkModule(p.E, mi, p.ModuleEstimate(mi).Gates, lim, r)
+	}
+	if !r.OK() {
+		return r
+	}
+	for mi, m := range fresh {
+		r.Violations = append(r.Violations, compareEstimate(p.E, mi, p.ModuleEstimate(mi), m)...)
 	}
 	moduleOf := make([]int, c.NumGates())
 	for g := range moduleOf {

@@ -112,7 +112,7 @@ type Config struct {
 	// (0 = DefaultJobAttempts). Each failed attempt backs off with
 	// seeded jitter before the next.
 	JobAttempts int
-	// Seed seeds the retry-backoff jitter (0 = 1). The norandglobal lint
+	// Seed seeds the retry-backoff jitter (0 = 1). The determtaint lint
 	// bans ambient randomness; all service randomness flows from here.
 	Seed int64
 	// SelfTestAdmission gates readiness on SelfTest: until it passes,
