@@ -34,8 +34,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"iddqsyn/internal/evolution"
@@ -46,15 +48,28 @@ import (
 )
 
 func main() {
-	circuit := flag.String("circuit", "c432", "circuit for the per-circuit studies")
-	gens := flag.Int("gens", 120, "evolution generation budget")
-	seed := flag.Int64("seed", 1, "seed")
-	timeout := flag.Duration("timeout", 0, "wall-clock budget for the whole batch (0 = none)")
-	study := flag.String("study", "all",
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: it parses args, writes the studies to stdout
+// and diagnostics to stderr, and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("iddqstudy", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	circuit := fs.String("circuit", "c432", "circuit for the per-circuit studies")
+	gens := fs.Int("gens", 120, "evolution generation budget")
+	seed := fs.Int64("seed", 1, "seed")
+	timeout := fs.Duration("timeout", 0, "wall-clock budget for the whole batch (0 = none)")
+	study := fs.String("study", "all",
 		"which study to run: all, figure1, figure2, c17, convergence, ablations, pessimism, optimizers, sensors, schedule, techmap, sweep, yield, scan, delta")
 	var oc obscli.Config
-	oc.Register(flag.CommandLine)
-	flag.Parse()
+	oc.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return runctl.ExitOK
+		}
+		return runctl.ExitUsage
+	}
 
 	prm := evolution.DefaultParams()
 	prm.MaxGenerations = *gens
@@ -65,25 +80,25 @@ func main() {
 		"optimizers": true, "sensors": true, "schedule": true, "techmap": true,
 		"sweep": true, "yield": true, "scan": true, "delta": true}
 	if !known[*study] {
-		fmt.Fprintf(os.Stderr, "iddqstudy: unknown study %q\n", *study)
-		os.Exit(runctl.ExitUsage)
+		fmt.Fprintf(stderr, "iddqstudy: unknown study %q\n", *study)
+		return runctl.ExitUsage
 	}
 
-	orun, err := oc.Start(os.Stderr)
+	orun, err := oc.Start(stderr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "iddqstudy:", err)
-		os.Exit(runctl.ExitFailure)
+		fmt.Fprintln(stderr, "iddqstudy:", err)
+		return runctl.ExitFailure
 	}
 
 	ctx, cancelTimeout := runctl.WithTimeout(context.Background(), *timeout)
 	defer cancelTimeout()
-	ctx, stop := runctl.WithSignalsObs(ctx, os.Stderr, orun.Obs)
+	ctx, stop := runctl.WithSignalsObs(ctx, stderr, orun.Obs)
 	defer stop()
 	ctx = obs.NewContext(ctx, orun.Obs)
 
 	var failed, skipped []string
 	want := func(name string) bool { return *study == "all" || *study == name }
-	run := func(name string, f func() error) {
+	runStudy := func(name string, f func() error) {
 		if !want(name) {
 			return
 		}
@@ -91,59 +106,59 @@ func main() {
 			skipped = append(skipped, name)
 			return
 		}
-		fmt.Printf("=== %s ===\n", name)
+		fmt.Fprintf(stdout, "=== %s ===\n", name)
 		if err := f(); err != nil {
-			fmt.Fprintf(os.Stderr, "iddqstudy: %s: %v\n", name, err)
+			fmt.Fprintf(stderr, "iddqstudy: %s: %v\n", name, err)
 			failed = append(failed, name)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 
-	run("figure1", func() error {
+	runStudy("figure1", func() error {
 		res, err := experiments.Figure1Demo()
 		if err != nil {
 			return err
 		}
-		fmt.Printf("sensor: %s\n", res.Sensor.String())
-		fmt.Printf("fault-free: IDDQ=%.3gA -> %s\n", res.FaultFreeIDDQ, passFail(res.FaultFreePass))
-		fmt.Printf("with bridge: IDDQ=%.3gA -> %s\n", res.DefectIDDQ, passFail(res.DefectPass))
+		fmt.Fprintf(stdout, "sensor: %s\n", res.Sensor.String())
+		fmt.Fprintf(stdout, "fault-free: IDDQ=%.3gA -> %s\n", res.FaultFreeIDDQ, passFail(res.FaultFreePass))
+		fmt.Fprintf(stdout, "with bridge: IDDQ=%.3gA -> %s\n", res.DefectIDDQ, passFail(res.DefectPass))
 		return nil
 	})
 
-	run("figure2", func() error {
+	runStudy("figure2", func() error {
 		res, err := experiments.Figure2(3, 6)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("row partition    (1 cell of each type/module): worst îDD=%.3gmA, area/sensor=%.4g\n",
+		fmt.Fprintf(stdout, "row partition    (1 cell of each type/module): worst îDD=%.3gmA, area/sensor=%.4g\n",
 			1e3*res.RowMaxIDD, res.RowSensorArea/float64(res.RowModules))
-		fmt.Printf("column partition (same-type cells/module):     worst îDD=%.3gmA, area/sensor=%.4g\n",
+		fmt.Fprintf(stdout, "column partition (same-type cells/module):     worst îDD=%.3gmA, area/sensor=%.4g\n",
 			1e3*res.ColMaxIDD, res.ColSensorArea/float64(res.ColModules))
-		fmt.Printf("per-sensor area ratio column/row = %.2f (partition 1 preferred, as in the paper)\n",
+		fmt.Fprintf(stdout, "per-sensor area ratio column/row = %.2f (partition 1 preferred, as in the paper)\n",
 			res.AreaRatio)
 		return nil
 	})
 
-	run("c17", func() error {
+	runStudy("c17", func() error {
 		res, err := experiments.C17Trace(ctx, *seed)
 		if err != nil {
 			return err
 		}
-		fmt.Print(experiments.FormatC17Trace(res))
+		fmt.Fprint(stdout, experiments.FormatC17Trace(res))
 		return nil
 	})
 
-	run("convergence", func() error {
+	runStudy("convergence", func() error {
 		res, err := experiments.ConvergenceFrom(ctx, *circuit, 8, prm)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%s (%d gates): %.6g -> %.6g in %d generations (%d evaluations)\n",
+		fmt.Fprintf(stdout, "%s (%d gates): %.6g -> %.6g in %d generations (%d evaluations)\n",
 			res.Circuit, res.Gates, res.StartCost, res.FinalCost, res.Generations, res.Evaluations)
 		return nil
 	})
 
-	run("ablations", func() error {
+	runStudy("ablations", func() error {
 		mc, err := experiments.AblateMonteCarlo(ctx, *circuit, prm)
 		if err != nil {
 			return err
@@ -152,114 +167,114 @@ func main() {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-22s baseline %.6g  variant %.6g  (ratio %.3f)\n",
+		fmt.Fprintf(stdout, "%-22s baseline %.6g  variant %.6g  (ratio %.3f)\n",
 			mc.Feature, mc.Baseline, mc.Variant, mc.Variant/mc.Baseline)
-		fmt.Printf("%-22s baseline %.6g  variant %.6g  (ratio %.3f)\n",
+		fmt.Fprintf(stdout, "%-22s baseline %.6g  variant %.6g  (ratio %.3f)\n",
 			lt.Feature, lt.Baseline, lt.Variant, lt.Variant/lt.Baseline)
 		return nil
 	})
 
-	run("pessimism", func() error {
+	runStudy("pessimism", func() error {
 		points, err := experiments.Pessimism(ctx, *circuit, prm)
 		if err != nil {
 			return err
 		}
 		for _, p := range points {
-			fmt.Printf("module %2d: estimate %.3gmA | grid-aligned peak %.3gmA (x%.2f) | timing-sim peak %.3gmA (x%.2f)\n",
+			fmt.Fprintf(stdout, "module %2d: estimate %.3gmA | grid-aligned peak %.3gmA (x%.2f) | timing-sim peak %.3gmA (x%.2f)\n",
 				p.Module, 1e3*p.Estimate, 1e3*p.Simulated, p.Ratio, 1e3*p.Timing, p.TimingRatio)
 		}
-		fmt.Println("(the §3.1 bound covers single transitions on the unit-delay grid; hazard")
-		fmt.Println(" multiplication under loaded delays can push the timing-simulated peak above it)")
+		fmt.Fprintln(stdout, "(the §3.1 bound covers single transitions on the unit-delay grid; hazard")
+		fmt.Fprintln(stdout, " multiplication under loaded delays can push the timing-simulated peak above it)")
 		return nil
 	})
 
-	run("optimizers", func() error {
+	runStudy("optimizers", func() error {
 		rows, err := experiments.OptimizerComparison(ctx, *circuit, 8, prm)
 		if err != nil {
 			return err
 		}
-		fmt.Print(experiments.FormatOptimizers(rows))
+		fmt.Fprint(stdout, experiments.FormatOptimizers(rows))
 		return nil
 	})
 
-	run("sensors", func() error {
+	runStudy("sensors", func() error {
 		rows, err := experiments.SensorVariants(ctx, *circuit, prm)
 		if err != nil {
 			return err
 		}
-		fmt.Print(experiments.FormatVariants(rows))
+		fmt.Fprint(stdout, experiments.FormatVariants(rows))
 		return nil
 	})
 
-	run("schedule", func() error {
+	runStudy("schedule", func() error {
 		rows, err := experiments.ScheduleStudy(ctx, *circuit, prm)
 		if err != nil {
 			return err
 		}
-		fmt.Print(experiments.FormatSchedules(rows))
+		fmt.Fprint(stdout, experiments.FormatSchedules(rows))
 		return nil
 	})
 
-	run("techmap", func() error {
+	runStudy("techmap", func() error {
 		chosen, rows, err := experiments.TechmapStudy(ctx, *circuit, prm)
 		if err != nil {
 			return err
 		}
 		for _, r := range rows {
-			fmt.Printf("%-8v %5d gates  evolved cost %.6g\n", r.Style, r.Gates, r.Cost)
+			fmt.Fprintf(stdout, "%-8v %5d gates  evolved cost %.6g\n", r.Style, r.Gates, r.Cost)
 		}
-		fmt.Printf("mapper chose: %v\n", chosen)
+		fmt.Fprintf(stdout, "mapper chose: %v\n", chosen)
 		return nil
 	})
 
-	run("sweep", func() error {
+	runStudy("sweep", func() error {
 		points, err := experiments.WeightSweep(ctx, *circuit, prm)
 		if err != nil {
 			return err
 		}
-		fmt.Print(experiments.FormatWeightSweep(points))
+		fmt.Fprint(stdout, experiments.FormatWeightSweep(points))
 		return nil
 	})
 
-	run("yield", func() error {
+	runStudy("yield", func() error {
 		points, zero, err := experiments.YieldStudy(ctx, *circuit, prm)
 		if err != nil {
 			return err
 		}
-		fmt.Print(experiments.FormatYield(points))
-		fmt.Printf("smallest zero-overkill threshold: %.3g A (paper operating point: 1 µA)\n", zero)
+		fmt.Fprint(stdout, experiments.FormatYield(points))
+		fmt.Fprintf(stdout, "smallest zero-overkill threshold: %.3g A (paper operating point: 1 µA)\n", zero)
 		return nil
 	})
 
-	run("scan", func() error {
+	runStudy("scan", func() error {
 		rows, err := experiments.ScanStudy()
 		if err != nil {
 			return err
 		}
-		fmt.Print(experiments.FormatScan(rows))
+		fmt.Fprint(stdout, experiments.FormatScan(rows))
 		return nil
 	})
 
-	run("delta", func() error {
+	runStudy("delta", func() error {
 		rows, err := experiments.DeltaStudy(ctx, *circuit, prm, nil)
 		if err != nil {
 			return err
 		}
-		fmt.Print(experiments.FormatDelta(rows))
-		fmt.Println("(fixed = the paper's 1 µA comparator; delta = current-signature analysis)")
+		fmt.Fprint(stdout, experiments.FormatDelta(rows))
+		fmt.Fprintln(stdout, "(fixed = the paper's 1 µA comparator; delta = current-signature analysis)")
 		return nil
 	})
 
 	obsFailed := false
 	if err := orun.Finish(*circuit); err != nil {
-		fmt.Fprintf(os.Stderr, "iddqstudy: %v\n", err)
+		fmt.Fprintf(stderr, "iddqstudy: %v\n", err)
 		obsFailed = true
 	}
 	if len(skipped) > 0 {
-		fmt.Fprintf(os.Stderr, "iddqstudy: cancelled before %v could run\n", skipped)
+		fmt.Fprintf(stderr, "iddqstudy: cancelled before %v could run\n", skipped)
 	}
 	if len(failed) > 0 {
-		fmt.Fprintf(os.Stderr, "iddqstudy: %d of the requested studies failed: %v\n", len(failed), failed)
+		fmt.Fprintf(stderr, "iddqstudy: %d of the requested studies failed: %v\n", len(failed), failed)
 	}
 	// The documented exit contract (see runctl): a batch cut short by
 	// the -timeout budget or a signal reports that controlled stop, a
@@ -267,12 +282,13 @@ func main() {
 	// only a snapshot-write problem is a generic failure.
 	switch cause := context.Cause(ctx); {
 	case cause != nil:
-		os.Exit(runctl.ExitCode(nil, cause))
+		return runctl.ExitCode(nil, cause)
 	case len(failed) > 0:
-		os.Exit(runctl.ExitOptimizer)
+		return runctl.ExitOptimizer
 	case obsFailed:
-		os.Exit(runctl.ExitFailure)
+		return runctl.ExitFailure
 	}
+	return runctl.ExitOK
 }
 
 func passFail(pass bool) string {

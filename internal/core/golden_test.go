@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"iddqsyn/internal/circuits"
@@ -35,7 +36,7 @@ type goldenRecord struct {
 	Separation   int               `json:"separation,omitempty"`
 	Size         int               `json:"size,omitempty"`
 	Modules      int               `json:"modules"`
-	GroupsSHA256 string            `json:"groups_sha256"`
+	GroupsSHA256 string            `json:"groups_sha256,omitempty"`
 	Generations  int               `json:"generations,omitempty"`
 	Evaluations  int               `json:"evaluations,omitempty"`
 	History      int               `json:"history,omitempty"`
@@ -123,6 +124,37 @@ func chainStartRecords(t *testing.T, got map[string]goldenRecord, res *core.Resu
 	}
 }
 
+// table1Prefix names the records of the Table 1 rows, which -short skips.
+const table1Prefix = "table1-"
+
+// table1Records pins every Table 1 row at cmd/table1's budget: each float
+// field as its bit pattern, the module count and the run's bookkeeping.
+func table1Records(t *testing.T, got map[string]goldenRecord) {
+	t.Helper()
+	rows, err := experiments.Table1(context.Background(), experiments.Table1Config{})
+	if err != nil {
+		t.Fatalf("Table1: %v", err)
+	}
+	for _, r := range rows {
+		got[table1Prefix+r.Circuit] = goldenRecord{
+			CostBits: map[string]string{
+				"area_evolution":  bits(r.AreaEvolution),
+				"area_standard":   bits(r.AreaStandard),
+				"area_overhead":   bits(r.AreaOverhead),
+				"delay_evolution": bits(r.DelayEvolution),
+				"delay_standard":  bits(r.DelayStandard),
+				"test_evolution":  bits(r.TestEvolution),
+				"test_standard":   bits(r.TestStandard),
+				"cost_evolution":  bits(r.CostEvolution),
+				"cost_standard":   bits(r.CostStandard),
+			},
+			Modules:     r.Modules,
+			Generations: r.Generations,
+			Evaluations: r.Evaluations,
+		}
+	}
+}
+
 // TestGolden compares the optimizer's results against the committed
 // goldens. Regenerate with `go test ./internal/core -run Golden -update`,
 // and only with a stated reason: a changed golden means Table 1 moved.
@@ -160,6 +192,13 @@ func TestGolden(t *testing.T) {
 		Steps:        len(tr.Steps),
 		Final:        tr.Final,
 	}
+	if testing.Short() {
+		if *update {
+			t.Fatal("-update needs the Table 1 rows, which -short skips")
+		}
+	} else {
+		table1Records(t, got)
+	}
 
 	if *update {
 		data, err := json.MarshalIndent(got, "", "  ")
@@ -185,6 +224,9 @@ func TestGolden(t *testing.T) {
 	}
 	for name, w := range want {
 		g, ok := got[name]
+		if !ok && testing.Short() && strings.HasPrefix(name, table1Prefix) {
+			continue
+		}
 		if !ok {
 			t.Errorf("%s: golden case no longer produced", name)
 			continue
