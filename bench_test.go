@@ -8,6 +8,10 @@
 // iteration and print the regenerated table rows; expect seconds to
 // minutes per circuit, matching the paper's "convergence within a few
 // hours on a Sun Sparc workstation" at modern CPU speed.
+//
+// The extension studies benchmark beside their drivers in cmd/iddqstudy;
+// the ATPG and diagnosis benchmarks live in internal/atpg and
+// internal/diagnose.
 package iddqsyn_test
 
 import (
@@ -16,15 +20,11 @@ import (
 	"math/rand"
 	"testing"
 
-	"iddqsyn/internal/atpg"
 	"iddqsyn/internal/celllib"
 	"iddqsyn/internal/circuits"
-	"iddqsyn/internal/core"
-	"iddqsyn/internal/diagnose"
 	"iddqsyn/internal/estimate"
 	"iddqsyn/internal/evolution"
 	"iddqsyn/internal/experiments"
-	"iddqsyn/internal/faults"
 	"iddqsyn/internal/obs"
 	"iddqsyn/internal/partition"
 	"iddqsyn/internal/standard"
@@ -125,7 +125,7 @@ func benchmarkConvergence(b *testing.B, circuit string) {
 	prm := benchEvolution()
 	var gens, evals int
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Convergence(context.Background(), circuit, prm)
+		res, err := experiments.Convergence(context.Background(), circuit, 0, prm)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -456,23 +456,6 @@ func BenchmarkEstimatorsBICDelay(b *testing.B) {
 	}
 }
 
-// §3.4 substrate: ATPG and fault simulation cost (the test-set generation
-// the test-application-time estimator assumes precomputed).
-func BenchmarkATPGC880(b *testing.B) {
-	b.ReportAllocs()
-	c := circuits.MustISCAS85Like("c880")
-	cfg := faults.DefaultConfig()
-	cfg.MaxBridges = 500
-	list := faults.Universe(c, cfg, rand.New(rand.NewSource(1)))
-	opt := atpg.DefaultOptions()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := atpg.Generate(c, list, opt); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // Sanity: the benchmark fixtures print the environment once.
 func Example_fixtures() {
 	c := circuits.C17()
@@ -480,67 +463,7 @@ func Example_fixtures() {
 	// Output: c17: 5 inputs, 2 outputs, 6 gates, depth 3
 }
 
-// Extension studies (see DESIGN.md §5 and EXPERIMENTS.md).
-
-// Optimizer comparison: evolution vs simulated annealing vs hill climbing
-// at equal evaluation budgets from identical fine-grained starts.
-func BenchmarkOptimizerComparison(b *testing.B) {
-	b.ReportAllocs()
-	prm := benchEvolution()
-	var rows []experiments.OptimizerRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.OptimizerComparison(context.Background(), "c880", 8, prm)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.Logf("%-12s cost %.6g (%d evals, K=%d)", r.Algorithm, r.FinalCost, r.Evaluations, r.Modules)
-	}
-}
-
-// Sensor-technology table: the quantitative version of the paper's
-// argument for the bypass-MOS sensor class.
-func BenchmarkSensorVariants(b *testing.B) {
-	b.ReportAllocs()
-	prm := benchEvolution()
-	var rows []experiments.VariantRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.SensorVariants(context.Background(), "c432", prm)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Logf("\n%s", experiments.FormatVariants(rows))
-}
-
-// Readout scheduling: the area-vs-test-time trade-off behind cost c5.
-func BenchmarkScheduleStudy(b *testing.B) {
-	b.ReportAllocs()
-	prm := benchEvolution()
-	var rows []experiments.ScheduleRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.ScheduleStudy(context.Background(), "c880", prm)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Logf("\n%s", experiments.FormatSchedules(rows))
-}
-
-// Cost-aware technology mapping (the paper's "next step").
-func BenchmarkTechmapStudy(b *testing.B) {
-	b.ReportAllocs()
-	prm := benchEvolution()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := experiments.TechmapStudy(context.Background(), "c432", prm); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// Paper studies beyond Table 1 (see EXPERIMENTS.md).
 
 // Weight sweep: the Speed-Area-Testability design-space exploration of §2.
 func BenchmarkWeightSweep(b *testing.B) {
@@ -575,129 +498,4 @@ func BenchmarkEstimatorPessimism(b *testing.B) {
 		}
 	}
 	b.ReportMetric(worst, "worstPessimismX")
-}
-
-// Diagnostic resolution of on-chip per-module sensing vs one off-chip
-// measurement — the fault-location payoff of the BIC architecture
-// (paper reference [4]).
-func BenchmarkDiagnosticResolution(b *testing.B) {
-	b.ReportAllocs()
-	c := circuits.MustISCAS85Like("c432")
-	eprm := benchEvolution()
-	res, err := core.SynthesizeContext(context.Background(), c, core.Options{Evolution: &eprm, ModuleSize: 40})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := faults.DefaultConfig()
-	cfg.MaxBridges = 300
-	list := faults.Universe(c, cfg, rand.New(rand.NewSource(1)))
-	gen, err := atpg.Generate(c, list, atpg.DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	moduleOf := make([]int, c.NumGates())
-	for i := range moduleOf {
-		moduleOf[i] = res.Chip.ModuleOf(i)
-	}
-	b.ResetTimer()
-	var classes int
-	for i := 0; i < b.N; i++ {
-		dict, err := diagnose.Build(c, moduleOf, list, gen.Vectors)
-		if err != nil {
-			b.Fatal(err)
-		}
-		classes = dict.Resolve().DistinctClasses
-	}
-	b.ReportMetric(float64(classes), "syndromeClasses")
-}
-
-// Yield vs threshold: the Monte-Carlo population study behind the d = 10
-// discriminability choice. The metric is the escape rate at the paper's
-// 1 µA operating point (bounded below by the ATPG excitation coverage).
-func BenchmarkYieldThresholdSweep(b *testing.B) {
-	b.ReportAllocs()
-	prm := benchEvolution()
-	var at1uA float64
-	for i := 0; i < b.N; i++ {
-		points, _, err := experiments.YieldStudy(context.Background(), "c432", prm)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, p := range points {
-			if p.Threshold >= 1e-6 {
-				at1uA = p.Escape
-				break
-			}
-		}
-	}
-	b.ReportMetric(100*at1uA, "escape%@1uA")
-}
-
-// Scan-chain ordering across the ISCAS89-like set: wiring saved by the
-// nearest-neighbour order vs declaration order on the largest circuit.
-func BenchmarkScanChainOrdering(b *testing.B) {
-	b.ReportAllocs()
-	var saved float64
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.ScanStudy()
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := rows[len(rows)-1]
-		saved = 100 * (1 - float64(last.OrderedLen)/float64(last.DeclaredLen))
-	}
-	b.ReportMetric(saved, "wireSaved%")
-}
-
-// Delta-IDDQ (current-signature) detection vs the paper's fixed 1 µA
-// comparator under growing die-to-die leakage spread. The metric is the
-// fixed threshold's overkill at σ = 2.0, which signature analysis avoids.
-func BenchmarkDeltaIDDQComparison(b *testing.B) {
-	b.ReportAllocs()
-	prm := benchEvolution()
-	var fixedOvk, deltaOvk float64
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.DeltaStudy(context.Background(), "c432", prm, []float64{2.0})
-		if err != nil {
-			b.Fatal(err)
-		}
-		fixedOvk = rows[0].FixedOverkill
-		deltaOvk = rows[0].DeltaOverkill
-	}
-	b.ReportMetric(100*fixedOvk, "fixedOverkill%")
-	b.ReportMetric(100*deltaOvk, "deltaOverkill%")
-}
-
-// Deterministic top-up: PODEM justification over the random-resistant
-// residue of the full c432 bridge universe. Metrics: new detections and
-// proofs per run.
-func BenchmarkATPGDeterministicTopUp(b *testing.B) {
-	b.ReportAllocs()
-	c := circuits.MustISCAS85Like("c432")
-	cfg := faults.DefaultConfig()
-	cfg.MaxBridges = 0
-	list := faults.Universe(c, cfg, rand.New(rand.NewSource(2)))
-	opt := atpg.DefaultOptions()
-	opt.MaxVectors = 256
-	opt.TargetCoverage = 1.0
-	base, err := atpg.Generate(c, list, opt)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var newDet, unsat int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := &atpg.Result{
-			Vectors:    append([][]bool(nil), base.Vectors...),
-			Detections: append([]atpg.Detection(nil), base.Detections...),
-			Total:      base.Total,
-		}
-		tu, err := atpg.TopUp(c, list, res, 2000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		newDet, unsat = tu.NewDetected, tu.ProvenUnsat
-	}
-	b.ReportMetric(float64(newDet), "newDetected")
-	b.ReportMetric(float64(unsat), "provenUnsat")
 }

@@ -70,8 +70,9 @@ import (
 	"iddqsyn/internal/lint/analysis"
 )
 
-// toolVersion is reported in SARIF logs.
-const toolVersion = "5.0.0"
+// toolVersion is reported in SARIF logs. Bump it whenever the rule set
+// changes; TestSARIFRulesPinToolVersion pins each version's rules.
+const toolVersion = "6.0.0"
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))

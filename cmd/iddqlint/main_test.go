@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -115,6 +116,52 @@ func TestSARIFOutput(t *testing.T) {
 	if log.Version != "2.1.0" || len(log.Runs) != 1 || len(log.Runs[0].Results) != 1 ||
 		log.Runs[0].Results[0].RuleID != "errwrapcheck" {
 		t.Fatalf("sarif = %s", data)
+	}
+}
+
+// TestSARIFRulesPinToolVersion pins the SARIF rule set to toolVersion:
+// consumers key rule sets by tool version, so adding or removing a rule
+// must bump toolVersion, and then this table.
+func TestSARIFRulesPinToolVersion(t *testing.T) {
+	rulesByVersion := map[string]string{
+		"6.0.0": "closecheck,ctxloop,determtaint,errwrapcheck,goleak,hotalloc,lintdirective," +
+			"lockorder,panicpolicy,renameatomic,sharedstate,spanend",
+	}
+	root := writeModule(t, map[string]string{"p/p.go": cleanFile})
+	sarif := filepath.Join(root, "lint.sarif")
+	var out, errb bytes.Buffer
+	if code := run([]string{"-root", root, "-sarif", sarif}, &out, &errb); code != 0 {
+		t.Fatalf("exit %d; stderr: %s", code, errb.String())
+	}
+	data, err := os.ReadFile(sarif)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var log struct {
+		Runs []struct {
+			Tool struct {
+				Driver struct {
+					Version string
+					Rules   []struct{ ID string }
+				}
+			}
+		}
+	}
+	if err := json.Unmarshal(data, &log); err != nil || len(log.Runs) != 1 {
+		t.Fatalf("invalid SARIF log (%v): %s", err, data)
+	}
+	driver := log.Runs[0].Tool.Driver
+	var ids []string
+	for _, r := range driver.Rules {
+		ids = append(ids, r.ID)
+	}
+	sort.Strings(ids)
+	if driver.Version != toolVersion {
+		t.Errorf("SARIF tool version %q, want toolVersion %q", driver.Version, toolVersion)
+	}
+	if got, want := strings.Join(ids, ","), rulesByVersion[toolVersion]; got != want {
+		t.Errorf("SARIF rules of toolVersion %s changed; bump toolVersion and pin the new set:\ngot  %s\nwant %s",
+			toolVersion, got, want)
 	}
 }
 

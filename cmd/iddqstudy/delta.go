@@ -1,4 +1,4 @@
-package experiments
+package main
 
 import (
 	"context"
@@ -16,10 +16,10 @@ import (
 	"iddqsyn/internal/yield"
 )
 
-// DeltaRow compares the fixed-threshold decision (the paper's detection
+// deltaRow compares the fixed-threshold decision (the paper's detection
 // circuitry) against current-signature analysis at one die-to-die leakage
 // spread.
-type DeltaRow struct {
+type deltaRow struct {
 	SigmaDie float64
 
 	FixedEscape   float64 // fixed threshold at 1 µA
@@ -28,7 +28,7 @@ type DeltaRow struct {
 	DeltaOverkill float64
 }
 
-// DeltaStudy simulates die populations at increasing process spread and
+// deltaStudy simulates die populations at increasing process spread and
 // scores both detection methods on identical dies. The fixed threshold is
 // the paper's 1 µA; the signature detector is deltaiddq.DefaultDetector.
 //
@@ -37,7 +37,7 @@ type DeltaRow struct {
 // crosses the fixed threshold (overkill explodes) while the signature
 // detector — which keys on the defect's step, not the absolute level —
 // stays near the ATPG escape floor.
-func DeltaStudy(ctx context.Context, name string, eprm evolution.Params, sigmas []float64) ([]DeltaRow, error) {
+func deltaStudy(ctx context.Context, name string, eprm evolution.Params, sigmas []float64) ([]deltaRow, error) {
 	if len(sigmas) == 0 {
 		sigmas = []float64{0.3, 0.8, 1.5}
 	}
@@ -71,13 +71,13 @@ func DeltaStudy(ctx context.Context, name string, eprm evolution.Params, sigmas 
 		return nil, err
 	}
 
-	var rows []DeltaRow
+	var rows []deltaRow
 	for _, sigma := range sigmas {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		rng := rand.New(rand.NewSource(eprm.Seed + int64(1000*sigma)))
-		row := DeltaRow{SigmaDie: sigma}
+		row := deltaRow{SigmaDie: sigma}
 		lognormal := func(s float64) float64 {
 			if s <= 0 {
 				return 1
@@ -142,8 +142,8 @@ func DeltaStudy(ctx context.Context, name string, eprm evolution.Params, sigmas 
 	return rows, nil
 }
 
-// FormatDelta renders the comparison.
-func FormatDelta(rows []DeltaRow) string {
+// formatDelta renders the comparison.
+func formatDelta(rows []deltaRow) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%8s | %12s %12s | %12s %12s\n",
 		"σ(die)", "fixed esc", "fixed ovk", "delta esc", "delta ovk")

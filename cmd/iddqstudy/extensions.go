@@ -1,4 +1,4 @@
-package experiments
+package main
 
 import (
 	"context"
@@ -19,11 +19,11 @@ import (
 	"iddqsyn/internal/techmap"
 )
 
-// OptimizerRow compares the optimization algorithms the paper lists for
+// optimizerRow compares the optimization algorithms the paper lists for
 // PART-IDDQ ("force-driven, simulated annealing, Monte Carlo, genetic,
 // e.g.") from identical start partitions and comparable evaluation
 // budgets.
-type OptimizerRow struct {
+type optimizerRow struct {
 	Algorithm   string
 	FinalCost   float64
 	Evaluations int
@@ -31,13 +31,13 @@ type OptimizerRow struct {
 	Feasible    bool
 }
 
-// OptimizerComparison runs the evolution strategy, simulated annealing
+// optimizerComparison runs the evolution strategy, simulated annealing
 // and greedy hill climbing on the named circuit from the same §4.2 start
 // population (the ES uses all μ starts; SA and HC start from the best).
 // startSize sets the start-partition granularity; pass a size well below
 // the optimum module size so the optimizers have real merging and
 // refinement work to differentiate on (0 uses the §4.2 estimate).
-func OptimizerComparison(ctx context.Context, name string, startSize int, eprm evolution.Params) ([]OptimizerRow, error) {
+func optimizerComparison(ctx context.Context, name string, startSize int, eprm evolution.Params) ([]optimizerRow, error) {
 	c, err := circuits.ISCAS85Like(name)
 	if err != nil {
 		return nil, err
@@ -87,15 +87,15 @@ func OptimizerComparison(ctx context.Context, name string, startSize int, eprm e
 		return nil, err
 	}
 
-	return []OptimizerRow{
+	return []optimizerRow{
 		{"evolution", es.BestCost, es.Evaluations, es.Best.NumModules(), es.Best.Feasible()},
 		{"annealing", sa.BestCost, sa.Moves, sa.Best.NumModules(), sa.Best.Feasible()},
 		{"hill-climb", hc.BestCost, hc.Moves, hc.Best.NumModules(), hc.Best.Feasible()},
 	}, nil
 }
 
-// FormatOptimizers renders the comparison.
-func FormatOptimizers(rows []OptimizerRow) string {
+// formatOptimizers renders the comparison.
+func formatOptimizers(rows []optimizerRow) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-12s %12s %12s %8s %9s\n", "algorithm", "final cost", "evaluations", "modules", "feasible")
 	for _, r := range rows {
@@ -105,10 +105,10 @@ func FormatOptimizers(rows []OptimizerRow) string {
 	return sb.String()
 }
 
-// VariantRow sizes every sensor technology for the worst module of an
+// variantRow sizes every sensor technology for the worst module of an
 // evolved partition, quantifying the paper's argument for the bypass-MOS
 // class under stringent rail limits.
-type VariantRow struct {
+type variantRow struct {
 	Technology   bic.Technology
 	Area         float64
 	Perturbation float64
@@ -116,9 +116,9 @@ type VariantRow struct {
 	Suitable     bool
 }
 
-// SensorVariants evaluates the sensing-device classes on the named
+// sensorVariants evaluates the sensing-device classes on the named
 // circuit's largest-current module.
-func SensorVariants(ctx context.Context, name string, eprm evolution.Params) ([]VariantRow, error) {
+func sensorVariants(ctx context.Context, name string, eprm evolution.Params) ([]variantRow, error) {
 	c, err := circuits.ISCAS85Like(name)
 	if err != nil {
 		return nil, err
@@ -135,11 +135,11 @@ func SensorVariants(ctx context.Context, name string, eprm evolution.Params) ([]
 		}
 	}
 	m := res.Partition.ModuleEstimate(worst)
-	var rows []VariantRow
+	var rows []variantRow
 	//lint:ignore ctxloop fixed four-entry technology table, no real work
 	for _, tech := range bic.Technologies() {
 		v := bic.SizeVariant(tech, worst, m, res.Estimator.P)
-		rows = append(rows, VariantRow{
+		rows = append(rows, variantRow{
 			Technology:   tech,
 			Area:         v.Area,
 			Perturbation: v.Perturbation,
@@ -150,8 +150,8 @@ func SensorVariants(ctx context.Context, name string, eprm evolution.Params) ([]
 	return rows, nil
 }
 
-// FormatVariants renders the sensor-technology table.
-func FormatVariants(rows []VariantRow) string {
+// formatVariants renders the sensor-technology table.
+func formatVariants(rows []variantRow) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-14s %12s %14s %12s %9s\n", "technology", "area", "perturbation", "settle", "suitable")
 	for _, r := range rows {
@@ -161,18 +161,18 @@ func FormatVariants(rows []VariantRow) string {
 	return sb.String()
 }
 
-// TechmapRow is one candidate mapping's end-to-end result: the mapping
+// techmapRow is one candidate mapping's end-to-end result: the mapping
 // style, its gate count, and the evolved partition cost on that netlist.
-type TechmapRow struct {
+type techmapRow struct {
 	Style techmap.Style
 	Gates int
 	Cost  float64
 }
 
-// TechmapStudy runs the paper's future-work flow: map the circuit in each
+// techmapStudy runs the paper's future-work flow: map the circuit in each
 // style, evolve a partition on each, and compare the final costs against
 // the mapper's choice.
-func TechmapStudy(ctx context.Context, name string, eprm evolution.Params) (chosen techmap.Style, rows []TechmapRow, err error) {
+func techmapStudy(ctx context.Context, name string, eprm evolution.Params) (chosen techmap.Style, rows []techmapRow, err error) {
 	c, err := circuits.ISCAS85Like(name)
 	if err != nil {
 		return 0, nil, err
@@ -190,7 +190,7 @@ func TechmapStudy(ctx context.Context, name string, eprm evolution.Params) (chos
 		if err != nil {
 			return 0, nil, err
 		}
-		rows = append(rows, TechmapRow{
+		rows = append(rows, techmapRow{
 			Style: cand.Style,
 			Gates: cand.Gates,
 			Cost:  res.Partition.Cost(),
@@ -199,9 +199,9 @@ func TechmapStudy(ctx context.Context, name string, eprm evolution.Params) (chos
 	return mres.Chosen.Style, rows, nil
 }
 
-// ScheduleRow is one readout strategy's area/time point for an evolved
+// scheduleRow is one readout strategy's area/time point for an evolved
 // design and its generated test set.
-type ScheduleRow struct {
+type scheduleRow struct {
 	Strategy     bic.Strategy
 	Groups       int
 	SensorArea   float64
@@ -209,10 +209,10 @@ type ScheduleRow struct {
 	VectorPeriod float64
 }
 
-// ScheduleStudy sizes the sensors of an evolved partition, generates the
+// scheduleStudy sizes the sensors of an evolved partition, generates the
 // IDDQ test set, and evaluates the three readout strategies — the
 // area-vs-test-time trade-off behind the paper's c₅ routing cost.
-func ScheduleStudy(ctx context.Context, name string, eprm evolution.Params) ([]ScheduleRow, error) {
+func scheduleStudy(ctx context.Context, name string, eprm evolution.Params) ([]scheduleRow, error) {
 	c, err := circuits.ISCAS85Like(name)
 	if err != nil {
 		return nil, err
@@ -232,7 +232,7 @@ func ScheduleStudy(ctx context.Context, name string, eprm evolution.Params) ([]S
 	if nVec == 0 {
 		nVec = 1
 	}
-	var rows []ScheduleRow
+	var rows []scheduleRow
 	groups := res.Partition.NumModules()/2 + 1
 	//lint:ignore ctxloop fixed three-strategy table, planning is closed-form
 	for _, strat := range []bic.Strategy{bic.ReadParallel, bic.ReadSerial, bic.ReadGrouped} {
@@ -241,7 +241,7 @@ func ScheduleStudy(ctx context.Context, name string, eprm evolution.Params) ([]S
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, ScheduleRow{
+		rows = append(rows, scheduleRow{
 			Strategy:     strat,
 			Groups:       s.Groups,
 			SensorArea:   s.SensorArea,
@@ -252,8 +252,8 @@ func ScheduleStudy(ctx context.Context, name string, eprm evolution.Params) ([]S
 	return rows, nil
 }
 
-// FormatSchedules renders the readout-strategy table.
-func FormatSchedules(rows []ScheduleRow) string {
+// formatSchedules renders the readout-strategy table.
+func formatSchedules(rows []scheduleRow) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-10s %7s %12s %14s %14s\n", "strategy", "groups", "sensor area", "vector period", "total time")
 	for _, r := range rows {

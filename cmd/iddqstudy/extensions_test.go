@@ -1,4 +1,4 @@
-package experiments
+package main
 
 import (
 	"context"
@@ -7,8 +7,20 @@ import (
 	"testing"
 
 	"iddqsyn/internal/bic"
+	"iddqsyn/internal/evolution"
 	"iddqsyn/internal/techmap"
 )
+
+// fastEvolution returns evolution parameters small enough for unit tests.
+func fastEvolution() evolution.Params {
+	p := evolution.DefaultParams()
+	p.Mu = 4
+	p.Lambda = 3
+	p.Chi = 1
+	p.MaxGenerations = 40
+	p.StallGenerations = 15
+	return p
+}
 
 func TestOptimizerComparison(t *testing.T) {
 	if testing.Short() {
@@ -20,14 +32,14 @@ func TestOptimizerComparison(t *testing.T) {
 	prm.Chi = 2
 	prm.MaxGenerations = 150
 	prm.StallGenerations = 150
-	rows, err := OptimizerComparison(context.Background(), "c432", 8, prm)
+	rows, err := optimizerComparison(context.Background(), "c432", 8, prm)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	byName := map[string]OptimizerRow{}
+	byName := map[string]optimizerRow{}
 	for _, r := range rows {
 		byName[r.Algorithm] = r
 		if r.FinalCost <= 0 || r.Modules < 1 {
@@ -52,24 +64,21 @@ func TestOptimizerComparison(t *testing.T) {
 		t.Errorf("evolution %.6g more than 2x the best optimizer %.6g",
 			byName["evolution"].FinalCost, best)
 	}
-	out := FormatOptimizers(rows)
+	out := formatOptimizers(rows)
 	if !strings.Contains(out, "evolution") || !strings.Contains(out, "annealing") {
 		t.Errorf("format:\n%s", out)
 	}
 	t.Logf("\n%s", out)
 }
 
-// The drivers that build their own start population must still honour an
-// already-cancelled context: the start builder itself takes none, so each
-// driver checks once before building.
-func TestStartPopulationDriversHonourCancellation(t *testing.T) {
+// optimizerComparison builds its own start population, and the start
+// builder takes no context, so it must check an already-cancelled one
+// before building.
+func TestOptimizerComparisonHonoursCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := OptimizerComparison(ctx, "c432", 8, fastEvolution()); !errors.Is(err, context.Canceled) {
-		t.Errorf("OptimizerComparison under a cancelled context: err = %v, want context.Canceled", err)
-	}
-	if _, err := C17Trace(ctx, 1); !errors.Is(err, context.Canceled) {
-		t.Errorf("C17Trace under a cancelled context: err = %v, want context.Canceled", err)
+	if _, err := optimizerComparison(ctx, "c432", 8, fastEvolution()); !errors.Is(err, context.Canceled) {
+		t.Errorf("optimizerComparison under a cancelled context: err = %v, want context.Canceled", err)
 	}
 }
 
@@ -77,7 +86,7 @@ func TestSensorVariantsTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sensor variants in short mode")
 	}
-	rows, err := SensorVariants(context.Background(), "c432", fastEvolution())
+	rows, err := sensorVariants(context.Background(), "c432", fastEvolution())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,14 +108,14 @@ func TestSensorVariantsTable(t *testing.T) {
 	if suitable[bic.PNJunction] || suitable[bic.Bipolar] {
 		t.Error("junction sensors must violate r* = 200 mV")
 	}
-	t.Logf("\n%s", FormatVariants(rows))
+	t.Logf("\n%s", formatVariants(rows))
 }
 
 func TestTechmapStudy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("techmap study in short mode")
 	}
-	chosen, rows, err := TechmapStudy(context.Background(), "c432", fastEvolution())
+	chosen, rows, err := techmapStudy(context.Background(), "c432", fastEvolution())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,14 +160,14 @@ func TestScheduleStudy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("schedule study in short mode")
 	}
-	rows, err := ScheduleStudy(context.Background(), "c432", fastEvolution())
+	rows, err := scheduleStudy(context.Background(), "c432", fastEvolution())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	byStrat := map[bic.Strategy]ScheduleRow{}
+	byStrat := map[bic.Strategy]scheduleRow{}
 	for _, r := range rows {
 		byStrat[r.Strategy] = r
 	}
@@ -168,14 +177,14 @@ func TestScheduleStudy(t *testing.T) {
 	if byStrat[bic.ReadParallel].TotalTime > byStrat[bic.ReadSerial].TotalTime {
 		t.Error("parallel readout must not be slower than serial")
 	}
-	t.Logf("\n%s", FormatSchedules(rows))
+	t.Logf("\n%s", formatSchedules(rows))
 }
 
 func TestDeltaStudy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("delta study in short mode")
 	}
-	rows, err := DeltaStudy(context.Background(), "c432", fastEvolution(), []float64{0.3, 2.0})
+	rows, err := deltaStudy(context.Background(), "c432", fastEvolution(), []float64{0.3, 2.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,5 +211,5 @@ func TestDeltaStudy(t *testing.T) {
 	if high.DeltaEscape > low.DeltaEscape+0.1 {
 		t.Errorf("delta escape degraded with spread: %.3f -> %.3f", low.DeltaEscape, high.DeltaEscape)
 	}
-	t.Logf("\n%s", FormatDelta(rows))
+	t.Logf("\n%s", formatDelta(rows))
 }

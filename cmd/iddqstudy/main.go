@@ -6,6 +6,8 @@
 // hill climbing), the sensor-technology table, the readout-schedule
 // trade-off, the cost-aware technology-mapping study, the yield-vs-
 // threshold sweep, the scan-chain study, and the delta-IDDQ comparison.
+// The paper's figures and studies come from internal/experiments; the
+// extension studies, from the optimizer comparison on, are defined here.
 //
 // Usage:
 //
@@ -149,7 +151,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	})
 
 	runStudy("convergence", func() error {
-		res, err := experiments.ConvergenceFrom(ctx, *circuit, 8, prm)
+		res, err := experiments.Convergence(ctx, *circuit, 8, prm)
 		if err != nil {
 			return err
 		}
@@ -189,34 +191,34 @@ func run(args []string, stdout, stderr io.Writer) int {
 	})
 
 	runStudy("optimizers", func() error {
-		rows, err := experiments.OptimizerComparison(ctx, *circuit, 8, prm)
+		rows, err := optimizerComparison(ctx, *circuit, 8, prm)
 		if err != nil {
 			return err
 		}
-		fmt.Fprint(stdout, experiments.FormatOptimizers(rows))
+		fmt.Fprint(stdout, formatOptimizers(rows))
 		return nil
 	})
 
 	runStudy("sensors", func() error {
-		rows, err := experiments.SensorVariants(ctx, *circuit, prm)
+		rows, err := sensorVariants(ctx, *circuit, prm)
 		if err != nil {
 			return err
 		}
-		fmt.Fprint(stdout, experiments.FormatVariants(rows))
+		fmt.Fprint(stdout, formatVariants(rows))
 		return nil
 	})
 
 	runStudy("schedule", func() error {
-		rows, err := experiments.ScheduleStudy(ctx, *circuit, prm)
+		rows, err := scheduleStudy(ctx, *circuit, prm)
 		if err != nil {
 			return err
 		}
-		fmt.Fprint(stdout, experiments.FormatSchedules(rows))
+		fmt.Fprint(stdout, formatSchedules(rows))
 		return nil
 	})
 
 	runStudy("techmap", func() error {
-		chosen, rows, err := experiments.TechmapStudy(ctx, *circuit, prm)
+		chosen, rows, err := techmapStudy(ctx, *circuit, prm)
 		if err != nil {
 			return err
 		}
@@ -237,30 +239,30 @@ func run(args []string, stdout, stderr io.Writer) int {
 	})
 
 	runStudy("yield", func() error {
-		points, zero, err := experiments.YieldStudy(ctx, *circuit, prm)
+		points, zero, err := yieldStudy(ctx, *circuit, prm)
 		if err != nil {
 			return err
 		}
-		fmt.Fprint(stdout, experiments.FormatYield(points))
+		fmt.Fprint(stdout, formatYield(points))
 		fmt.Fprintf(stdout, "smallest zero-overkill threshold: %.3g A (paper operating point: 1 µA)\n", zero)
 		return nil
 	})
 
 	runStudy("scan", func() error {
-		rows, err := experiments.ScanStudy()
+		rows, err := scanStudy()
 		if err != nil {
 			return err
 		}
-		fmt.Fprint(stdout, experiments.FormatScan(rows))
+		fmt.Fprint(stdout, formatScan(rows))
 		return nil
 	})
 
 	runStudy("delta", func() error {
-		rows, err := experiments.DeltaStudy(ctx, *circuit, prm, nil)
+		rows, err := deltaStudy(ctx, *circuit, prm, nil)
 		if err != nil {
 			return err
 		}
-		fmt.Fprint(stdout, experiments.FormatDelta(rows))
+		fmt.Fprint(stdout, formatDelta(rows))
 		fmt.Fprintln(stdout, "(fixed = the paper's 1 µA comparator; delta = current-signature analysis)")
 		return nil
 	})

@@ -1,4 +1,4 @@
-package experiments
+package main
 
 import (
 	"context"
@@ -15,15 +15,11 @@ import (
 	"iddqsyn/internal/yield"
 )
 
-// YieldPoint re-exports yield.Point for consumers of the study results
-// (e.g. package report) that do not need the yield machinery itself.
-type YieldPoint = yield.Point
-
-// YieldStudy runs the Monte-Carlo threshold sweep on a synthesized chip:
+// yieldStudy runs the Monte-Carlo threshold sweep on a synthesized chip:
 // escape and overkill rates over a geometric IDDQ,th ladder, plus the
 // smallest zero-overkill threshold of the simulated fault-free
 // population. It quantifies the §2 choice d = 10 and IDDQ,th = 1 µA.
-func YieldStudy(ctx context.Context, name string, eprm evolution.Params) ([]yield.Point, float64, error) {
+func yieldStudy(ctx context.Context, name string, eprm evolution.Params) ([]yield.Point, float64, error) {
 	c, err := circuits.ISCAS85Like(name)
 	if err != nil {
 		return nil, 0, err
@@ -50,8 +46,8 @@ func YieldStudy(ctx context.Context, name string, eprm evolution.Params) ([]yiel
 	return points, st.ZeroOverkillThreshold(), nil
 }
 
-// FormatYield renders the threshold sweep.
-func FormatYield(points []yield.Point) string {
+// formatYield renders the threshold sweep.
+func formatYield(points []yield.Point) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%12s %10s %10s\n", "IDDQ,th (A)", "escape", "overkill")
 	for _, p := range points {
@@ -60,8 +56,8 @@ func FormatYield(points []yield.Point) string {
 	return sb.String()
 }
 
-// ScanRow is one sequential benchmark's scan-chain and test-time summary.
-type ScanRow struct {
+// scanRow is one sequential benchmark's scan-chain and test-time summary.
+type scanRow struct {
 	Circuit     string
 	FFs         int
 	Gates       int
@@ -70,11 +66,11 @@ type ScanRow struct {
 	TestTime    float64 // 100 scan vectors, s
 }
 
-// ScanStudy evaluates scan-chain ordering and scan test time over the
+// scanStudy evaluates scan-chain ordering and scan test time over the
 // ISCAS89-like benchmark set: the full-scan extension of the §3.3 wiring
 // and §3.4 test-time costs.
-func ScanStudy() ([]ScanRow, error) {
-	var rows []ScanRow
+func scanStudy() ([]scanRow, error) {
+	var rows []scanRow
 	for _, name := range seq.Names89() {
 		s, err := seq.ISCAS89Like(name)
 		if err != nil {
@@ -87,7 +83,7 @@ func ScanStudy() ([]ScanRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, ScanRow{
+		rows = append(rows, scanRow{
 			Circuit:     name,
 			FFs:         s.NumFFs(),
 			Gates:       s.Comb.NumLogicGates(),
@@ -99,8 +95,8 @@ func ScanStudy() ([]ScanRow, error) {
 	return rows, nil
 }
 
-// FormatScan renders the scan study.
-func FormatScan(rows []ScanRow) string {
+// formatScan renders the scan study.
+func formatScan(rows []scanRow) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-8s %6s %7s %14s %13s %12s\n",
 		"circuit", "FFs", "gates", "wire(declared)", "wire(ordered)", "t(100 vec)")

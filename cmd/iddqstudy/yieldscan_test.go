@@ -1,4 +1,4 @@
-package experiments
+package main
 
 import (
 	"context"
@@ -10,7 +10,7 @@ func TestYieldStudy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("yield study in short mode")
 	}
-	points, zero, err := YieldStudy(context.Background(), "c432", fastEvolution())
+	points, zero, err := yieldStudy(context.Background(), "c432", fastEvolution())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,14 +48,14 @@ func TestYieldStudy(t *testing.T) {
 	if atHigh.escape < 0.9 {
 		t.Errorf("escape at 5 mA = %.3f, want ~1", atHigh.escape)
 	}
-	out := FormatYield(points)
+	out := formatYield(points)
 	if !strings.Contains(out, "IDDQ,th") {
 		t.Errorf("format:\n%s", out)
 	}
 }
 
 func TestScanStudy(t *testing.T) {
-	rows, err := ScanStudy()
+	rows, err := scanStudy()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestScanStudy(t *testing.T) {
 	if improved < 3 {
 		t.Errorf("ordering improved only %d/6 chains", improved)
 	}
-	out := FormatScan(rows)
+	out := formatScan(rows)
 	if !strings.Contains(out, "s5378") {
 		t.Errorf("format:\n%s", out)
 	}

@@ -26,7 +26,6 @@ import (
 	"iddqsyn/internal/experiments"
 	"iddqsyn/internal/obs"
 	"iddqsyn/internal/obscli"
-	"iddqsyn/internal/report"
 	"iddqsyn/internal/runctl"
 )
 
@@ -81,13 +80,13 @@ func main() {
 			r.Circuit, r.Generations, r.Evaluations, r.CostEvolution, r.CostStandard)
 	}
 	if *csvPath != "" {
-		if err := writeFile(*csvPath, func(f *os.File) error { return report.Table1CSV(f, rows) }); err != nil {
+		if err := writeFile(*csvPath, func(f *os.File) error { return experiments.Table1CSV(f, rows) }); err != nil {
 			fmt.Fprintln(os.Stderr, "table1:", err)
 			os.Exit(1)
 		}
 	}
 	if *mdPath != "" {
-		if err := writeFile(*mdPath, func(f *os.File) error { return report.Table1Markdown(f, rows) }); err != nil {
+		if err := writeFile(*mdPath, func(f *os.File) error { return experiments.Table1Markdown(f, rows) }); err != nil {
 			fmt.Fprintln(os.Stderr, "table1:", err)
 			os.Exit(1)
 		}

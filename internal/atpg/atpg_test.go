@@ -222,6 +222,8 @@ func TestFaultSimEmpty(t *testing.T) {
 	}
 }
 
+// §3.4 substrate: ATPG and fault simulation cost (the test-set generation
+// the test-application-time estimator assumes precomputed).
 func BenchmarkGenerateC880(b *testing.B) {
 	b.ReportAllocs()
 	c := circuits.MustISCAS85Like("c880")
@@ -305,4 +307,38 @@ func TestTopUpIdempotentOnFullCoverage(t *testing.T) {
 	if tu.Added != 0 || len(res.Vectors) != nVec {
 		t.Error("top-up modified a complete test set")
 	}
+}
+
+// Deterministic top-up: PODEM justification over the random-resistant
+// residue of the full c432 bridge universe. Metrics: new detections and
+// proofs per run.
+func BenchmarkATPGDeterministicTopUp(b *testing.B) {
+	b.ReportAllocs()
+	c := circuits.MustISCAS85Like("c432")
+	cfg := faults.DefaultConfig()
+	cfg.MaxBridges = 0
+	list := faults.Universe(c, cfg, rand.New(rand.NewSource(2)))
+	opt := DefaultOptions()
+	opt.MaxVectors = 256
+	opt.TargetCoverage = 1.0
+	base, err := Generate(c, list, opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var newDet, unsat int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res := &Result{
+			Vectors:    append([][]bool(nil), base.Vectors...),
+			Detections: append([]Detection(nil), base.Detections...),
+			Total:      base.Total,
+		}
+		tu, err := TopUp(c, list, res, 2000)
+		if err != nil {
+			b.Fatal(err)
+		}
+		newDet, unsat = tu.NewDetected, tu.ProvenUnsat
+	}
+	b.ReportMetric(float64(newDet), "newDetected")
+	b.ReportMetric(float64(unsat), "provenUnsat")
 }

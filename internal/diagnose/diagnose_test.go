@@ -225,3 +225,39 @@ func TestEstimateUnused(t *testing.T) {
 	}
 	_ = celllib.Default()
 }
+
+// Diagnostic resolution of on-chip per-module sensing vs one off-chip
+// measurement — the fault-location payoff of the BIC architecture
+// (paper reference [4]).
+func BenchmarkDiagnosticResolution(b *testing.B) {
+	b.ReportAllocs()
+	c := circuits.MustISCAS85Like("c432")
+	eprm := evolution.DefaultParams()
+	eprm.MaxGenerations = 60
+	eprm.StallGenerations = 20
+	res, err := core.SynthesizeContext(context.Background(), c, core.Options{Evolution: &eprm, ModuleSize: 40})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := faults.DefaultConfig()
+	cfg.MaxBridges = 300
+	list := faults.Universe(c, cfg, rand.New(rand.NewSource(1)))
+	gen, err := atpg.Generate(c, list, atpg.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	moduleOf := make([]int, c.NumGates())
+	for i := range moduleOf {
+		moduleOf[i] = res.Chip.ModuleOf(i)
+	}
+	b.ResetTimer()
+	var classes int
+	for i := 0; i < b.N; i++ {
+		dict, err := Build(c, moduleOf, list, gen.Vectors)
+		if err != nil {
+			b.Fatal(err)
+		}
+		classes = dict.Resolve().DistinctClasses
+	}
+	b.ReportMetric(float64(classes), "syndromeClasses")
+}

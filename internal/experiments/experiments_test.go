@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"context"
+	"encoding/csv"
+	"errors"
 	"strings"
 	"testing"
 
@@ -144,7 +146,7 @@ func TestC17TraceReachesOptimum(t *testing.T) {
 }
 
 func TestConvergenceHistoryDecreases(t *testing.T) {
-	res, err := Convergence(context.Background(), "c432", fastEvolution())
+	res, err := Convergence(context.Background(), "c432", 0, fastEvolution())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,9 +233,84 @@ func TestPessimismBound(t *testing.T) {
 	}
 }
 
+// C17Trace builds its own start population, and the start builder takes
+// no context, so it must check an already-cancelled one before building.
+func TestStartPopulationDriversHonourCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := C17Trace(ctx, 1); !errors.Is(err, context.Canceled) {
+		t.Errorf("C17Trace under a cancelled context: err = %v, want context.Canceled", err)
+	}
+}
+
 func TestTable1UnknownCircuit(t *testing.T) {
 	prm := fastEvolution()
 	if _, err := Table1(context.Background(), Table1Config{Circuits: []string{"c9999"}, Evolution: &prm}); err == nil {
 		t.Error("want error for unknown circuit")
+	}
+}
+
+func sampleRows() []Table1Row {
+	return []Table1Row{
+		{
+			Circuit: "c1908", Gates: 880, Modules: 5,
+			AreaStandard: 2.604e6, AreaEvolution: 2.205e6, AreaOverhead: 18.1,
+			DelayStandard: 2.19, DelayEvolution: 0.55,
+			TestStandard: 2.77, TestEvolution: 1.09,
+			CostStandard: 2385.47, CostEvolution: 746.99,
+			Generations: 250, Evaluations: 12008,
+		},
+		{
+			Circuit: "c6288", Gates: 1408, Modules: 8,
+			AreaStandard: 3.982e6, AreaEvolution: 3.999e6, AreaOverhead: -0.4,
+			DelayStandard: 2.86, DelayEvolution: 2.06,
+			TestStandard: 3.08, TestEvolution: 2.31,
+			CostStandard: 3090.63, CostEvolution: 2286.88,
+			Generations: 250, Evaluations: 12008,
+		},
+	}
+}
+
+func TestTable1CSV(t *testing.T) {
+	var sb strings.Builder
+	if err := Table1CSV(&sb, sampleRows()); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := csv.NewReader(strings.NewReader(sb.String())).ReadAll()
+	if err != nil {
+		t.Fatalf("emitted CSV does not parse: %v\n%s", err, sb.String())
+	}
+	if len(recs) != 3 {
+		t.Fatalf("records = %d, want header + 2", len(recs))
+	}
+	if recs[0][0] != "circuit" || len(recs[0]) != 14 {
+		t.Errorf("header = %v", recs[0])
+	}
+	if recs[1][0] != "c1908" || recs[2][0] != "c6288" {
+		t.Errorf("rows out of order: %v / %v", recs[1][0], recs[2][0])
+	}
+	if recs[1][5] != "18.1" {
+		t.Errorf("overhead field = %q", recs[1][5])
+	}
+}
+
+func TestTable1Markdown(t *testing.T) {
+	var sb strings.Builder
+	if err := Table1Markdown(&sb, sampleRows()); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	for _, want := range []string{"| circuit |", "| c1908 |", "18.1%", "| c6288 |", "-0.4%"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("markdown missing %q:\n%s", want, out)
+		}
+	}
+	// Every row has the same column count.
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	cols := strings.Count(lines[0], "|")
+	for i, l := range lines {
+		if strings.Count(l, "|") != cols {
+			t.Errorf("line %d has wrong column count: %s", i, l)
+		}
 	}
 }

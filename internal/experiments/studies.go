@@ -29,16 +29,11 @@ type ConvergenceResult struct {
 	History     []float64
 }
 
-// Convergence runs the evolution flow on one circuit and records the
-// best-cost trajectory.
-func Convergence(ctx context.Context, name string, prm evolution.Params) (*ConvergenceResult, error) {
-	return ConvergenceFrom(ctx, name, 0, prm)
-}
-
-// ConvergenceFrom is Convergence with an explicit start-partition module
-// size (0 = the §4.2 estimate). A deliberately fine start shows the full
+// Convergence runs the evolution flow on one circuit from start
+// partitions of module size startSize (0 = the §4.2 estimate) and records
+// the best-cost trajectory. A deliberately fine start shows the full
 // merge-and-refine trajectory even on circuits whose optimum is coarse.
-func ConvergenceFrom(ctx context.Context, name string, startSize int, prm evolution.Params) (*ConvergenceResult, error) {
+func Convergence(ctx context.Context, name string, startSize int, prm evolution.Params) (*ConvergenceResult, error) {
 	c, err := circuits.ISCAS85Like(name)
 	if err != nil {
 		return nil, err
@@ -78,13 +73,13 @@ type AblationResult struct {
 // descendants (the mechanism against local minima), from deliberately
 // fine starts so the optimizer has a full trajectory to differ on.
 func AblateMonteCarlo(ctx context.Context, name string, prm evolution.Params) (*AblationResult, error) {
-	base, err := ConvergenceFrom(ctx, name, ablationStartSize, prm)
+	base, err := Convergence(ctx, name, ablationStartSize, prm)
 	if err != nil {
 		return nil, err
 	}
 	noMC := prm
 	noMC.Chi = 0
-	variant, err := ConvergenceFrom(ctx, name, ablationStartSize, noMC)
+	variant, err := Convergence(ctx, name, ablationStartSize, noMC)
 	if err != nil {
 		return nil, err
 	}
@@ -94,20 +89,20 @@ func AblateMonteCarlo(ctx context.Context, name string, prm evolution.Params) (*
 	}, nil
 }
 
-// ablationStartSize is the fine start-partition granularity the ablation
-// and optimizer studies share.
+// ablationStartSize is the fine start-partition granularity of the
+// ablation studies.
 const ablationStartSize = 8
 
 // AblateLifetime measures the contribution of the maximum lifetime ω
 // (deleting stale elites) by making parents immortal.
 func AblateLifetime(ctx context.Context, name string, prm evolution.Params) (*AblationResult, error) {
-	base, err := ConvergenceFrom(ctx, name, ablationStartSize, prm)
+	base, err := Convergence(ctx, name, ablationStartSize, prm)
 	if err != nil {
 		return nil, err
 	}
 	immortal := prm
 	immortal.Omega = 1 << 30
-	variant, err := ConvergenceFrom(ctx, name, ablationStartSize, immortal)
+	variant, err := Convergence(ctx, name, ablationStartSize, immortal)
 	if err != nil {
 		return nil, err
 	}

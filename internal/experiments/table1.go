@@ -1,15 +1,20 @@
-// Package experiments regenerates every table and figure of the paper's
-// evaluation: Table 1 (standard vs evolution partitioning over the ISCAS85
-// benchmark set), figure 1 (the BIC sensor's PASS/FAIL behaviour),
-// figure 2 (the impact of group shape on sensor area in a 2-D cell array),
-// and the C17 evolution trace of figures 3-5 — plus the convergence and
-// ablation studies behind the §4-§5 claims. DESIGN.md maps each experiment
+// Package experiments regenerates the paper's artifacts and nothing else:
+// Table 1 (standard vs evolution partitioning over the ISCAS85 benchmark
+// set, rendered as text, CSV or Markdown), figure 1 (the BIC sensor's
+// PASS/FAIL behaviour), figure 2 (the impact of group shape on sensor
+// area in a 2-D cell array), the C17 evolution trace of figures 3-5, and
+// the studies behind the paper's text: §5 convergence, the §4 ablations,
+// the §3.1 pessimism bound and the §2 weight sweep. The extension studies
+// beyond the paper live in cmd/iddqstudy. DESIGN.md maps each experiment
 // to the modules it exercises; EXPERIMENTS.md records paper-vs-measured.
 package experiments
 
 import (
 	"context"
+	"encoding/csv"
 	"fmt"
+	"io"
+	"strconv"
 	"strings"
 
 	"iddqsyn/internal/circuits"
@@ -153,4 +158,55 @@ func FormatTable1(rows []Table1Row) string {
 			r.TestStandard, r.TestEvolution)
 	}
 	return sb.String()
+}
+
+// Table1CSV writes Table 1 rows as CSV with a header line.
+func Table1CSV(w io.Writer, rows []Table1Row) error {
+	cw := csv.NewWriter(w)
+	header := []string{
+		"circuit", "gates", "modules",
+		"area_standard", "area_evolution", "area_overhead_pct",
+		"delay_standard_pct", "delay_evolution_pct",
+		"test_standard_pct", "test_evolution_pct",
+		"cost_standard", "cost_evolution",
+		"generations", "evaluations",
+	}
+	if err := cw.Write(header); err != nil {
+		return err
+	}
+	fmtF := func(v float64) string { return strconv.FormatFloat(v, 'g', 8, 64) }
+	for _, r := range rows {
+		rec := []string{
+			r.Circuit,
+			strconv.Itoa(r.Gates),
+			strconv.Itoa(r.Modules),
+			fmtF(r.AreaStandard), fmtF(r.AreaEvolution), fmtF(r.AreaOverhead),
+			fmtF(r.DelayStandard), fmtF(r.DelayEvolution),
+			fmtF(r.TestStandard), fmtF(r.TestEvolution),
+			fmtF(r.CostStandard), fmtF(r.CostEvolution),
+			strconv.Itoa(r.Generations), strconv.Itoa(r.Evaluations),
+		}
+		if err := cw.Write(rec); err != nil {
+			return err
+		}
+	}
+	cw.Flush()
+	return cw.Error()
+}
+
+// Table1Markdown renders Table 1 rows as a GitHub-flavoured Markdown
+// table mirroring the paper's layout.
+func Table1Markdown(w io.Writer, rows []Table1Row) error {
+	var sb strings.Builder
+	sb.WriteString("| circuit | gates | modules | area (std) | area (evo) | overhead | delay std/evo | test std/evo |\n")
+	sb.WriteString("|---|---:|---:|---:|---:|---:|---:|---:|\n")
+	for _, r := range rows {
+		fmt.Fprintf(&sb, "| %s | %d | %d | %.3e | %.3e | %.1f%% | %.2f%% / %.2f%% | %.2f%% / %.2f%% |\n",
+			r.Circuit, r.Gates, r.Modules,
+			r.AreaStandard, r.AreaEvolution, r.AreaOverhead,
+			r.DelayStandard, r.DelayEvolution,
+			r.TestStandard, r.TestEvolution)
+	}
+	_, err := io.WriteString(w, sb.String())
+	return err
 }

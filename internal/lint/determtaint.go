@@ -316,7 +316,8 @@ func (st *taintState) objOf(id *ast.Ident) types.Object {
 // nondeterminism source: a source call, a call to a function with a
 // TaintedFact, or a tainted local. Arguments of exempt (observation)
 // calls are not inspected — their consumption is allowed — and the value
-// an exempt call returns is considered clean.
+// an exempt call returns is considered clean. So is a seed constructor's
+// value: the file-level seed check reports a tainted seed, once.
 func (st *taintState) exprTaint(expr ast.Expr) *TaintedFact {
 	if expr == nil {
 		return nil
@@ -329,8 +330,8 @@ func (st *taintState) exprTaint(expr ast.Expr) *TaintedFact {
 		switch nn := n.(type) {
 		case *ast.CallExpr:
 			callee := calleeFuncOf(st.t.pass, nn)
-			if st.t.isExempt(callee) {
-				return false // observation sink/source: prune
+			if st.t.isExempt(callee) || isSeedConstructor(callee) {
+				return false // observation sink/source, or a seed: prune
 			}
 			if fact := st.t.sourceFact(callee, nn.Pos()); fact != nil {
 				found = fact
@@ -607,11 +608,8 @@ func (t *taintChecker) reportFunc(fn fnInfo) {
 		switch nn := n.(type) {
 		case *ast.CallExpr:
 			callee := calleeFuncOf(t.pass, nn)
-			if t.isExempt(callee) {
-				return false // observation consumption: prune args
-			}
-			if isSeedConstructor(callee) {
-				return false // the file-level seed check reports a tainted seed
+			if t.isExempt(callee) || isSeedConstructor(callee) {
+				return false // observation consumption, or a seed the file-level check reports
 			}
 			if _, global := sourceName(callee); global {
 				return true

@@ -129,6 +129,13 @@ func clockSeeded() *rand.Rand {
 	return rand.New(rand.NewSource(time.Now().UnixNano())) // want `^rand source seeded from time\.Now is not reproducible`
 }
 
+// clockSeededLocal routes the wall-clock seed through a local: still
+// reported once, by the seed check, not again where the stream escapes.
+func clockSeededLocal() *rand.Rand {
+	src := rand.NewSource(time.Now().UnixNano()) // want `^rand source seeded from time\.Now is not reproducible`
+	return rand.New(src)
+}
+
 // fixedSeed consumes the dependency's deterministic function: silent.
 func fixedSeed() int64 {
 	return clocksrc.Fixed()

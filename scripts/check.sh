@@ -25,6 +25,15 @@ echo "== go vet ./..."
 go vet ./...
 echo "== go build ./..."
 go build ./...
+# The paper path links only the paper: Table 1 needs none of the
+# extension-study packages, which cmd/iddqstudy alone imports.
+echo "== dependency fence (go list -deps ./cmd/table1)"
+fenced="$(go list -deps ./cmd/table1 |
+    grep -E '^iddqsyn/internal/(anneal|atpg|podem|deltaiddq|seq|techmap|yield|report)$' || true)"
+test -z "$fenced" || {
+    echo "check: cmd/table1 links extension-study packages:" $fenced >&2
+    exit 1
+}
 # cmd/iddqbench is its own module (it replaces iddqsyn with this checkout),
 # so the root ./... patterns skip it; vet it separately so an exported-API
 # change cannot break the benchmark unnoticed.
