@@ -287,10 +287,42 @@ func BenchmarkBICDelayRepropagate(b *testing.B) {
 // size 8: Clone an evaluated parent, move one boundary gate into a
 // connected module, and Cost() the clone. Unlike
 // BenchmarkBICDelayRepropagate, which moves one partition back and forth,
-// it pays for what the descendant loop copies: the module list, the
-// gate→module index and the clone's arrival times.
+// it pays for what the descendant loop copies: the module list (one
+// pointer per module), the gate→module index's page pointers and the
+// pages the move writes, the two replacement module records and the
+// clone's arrival-time patch.
 func BenchmarkDescendant_C7552(b *testing.B) {
 	b.ReportAllocs()
+	p := evaluatedC7552(b)
+	rng := rand.New(rand.NewSource(7))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := p.Clone()
+		moveOneGate(b, q, rng)
+		_ = q.Cost()
+	}
+}
+
+// BenchmarkClone_C7552 is the partition clone layer alone: Clone of an
+// evaluated c7552 partition at module size 8 (~440 modules), the copy
+// every descendant starts with. Its B/op is what a clone copies. The
+// clones go to cloneSink so that, as in the descendant loop, they reach
+// the heap.
+func BenchmarkClone_C7552(b *testing.B) {
+	b.ReportAllocs()
+	p := evaluatedC7552(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cloneSink = p.Clone()
+	}
+}
+
+var cloneSink *partition.Partition
+
+// evaluatedC7552 returns c7552's standard partition at module size 8,
+// evaluated as every selected parent of the descendant loop is.
+func evaluatedC7552(b *testing.B) *partition.Partition {
+	b.Helper()
 	a, err := celllib.Annotate(circuits.MustISCAS85Like("c7552"), celllib.Default())
 	if err != nil {
 		b.Fatal(err)
@@ -301,14 +333,8 @@ func BenchmarkDescendant_C7552(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p.Cost() // the parent is evaluated, as every selected individual is
-	rng := rand.New(rand.NewSource(7))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := p.Clone()
-		moveOneGate(b, q, rng)
-		_ = q.Cost()
-	}
+	p.Cost()
+	return p
 }
 
 // moveBackAndForth times one boundary gate moved into a connected module,

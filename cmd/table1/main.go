@@ -18,8 +18,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -30,15 +32,33 @@ import (
 )
 
 func main() {
-	circuitsFlag := flag.String("circuits", "", "comma-separated circuit subset (default: all of Table 1)")
-	gens := flag.Int("gens", 0, "override evolution generation budget")
-	seed := flag.Int64("seed", 1, "evolution seed")
-	timeout := flag.Duration("timeout", 0, "wall-clock budget (0 = none)")
-	csvPath := flag.String("csv", "", "also write the rows as CSV to this file")
-	mdPath := flag.String("md", "", "also write the rows as a Markdown table to this file")
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: it parses args, writes the table and the
+// per-row summaries to stdout and diagnostics to stderr, and returns the
+// exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("table1", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	circuitsFlag := fs.String("circuits", "", "comma-separated circuit subset (default: all of Table 1)")
+	gens := fs.Int("gens", 0, "override evolution generation budget")
+	seed := fs.Int64("seed", 1, "evolution seed")
+	timeout := fs.Duration("timeout", 0, "wall-clock budget (0 = none)")
+	csvPath := fs.String("csv", "", "also write the rows as CSV to this file")
+	mdPath := fs.String("md", "", "also write the rows as a Markdown table to this file")
 	var oc obscli.Config
-	oc.Register(flag.CommandLine)
-	flag.Parse()
+	oc.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return runctl.ExitOK
+		}
+		return runctl.ExitUsage
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "table1:", err)
+		return runctl.ExitFailure
+	}
 
 	cfg := experiments.Table1Config{}
 	if *circuitsFlag != "" {
@@ -51,46 +71,42 @@ func main() {
 	}
 	cfg.Evolution = &prm
 
-	orun, err := oc.Start(os.Stderr)
+	orun, err := oc.Start(stderr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "table1:", err)
-		os.Exit(1)
+		return fail(err)
 	}
 
 	ctx, cancelTimeout := runctl.WithTimeout(context.Background(), *timeout)
 	defer cancelTimeout()
-	ctx, stop := runctl.WithSignalsObs(ctx, os.Stderr, orun.Obs)
+	ctx, stop := runctl.WithSignalsObs(ctx, stderr, orun.Obs)
 	defer stop()
 	ctx = obs.NewContext(ctx, orun.Obs)
 
 	rows, err := experiments.Table1(ctx, cfg)
 	ferr := orun.Finish("table1")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "table1:", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	if ferr != nil {
-		fmt.Fprintln(os.Stderr, "table1:", ferr)
-		os.Exit(1)
+		return fail(ferr)
 	}
-	fmt.Print(experiments.FormatTable1(rows))
-	fmt.Println()
+	fmt.Fprint(stdout, experiments.FormatTable1(rows))
+	fmt.Fprintln(stdout)
 	for _, r := range rows {
-		fmt.Printf("%s: evolution converged in %d generations (%d evaluations); weighted cost %.6g vs standard %.6g\n",
+		fmt.Fprintf(stdout, "%s: evolution converged in %d generations (%d evaluations); weighted cost %.6g vs standard %.6g\n",
 			r.Circuit, r.Generations, r.Evaluations, r.CostEvolution, r.CostStandard)
 	}
 	if *csvPath != "" {
 		if err := writeFile(*csvPath, func(f *os.File) error { return experiments.Table1CSV(f, rows) }); err != nil {
-			fmt.Fprintln(os.Stderr, "table1:", err)
-			os.Exit(1)
+			return fail(err)
 		}
 	}
 	if *mdPath != "" {
 		if err := writeFile(*mdPath, func(f *os.File) error { return experiments.Table1Markdown(f, rows) }); err != nil {
-			fmt.Fprintln(os.Stderr, "table1:", err)
-			os.Exit(1)
+			return fail(err)
 		}
 	}
+	return runctl.ExitOK
 }
 
 func writeFile(path string, emit func(*os.File) error) error {

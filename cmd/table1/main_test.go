@@ -1,0 +1,56 @@
+package main
+
+import (
+	"bytes"
+	"flag"
+	"io"
+	"os"
+	"testing"
+)
+
+var update = flag.Bool("update", false, "rewrite EXPERIMENTS.md's Table 1 block from the current output")
+
+const (
+	experimentsDoc = "../../EXPERIMENTS.md"
+	blockBegin     = "<!-- table1 stdout begin: generated by `go test ./cmd/table1 -run ExperimentsBlock -update` -->\n"
+	blockEnd       = "<!-- table1 stdout end -->\n"
+)
+
+// TestExperimentsBlock runs the command with its defaults (the six Table 1
+// circuits, 250 generations, seed 1) and requires its stdout to equal the
+// code block between EXPERIMENTS.md's table1 markers byte for byte, so the
+// documented table is the one the code produces. It takes ~5 s and is
+// skipped under -short. Regenerate the block with
+// `go test ./cmd/table1 -run ExperimentsBlock -update`, and only with a
+// stated reason: a changed block means a Table 1 figure moved.
+func TestExperimentsBlock(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs all six Table 1 rows (~5 s)")
+	}
+	var stdout bytes.Buffer
+	if code := run(nil, &stdout, io.Discard); code != 0 {
+		t.Fatalf("exit status %d, want 0", code)
+	}
+	doc, err := os.ReadFile(experimentsDoc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	begin := bytes.Index(doc, []byte(blockBegin))
+	end := bytes.Index(doc, []byte(blockEnd))
+	if begin < 0 || end < begin {
+		t.Fatalf("%s has no %q ... %q block", experimentsDoc, blockBegin, blockEnd)
+	}
+	begin += len(blockBegin)
+	want := "```\n" + stdout.String() + "```\n"
+	if *update {
+		out := append(append(append([]byte(nil), doc[:begin]...), want...), doc[end:]...)
+		if err := os.WriteFile(experimentsDoc, out, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote the Table 1 block of %s", experimentsDoc)
+		return
+	}
+	if got := string(doc[begin:end]); got != want {
+		t.Errorf("%s's Table 1 block differs from `go run ./cmd/table1` (regenerate with -update):\ngot\n%s\nwant\n%s", experimentsDoc, got, want)
+	}
+}

@@ -7,8 +7,10 @@ package partition_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -230,7 +232,14 @@ func pickMove(p *partition.Partition, r *opReader, kind int) (gates []int, from,
 //     descendant twice, moves and evaluates both siblings, checks both
 //     costs against the oracle and continues on one of them, so the
 //     arrival-time patch grows, rebases to a fresh base and is shared by
-//     the siblings of every link.
+//     the siblings of every link;
+//   - 7: a family of clones that share records and index pages. Clones
+//     are made of the walk's partition and of earlier clones, and moves
+//     (module deletions included) land on any member, parent or clone,
+//     after the clones were made. Each move must leave every other
+//     member's ModuleOf, Groups and cost bits as they were, and Verify
+//     must pass on the moved member and on each other one; the walk
+//     continues on one member.
 func FuzzDeltaCost(f *testing.F) {
 	f.Add(uint8(0), []byte{0, 3, 0, 1, 1, 0, 5, 2, 1, 1, 2, 4, 0, 0, 3, 7, 1, 2, 1, 0})
 	f.Add(uint8(0), []byte{2, 0, 1, 0, 2, 1, 0, 0, 2, 5, 1, 1, 3, 2, 0, 0, 0, 1, 9, 2, 0, 3, 1})
@@ -242,6 +251,9 @@ func FuzzDeltaCost(f *testing.F) {
 	f.Add(uint8(2), []byte{0, 40, 1, 2, 0, 5, 0, 123, 0, 1, 1, 4, 0, 77, 2, 0, 0, 3, 5, 1, 200, 0, 0, 1, 0, 2, 9, 1, 0, 0})
 	f.Add(uint8(2), chainInput(1))
 	f.Add(uint8(3), chainInput(2))
+	f.Add(uint8(0), []byte{7, 5, 0, 0, 1, 0, 3, 2, 1, 0, 1, 1, 0, 2, 1, 0, 4, 0, 1, 0, 2, 0, 0, 1, 1, 0, 0, 3, 1, 2, 0, 1, 0})
+	f.Add(uint8(1), []byte{7, 4, 0, 1, 1, 1, 2, 9, 0, 0, 0, 1, 0, 2, 2, 0, 1, 1, 1, 0, 5, 1, 0, 0, 2, 7, 1, 3, 0, 1, 2, 0})
+	f.Add(uint8(2), []byte{7, 5, 0, 0, 1, 0, 90, 0, 1, 0, 3, 0, 1, 1, 2, 44, 0, 0, 1, 0, 1, 0, 2, 200, 1, 1, 0, 0, 1})
 	f.Fuzz(func(t *testing.T, circuit uint8, ops []byte) {
 		e := deltaEstimator(t, int(circuit))
 		p := deltaStart(t, int(circuit))
@@ -255,7 +267,7 @@ func FuzzDeltaCost(f *testing.F) {
 		const maxSteps = 48
 		chained := false
 		for step := 0; step < maxSteps && len(r.b) > 0 && p.NumModules() > 1; step++ {
-			switch kind := r.next(7); kind {
+			switch kind := r.next(8); kind {
 			case 3:
 				before, beforeCost := snapshot(p)
 				child := p.Clone()
@@ -292,6 +304,34 @@ func FuzzDeltaCost(f *testing.F) {
 					}
 					p = sib[r.next(2)]
 				}
+			case 7:
+				family := []*partition.Partition{p}
+				for n := 2 + r.next(7); n > 0; n-- {
+					if r.next(2) == 0 {
+						family = append(family, family[r.next(len(family))].Clone())
+						continue
+					}
+					mi := r.next(len(family))
+					if family[mi].NumModules() < 2 {
+						continue
+					}
+					before := make([]view, len(family))
+					for i, q := range family {
+						if i != mi {
+							before[i] = viewOf(q)
+						}
+					}
+					move(family[mi], r.next(3), step)
+					if err := family[mi].Verify(); err != nil {
+						t.Fatalf("step %d: moved family member %d: %v", step, mi, err)
+					}
+					for i, q := range family {
+						if i != mi {
+							checkView(t, q, before[i], fmt.Sprintf("step %d: moving family member %d, member %d", step, mi, i))
+						}
+					}
+				}
+				p = family[r.next(len(family))]
 			default:
 				move(p, kind, step)
 			}
@@ -314,6 +354,44 @@ func chainInput(seed int64) []byte {
 		b = append(b, byte(rng.Intn(256)))
 	}
 	return b
+}
+
+// view is what moving one partition must not change in another that
+// shares its module records and index pages: every gate's module, the
+// groups and the cost bits.
+type view struct {
+	moduleOf []int
+	groups   [][]int
+	cost     [9]uint64
+}
+
+func viewOf(p *partition.Partition) view {
+	v := view{groups: p.Groups(), cost: costBits(p.Costs())}
+	for g := range p.E.A.Circuit.NumGates() {
+		v.moduleOf = append(v.moduleOf, p.ModuleOf(g))
+	}
+	return v
+}
+
+// checkView asserts that p still passes Verify and shows the view taken
+// before another partition moved; what names the move.
+func checkView(t *testing.T, p *partition.Partition, before view, what string) {
+	t.Helper()
+	if err := p.Verify(); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	after := viewOf(p)
+	for g, m := range before.moduleOf {
+		if after.moduleOf[g] != m {
+			t.Fatalf("%s: ModuleOf(%d) changed from %d to %d", what, g, m, after.moduleOf[g])
+		}
+	}
+	if !slices.EqualFunc(before.groups, after.groups, slices.Equal) {
+		t.Fatalf("%s: groups changed", what)
+	}
+	if before.cost != after.cost {
+		t.Fatalf("%s: cost bits changed", what)
+	}
 }
 
 // checkParent asserts that p's cached terms and costs still equal a
@@ -387,6 +465,33 @@ func TestDescendantChainArrivalLayout(t *testing.T) {
 	}
 }
 
+// maxCloneBytes bounds what one Clone of an evaluated c7552 partition at
+// module size 8 allocates: the partition header, one pointer per module
+// and one per page of the gate→module index, ~4.8 kB. A Clone that also
+// copies the index itself and two words per module (~24.8 kB once) fails.
+const maxCloneBytes = 8 << 10
+
+// One Clone of an evaluated c7552 partition at module size 8 must
+// allocate at most maxCloneBytes, averaged over a batch of clones that
+// stay reachable, as the descendant loop's do.
+func TestCloneAllocBytes(t *testing.T) {
+	p := deltaStart(t, 2)
+	p.Costs()
+	clones := make([]*partition.Partition, 64)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range clones {
+		clones[i] = p.Clone()
+	}
+	runtime.ReadMemStats(&after)
+	perClone := (after.TotalAlloc - before.TotalAlloc) / uint64(len(clones))
+	t.Logf("Clone of %d modules: %d B", p.NumModules(), perClone)
+	if perClone > maxCloneBytes {
+		t.Errorf("one Clone allocates %d B, want <= %d", perClone, maxCloneBytes)
+	}
+	runtime.KeepAlive(clones)
+}
+
 // Clones of one evaluated parent share its module records, base vector
 // and patch. Moving and evaluating eight of them on eight goroutines, and
 // cloning the parent again afterwards, must write none of these: every
@@ -442,4 +547,38 @@ func TestConcurrentDescendantsShareParent(t *testing.T) {
 	again := p.Clone()
 	mustMoveRandomBoundary(t, again, rng)
 	checkExact(t, e, again, workers)
+}
+
+// Clones of a parent with an unevaluated move share the move's two new
+// module records before any of them has an estimate. Evaluating eight
+// such clones on eight goroutines fills each shared record's estimate
+// once: every clone must end up holding the same estimate for every
+// module and costs equal to a from-scratch evaluation. Run it under the
+// race detector.
+func TestConcurrentEvaluationsShareRecordEstimates(t *testing.T) {
+	e := deltaEstimator(t, 2)
+	p := deltaStart(t, 2)
+	p.Costs()
+	mustMoveRandomBoundary(t, p, rand.New(rand.NewSource(3)))
+	kids := make([]*partition.Partition, 8)
+	for i := range kids {
+		kids[i] = p.Clone()
+	}
+	var wg sync.WaitGroup
+	for _, q := range kids {
+		wg.Add(1)
+		go func(q *partition.Partition) {
+			defer wg.Done()
+			q.PenalisedCost()
+		}(q)
+	}
+	wg.Wait()
+	for i, q := range kids {
+		for mi := 0; mi < q.NumModules(); mi++ {
+			if q.ModuleEstimate(mi) != p.ModuleEstimate(mi) {
+				t.Fatalf("clone %d: module %d holds its own estimate, not the shared record's", i, mi)
+			}
+		}
+		checkCosts(t, e, q, i)
+	}
 }

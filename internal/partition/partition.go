@@ -13,14 +13,20 @@
 // modules invalidates only the touched modules' estimates, so the
 // evolution algorithm of §4 can evaluate descendants cheaply ("costs are
 // recomputed just for the modified modules"). The descendant loop clones
-// and discards thousands of partitions per generation, so a descendant
-// copies only what it changes: each module is one pointer to an immutable
-// record (sorted gate set, S(M), n(t)) plus its cached estimate, and
-// MoveGates replaces the touched modules' records instead of editing
-// them, which lets Clone share every unmodified record and every cached
-// estimate copy-on-write style. The D_BIC arrival times are likewise a
-// shared immutable base vector plus a sorted sparse patch of the
-// positions that differ from it.
+// and discards thousands of partitions per generation, so a clone copies
+// O(modules + pages) words and a move copies only what it writes:
+//   - each module is one pointer to an immutable record (stable id,
+//     sorted gate set, S(M), n(t)) that also caches its estimate, so
+//     clones share every unmodified record and every computed estimate;
+//     MoveGates replaces the touched modules' records instead of editing
+//     them;
+//   - the gate→module index maps gates to module ids in fixed-size,
+//     immutable pages; a clone copies the page pointers, and MoveGates
+//     copies each page it writes. Ids ascend with the module index and
+//     survive the deletion of other modules, so deleting a module never
+//     renumbers a gate;
+//   - the D_BIC arrival times are a shared immutable base vector plus a
+//     sorted sparse patch of the positions that differ from it.
 package partition
 
 import (
@@ -30,6 +36,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"iddqsyn/internal/circuit"
 	"iddqsyn/internal/estimate"
@@ -94,28 +101,38 @@ func (cv CostVector) Weighted(w Weights) float64 {
 		w.Modules*cv.Modules
 }
 
-// moduleState is one module of the partition: two words, so that Clone
-// copies little per module. rec is the module's membership and integer
-// terms; together with Partition.moduleOf it is the source of truth for
-// membership. The record is immutable once assigned: MoveGates builds
-// replacement records for the touched modules, so clones and cached
-// estimates (whose Gates and Activity fields alias it) can share it
-// safely.
-type moduleState struct {
-	rec *moduleRecord
-	// est caches the estimator output; nil after a move touched this
-	// module. Immutable once computed, so clones share it.
-	est *estimate.Module
-}
-
-// moduleRecord is a module's gate set as ascending IDs and its §3 integer
-// terms S(M) and n(t), counted once by New and kept exact by MoveGates'
-// per-gate deltas.
+// moduleRecord is one module: its stable id, its gate set as ascending
+// IDs and its §3 integer terms S(M) and n(t), counted once by New and
+// kept exact by MoveGates' per-gate deltas. A record is immutable once
+// built: MoveGates builds replacement records for the touched modules,
+// so clones and cached estimates (whose Gates and Activity fields alias
+// it) can share it safely.
 type moduleRecord struct {
+	id    int32
 	gates []int
 	sep   int
 	act   []int
+	// est caches the estimator output for these gates. Clones share the
+	// record, so evaluations on different goroutines may fill it at once;
+	// each computes the same bits and the first compare-and-swap wins.
+	est atomic.Pointer[estimate.Module]
 }
+
+// The gate→module index stores each gate's module id in pages of
+// pageSize consecutive gate IDs. A page is immutable once a partition
+// can share it: Clone copies the page pointers only, and MoveGates
+// writes to a fresh copy of each page it touches. A clone thus copies
+// one pointer per page, and a move one page per page it writes. Of 64,
+// 256 and 1024 gates per page, 64 allocated least and was as fast as
+// 256 within the measurement's noise (see DESIGN.md §5).
+const (
+	pageShift = 6
+	pageSize  = 1 << pageShift
+)
+
+// gatePage holds the module ids of pageSize consecutive gates: -1 for
+// primary inputs and past the last gate.
+type gatePage [pageSize]int32
 
 // patchEntry is one arrival time that differs from a partition's base
 // vector: the arrival at sweep position pos.
@@ -138,8 +155,12 @@ type Partition struct {
 	W    Weights
 	Cons Constraints
 
-	modules  []moduleState
-	moduleOf []int32 // gate ID -> module index; -1 for inputs (int32 halves what Clone copies)
+	// modules lists the module records in ascending id order; pages maps
+	// each gate to its module's id. Clone copies both lists; the pages and
+	// the records they point to are never written in place, except for a
+	// record's estimate cache.
+	modules []*moduleRecord
+	pages   []*gatePage
 
 	// The D_BIC arrival time at each sweep position as of the last Costs
 	// evaluation is base, overridden at the ascending positions of patch;
@@ -162,21 +183,26 @@ type Partition struct {
 // non-empty, disjoint, contain only logic gates, and cover the circuit.
 func New(e *estimate.Estimator, groups [][]int, w Weights, cons Constraints) (*Partition, error) {
 	c := e.A.Circuit
+	pages := make([]gatePage, (c.NumGates()+pageSize-1)/pageSize)
 	p := &Partition{
 		E: e, W: w, Cons: cons,
-		moduleOf: make([]int32, c.NumGates()),
+		pages: make([]*gatePage, len(pages)),
 	}
-	for i := range p.moduleOf {
-		p.moduleOf[i] = -1
+	for i := range pages {
+		for j := range pages[i] {
+			pages[i][j] = -1
+		}
+		p.pages[i] = &pages[i]
 	}
 	covered := 0
 	recs := make([]moduleRecord, len(groups))
-	p.modules = make([]moduleState, len(groups))
+	p.modules = make([]*moduleRecord, len(groups))
 	for mi, gates := range groups {
 		if len(gates) == 0 {
 			return nil, fmt.Errorf("partition: module %d is empty", mi)
 		}
 		rec := &recs[mi]
+		rec.id = int32(mi)
 		rec.gates = make([]int, 0, len(gates))
 		for _, g := range gates {
 			if g < 0 || g >= c.NumGates() {
@@ -185,23 +211,42 @@ func New(e *estimate.Estimator, groups [][]int, w Weights, cons Constraints) (*P
 			if c.Gates[g].Type == circuit.Input {
 				return nil, fmt.Errorf("partition: module %d contains primary input %q", mi, c.Gates[g].Name)
 			}
-			if p.moduleOf[g] != -1 {
+			if p.idOf(g) != -1 {
 				return nil, fmt.Errorf("partition: gate %q assigned twice", c.Gates[g].Name)
 			}
 			rec.gates = append(rec.gates, g)
-			p.moduleOf[g] = int32(mi)
+			p.pages[g>>pageShift][g&(pageSize-1)] = rec.id
 			covered++
 		}
 		sort.Ints(rec.gates)
-		p.modules[mi].rec = rec
+		p.modules[mi] = rec
 	}
 	if covered != c.NumLogicGates() {
 		return nil, fmt.Errorf("partition: covers %d of %d logic gates", covered, c.NumLogicGates())
 	}
-	for _, ms := range p.modules {
-		ms.rec.sep, ms.rec.act = e.ModuleCounts(ms.rec.gates)
+	for _, rec := range p.modules {
+		rec.sep, rec.act = e.ModuleCounts(rec.gates)
 	}
 	return p, nil
+}
+
+// idOf returns the id of gate g's module (-1 for primary inputs).
+func (p *Partition) idOf(g int) int32 { return p.pages[g>>pageShift][g&(pageSize-1)] }
+
+// indexOf returns the index of the module with the given id. Ids ascend
+// with the index and deletions only remove ids, so the index is at most
+// the id and a binary search over the module list finds it.
+func (p *Partition) indexOf(id int32) int {
+	lo, hi := 0, min(len(p.modules), int(id)+1)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if p.modules[mid].id < id {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // NumModules returns K.
@@ -211,14 +256,20 @@ func (p *Partition) NumModules() int { return len(p.modules) }
 // returns the extended slice; AppendModuleGates(nil, mi) is a fresh copy
 // the caller may modify.
 func (p *Partition) AppendModuleGates(dst []int, mi int) []int {
-	return append(dst, p.modules[mi].rec.gates...)
+	return append(dst, p.modules[mi].gates...)
 }
 
 // ModuleSize returns the number of gates in module mi.
-func (p *Partition) ModuleSize(mi int) int { return len(p.modules[mi].rec.gates) }
+func (p *Partition) ModuleSize(mi int) int { return len(p.modules[mi].gates) }
 
 // ModuleOf returns the module index of a gate (-1 for primary inputs).
-func (p *Partition) ModuleOf(gate int) int { return int(p.moduleOf[gate]) }
+func (p *Partition) ModuleOf(gate int) int {
+	id := p.idOf(gate)
+	if id < 0 {
+		return -1
+	}
+	return p.indexOf(id)
+}
 
 // Groups returns the whole partition as gate-ID groups.
 func (p *Partition) Groups() [][]int {
@@ -230,28 +281,34 @@ func (p *Partition) Groups() [][]int {
 }
 
 // ModuleEstimate returns the (cached) estimator output for module mi.
+// The cache sits in the module's record, which clones share, so it is
+// filled by compare-and-swap: concurrent evaluations of clones that share
+// an unevaluated record compute the same bits, and all of them return
+// the one that was stored first.
 func (p *Partition) ModuleEstimate(mi int) *estimate.Module {
-	ms := &p.modules[mi]
-	if ms.est == nil {
-		ms.est = p.E.FinishModule(ms.rec.gates, ms.rec.sep, ms.rec.act)
+	rec := p.modules[mi]
+	if m := rec.est.Load(); m != nil {
+		return m
 	}
-	return ms.est
+	rec.est.CompareAndSwap(nil, p.E.FinishModule(rec.gates, rec.sep, rec.act))
+	return rec.est.Load()
 }
 
-// Clone returns a deep copy sharing the immutable estimator. Module
-// records, cached estimates and the arrival times are shared
-// copy-on-write style: a move replaces the touched modules' records
-// instead of editing them, and Costs stores a fresh patch or base, so a
-// clone's mutation never reaches its siblings. The descendant loop of the
-// evolution strategy clones every parent λ+χ times per generation, which
-// makes this the optimizer's hottest allocation site — it allocates only
-// the module list (two words per module) and the gate→module index (and
-// the touched list when the parent has unevaluated moves).
+// Clone returns a deep copy sharing the immutable estimator. It copies
+// one pointer per module and one per page of the gate→module index (and
+// the touched list when the receiver has unevaluated moves); module
+// records, their cached estimates, index pages and arrival times are
+// shared copy-on-write style. A move replaces the touched modules'
+// records and copies the pages it writes, and Costs stores a fresh patch
+// or base, so a clone's mutation never reaches its siblings or its
+// parent, nor theirs the clone. Clone only reads its receiver, so a
+// parent can be cloned while its earlier clones are moved or evaluated
+// on other goroutines.
 func (p *Partition) Clone() *Partition {
 	return &Partition{
 		E: p.E, W: p.W, Cons: p.Cons,
-		modules:   append([]moduleState(nil), p.modules...),
-		moduleOf:  append([]int32(nil), p.moduleOf...),
+		modules:   append([]*moduleRecord(nil), p.modules...),
+		pages:     append([]*gatePage(nil), p.pages...),
 		base:      p.base,
 		patch:     p.patch,
 		touched:   append([]int(nil), p.touched...),
@@ -279,7 +336,9 @@ func (p *Partition) Clone() *Partition {
 // each t ∈ T(g). Updating the terms therefore costs
 // O(|N(g)| + |T(g)|) per moved gate instead of a recount of both modules;
 // only the copy-on-write records' gate lists and profiles are copied
-// whole.
+// whole, plus one page of the gate→module index per page the moved gates
+// sit on. The moved gates take the target's module id, which no deletion
+// changes, so deleting the emptied source rewrites no gate entry.
 func (p *Partition) MoveGates(gates []int, from, to int) (int, error) {
 	if from == to {
 		return to, fmt.Errorf("partition: move within module %d", from)
@@ -287,10 +346,9 @@ func (p *Partition) MoveGates(gates []int, from, to int) (int, error) {
 	if from < 0 || from >= len(p.modules) || to < 0 || to >= len(p.modules) {
 		return to, fmt.Errorf("partition: module index out of range (%d -> %d)", from, to)
 	}
-	src, dst := &p.modules[from], &p.modules[to]
-	from32, to32 := int32(from), int32(to)
+	sc, dc := p.modules[from], p.modules[to]
 	for _, g := range gates {
-		if p.moduleOf[g] != from32 {
+		if p.idOf(g) != sc.id {
 			return to, fmt.Errorf("partition: gate %d not in module %d", g, from)
 		}
 	}
@@ -299,7 +357,6 @@ func (p *Partition) MoveGates(gates []int, from, to int) (int, error) {
 	// values, both of which rely on them never changing.
 	// The two profiles share one allocation; each is capped at its own
 	// length, so neither can grow into the other.
-	sc, dc := src.rec, dst.rec
 	//lint:ignore hotalloc copy-on-write by design: cached estimates alias the old profiles as their Activity
 	acts := make([]int, len(sc.act)+len(dc.act))
 	srcAct, dstAct := acts[:len(sc.act):len(sc.act)], acts[len(sc.act):]
@@ -308,18 +365,20 @@ func (p *Partition) MoveGates(gates []int, from, to int) (int, error) {
 	rho, ts := p.E.P.Rho, p.E.TS
 	srcSep, dstSep := sc.sep, dc.sep
 	srcLen, dstLen := len(sc.gates), len(dc.gates)
+	var copiedBuf [4]int
+	copied := copiedBuf[:0] // the index pages this move has copied
 	for _, g := range gates {
-		if p.moduleOf[g] == to32 {
+		if p.idOf(g) == dc.id {
 			continue // duplicate in the argument list
 		}
 		nearSrc, nearDst := 0, 0
 		nbrs, weights := p.E.Neighborhood(g)
 		for i, nb := range nbrs {
-			m, near := p.moduleOf[nb], int(weights[i])
-			if m == from32 {
+			m, near := p.idOf(int(nb)), int(weights[i])
+			if m == sc.id {
 				nearSrc += near
 			}
-			if m == to32 {
+			if m == dc.id {
 				nearDst += near
 			}
 		}
@@ -329,30 +388,42 @@ func (p *Partition) MoveGates(gates []int, from, to int) (int, error) {
 		dstLen++
 		ts.AddActivity(srcAct, g, -1)
 		ts.AddActivity(dstAct, g, 1)
-		p.moduleOf[g] = to32
+		pg := g >> pageShift
+		if !slices.Contains(copied, pg) {
+			//lint:ignore hotalloc copy-on-write by design: clones may share the old page, so each move writes a copy of it
+			fresh := new(gatePage)
+			*fresh = *p.pages[pg]
+			p.pages[pg] = fresh
+			//lint:ignore hotalloc a move spans few pages, which the stack buffer above holds
+			copied = append(copied, pg)
+		}
+		p.pages[pg][g&(pageSize-1)] = dc.id
 	}
 	// One pass over the sorted source splits it into the gates that stay
-	// and the moved ones, which merge into the sorted target.
-	//lint:ignore hotalloc copy-on-write by design: a fresh, exactly-sized slice keeps clones and cached estimates valid
-	newSrc := make([]int, 0, srcLen)
-	//lint:ignore hotalloc copy-on-write by design (see newSrc above)
-	newDst := make([]int, 0, dstLen)
-	di := 0
+	// and the moved ones, which merge into the sorted target. Like the
+	// profiles, the two lists share one allocation, each capped at its
+	// own length.
+	//lint:ignore hotalloc copy-on-write by design: fresh, exactly-sized lists keep clones and cached estimates valid
+	lists := make([]int, srcLen+dstLen)
+	newSrc, newDst := lists[:srcLen:srcLen], lists[srcLen:]
+	si, di, dj := 0, 0, 0
 	for _, g := range sc.gates {
-		if p.moduleOf[g] == from32 {
-			newSrc = append(newSrc, g)
+		if p.idOf(g) == sc.id {
+			newSrc[si], si = g, si+1
 			continue
 		}
-		for ; di < len(dc.gates) && dc.gates[di] < g; di++ {
-			newDst = append(newDst, dc.gates[di])
+		for ; di < len(dc.gates) && dc.gates[di] < g; di, dj = di+1, dj+1 {
+			newDst[dj] = dc.gates[di]
 		}
-		newDst = append(newDst, g)
+		newDst[dj], dj = g, dj+1
 	}
-	newDst = append(newDst, dc.gates[di:]...)
+	copy(newDst[dj:], dc.gates[di:])
 	//lint:ignore hotalloc copy-on-write by design: clones keep the old records; both new ones share one allocation
-	recs := &[2]moduleRecord{{newSrc, srcSep, srcAct}, {newDst, dstSep, dstAct}}
-	src.rec, src.est = &recs[0], nil
-	dst.rec, dst.est = &recs[1], nil
+	recs := &[2]moduleRecord{
+		{id: sc.id, gates: newSrc, sep: srcSep, act: srcAct},
+		{id: dc.id, gates: newDst, sep: dstSep, act: dstAct},
+	}
+	p.modules[from], p.modules[to] = &recs[0], &recs[1]
 	p.touch(from)
 	p.touch(to)
 	p.costValid = false
@@ -374,15 +445,11 @@ func (p *Partition) touch(mi int) {
 	}
 }
 
-// deleteModule removes module mi, shifting the indices above it down in
-// moduleOf and in the touched list.
+// deleteModule removes module mi from the module list and shifts the
+// indices above it down in the touched list. Gates map to module ids,
+// which the deletion leaves as they are.
 func (p *Partition) deleteModule(mi int) {
 	p.modules = slices.Delete(p.modules, mi, mi+1)
-	for g, m := range p.moduleOf {
-		if m > int32(mi) {
-			p.moduleOf[g] = m - 1
-		}
-	}
 	kept := 0
 	for _, t := range p.touched {
 		if t == mi {
@@ -410,9 +477,10 @@ func (p *Partition) BoundaryGates(mi int) []int {
 // attempted mutation.
 func (p *Partition) AppendBoundaryGates(dst []int, mi int) []int {
 	c := p.E.A.Circuit
-	for _, g := range p.modules[mi].rec.gates {
+	rec := p.modules[mi]
+	for _, g := range rec.gates {
 		for _, nb := range c.Neighbors(g) {
-			if p.moduleOf[nb] != int32(mi) {
+			if p.idOf(nb) != rec.id {
 				dst = append(dst, g)
 				break
 			}
@@ -430,28 +498,24 @@ func (p *Partition) ConnectedModules(gate int) []int {
 // AppendConnectedModules appends the gate's connected modules to dst and
 // returns the extended slice (ascending, deduplicated). The candidate set
 // is a handful of modules, so deduplication is a linear scan of the
-// appended tail rather than a map.
+// appended tail rather than a map. The scan and the sort run on module
+// ids, which ascend with the indices, and only the distinct ids are then
+// looked up.
 func (p *Partition) AppendConnectedModules(dst []int, gate int) []int {
 	c := p.E.A.Circuit
-	own := p.moduleOf[gate]
+	own := p.idOf(gate)
 	start := len(dst)
 	for _, nb := range c.Neighbors(gate) {
-		m := int(p.moduleOf[nb])
-		if m < 0 || m == int(own) {
+		id := p.idOf(nb)
+		if id < 0 || id == own || slices.Contains(dst[start:], int(id)) {
 			continue
 		}
-		dup := false
-		for _, seen := range dst[start:] {
-			if seen == m {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			dst = append(dst, m)
-		}
+		dst = append(dst, int(id))
 	}
 	sort.Ints(dst[start:])
+	for i, id := range dst[start:] {
+		dst[start+i] = p.indexOf(int32(id))
+	}
 	return dst
 }
 
@@ -500,7 +564,7 @@ func (p *Partition) Costs() CostVector {
 		//lint:ignore hotalloc pool miss or module-count growth only; steady-state cost evaluations reuse the pooled buffer
 		sc.mods = make([]*estimate.Module, len(p.modules))
 	}
-	if n := len(p.moduleOf); cap(sc.arrival) < n {
+	if n := p.E.A.Circuit.NumGates(); cap(sc.arrival) < n {
 		//lint:ignore hotalloc pool miss or a larger circuit only; steady-state cost evaluations reuse the pooled buffers
 		sc.arrival, sc.changed = make([]float64, n), make([]int32, 0, n)
 	}
@@ -542,7 +606,7 @@ func (p *Partition) updateArrival(sc *costScratch, mods []*estimate.Module) floa
 	var dBIC float64
 	if p.base == nil {
 		//lint:ignore hotalloc first evaluation of a partition only
-		base := make([]float64, len(p.moduleOf))
+		base := make([]float64, p.E.A.Circuit.NumGates())
 		dBIC, sc.changed = p.E.UpdateBICDelay(base, mods, nil, sc.changed[:0]) // sweep every gate
 		p.base = base
 		return dBIC
@@ -628,18 +692,21 @@ func (p *Partition) PenalisedCost() float64 {
 }
 
 // Verify checks the structural invariants (disjoint cover of all logic
-// gates, consistent moduleOf, ascending module gate lists, no empty
-// modules) and returns the first violation. Used by tests and as a
-// debugging aid.
+// gates, module ids ascending with the index, every gate's index entry
+// naming its module's id, ascending module gate lists, no empty modules)
+// and returns the first violation. Used by tests and as a debugging aid.
 func (p *Partition) Verify() error {
 	c := p.E.A.Circuit
 	seen := make(map[int]int)
-	for mi, ms := range p.modules {
-		if len(ms.rec.gates) == 0 {
+	for mi, rec := range p.modules {
+		if len(rec.gates) == 0 {
 			return fmt.Errorf("module %d empty", mi)
 		}
+		if mi > 0 && rec.id <= p.modules[mi-1].id {
+			return fmt.Errorf("module %d: id %d not above module %d's id %d", mi, rec.id, mi-1, p.modules[mi-1].id)
+		}
 		prev := -1
-		for _, g := range ms.rec.gates {
+		for _, g := range rec.gates {
 			if g <= prev {
 				return fmt.Errorf("module %d gate list not ascending at gate %d", mi, g)
 			}
@@ -648,8 +715,8 @@ func (p *Partition) Verify() error {
 				return fmt.Errorf("gate %d in modules %d and %d", g, p, mi)
 			}
 			seen[g] = mi
-			if p.moduleOf[g] != int32(mi) {
-				return fmt.Errorf("gate %d: moduleOf says %d, found in %d", g, p.moduleOf[g], mi)
+			if id := p.idOf(g); id != rec.id {
+				return fmt.Errorf("gate %d: index says module id %d, found in module %d (id %d)", g, id, mi, rec.id)
 			}
 			if c.Gates[g].Type == circuit.Input {
 				return fmt.Errorf("primary input %d in module %d", g, mi)
