@@ -70,14 +70,12 @@ func newSweepDAG(a *celllib.Annotated) sweepDAG {
 // UpdateBICDelay. It walks positions from through last and recomputes the
 // arrival time of every marked one — the latest fanin arrival plus its
 // delay, so 0 for a primary input — clearing its mark. When a recomputed
-// arrival differs bitwise from the stored one, its position is appended
-// to changed, its fanouts, which come later in the order, are marked, and
-// last extends to the latest of them. mark == nil marks every position
-// from through last; over arbitrary arrival contents that is a full sweep
-// only with from = 0 and last the final position. It returns the number
-// of positions recomputed and the extended changed list, which is
-// ascending.
-func (d *sweepDAG) sweep(delay, arrival []float64, from, last int, mark []bool, changed []int32) (int, []int32) {
+// arrival differs bitwise from the stored one, its fanouts, which come
+// later in the order, are marked, and last extends to the latest of them.
+// mark == nil marks every position from through last; over arbitrary
+// arrival contents that is a full sweep only with from = 0 and last the
+// final position. It returns the number of positions recomputed.
+func (d *sweepDAG) sweep(delay, arrival []float64, from, last int, mark []bool) int {
 	gates := 0
 	for i := from; i <= last; i++ {
 		if mark != nil {
@@ -98,7 +96,6 @@ func (d *sweepDAG) sweep(delay, arrival []float64, from, last int, mark []bool, 
 			continue
 		}
 		arrival[i] = at
-		changed = append(changed, int32(i))
 		if mark != nil {
 			for _, f := range d.fanout[d.fanoutOff[i]:d.fanoutOff[i+1]] {
 				mark[f] = true
@@ -106,7 +103,7 @@ func (d *sweepDAG) sweep(delay, arrival []float64, from, last int, mark []bool, 
 			last = max(last, int(d.lastFanout[i]))
 		}
 	}
-	return gates, changed
+	return gates
 }
 
 // worst returns the latest arrival time, taken over the fanout-free
@@ -141,7 +138,7 @@ func (e *Estimator) BICDelay(moduleOf []int, mods []*Module) float64 {
 			}
 		}
 	}
-	sc.changed = e.sweep(sc, sc.arrival, 0, len(sc.arrival)-1, nil, sc.changed[:0])
+	e.sweep(sc, sc.arrival, 0, len(sc.arrival)-1, nil)
 	return e.dag.worst(sc.arrival)
 }
 
@@ -151,10 +148,7 @@ func (e *Estimator) BICDelay(moduleOf []int, mods []*Module) float64 {
 // arrival (one entry per gate, indexed by sweep position) holds the
 // arrival times under the module estimates as they were before the
 // modules listed in touched changed; it is updated in place to the
-// arrival times under mods. UpdateBICDelay returns D_BIC and changed
-// extended by every position whose arrival time changed bitwise, in
-// ascending order; a changed with room for one entry per gate never
-// grows.
+// arrival times under mods. UpdateBICDelay returns D_BIC.
 //
 // Only the touched modules' gates, and the gates downstream whose fanin
 // arrival then changes, are recomputed; when the touched gates are dense,
@@ -163,7 +157,7 @@ func (e *Estimator) BICDelay(moduleOf []int, mods []*Module) float64 {
 // a maximum over the same values, so the result is bit-identical to a
 // full sweep. touched == nil means arrival holds nothing valid: every
 // gate is recomputed.
-func (e *Estimator) UpdateBICDelay(arrival []float64, mods []*Module, touched []int, changed []int32) (float64, []int32) {
+func (e *Estimator) UpdateBICDelay(arrival []float64, mods []*Module, touched []int) float64 {
 	sc := e.getScratch()
 	defer e.scratch.Put(sc)
 	var mark []bool
@@ -202,16 +196,15 @@ func (e *Estimator) UpdateBICDelay(arrival []float64, mods []*Module, touched []
 			sc.delay[e.dag.pos[g]] = m.Delay[i]
 		}
 	}
-	changed = e.sweep(sc, arrival, from, last, mark, changed)
-	return e.dag.worst(arrival), changed
+	e.sweep(sc, arrival, from, last, mark)
+	return e.dag.worst(arrival)
 }
 
 // sweep runs the D_BIC sweep over sc.delay and counts it.
-func (e *Estimator) sweep(sc *evalScratch, arrival []float64, from, last int, mark []bool, changed []int32) []int32 {
-	gates, changed := e.dag.sweep(sc.delay, arrival, from, last, mark, changed)
+func (e *Estimator) sweep(sc *evalScratch, arrival []float64, from, last int, mark []bool) {
+	gates := e.dag.sweep(sc.delay, arrival, from, last, mark)
 	if e.bicSweeps != nil {
 		e.bicSweeps.Inc()
 		e.bicGates.Add(uint64(gates))
 	}
-	return changed
 }

@@ -121,7 +121,6 @@ type evalScratch struct {
 	mask    []bool    // module membership by gate ID, or sweep marks by position; all false between uses
 	delay   []float64 // degraded delay per sweep position; always 0 at primary inputs
 	arrival []float64 // arrival time per sweep position, for BICDelay, whose caller keeps none
-	changed []int32   // positions a BICDelay or nominal sweep changed; room for all, so it never grows
 	damp    []float64 // delay damping per class; 0 = not computed yet
 }
 
@@ -138,8 +137,6 @@ func (e *Estimator) getScratch() *evalScratch {
 			delay: make([]float64, e.A.Circuit.NumGates()),
 			//lint:ignore hotalloc pool miss only
 			arrival: make([]float64, e.A.Circuit.NumGates()),
-			//lint:ignore hotalloc pool miss only
-			changed: make([]int32, 0, e.A.Circuit.NumGates()),
 			//lint:ignore hotalloc pool miss only
 			damp: make([]float64, e.numClasses),
 		}
@@ -199,7 +196,7 @@ func New(a *celllib.Annotated, p Params) *Estimator {
 	c.Levels() // built here, so concurrent FinishModule calls only read it
 	e.dag = newSweepDAG(a)
 	sc := e.getScratch()
-	_, sc.changed = e.dag.sweep(e.dag.nominal, sc.arrival, 0, c.NumGates()-1, nil, sc.changed[:0])
+	e.dag.sweep(e.dag.nominal, sc.arrival, 0, c.NumGates()-1, nil)
 	e.nominalDelay = e.dag.worst(sc.arrival)
 	e.scratch.Put(sc)
 	e.buildNeighborhoods()

@@ -9,8 +9,7 @@
 // time linear in the circuit size. The BIC-degraded delay D_BIC is also
 // maintained incrementally for a caller that keeps arrival times between
 // evaluations (UpdateBICDelay): only the gates downstream of changed
-// modules are recomputed, and the positions whose arrival time changed
-// are reported, so the caller can keep them as a sparse patch.
+// modules are recomputed, in place on the caller's arrival vector.
 package estimate
 
 import (

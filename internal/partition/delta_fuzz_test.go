@@ -11,6 +11,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"testing"
@@ -230,15 +231,17 @@ func pickMove(p *partition.Partition, r *opReader, kind int) (gates []int, from,
 //   - 6 (once per input; later ones act as 0): a chain of at least
 //     chainDepth descendants of descendants. Each link clones the last
 //     descendant twice, moves and evaluates both siblings, checks both
-//     costs against the oracle and continues on one of them, so the
-//     arrival-time patch grows, rebases to a fresh base and is shared by
-//     the siblings of every link;
-//   - 7: a family of clones that share records and index pages. Clones
-//     are made of the walk's partition and of earlier clones, and moves
-//     (module deletions included) land on any member, parent or clone,
-//     after the clones were made. Each move must leave every other
-//     member's ModuleOf, Groups and cost bits as they were, and Verify
-//     must pass on the moved member and on each other one; the walk
+//     costs against the oracle and continues on one of them, so every
+//     link settles the arrival times of an evaluated descendant that its
+//     own parent's other child shares the vector of;
+//   - 7: a family of clones that share records, index pages and arrival
+//     vectors. Clones are made of the walk's partition and of earlier
+//     clones, and moves (module deletions included) land on any member,
+//     parent or clone, after the clones were made; a moved member is
+//     evaluated at once, so cloning it later settles its arrival times.
+//     Each clone must show its source's ModuleOf, Groups, cost bits and
+//     arrival times; each clone or move must leave those of every other
+//     member as they were, and Verify must pass on every member; the walk
 //     continues on one member.
 func FuzzDeltaCost(f *testing.F) {
 	f.Add(uint8(0), []byte{0, 3, 0, 1, 1, 0, 5, 2, 1, 1, 2, 4, 0, 0, 3, 7, 1, 2, 1, 0})
@@ -254,6 +257,10 @@ func FuzzDeltaCost(f *testing.F) {
 	f.Add(uint8(0), []byte{7, 5, 0, 0, 1, 0, 3, 2, 1, 0, 1, 1, 0, 2, 1, 0, 4, 0, 1, 0, 2, 0, 0, 1, 1, 0, 0, 3, 1, 2, 0, 1, 0})
 	f.Add(uint8(1), []byte{7, 4, 0, 1, 1, 1, 2, 9, 0, 0, 0, 1, 0, 2, 2, 0, 1, 1, 1, 0, 5, 1, 0, 0, 2, 7, 1, 3, 0, 1, 2, 0})
 	f.Add(uint8(2), []byte{7, 5, 0, 0, 1, 0, 90, 0, 1, 0, 3, 0, 1, 1, 2, 44, 0, 0, 1, 0, 1, 0, 2, 200, 1, 1, 0, 0, 1})
+	// Op 7 clones the walk's partition, moves and evaluates the original
+	// and clones it again, which settles it while the first clone shares
+	// its arrival vector.
+	f.Add(uint8(0), []byte{7, 1, 0, 1, 0, 0, 5, 0, 3, 0, 0, 0, 0, 2, 0, 1, 0, 0, 2, 1, 0})
 	f.Fuzz(func(t *testing.T, circuit uint8, ops []byte) {
 		e := deltaEstimator(t, int(circuit))
 		p := deltaStart(t, int(circuit))
@@ -306,29 +313,18 @@ func FuzzDeltaCost(f *testing.F) {
 				}
 			case 7:
 				family := []*partition.Partition{p}
+				views := []view{viewOf(p)}
 				for n := 2 + r.next(7); n > 0; n-- {
 					if r.next(2) == 0 {
-						family = append(family, family[r.next(len(family))].Clone())
-						continue
-					}
-					mi := r.next(len(family))
-					if family[mi].NumModules() < 2 {
-						continue
-					}
-					before := make([]view, len(family))
-					for i, q := range family {
-						if i != mi {
-							before[i] = viewOf(q)
-						}
-					}
-					move(family[mi], r.next(3), step)
-					if err := family[mi].Verify(); err != nil {
-						t.Fatalf("step %d: moved family member %d: %v", step, mi, err)
+						src := r.next(len(family))
+						family = append(family, family[src].Clone())
+						views = append(views, views[src])
+					} else if mi := r.next(len(family)); family[mi].NumModules() > 1 {
+						move(family[mi], r.next(3), step)
+						views[mi] = viewOf(family[mi]) // evaluates the moved member
 					}
 					for i, q := range family {
-						if i != mi {
-							checkView(t, q, before[i], fmt.Sprintf("step %d: moving family member %d, member %d", step, mi, i))
-						}
+						checkView(t, q, views[i], fmt.Sprintf("step %d: family step %d, member %d", step, n, i))
 					}
 				}
 				p = family[r.next(len(family))]
@@ -361,13 +357,15 @@ func chainInput(seed int64, steps ...int) []byte {
 	return b
 }
 
-// view is what moving one partition must not change in another that
-// shares its module records and index pages: every gate's module, the
-// groups and the cost bits.
+// view is what cloning or moving one partition must not change in another
+// that shares its module records, index pages and arrival vector: every
+// gate's module, the groups, the cost bits and the arrival times' bits.
+// Taking a view evaluates p.
 type view struct {
 	moduleOf []int
 	groups   [][]int
 	cost     [9]uint64
+	arrival  []uint64
 }
 
 func viewOf(p *partition.Partition) view {
@@ -375,11 +373,14 @@ func viewOf(p *partition.Partition) view {
 	for g := range p.E.A.Circuit.NumGates() {
 		v.moduleOf = append(v.moduleOf, p.ModuleOf(g))
 	}
+	for _, at := range p.ArrivalTimes() {
+		v.arrival = append(v.arrival, math.Float64bits(at))
+	}
 	return v
 }
 
 // checkView asserts that p still passes Verify and shows the view taken
-// before another partition moved; what names the move.
+// before another partition was cloned or moved; what names that step.
 func checkView(t *testing.T, p *partition.Partition, before view, what string) {
 	t.Helper()
 	if err := p.Verify(); err != nil {
@@ -394,8 +395,8 @@ func checkView(t *testing.T, p *partition.Partition, before view, what string) {
 	if !slices.EqualFunc(before.groups, after.groups, slices.Equal) {
 		t.Fatalf("%s: groups changed", what)
 	}
-	if before.cost != after.cost {
-		t.Fatalf("%s: cost bits changed", what)
+	if before.cost != after.cost || !slices.Equal(before.arrival, after.arrival) {
+		t.Fatalf("%s: cost bits or arrival times changed", what)
 	}
 }
 
@@ -440,33 +441,35 @@ func mustMoveRandomBoundary(t *testing.T, q *partition.Partition, rng *rand.Rand
 	}
 }
 
-// A chain of descendants of descendants on c7552 at module size 8 must
-// take every path of the arrival-time layout within chainDepth links — a
-// patch that grows on an inherited base, a rebase to a fresh base, and
-// two siblings whose patches sit on one shared base — and every
-// evaluation must match the from-scratch oracle.
+// A chain of descendants of descendants on c7552 at module size 8: an
+// evaluated descendant that was never cloned keeps no arrival times of
+// its own but still points at its parent's vector; its first Clone
+// settles a vector of its own, equal bit for bit to a from-scratch sweep,
+// and its later clones share that vector. Every evaluation must match the
+// from-scratch oracle.
 func TestDescendantChainArrivalLayout(t *testing.T) {
 	e := deltaEstimator(t, 2)
 	p := deltaStart(t, 2)
 	p.Costs()
 	rng := rand.New(rand.NewSource(1))
-	var grew, rebased, shared bool
-	for depth := 0; depth < chainDepth && !(grew && rebased && shared); depth++ {
-		parentBase, parentPatch := p.ArrivalLayout()
-		a, b := p.Clone(), p.Clone()
-		mustMoveRandomBoundary(t, a, rng)
-		mustMoveRandomBoundary(t, b, rng)
-		checkCosts(t, e, a, depth)
-		checkCosts(t, e, b, depth)
-		aBase, aPatch := a.ArrivalLayout()
-		bBase, bPatch := b.ArrivalLayout()
-		grew = grew || aBase == parentBase && aPatch > parentPatch && parentPatch > 0
-		rebased = rebased || aBase != parentBase
-		shared = shared || aBase == bBase && aPatch > 0 && bPatch > 0
+	for depth := 0; depth < chainDepth; depth++ {
+		parentBase := p.ArrivalLayout()
+		q := p.Clone()
+		mustMoveRandomBoundary(t, q, rng)
+		checkCosts(t, e, q, depth)
+		if q.ArrivalLayout() != parentBase {
+			t.Fatalf("depth %d: an evaluated, never-cloned descendant holds an arrival vector of its own", depth)
+		}
+		a := q.Clone()
+		settled := q.ArrivalLayout()
+		if settled == parentBase {
+			t.Fatalf("depth %d: cloning an evaluated descendant left it on its parent's arrival vector", depth)
+		}
+		checkCosts(t, e, q, depth)
+		if b := q.Clone(); a.ArrivalLayout() != settled || b.ArrivalLayout() != settled {
+			t.Fatalf("depth %d: the clones of a settled descendant do not share its arrival vector", depth)
+		}
 		p = a
-	}
-	if !grew || !rebased || !shared {
-		t.Fatalf("chain of %d: patch grew %v, rebased %v, siblings shared a base %v; want all", chainDepth, grew, rebased, shared)
 	}
 }
 
@@ -474,31 +477,65 @@ func TestDescendantChainArrivalLayout(t *testing.T) {
 // module size 8 allocates: the partition header, one pointer per module
 // and one per page of the gate→module index, ~4.8 kB. A Clone that also
 // copies the index itself and two words per module (~24.8 kB once) fails.
-const maxCloneBytes = 8 << 10
+// maxDescendantBytes bounds one descendant step there (Clone, one
+// boundary move, Cost), ~6.7 kB. A descendant that also keeps its own
+// arrival times, as a sparse patch merged on every evaluation (~10.6 kB),
+// fails.
+const maxCloneBytes, maxDescendantBytes = 8 << 10, 8 << 10
+
+// meanAllocBytes returns what one call of f allocates, averaged over a
+// batch of calls whose results stay reachable, as the descendant loop's
+// do.
+func meanAllocBytes(f func() *partition.Partition) uint64 {
+	kept := make([]*partition.Partition, 64)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range kept {
+		kept[i] = f()
+	}
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(kept)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(len(kept))
+}
 
 // One Clone of an evaluated c7552 partition at module size 8 must
-// allocate at most maxCloneBytes, averaged over a batch of clones that
-// stay reachable, as the descendant loop's do.
+// allocate at most maxCloneBytes.
 func TestCloneAllocBytes(t *testing.T) {
 	p := deltaStart(t, 2)
 	p.Costs()
-	clones := make([]*partition.Partition, 64)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := range clones {
-		clones[i] = p.Clone()
-	}
-	runtime.ReadMemStats(&after)
-	perClone := (after.TotalAlloc - before.TotalAlloc) / uint64(len(clones))
+	perClone := meanAllocBytes(p.Clone)
 	t.Logf("Clone of %d modules: %d B", p.NumModules(), perClone)
 	if perClone > maxCloneBytes {
 		t.Errorf("one Clone allocates %d B, want <= %d", perClone, maxCloneBytes)
 	}
-	runtime.KeepAlive(clones)
 }
 
-// Clones of one evaluated parent share its module records, base vector
-// and patch. Moving and evaluating eight of them on eight goroutines, and
+// One descendant step of an evaluated c7552 partition at module size 8
+// must allocate at most maxDescendantBytes. The step's evaluation sweeps
+// in pooled scratch, which the race detector's sync.Pool drops at random,
+// so the bound holds without it only.
+func TestDescendantAllocBytes(t *testing.T) {
+	if bi, _ := debug.ReadBuildInfo(); bi != nil && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
+		t.Skip("sync.Pool drops pooled scratch at random under -race")
+	}
+	p := deltaStart(t, 2)
+	p.Costs()
+	rng := rand.New(rand.NewSource(4))
+	step := func() *partition.Partition {
+		q := p.Clone()
+		mustMoveRandomBoundary(t, q, rng)
+		q.Cost()
+		return q
+	}
+	perStep := meanAllocBytes(step)
+	t.Logf("descendant step over %d modules: %d B", p.NumModules(), perStep)
+	if perStep > maxDescendantBytes {
+		t.Errorf("one descendant step allocates %d B, want <= %d", perStep, maxDescendantBytes)
+	}
+}
+
+// Clones of one evaluated parent share its module records and arrival
+// vector. Moving and evaluating eight of them on eight goroutines, and
 // cloning the parent again afterwards, must write none of these: every
 // cost, the parent's included, equals a from-scratch evaluation. Run it
 // under the race detector.
@@ -507,24 +544,19 @@ func TestConcurrentDescendantsShareParent(t *testing.T) {
 	p := deltaStart(t, 2)
 	p.Costs()
 	rng := rand.New(rand.NewSource(2))
-	// Descend until the parent has a patch of its own, so the clones
-	// below share a patch as well as a base.
-	for i := 0; ; i++ {
-		if _, n := p.ArrivalLayout(); n > 0 {
-			break
-		}
-		if i == 8 {
-			t.Fatal("parent has no arrival patch to share")
-		}
-		p = p.Clone()
-		mustMoveRandomBoundary(t, p, rng)
-		p.Costs()
-	}
+	// Descend one move and evaluate, so the first clone below settles
+	// arrival times of the parent's own, which the clones then share.
+	rootBase := p.ArrivalLayout()
+	p = p.Clone()
+	mustMoveRandomBoundary(t, p, rng)
 	want := costBits(p.Costs())
 	const workers = 8
 	kids := make([]*partition.Partition, workers)
 	for i := range kids {
 		kids[i] = p.Clone()
+	}
+	if p.ArrivalLayout() == rootBase {
+		t.Fatal("parent has no settled arrival times of its own to share")
 	}
 	var wg sync.WaitGroup
 	errs := make([]error, workers)

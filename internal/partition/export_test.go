@@ -1,24 +1,25 @@
 package partition
 
-// ArrivalLayout reports how p stores its arrival times: the address of
-// its base vector's first element (nil before the first evaluation) and
-// the length of its patch.
-func (p *Partition) ArrivalLayout() (base *float64, patch int) {
-	if p.base == nil {
-		return nil, 0
-	}
-	return &p.base[0], len(p.patch)
-}
+import (
+	"slices"
+	"unsafe"
+)
 
-// ArrivalTimes returns p's arrival times as of its last evaluation, base
-// and patch merged into a fresh vector; nil before the first evaluation.
+// ArrivalLayout returns the address of p's arrival vector; nil before the
+// first evaluation.
+func (p *Partition) ArrivalLayout() *float64 { return unsafe.SliceData(p.base) }
+
+// ArrivalTimes returns p's arrival times under its current modules as its
+// next sweep starts from them: the arrival vector itself with no touched
+// modules, or else re-propagated from them into a fresh vector. nil
+// before the first evaluation.
 func (p *Partition) ArrivalTimes() []float64 {
-	if p.base == nil {
-		return nil
+	if len(p.touched) == 0 || p.base == nil {
+		return slices.Clone(p.base)
 	}
-	arrival := append([]float64(nil), p.base...)
-	for _, pe := range p.patch {
-		arrival[pe.pos] = pe.at
-	}
+	sc := p.getCostScratch()
+	defer putCostScratch(sc)
+	arrival := make([]float64, len(p.base))
+	p.sweepArrival(arrival, sc.mods)
 	return arrival
 }

@@ -25,8 +25,13 @@
 //     copies each page it writes. Ids ascend with the module index and
 //     survive the deletion of other modules, so deleting a module never
 //     renumbers a gate;
-//   - the D_BIC arrival times are a shared immutable base vector plus a
-//     sorted sparse patch of the positions that differ from it.
+//   - the D_BIC arrival times are one immutable vector, shared with the
+//     partition's clones, plus the modules touched since that vector was
+//     computed. An evaluation re-propagates from the touched modules into
+//     pooled scratch and keeps nothing; only a partition that is cloned
+//     after it was evaluated settles a vector of its own. Of the
+//     descendants a generation evaluates, only the selected ones ever
+//     are.
 package partition
 
 import (
@@ -134,20 +139,6 @@ const (
 // primary inputs and past the last gate.
 type gatePage [pageSize]int32
 
-// patchEntry is one arrival time that differs from a partition's base
-// vector: the arrival at sweep position pos.
-type patchEntry struct {
-	pos int32
-	at  float64
-}
-
-// rebaseDiv bounds a partition's arrival patch: once the patch would
-// hold more than 1/rebaseDiv of the positions, Costs stores a fresh full
-// vector instead. A patch entry takes twice the bytes of a vector entry,
-// so any rebaseDiv ≥ 2 keeps a patch smaller than the vector it stands
-// for; 4 measured best (see DESIGN.md §5).
-const rebaseDiv = 4
-
 // Partition is a mutable partition of the circuit's logic gates with
 // incremental cost evaluation.
 type Partition struct {
@@ -162,17 +153,14 @@ type Partition struct {
 	modules []*moduleRecord
 	pages   []*gatePage
 
-	// The D_BIC arrival time at each sweep position as of the last Costs
-	// evaluation is base, overridden at the ascending positions of patch;
-	// base is nil before the first evaluation. Clones share both, so
-	// neither is ever written in place: Costs builds a fresh patch, or a
-	// fresh base once the patch grows past 1/rebaseDiv of the positions.
-	// touched lists the modules, by current index, whose estimates
-	// changed since those arrival times were computed — the seeds of the
-	// next incremental sweep. It is tracked here rather than read off nil
-	// estimates, because ModuleEstimate refills those before Costs runs.
+	// base holds the D_BIC arrival time at each sweep position under the
+	// modules as they were when it was computed (nil before the first
+	// evaluation), and touched lists the modules, by current index, whose
+	// estimates changed since — the seeds of the next incremental sweep.
+	// touched is tracked here rather than read off nil estimates, because
+	// ModuleEstimate refills those before Costs runs. Clones share base,
+	// so only settleArrival replaces it, and nothing writes it in place.
 	base    []float64
-	patch   []patchEntry
 	touched []int
 
 	costValid bool
@@ -296,21 +284,25 @@ func (p *Partition) ModuleEstimate(mi int) *estimate.Module {
 
 // Clone returns a deep copy sharing the immutable estimator. It copies
 // one pointer per module and one per page of the gate→module index (and
-// the touched list when the receiver has unevaluated moves); module
-// records, their cached estimates, index pages and arrival times are
-// shared copy-on-write style. A move replaces the touched modules'
-// records and copies the pages it writes, and Costs stores a fresh patch
-// or base, so a clone's mutation never reaches its siblings or its
-// parent, nor theirs the clone. Clone only reads its receiver, so a
-// parent can be cloned while its earlier clones are moved or evaluated
-// on other goroutines.
+// the touched list); module records, their cached estimates, index pages
+// and the arrival vector are shared copy-on-write style, so a clone's
+// mutation never reaches its siblings or its parent, nor theirs the
+// clone. An evaluated receiver with touched modules first settles its
+// arrival times, so Clone may write its receiver, never state a clone
+// shares: a parent can be cloned while its earlier clones are moved or
+// evaluated on other goroutines, but one partition must not be cloned on
+// two goroutines at once.
 func (p *Partition) Clone() *Partition {
+	if p.costValid && len(p.touched) > 0 {
+		sc := p.getCostScratch()
+		p.settleArrival(sc.mods)
+		putCostScratch(sc)
+	}
 	return &Partition{
 		E: p.E, W: p.W, Cons: p.Cons,
 		modules:   append([]*moduleRecord(nil), p.modules...),
 		pages:     append([]*gatePage(nil), p.pages...),
 		base:      p.base,
-		patch:     p.patch,
 		touched:   append([]int(nil), p.touched...),
 		costValid: p.costValid,
 		cost:      p.cost,
@@ -440,7 +432,7 @@ func (p *Partition) MoveGates(gates []int, from, to int) (int, error) {
 // computed.
 func (p *Partition) touch(mi int) {
 	if !slices.Contains(p.touched, mi) {
-		//lint:ignore hotalloc a few words per descendant: Clone hands a clone an empty list, and Costs truncates it for reuse
+		//lint:ignore hotalloc a few words per descendant: Clone hands a clone an empty list, and settling truncates it for reuse
 		p.touched = append(p.touched, mi)
 	}
 }
@@ -536,48 +528,68 @@ func (p *Partition) WorstDiscriminability() float64 {
 	return worst
 }
 
-// costScratch holds the transient buffers of one Costs evaluation: the
-// module list, the arrival times the sweep works on and the positions it
-// changed. The descendant loop evaluates thousands of partitions per
+// costScratch holds the transient buffers of one Costs evaluation or
+// arrival settle: the module list and the arrival times the sweep works
+// on. The descendant loop evaluates thousands of partitions per
 // generation on a worker pool, so they are pooled instead of allocated
 // per call; nothing in them survives the call (the module pointers are
 // cleared before the scratch is returned).
 type costScratch struct {
 	mods    []*estimate.Module
 	arrival []float64
-	changed []int32
 }
 
 var costScratchPool = sync.Pool{New: func() interface{} { return new(costScratch) }}
 
-// Costs evaluates the full cost vector, recomputing only invalidated
-// modules. The logarithmic terms use log(1+x) so that degenerate
-// partitions (all singleton modules have S = 0) stay finite; the paper's
-// log(x) is undefined there and identical in shape everywhere else that
-// matters.
-func (p *Partition) Costs() CostVector {
-	if p.costValid {
-		return p.cost
-	}
+// getCostScratch returns pooled scratch whose module list holds p's
+// module estimates, computed where missing, and whose arrival buffer has
+// one entry per gate. putCostScratch hands it back.
+func (p *Partition) getCostScratch() *costScratch {
 	sc := costScratchPool.Get().(*costScratch)
 	if cap(sc.mods) < len(p.modules) {
 		//lint:ignore hotalloc pool miss or module-count growth only; steady-state cost evaluations reuse the pooled buffer
 		sc.mods = make([]*estimate.Module, len(p.modules))
 	}
 	if n := p.E.A.Circuit.NumGates(); cap(sc.arrival) < n {
-		//lint:ignore hotalloc pool miss or a larger circuit only; steady-state cost evaluations reuse the pooled buffers
-		sc.arrival, sc.changed = make([]float64, n), make([]int32, 0, n)
+		//lint:ignore hotalloc pool miss or a larger circuit only; steady-state cost evaluations reuse the pooled buffer
+		sc.arrival = make([]float64, n)
 	}
-	mods := sc.mods[:len(p.modules)]
+	sc.mods, sc.arrival = sc.mods[:len(p.modules)], sc.arrival[:p.E.A.Circuit.NumGates()]
+	for mi := range sc.mods {
+		sc.mods[mi] = p.ModuleEstimate(mi)
+	}
+	return sc
+}
+
+func putCostScratch(sc *costScratch) {
+	clear(sc.mods)
+	costScratchPool.Put(sc)
+}
+
+// Costs evaluates the full cost vector, recomputing only invalidated
+// modules. The logarithmic terms use log(1+x) so that degenerate
+// partitions (all singleton modules have S = 0) stay finite; the paper's
+// log(x) is undefined there and identical in shape everywhere else that
+// matters. The first evaluation settles the arrival times; a later one
+// sweeps a pooled copy of them and keeps nothing.
+func (p *Partition) Costs() CostVector {
+	if p.costValid {
+		return p.cost
+	}
+	sc := p.getCostScratch()
+	mods := sc.mods
 	var areaSum float64
 	sepSum := 0
-	for mi := range p.modules {
-		m := p.ModuleEstimate(mi)
-		mods[mi] = m
+	for _, m := range mods {
 		areaSum += m.SensorArea
 		sepSum += m.Separation
 	}
-	dBIC := p.updateArrival(sc, mods)
+	var dBIC float64
+	if p.base == nil {
+		dBIC = p.settleArrival(mods)
+	} else {
+		dBIC = p.sweepArrival(sc.arrival, mods)
+	}
 	cv := CostVector{
 		LogArea:       math.Log1p(areaSum),
 		DelayOverhead: p.E.DelayOverhead(dBIC),
@@ -589,79 +601,34 @@ func (p *Partition) Costs() CostVector {
 		DNominal:      p.E.NominalDelay(),
 		Separation:    sepSum,
 	}
-	for i := range mods {
-		mods[i] = nil
-	}
-	costScratchPool.Put(sc)
+	putCostScratch(sc)
 	p.cost = cv
 	p.costValid = true
 	return cv
 }
 
-// updateArrival re-propagates the arrival times from the touched modules'
-// gates and returns D_BIC. Clones may share the base and the patch, so
-// the sweep runs on a pooled copy of both; the partition then keeps its
-// old patch merged with the positions the sweep changed.
-func (p *Partition) updateArrival(sc *costScratch, mods []*estimate.Module) float64 {
-	var dBIC float64
+// sweepArrival writes p's arrival times under mods, its module
+// estimates, into arrival and returns D_BIC: a sweep over every gate
+// before the first evaluation, base re-propagated from the touched
+// modules after it.
+func (p *Partition) sweepArrival(arrival []float64, mods []*estimate.Module) float64 {
 	if p.base == nil {
-		//lint:ignore hotalloc first evaluation of a partition only
-		base := make([]float64, p.E.A.Circuit.NumGates())
-		dBIC, sc.changed = p.E.UpdateBICDelay(base, mods, nil, sc.changed[:0]) // sweep every gate
-		p.base = base
-		return dBIC
+		return p.E.UpdateBICDelay(arrival, mods, nil)
 	}
-	arrival := sc.arrival[:len(p.base)]
 	copy(arrival, p.base)
-	for _, pe := range p.patch {
-		arrival[pe.pos] = pe.at
-	}
-	dBIC, sc.changed = p.E.UpdateBICDelay(arrival, mods, p.touched, sc.changed[:0])
-	p.touched = p.touched[:0]
-	if len(sc.changed) > 0 {
-		p.base, p.patch = p.mergePatch(arrival, sc.changed)
-	}
-	return dBIC
+	return p.E.UpdateBICDelay(arrival, mods, p.touched)
 }
 
-// mergePatch returns the partition's new base and patch: the old patch's
-// positions merged with the ascending changed positions, each holding its
-// time in arrival — or, once that patch would hold more than 1/rebaseDiv
-// of the positions, a copy of arrival as the new base and no patch.
-func (p *Partition) mergePatch(arrival []float64, changed []int32) ([]float64, []patchEntry) {
-	old := p.patch
-	size, i, j := 0, 0, 0
-	for ; i < len(old) && j < len(changed); size++ {
-		switch {
-		case old[i].pos < changed[j]:
-			i++
-		case old[i].pos > changed[j]:
-			j++
-		default:
-			i, j = i+1, j+1
-		}
-	}
-	size += len(old) - i + len(changed) - j
-	if size*rebaseDiv > len(arrival) {
-		//lint:ignore hotalloc copy-on-write by design: the evaluated partition retains its arrival times, and clones share the old base
-		return append([]float64(nil), arrival...), nil
-	}
-	//lint:ignore hotalloc copy-on-write by design: clones share the old patch; this one is exactly sized
-	patch := make([]patchEntry, 0, size)
-	i, j = 0, 0
-	for i < len(old) || j < len(changed) {
-		var pos int32
-		switch {
-		case j == len(changed) || i < len(old) && old[i].pos < changed[j]:
-			pos, i = old[i].pos, i+1
-		case i == len(old) || changed[j] < old[i].pos:
-			pos, j = changed[j], j+1
-		default:
-			pos, i, j = changed[j], i+1, j+1
-		}
-		patch = append(patch, patchEntry{pos, arrival[pos]})
-	}
-	return p.base, patch
+// settleArrival gives p arrival times of its own under mods, its module
+// estimates: it sweeps into a fresh vector, which becomes base, clears
+// touched and returns D_BIC. The old base stays as it was for the
+// partitions that share it.
+func (p *Partition) settleArrival(mods []*estimate.Module) float64 {
+	//lint:ignore hotalloc first evaluation only, or a Clone of an evaluated partition: it keeps the vector its clones share
+	arrival := make([]float64, p.E.A.Circuit.NumGates())
+	dBIC := p.sweepArrival(arrival, mods)
+	p.base, p.touched = arrival, p.touched[:0]
+	return dBIC
 }
 
 // Cost returns the weighted global cost C(Π).
