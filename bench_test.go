@@ -290,8 +290,9 @@ func BenchmarkBICDelayRepropagate(b *testing.B) {
 // it pays for what the descendant loop copies: the module list (one
 // pointer per module), the gate→module index's page pointers and the
 // pages the move writes, and the two replacement module records. The
-// evaluation sweeps its arrival times in pooled scratch and keeps none;
-// only a descendant that is cloned in turn settles a vector of its own.
+// evaluation sweeps its arrival times and delays in pooled scratch and
+// keeps none; only a descendant that is cloned in turn settles pages of
+// its own.
 func BenchmarkDescendant_C7552(b *testing.B) {
 	b.ReportAllocs()
 	p := evaluatedC7552(b)

@@ -2,6 +2,7 @@ package estimate
 
 import (
 	"math"
+	"math/bits"
 
 	"iddqsyn/internal/celllib"
 	"iddqsyn/internal/circuit"
@@ -9,7 +10,7 @@ import (
 
 // sweepDAG is the circuit flattened for the D_BIC longest-path sweep:
 // gates are numbered by their position in the topological order, and the
-// fanin and fanout lists hold positions. Arrival-time, delay and mark
+// fanin and fanout lists hold positions. Arrival-time, delay and frontier
 // vectors are indexed by position too, so a sweep walks them front to
 // back.
 type sweepDAG struct {
@@ -19,7 +20,6 @@ type sweepDAG struct {
 	// faninOff[i+1]], likewise for fanouts.
 	faninOff, fanin   []int32
 	fanoutOff, fanout []int32
-	lastFanout        []int32 // the latest fanout position of each position; -1 for none
 	// sinks lists the fanout-free positions in ascending order. Every delay
 	// is non-negative, so a position with fanouts never arrives later than
 	// its fanouts, and the worst arrival over all positions is the worst
@@ -32,11 +32,10 @@ func newSweepDAG(a *celllib.Annotated) sweepDAG {
 	order := c.TopoOrder()
 	n := len(order)
 	d := sweepDAG{
-		pos:        make([]int32, n),
-		nominal:    make([]float64, n),
-		faninOff:   make([]int32, 0, n+1),
-		fanoutOff:  make([]int32, 0, n+1),
-		lastFanout: make([]int32, n),
+		pos:       make([]int32, n),
+		nominal:   make([]float64, n),
+		faninOff:  make([]int32, 0, n+1),
+		fanoutOff: make([]int32, 0, n+1),
 	}
 	for i, g := range order {
 		d.pos[g] = int32(i)
@@ -51,13 +50,10 @@ func newSweepDAG(a *celllib.Annotated) sweepDAG {
 			d.fanin = append(d.fanin, d.pos[f])
 		}
 		d.fanoutOff = append(d.fanoutOff, int32(len(d.fanout)))
-		last := int32(-1)
 		for _, f := range gate.Fanout {
 			d.fanout = append(d.fanout, d.pos[f])
-			last = max(last, d.pos[f])
 		}
-		d.lastFanout[i] = last
-		if last < 0 {
+		if len(gate.Fanout) == 0 {
 			d.sinks = append(d.sinks, int32(i))
 		}
 	}
@@ -66,41 +62,51 @@ func newSweepDAG(a *celllib.Annotated) sweepDAG {
 	return d
 }
 
+// arrive returns the arrival time at position i: the latest fanin
+// arrival plus its delay, so its delay alone for a primary input.
+func (d *sweepDAG) arrive(delay, arrival []float64, i int) float64 {
+	var in float64
+	for _, f := range d.fanin[d.faninOff[i]:d.faninOff[i+1]] {
+		if arrival[f] > in {
+			in = arrival[f]
+		}
+	}
+	return in + delay[i]
+}
+
 // sweep is the longest-path sweep behind the nominal delay, BICDelay and
-// UpdateBICDelay. It walks positions from through last and recomputes the
-// arrival time of every marked one — the latest fanin arrival plus its
-// delay, so 0 for a primary input — clearing its mark. When a recomputed
+// dense UpdateBICDelay seeds: it recomputes, in order, the arrival time
+// of every position at or after from. Over arbitrary arrival contents
+// that is a full sweep only with from = 0. It returns the number of positions
+// recomputed.
+func (d *sweepDAG) sweep(delay, arrival []float64, from int) int {
+	for i := from; i < len(arrival); i++ {
+		arrival[i] = d.arrive(delay, arrival, i)
+	}
+	return len(arrival) - from
+}
+
+// sweepFrontier is the sweep behind sparse UpdateBICDelay seeds. It
+// recomputes the positions set in frontier, in ascending order from the
+// word holding position from on, and clears each. When a recomputed
 // arrival differs bitwise from the stored one, its fanouts, which come
-// later in the order, are marked, and last extends to the latest of them.
-// mark == nil marks every position from through last; over arbitrary
-// arrival contents that is a full sweep only with from = 0 and last the
-// final position. It returns the number of positions recomputed.
-func (d *sweepDAG) sweep(delay, arrival []float64, from, last int, mark []bool) int {
+// later in the order, join the frontier. frontier is all zero on return.
+// It returns the number of positions recomputed.
+func (d *sweepDAG) sweepFrontier(delay, arrival []float64, frontier bitset, from int) int {
 	gates := 0
-	for i := from; i <= last; i++ {
-		if mark != nil {
-			if !mark[i] {
+	for w := from / 64; w < len(frontier); w++ {
+		for frontier[w] != 0 {
+			i := w*64 + bits.TrailingZeros64(frontier[w])
+			frontier[w] &= frontier[w] - 1
+			gates++
+			at := d.arrive(delay, arrival, i)
+			if math.Float64bits(at) == math.Float64bits(arrival[i]) {
 				continue
 			}
-			mark[i] = false
-		}
-		gates++
-		var in float64
-		for _, f := range d.fanin[d.faninOff[i]:d.faninOff[i+1]] {
-			if arrival[f] > in {
-				in = arrival[f]
-			}
-		}
-		at := in + delay[i]
-		if math.Float64bits(at) == math.Float64bits(arrival[i]) {
-			continue
-		}
-		arrival[i] = at
-		if mark != nil {
+			arrival[i] = at
 			for _, f := range d.fanout[d.fanoutOff[i]:d.fanoutOff[i+1]] {
-				mark[f] = true
+				frontier.set(int(f))
 			}
-			last = max(last, int(d.lastFanout[i]))
 		}
 	}
 	return gates
@@ -123,7 +129,8 @@ func (d *sweepDAG) worst(arrival []float64) float64 {
 // index (inputs may carry any value); mods holds the corresponding module
 // estimates, whose Delay fields carry the degraded gate delays (see
 // FinishModule). A gate that moduleOf maps to no estimate keeps its
-// nominal delay.
+// nominal delay. It sweeps every gate; UpdateBICDelay is the incremental
+// form.
 func (e *Estimator) BICDelay(moduleOf []int, mods []*Module) float64 {
 	sc := e.getScratch()
 	defer e.scratch.Put(sc)
@@ -138,71 +145,63 @@ func (e *Estimator) BICDelay(moduleOf []int, mods []*Module) float64 {
 			}
 		}
 	}
-	e.sweep(sc, sc.arrival, 0, len(sc.arrival)-1, nil)
+	e.countSweep(e.dag.sweep(sc.delay, sc.arrival, 0))
 	return e.dag.worst(sc.arrival)
 }
 
-// UpdateBICDelay is BICDelay for a caller that keeps the arrival times
-// between evaluations, over a partition: mods are the estimates, made by
-// FinishModule, of disjoint gate groups that cover every logic gate.
-// arrival (one entry per gate, indexed by sweep position) holds the
-// arrival times under the module estimates as they were before the
-// modules listed in touched changed; it is updated in place to the
-// arrival times under mods. UpdateBICDelay returns D_BIC.
+// UpdateBICDelay is BICDelay for a caller that keeps, between
+// evaluations over a partition, the arrival time and the degraded gate
+// delay at each sweep position (one entry per gate, indexed by position;
+// the delay is 0 at every primary input). arrival and delay hold them
+// under the module estimates as they were before the modules in changed
+// became what they are; changed holds the new estimates, made by
+// FinishModule, of every module whose gates or delays changed since.
+// UpdateBICDelay writes the changed modules' gate delays into delay,
+// brings arrival up to date in place and returns D_BIC. Passing every
+// module of a partition with zeroed vectors evaluates it from scratch.
 //
-// Only the touched modules' gates, and the gates downstream whose fanin
-// arrival then changes, are recomputed; when the touched gates are dense,
+// Only the changed modules' gates, and the gates downstream whose fanin
+// arrival then changes, are recomputed; when the changed gates are dense,
 // every gate from the first of them on is. An unrecomputed gate has an
 // unchanged delay and unchanged fanin arrivals, and the worst arrival is
 // a maximum over the same values, so the result is bit-identical to a
-// full sweep. touched == nil means arrival holds nothing valid: every
-// gate is recomputed.
-func (e *Estimator) UpdateBICDelay(arrival []float64, mods []*Module, touched []int) float64 {
+// full sweep.
+func (e *Estimator) UpdateBICDelay(arrival, delay []float64, changed []*Module) float64 {
 	sc := e.getScratch()
 	defer e.scratch.Put(sc)
-	var mark []bool
-	from, last := 0, len(arrival)-1
-	if touched != nil {
-		from = len(arrival)
-		seeds := 0
-		for _, mi := range touched {
-			for _, g := range mods[mi].Gates {
-				from = min(from, int(e.dag.pos[g]))
-			}
-			seeds += len(mods[mi].Gates)
-		}
-		// Dense seeds reach most positions after the first of them, where
-		// recomputing every position costs less than tracking marks.
-		if seeds*8 < len(arrival)-from {
-			mark, last = sc.mask, -1
-			for _, mi := range touched {
-				for _, g := range mods[mi].Gates {
-					p := int(e.dag.pos[g])
-					mark[p] = true
-					last = max(last, p)
-				}
-			}
-		}
-	}
-	// The sweep reads no delay before from, so a module that ends there
-	// is not scattered. The modules cover every logic gate, and nothing
-	// writes a primary input's position of sc.delay except BICDelay's
-	// nominal copy, which holds 0 there, so no nominal copy is needed.
-	for _, m := range mods {
-		if int(m.lastPos) < from {
-			continue
-		}
+	return e.updateBICDelay(sc.frontier, arrival, delay, changed)
+}
+
+// updateBICDelay is UpdateBICDelay on the caller's frontier bitset, which
+// is all zero on entry and on return.
+func (e *Estimator) updateBICDelay(frontier bitset, arrival, delay []float64, changed []*Module) float64 {
+	from, seeds := len(arrival), 0
+	for _, m := range changed {
 		for i, g := range m.Gates {
-			sc.delay[e.dag.pos[g]] = m.Delay[i]
+			p := int(e.dag.pos[g])
+			delay[p] = m.Delay[i]
+			from = min(from, p)
+		}
+		seeds += len(m.Gates)
+	}
+	// Dense seeds reach most positions after the first of them, where
+	// recomputing every position costs less than tracking a frontier.
+	if seeds*8 >= len(arrival)-from {
+		e.countSweep(e.dag.sweep(delay, arrival, from))
+		return e.dag.worst(arrival)
+	}
+	for _, m := range changed {
+		for _, g := range m.Gates {
+			frontier.set(int(e.dag.pos[g]))
 		}
 	}
-	e.sweep(sc, arrival, from, last, mark)
+	e.countSweep(e.dag.sweepFrontier(delay, arrival, frontier, from))
 	return e.dag.worst(arrival)
 }
 
-// sweep runs the D_BIC sweep over sc.delay and counts it.
-func (e *Estimator) sweep(sc *evalScratch, arrival []float64, from, last int, mark []bool) {
-	gates := e.dag.sweep(sc.delay, arrival, from, last, mark)
+// countSweep counts one D_BIC sweep that recomputed the given number of
+// positions.
+func (e *Estimator) countSweep(gates int) {
 	if e.bicSweeps != nil {
 		e.bicSweeps.Inc()
 		e.bicGates.Add(uint64(gates))

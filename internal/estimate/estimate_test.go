@@ -2,6 +2,7 @@ package estimate
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -289,25 +290,57 @@ func referenceBICDelay(e *Estimator, moduleOf []int, mods []*Module) float64 {
 	return worst
 }
 
-// fullSweep returns the arrival time at every sweep position under mods,
-// modules that cover every logic gate, from a sweep over every position.
-func fullSweep(e *Estimator, mods []*Module) []float64 {
+// fullSweep returns the degraded delay and the arrival time at every
+// sweep position under mods, modules that cover every logic gate, from a
+// scatter of every module's delays and a sweep over every position.
+func fullSweep(e *Estimator, mods []*Module) (delay, arrival []float64) {
 	n := e.A.Circuit.NumGates()
-	delay := make([]float64, n)
+	delay = make([]float64, n)
 	for _, m := range mods {
 		for i, g := range m.Gates {
 			delay[e.dag.pos[g]] = m.Delay[i]
 		}
 	}
-	arrival := make([]float64, n)
-	e.dag.sweep(delay, arrival, 0, n-1, nil)
-	return arrival
+	arrival = make([]float64, n)
+	e.dag.sweep(delay, arrival, 0)
+	return delay, arrival
+}
+
+// updateChecked runs UpdateBICDelay on pooled scratch and fails t unless
+// the scratch's frontier is all zero afterwards and the delays and
+// arrival times at every position equal a full scatter's and sweep's
+// under mods bit for bit. It returns D_BIC.
+func updateChecked(t *testing.T, e *Estimator, arrival, delay []float64, changed, mods []*Module, what string) float64 {
+	t.Helper()
+	sc := e.getScratch()
+	got := e.updateBICDelay(sc.frontier, arrival, delay, changed)
+	for w, word := range sc.frontier {
+		if word != 0 {
+			t.Fatalf("%s: frontier word %d = %#x after the sweep, want 0", what, w, word)
+		}
+	}
+	e.scratch.Put(sc)
+	wantDelay, wantArrival := fullSweep(e, mods)
+	for i := range wantArrival {
+		if math.Float64bits(delay[i]) != math.Float64bits(wantDelay[i]) {
+			t.Fatalf("%s: delay at position %d = %v, full scatter %v", what, i, delay[i], wantDelay[i])
+		}
+		if math.Float64bits(arrival[i]) != math.Float64bits(wantArrival[i]) {
+			t.Fatalf("%s: arrival at position %d = %v, full sweep %v", what, i, arrival[i], wantArrival[i])
+		}
+	}
+	if w := e.dag.worst(wantArrival); math.Float64bits(got) != math.Float64bits(w) {
+		t.Fatalf("%s: D_BIC = %v, full sweep %v", what, got, w)
+	}
+	return got
 }
 
 // The incremental D_BIC update must equal both a full sweep and the
-// direct §3.2 computation bit for bit, leave the arrival time at every
-// position equal to a full sweep's, and recompute fewer gates than the
-// circuit has when the changed modules are small.
+// direct §3.2 computation bit for bit, leave the delay and arrival time
+// at every position equal to a full sweep's, and recompute fewer gates
+// than the circuit has when the changed modules are small. Its first
+// call, on zeroed vectors with every module changed, recomputes every
+// position from the first logic gate's on.
 func TestUpdateBICDelayMatchesFullSweep(t *testing.T) {
 	a, err := celllib.Annotate(circuits.MustISCAS85Like("c432"), celllib.Default())
 	if err != nil {
@@ -320,10 +353,12 @@ func TestUpdateBICDelayMatchesFullSweep(t *testing.T) {
 	logic := c.LogicGates()
 	var groups [][]int
 	moduleOf := make([]int, c.NumGates())
+	firstLogic := c.NumGates()
 	for i := 0; i < len(logic); i += 8 {
 		grp := logic[i:min(i+8, len(logic))]
 		for _, g := range grp {
 			moduleOf[g] = len(groups)
+			firstLogic = min(firstLogic, int(e.dag.pos[g]))
 		}
 		groups = append(groups, grp)
 	}
@@ -331,14 +366,14 @@ func TestUpdateBICDelayMatchesFullSweep(t *testing.T) {
 	for mi, grp := range groups {
 		mods[mi] = e.EvalModule(grp)
 	}
-	arrival := make([]float64, c.NumGates())
-	first := e.UpdateBICDelay(arrival, mods, nil)
+	arrival, delay := make([]float64, c.NumGates()), make([]float64, c.NumGates())
+	first := updateChecked(t, e, arrival, delay, mods, mods, "first call")
 	if want := referenceBICDelay(e, moduleOf, mods); math.Float64bits(first) != math.Float64bits(want) {
 		t.Fatalf("full sweep D_BIC = %v, direct computation %v", first, want)
 	}
 	sweeps, gates := o.Counter(MetricBICDelaySweeps), o.Counter(MetricBICDelayGates)
-	if sweeps.Value() != 1 || gates.Value() != uint64(c.NumGates()) {
-		t.Fatalf("full sweep counted %d sweeps over %d gates, want 1 over %d", sweeps.Value(), gates.Value(), c.NumGates())
+	if want := uint64(c.NumGates() - firstLogic); sweeps.Value() != 1 || gates.Value() != want {
+		t.Fatalf("first call counted %d sweeps over %d gates, want 1 over %d", sweeps.Value(), gates.Value(), want)
 	}
 	rng := rand.New(rand.NewSource(3))
 	for step := 0; step < 20; step++ {
@@ -354,13 +389,8 @@ func TestUpdateBICDelayMatchesFullSweep(t *testing.T) {
 		moduleOf[g] = from + 1
 		mods[from], mods[from+1] = e.EvalModule(groups[from]), e.EvalModule(groups[from+1])
 		before := gates.Value()
-		got := e.UpdateBICDelay(arrival, mods, []int{from + 1, from})
+		got := updateChecked(t, e, arrival, delay, []*Module{mods[from+1], mods[from]}, mods, fmt.Sprintf("step %d", step))
 		recomputed := gates.Value() - before
-		for i, want := range fullSweep(e, mods) {
-			if math.Float64bits(arrival[i]) != math.Float64bits(want) {
-				t.Fatalf("step %d: arrival at position %d = %v, full sweep %v", step, i, arrival[i], want)
-			}
-		}
 		if want := e.BICDelay(moduleOf, mods); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("step %d: incremental D_BIC = %v, full sweep %v", step, got, want)
 		}
@@ -373,10 +403,13 @@ func TestUpdateBICDelayMatchesFullSweep(t *testing.T) {
 	}
 }
 
-// UpdateBICDelay skips the delays of modules that end before the first
-// seed. With one module per gate every seed's own module ends at the seed,
-// so a skip condition off by one position leaves a stale delay there: the
-// updated arrival times must equal a full sweep's at every position.
+// With one module per gate every update has a single seed, the sparsest
+// case: the frontier sweep starts from one position, often mid-word, and
+// only the delay at that position may change. A delay written to the
+// wrong position, a frontier word skipped or a frontier bit left set
+// shows at once: the delays must equal a full scatter's and the arrival
+// times a full sweep's at every position, and the frontier must be all
+// zero, after every call.
 func TestUpdateBICDelaySingletonModules(t *testing.T) {
 	a, err := celllib.Annotate(circuits.MustISCAS85Like("c432"), celllib.Default())
 	if err != nil {
@@ -389,24 +422,15 @@ func TestUpdateBICDelaySingletonModules(t *testing.T) {
 	for i, g := range logic {
 		mods[i] = e.EvalModule([]int{g})
 	}
-	arrival := make([]float64, c.NumGates())
-	e.UpdateBICDelay(arrival, mods, nil)
+	arrival, delay := make([]float64, c.NumGates()), make([]float64, c.NumGates())
+	updateChecked(t, e, arrival, delay, mods, mods, "first call")
 	rng := rand.New(rand.NewSource(5))
 	for step := 0; step < 50; step++ {
 		k := rng.Intn(len(mods))
 		m := *mods[k]
 		m.Delay = []float64{m.Delay[0] * (1 + rng.Float64())}
 		mods[k] = &m
-		got := e.UpdateBICDelay(arrival, mods, []int{k})
-		want := fullSweep(e, mods)
-		for i := range want {
-			if math.Float64bits(arrival[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("step %d: arrival at position %d = %v, full sweep %v", step, i, arrival[i], want[i])
-			}
-		}
-		if w := e.dag.worst(want); math.Float64bits(got) != math.Float64bits(w) {
-			t.Fatalf("step %d: D_BIC = %v, full sweep %v", step, got, w)
-		}
+		updateChecked(t, e, arrival, delay, []*Module{mods[k]}, mods, fmt.Sprintf("step %d", step))
 	}
 }
 
@@ -433,7 +457,7 @@ func TestWorstArrivalOverSinksIsGlobalMax(t *testing.T) {
 			return worst
 		}
 		nominal := make([]float64, c.NumGates())
-		e.dag.sweep(e.dag.nominal, nominal, 0, len(nominal)-1, nil)
+		e.dag.sweep(e.dag.nominal, nominal, 0)
 		if got, want := e.NominalDelay(), maxAll(nominal); math.Float64bits(got) != math.Float64bits(want) {
 			t.Errorf("%s: nominal delay over sinks %v, over all positions %v", name, got, want)
 		}
@@ -442,8 +466,8 @@ func TestWorstArrivalOverSinksIsGlobalMax(t *testing.T) {
 		for i := 0; i < len(logic); i += 8 {
 			mods = append(mods, e.EvalModule(logic[i:min(i+8, len(logic))]))
 		}
-		arrival := make([]float64, c.NumGates())
-		got := e.UpdateBICDelay(arrival, mods, nil)
+		arrival, delay := make([]float64, c.NumGates()), make([]float64, c.NumGates())
+		got := updateChecked(t, e, arrival, delay, mods, mods, name)
 		if want := maxAll(arrival); math.Float64bits(got) != math.Float64bits(want) {
 			t.Errorf("%s: D_BIC over sinks %v, over all positions %v", name, got, want)
 		}
@@ -590,14 +614,14 @@ func TestTestTimeOverhead(t *testing.T) {
 	mods := []*Module{e.EvalModule(gates)}
 	moduleOf := make([]int, a.Circuit.NumGates())
 	dBIC := e.BICDelay(moduleOf, mods)
-	c4 := e.TestTimeOverhead(dBIC, mods)
+	c4 := e.TestTimeOverhead(dBIC, mods[0].Settle)
 	c2 := e.DelayOverhead(dBIC)
 	if c4 <= c2 {
 		t.Errorf("test-time overhead %g must exceed delay overhead %g (settling adds)", c4, c2)
 	}
-	// nil modules in the slice are tolerated.
-	if got := e.TestTimeOverhead(dBIC, []*Module{nil, mods[0]}); !approx(got, c4, 1e-12) {
-		t.Error("nil module changed the overhead")
+	// With no settling time the test-time overhead is the delay overhead.
+	if got := e.TestTimeOverhead(dBIC, 0); math.Float64bits(got) != math.Float64bits(c2) {
+		t.Errorf("test-time overhead without settling %g, delay overhead %g", got, c2)
 	}
 }
 

@@ -104,24 +104,27 @@ type Estimator struct {
 	chaos *chaos.Injector
 
 	// scratch pools the transient buffers of EvalModule (current profile,
-	// module membership mask) and of the D_BIC sweep (per-position
-	// delays, marks, arrival times). Both run millions of times per
-	// optimizer run on concurrent worker pools, so these must not be
-	// allocated per call. The pool belongs to the estimator, so its
-	// buffers are sized for this circuit. Pool contents never affect
-	// results: every entry a call reads is written earlier in that call,
-	// except the primary inputs' delays, which are 0 in every buffer.
+	// module membership mask) and of the D_BIC sweeps (BICDelay's
+	// per-position delays and arrival times, UpdateBICDelay's frontier).
+	// Both run millions of times per optimizer run on concurrent worker
+	// pools, so these must not be allocated per call. The pool belongs to
+	// the estimator, so its buffers are sized for this circuit. Pool
+	// contents never affect results: every entry a call reads is written
+	// earlier in that call, except the primary inputs' delays, which are 0
+	// in every buffer, and the mask and the frontier, which every call
+	// leaves all clear.
 	scratch sync.Pool
 }
 
 // evalScratch is the transient working memory of one EvalModule or D_BIC
 // sweep.
 type evalScratch struct {
-	prof    []float64 // current profile over the time grid
-	mask    []bool    // module membership by gate ID, or sweep marks by position; all false between uses
-	delay   []float64 // degraded delay per sweep position; always 0 at primary inputs
-	arrival []float64 // arrival time per sweep position, for BICDelay, whose caller keeps none
-	damp    []float64 // delay damping per class; 0 = not computed yet
+	prof     []float64 // current profile over the time grid
+	mask     []bool    // module membership by gate ID; all false between uses
+	delay    []float64 // degraded delay per sweep position, for BICDelay; always 0 at primary inputs
+	arrival  []float64 // arrival time per sweep position, for BICDelay, whose caller keeps none
+	frontier bitset    // sweep positions UpdateBICDelay has yet to recompute; all zero between uses
+	damp     []float64 // delay damping per class; 0 = not computed yet
 }
 
 func (e *Estimator) getScratch() *evalScratch {
@@ -137,6 +140,8 @@ func (e *Estimator) getScratch() *evalScratch {
 			delay: make([]float64, e.A.Circuit.NumGates()),
 			//lint:ignore hotalloc pool miss only
 			arrival: make([]float64, e.A.Circuit.NumGates()),
+			//lint:ignore hotalloc pool miss only
+			frontier: make(bitset, e.A.Circuit.NumGates()/64+1),
 			//lint:ignore hotalloc pool miss only
 			damp: make([]float64, e.numClasses),
 		}
@@ -196,7 +201,7 @@ func New(a *celllib.Annotated, p Params) *Estimator {
 	c.Levels() // built here, so concurrent FinishModule calls only read it
 	e.dag = newSweepDAG(a)
 	sc := e.getScratch()
-	e.dag.sweep(e.dag.nominal, sc.arrival, 0, c.NumGates()-1, nil)
+	e.dag.sweep(e.dag.nominal, sc.arrival, 0)
 	e.nominalDelay = e.dag.worst(sc.arrival)
 	e.scratch.Put(sc)
 	e.buildNeighborhoods()
@@ -298,11 +303,6 @@ type Module struct {
 	// aligned with Gates. δ depends only on the module's Rs, Cs and n(t)
 	// at the gate's level, so it is fixed once the module is finished.
 	Delay []float64
-
-	// lastPos is the latest D_BIC sweep position among Gates, -1 for
-	// none: UpdateBICDelay skips the delays of a module that ends before
-	// the sweep starts.
-	lastPos int32
 }
 
 // Discriminability returns d(M) = IDDQ,th / IDDQ,nd (§2).
@@ -367,7 +367,7 @@ func (e *Estimator) FinishModule(gates []int, sep int, act []int) *Module {
 		sep, act = e.ModuleCounts(gates)
 	}
 	//lint:ignore hotalloc the Module is the call's result, retained in the partition's estimate cache
-	m := &Module{Gates: gates, Separation: sep, Activity: act, lastPos: -1}
+	m := &Module{Gates: gates, Separation: sep, Activity: act}
 	if len(gates) == 0 {
 		return m
 	}
@@ -412,7 +412,6 @@ func (e *Estimator) FinishModule(gates []int, sep int, act []int) *Module {
 			damp[k] = must(electrical.DelayDamping(m.Rs, e.A.Rg[g], e.A.Delay[g], m.Cs))
 		}
 		m.Delay[i] = e.A.Delay[g] * electrical.Degrade(n, m.Rs, e.A.Rg[g], damp[k])
-		m.lastPos = max(m.lastPos, e.dag.pos[g])
 	}
 	return m
 }
@@ -474,14 +473,9 @@ func (e *Estimator) DelayOverhead(dBIC float64) float64 {
 
 // TestTimeOverhead returns c₄ of §3.4. A test vector is applied, the
 // slowest module's transient decays and its IDDQ is sensed, so the
-// per-vector period is D'_BIC = D_BIC + max_i Δ(τ_i); the overhead is
+// per-vector period is D'_BIC = D_BIC + settle, where settle is the
+// largest Δ(τ_i) over the modules (their Settle fields); the overhead is
 // measured against the sensor-free per-vector period D.
-func (e *Estimator) TestTimeOverhead(dBIC float64, mods []*Module) float64 {
-	var settle float64
-	for _, m := range mods {
-		if m != nil && m.Settle > settle {
-			settle = m.Settle
-		}
-	}
+func (e *Estimator) TestTimeOverhead(dBIC, settle float64) float64 {
 	return (dBIC + settle - e.nominalDelay) / e.nominalDelay
 }

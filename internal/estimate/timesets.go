@@ -7,9 +7,10 @@
 // number of partitions: they are deliberately pessimistic (all gates at
 // equal path depth are assumed to switch simultaneously) but computable in
 // time linear in the circuit size. The BIC-degraded delay D_BIC is also
-// maintained incrementally for a caller that keeps arrival times between
-// evaluations (UpdateBICDelay): only the gates downstream of changed
-// modules are recomputed, in place on the caller's arrival vector.
+// maintained incrementally for a caller that keeps the arrival time and
+// degraded delay of every gate between evaluations (UpdateBICDelay): only
+// the changed modules' delays are written, and only the gates downstream
+// of them are recomputed, in place on the caller's vectors.
 package estimate
 
 import (

@@ -164,9 +164,10 @@ func checkExact(t *testing.T, e *estimate.Estimator, p *partition.Partition, ste
 	checkCosts(t, e, p, step)
 }
 
-// checkCosts asserts that p's cost vector and every arrival time it
-// keeps for the next incremental sweep equal a from-scratch evaluation of
-// its groups bit for bit.
+// checkCosts asserts that p's cost vector, its cached worst
+// discriminability and every arrival time and gate delay it keeps for the
+// next incremental sweep equal a from-scratch evaluation of its groups
+// bit for bit.
 func checkCosts(t *testing.T, e *estimate.Estimator, p *partition.Partition, step int) {
 	t.Helper()
 	fresh, err := partition.New(e, p.Groups(), p.W, p.Cons)
@@ -176,10 +177,20 @@ func checkCosts(t *testing.T, e *estimate.Estimator, p *partition.Partition, ste
 	if got, want := p.Costs(), fresh.Costs(); costBits(got) != costBits(want) {
 		t.Fatalf("step %d: incremental costs %+v, from scratch %+v", step, got, want)
 	}
-	got, want := p.ArrivalTimes(), fresh.ArrivalTimes()
-	for i := range want {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("step %d: arrival time at sweep position %d = %v, from scratch %v", step, i, got[i], want[i])
+	if got, want := p.WorstDiscriminability(), fresh.WorstDiscriminability(); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("step %d: cached worst discriminability %v, from scratch %v", step, got, want)
+	}
+	for _, v := range []struct {
+		what      string
+		got, want []float64
+	}{
+		{"arrival time", p.ArrivalTimes(), fresh.ArrivalTimes()},
+		{"gate delay", p.DelayTimes(), fresh.DelayTimes()},
+	} {
+		for i := range v.want {
+			if math.Float64bits(v.got[i]) != math.Float64bits(v.want[i]) {
+				t.Fatalf("step %d: %s at sweep position %d = %v, from scratch %v", step, v.what, i, v.got[i], v.want[i])
+			}
 		}
 	}
 }
@@ -239,10 +250,10 @@ func pickMove(p *partition.Partition, r *opReader, kind int) (gates []int, from,
 //     clones, and moves (module deletions included) land on any member,
 //     parent or clone, after the clones were made; a moved member is
 //     evaluated at once, so cloning it later settles its arrival times.
-//     Each clone must show its source's ModuleOf, Groups, cost bits and
-//     arrival times; each clone or move must leave those of every other
-//     member as they were, and Verify must pass on every member; the walk
-//     continues on one member.
+//     Each clone must show its source's ModuleOf, Groups, cost bits,
+//     arrival times and gate delays; each clone or move must leave those
+//     of every other member as they were, and Verify must pass on every
+//     member; the walk continues on one member.
 func FuzzDeltaCost(f *testing.F) {
 	f.Add(uint8(0), []byte{0, 3, 0, 1, 1, 0, 5, 2, 1, 1, 2, 4, 0, 0, 3, 7, 1, 2, 1, 0})
 	f.Add(uint8(0), []byte{2, 0, 1, 0, 2, 1, 0, 0, 2, 5, 1, 1, 3, 2, 0, 0, 0, 1, 9, 2, 0, 3, 1})
@@ -261,6 +272,9 @@ func FuzzDeltaCost(f *testing.F) {
 	// and clones it again, which settles it while the first clone shares
 	// its arrival vector.
 	f.Add(uint8(0), []byte{7, 1, 0, 1, 0, 0, 5, 0, 3, 0, 0, 0, 0, 2, 0, 1, 0, 0, 2, 1, 0})
+	// A move, then op 7 clones the walk's partition and moves it again on
+	// an index page the first move copied, which the clone now shares.
+	f.Add(uint8(0), []byte{0, 36, 135, 43, 106, 49, 7, 2, 0, 0, 1, 0, 215, 255, 228, 88, 119, 68, 213, 235, 120, 62, 150, 150, 143, 137, 190, 130, 133, 101, 224, 126})
 	f.Fuzz(func(t *testing.T, circuit uint8, ops []byte) {
 		e := deltaEstimator(t, int(circuit))
 		p := deltaStart(t, int(circuit))
@@ -358,14 +372,15 @@ func chainInput(seed int64, steps ...int) []byte {
 }
 
 // view is what cloning or moving one partition must not change in another
-// that shares its module records, index pages and arrival vector: every
-// gate's module, the groups, the cost bits and the arrival times' bits.
-// Taking a view evaluates p.
+// that shares its module records, index pages and settled pages: every
+// gate's module, the groups, the cost bits and the bits of the arrival
+// times and gate delays per sweep position. Taking a view evaluates p.
 type view struct {
 	moduleOf []int
 	groups   [][]int
 	cost     [9]uint64
 	arrival  []uint64
+	delay    []uint64
 }
 
 func viewOf(p *partition.Partition) view {
@@ -375,6 +390,9 @@ func viewOf(p *partition.Partition) view {
 	}
 	for _, at := range p.ArrivalTimes() {
 		v.arrival = append(v.arrival, math.Float64bits(at))
+	}
+	for _, d := range p.DelayTimes() {
+		v.delay = append(v.delay, math.Float64bits(d))
 	}
 	return v
 }
@@ -395,8 +413,13 @@ func checkView(t *testing.T, p *partition.Partition, before view, what string) {
 	if !slices.EqualFunc(before.groups, after.groups, slices.Equal) {
 		t.Fatalf("%s: groups changed", what)
 	}
-	if before.cost != after.cost || !slices.Equal(before.arrival, after.arrival) {
-		t.Fatalf("%s: cost bits or arrival times changed", what)
+	switch {
+	case before.cost != after.cost:
+		t.Fatalf("%s: cost bits changed", what)
+	case !slices.Equal(before.arrival, after.arrival):
+		t.Fatalf("%s: arrival times changed", what)
+	case !slices.Equal(before.delay, after.delay):
+		t.Fatalf("%s: gate delays changed", what)
 	}
 }
 
@@ -443,10 +466,12 @@ func mustMoveRandomBoundary(t *testing.T, q *partition.Partition, rng *rand.Rand
 
 // A chain of descendants of descendants on c7552 at module size 8: an
 // evaluated descendant that was never cloned keeps no arrival times of
-// its own but still points at its parent's vector; its first Clone
-// settles a vector of its own, equal bit for bit to a from-scratch sweep,
-// and its later clones share that vector. Every evaluation must match the
-// from-scratch oracle.
+// its own but still points at its parent's settled pages; its first
+// Clone settles a page list of its own, equal bit for bit to a
+// from-scratch sweep, and its later clones share that list. The settle
+// copies only the pages one move changed, so it keeps at least half of
+// its parent's pages. Every evaluation must match the from-scratch
+// oracle.
 func TestDescendantChainArrivalLayout(t *testing.T) {
 	e := deltaEstimator(t, 2)
 	p := deltaStart(t, 2)
@@ -458,16 +483,19 @@ func TestDescendantChainArrivalLayout(t *testing.T) {
 		mustMoveRandomBoundary(t, q, rng)
 		checkCosts(t, e, q, depth)
 		if q.ArrivalLayout() != parentBase {
-			t.Fatalf("depth %d: an evaluated, never-cloned descendant holds an arrival vector of its own", depth)
+			t.Fatalf("depth %d: an evaluated, never-cloned descendant holds settled pages of its own", depth)
 		}
 		a := q.Clone()
 		settled := q.ArrivalLayout()
 		if settled == parentBase {
-			t.Fatalf("depth %d: cloning an evaluated descendant left it on its parent's arrival vector", depth)
+			t.Fatalf("depth %d: cloning an evaluated descendant left it on its parent's page list", depth)
 		}
 		checkCosts(t, e, q, depth)
+		if shared, total := q.SharedPages(p), q.SettledPages(); shared*2 < total {
+			t.Fatalf("depth %d: the settle shares %d of %d pages with its parent, want at least half", depth, shared, total)
+		}
 		if b := q.Clone(); a.ArrivalLayout() != settled || b.ArrivalLayout() != settled {
-			t.Fatalf("depth %d: the clones of a settled descendant do not share its arrival vector", depth)
+			t.Fatalf("depth %d: the clones of a settled descendant do not share its page list", depth)
 		}
 		p = a
 	}

@@ -20,18 +20,22 @@
 //     clones share every unmodified record and every computed estimate;
 //     MoveGates replaces the touched modules' records instead of editing
 //     them;
-//   - the gate→module index maps gates to module ids in fixed-size,
-//     immutable pages; a clone copies the page pointers, and MoveGates
-//     copies each page it writes. Ids ascend with the module index and
-//     survive the deletion of other modules, so deleting a module never
-//     renumbers a gate;
-//   - the D_BIC arrival times are one immutable vector, shared with the
-//     partition's clones, plus the modules touched since that vector was
-//     computed. An evaluation re-propagates from the touched modules into
-//     pooled scratch and keeps nothing; only a partition that is cloned
-//     after it was evaluated settles a vector of its own. Of the
-//     descendants a generation evaluates, only the selected ones ever
-//     are.
+//   - the gate→module index maps gates to module ids in fixed-size
+//     pages; a clone copies the page pointers, and MoveGates copies a
+//     page the first time it writes it after the partition was made or
+//     last cloned. Ids ascend with the module index and survive the
+//     deletion of other modules, so deleting a module never renumbers a
+//     gate;
+//   - the D_BIC arrival times and degraded gate delays per sweep
+//     position are settled in immutable pages, shared with the
+//     partition's clones, plus the modules touched since they were
+//     computed. An evaluation copies the pages into pooled scratch,
+//     writes the touched modules' delays and re-propagates from them, and
+//     keeps nothing; only a partition that is cloned after it was
+//     evaluated settles pages of its own, copying only the pages whose
+//     bits changed. Of the descendants a generation evaluates, only the
+//     selected ones ever are. The evaluation's other terms come from one
+//     walk over the module estimates.
 package partition
 
 import (
@@ -126,8 +130,9 @@ type moduleRecord struct {
 // The gate→module index stores each gate's module id in pages of
 // pageSize consecutive gate IDs. A page is immutable once a partition
 // can share it: Clone copies the page pointers only, and MoveGates
-// writes to a fresh copy of each page it touches. A clone thus copies
-// one pointer per page, and a move one page per page it writes. Of 64,
+// writes to a fresh copy of each page the partition has not written
+// since it was made or last cloned. A clone thus copies one pointer per
+// page, and its moves one page per page they write. Of 64,
 // 256 and 1024 gates per page, 64 allocated least and was as fast as
 // 256 within the measurement's noise (see DESIGN.md §5).
 const (
@@ -139,6 +144,12 @@ const (
 // primary inputs and past the last gate.
 type gatePage [pageSize]int32
 
+// timePage holds the settled arrival times, or the settled degraded
+// delays, of pageSize consecutive sweep positions; entries past the last
+// position are 0. Like a gatePage it is immutable once a partition can
+// share it.
+type timePage [pageSize]float64
+
 // Partition is a mutable partition of the circuit's logic gates with
 // incremental cost evaluation.
 type Partition struct {
@@ -147,24 +158,38 @@ type Partition struct {
 	Cons Constraints
 
 	// modules lists the module records in ascending id order; pages maps
-	// each gate to its module's id. Clone copies both lists; the pages and
-	// the records they point to are never written in place, except for a
-	// record's estimate cache.
-	modules []*moduleRecord
-	pages   []*gatePage
+	// each gate to its module's id. Clone copies both lists; the records
+	// are never written in place, except for their estimate cache, and
+	// neither is a page another partition may share. written marks, one
+	// bit per page, the pages this partition copied since it was made or
+	// last cloned, which no other partition holds: MoveGates writes those
+	// in place. Clone clears the receiver's marks and gives the clone
+	// none, so after a clone both copy a page before writing it. An index
+	// of at most 64 pages (every ISCAS-85 circuit) keeps its marks in
+	// writtenWord, so a clone that moves allocates none.
+	modules     []*moduleRecord
+	pages       []*gatePage
+	written     []uint64
+	writtenWord [1]uint64
 
-	// base holds the D_BIC arrival time at each sweep position under the
-	// modules as they were when it was computed (nil before the first
-	// evaluation), and touched lists the modules, by current index, whose
-	// estimates changed since — the seeds of the next incremental sweep.
-	// touched is tracked here rather than read off nil estimates, because
-	// ModuleEstimate refills those before Costs runs. Clones share base,
-	// so only settleArrival replaces it, and nothing writes it in place.
-	base    []float64
+	// settled pages the D_BIC arrival time and then the degraded gate
+	// delay at each sweep position, under the modules as they were when
+	// they were computed: the arrival pages first, then as many delay
+	// pages (nil before the first evaluation). touched lists the modules,
+	// by current index, whose estimates changed since — the seeds of the
+	// next incremental sweep. touched is tracked here rather than read off
+	// nil estimates, because ModuleEstimate refills those before Costs
+	// runs. Clones share the page list and its pages, so only
+	// settleArrival replaces the list, and nothing writes either in place.
+	settled []*timePage
 	touched []int
 
+	// cost is the cost vector and worst the least module discriminability
+	// of the modules as they were at the last evaluation; costValid says
+	// whether the modules are still as they were.
 	costValid bool
 	cost      CostVector
+	worst     float64
 }
 
 // New builds a Partition from explicit gate groups. The groups must be
@@ -285,27 +310,31 @@ func (p *Partition) ModuleEstimate(mi int) *estimate.Module {
 // Clone returns a deep copy sharing the immutable estimator. It copies
 // one pointer per module and one per page of the gate→module index (and
 // the touched list); module records, their cached estimates, index pages
-// and the arrival vector are shared copy-on-write style, so a clone's
-// mutation never reaches its siblings or its parent, nor theirs the
-// clone. An evaluated receiver with touched modules first settles its
-// arrival times, so Clone may write its receiver, never state a clone
-// shares: a parent can be cloned while its earlier clones are moved or
-// evaluated on other goroutines, but one partition must not be cloned on
-// two goroutines at once.
+// and the pages of settled arrival times and delays are shared
+// copy-on-write style, so a clone's mutation never reaches its siblings or its parent,
+// nor theirs the clone. An evaluated receiver with touched modules first
+// settles its arrival times and delays, and every receiver forgets which
+// index pages it may write in place, so Clone may write its receiver,
+// never state a clone shares: a parent can be cloned while its earlier
+// clones are moved or evaluated on other goroutines, but one partition
+// must not be cloned on two goroutines at once.
 func (p *Partition) Clone() *Partition {
 	if p.costValid && len(p.touched) > 0 {
-		sc := p.getCostScratch()
-		p.settleArrival(sc.mods)
-		putCostScratch(sc)
+		sc := costScratchPool.Get().(*costScratch)
+		p.sweepTimes(sc)
+		p.settleArrival(sc)
+		costScratchPool.Put(sc)
 	}
+	clear(p.written)
 	return &Partition{
 		E: p.E, W: p.W, Cons: p.Cons,
 		modules:   append([]*moduleRecord(nil), p.modules...),
 		pages:     append([]*gatePage(nil), p.pages...),
-		base:      p.base,
+		settled:   p.settled,
 		touched:   append([]int(nil), p.touched...),
 		costValid: p.costValid,
 		cost:      p.cost,
+		worst:     p.worst,
 	}
 }
 
@@ -328,8 +357,9 @@ func (p *Partition) Clone() *Partition {
 // each t ∈ T(g). Updating the terms therefore costs
 // O(|N(g)| + |T(g)|) per moved gate instead of a recount of both modules;
 // only the copy-on-write records' gate lists and profiles are copied
-// whole, plus one page of the gate→module index per page the moved gates
-// sit on. The moved gates take the target's module id, which no deletion
+// whole, plus each page of the gate→module index that the moved gates
+// sit on and that p has not copied since it was made or last cloned. The
+// moved gates take the target's module id, which no deletion
 // changes, so deleting the emptied source rewrites no gate entry.
 func (p *Partition) MoveGates(gates []int, from, to int) (int, error) {
 	if from == to {
@@ -357,8 +387,13 @@ func (p *Partition) MoveGates(gates []int, from, to int) (int, error) {
 	rho, ts := p.E.P.Rho, p.E.TS
 	srcSep, dstSep := sc.sep, dc.sep
 	srcLen, dstLen := len(sc.gates), len(dc.gates)
-	var copiedBuf [4]int
-	copied := copiedBuf[:0] // the index pages this move has copied
+	if p.written == nil {
+		p.written = p.writtenWord[:]
+		if words := (len(p.pages) + 63) / 64; words > len(p.writtenWord) {
+			//lint:ignore hotalloc one bit per index page, once per clone that moves, on circuits of more than 64 pages only
+			p.written = make([]uint64, words)
+		}
+	}
 	for _, g := range gates {
 		if p.idOf(g) == dc.id {
 			continue // duplicate in the argument list
@@ -381,13 +416,12 @@ func (p *Partition) MoveGates(gates []int, from, to int) (int, error) {
 		ts.AddActivity(srcAct, g, -1)
 		ts.AddActivity(dstAct, g, 1)
 		pg := g >> pageShift
-		if !slices.Contains(copied, pg) {
-			//lint:ignore hotalloc copy-on-write by design: clones may share the old page, so each move writes a copy of it
+		if bit := uint64(1) << (pg & 63); p.written[pg>>6]&bit == 0 {
+			//lint:ignore hotalloc copy-on-write by design: clones may share the old page, so the first write since the last Clone goes to a copy
 			fresh := new(gatePage)
 			*fresh = *p.pages[pg]
 			p.pages[pg] = fresh
-			//lint:ignore hotalloc a move spans few pages, which the stack buffer above holds
-			copied = append(copied, pg)
+			p.written[pg>>6] |= bit
 		}
 		p.pages[pg][g&(pageSize-1)] = dc.id
 	}
@@ -428,8 +462,8 @@ func (p *Partition) MoveGates(gates []int, from, to int) (int, error) {
 	return to, nil
 }
 
-// touch records module mi as changed since the arrival times were
-// computed.
+// touch records module mi as changed since the settled arrival times and
+// delays were computed.
 func (p *Partition) touch(mi int) {
 	if !slices.Contains(p.touched, mi) {
 		//lint:ignore hotalloc a few words per descendant: Clone hands a clone an empty list, and settling truncates it for reuse
@@ -517,8 +551,12 @@ func (p *Partition) Feasible() bool {
 	return p.WorstDiscriminability() >= p.Cons.MinDiscriminability
 }
 
-// WorstDiscriminability returns min_i d(Mᵢ).
+// WorstDiscriminability returns min_i d(Mᵢ): cached with the cost once
+// the partition is evaluated, a walk over the module estimates before.
 func (p *Partition) WorstDiscriminability() float64 {
+	if p.costValid {
+		return p.worst
+	}
 	worst := math.Inf(1)
 	for mi := range p.modules {
 		if d := p.ModuleEstimate(mi).Discriminability(p.E.P.IDDQth); d < worst {
@@ -529,106 +567,134 @@ func (p *Partition) WorstDiscriminability() float64 {
 }
 
 // costScratch holds the transient buffers of one Costs evaluation or
-// arrival settle: the module list and the arrival times the sweep works
-// on. The descendant loop evaluates thousands of partitions per
-// generation on a worker pool, so they are pooled instead of allocated
-// per call; nothing in them survives the call (the module pointers are
-// cleared before the scratch is returned).
+// arrival settle: the estimates of the modules the sweep starts from and
+// a copy of the settled pages the sweep works on. The descendant loop
+// evaluates thousands of partitions per generation on a worker pool, so
+// they are pooled instead of allocated per call; nothing in them
+// survives the call (the module pointers are cleared before the scratch
+// is returned).
 type costScratch struct {
-	mods    []*estimate.Module
-	arrival []float64
+	changed []*estimate.Module
+	times   []float64
 }
 
 var costScratchPool = sync.Pool{New: func() interface{} { return new(costScratch) }}
-
-// getCostScratch returns pooled scratch whose module list holds p's
-// module estimates, computed where missing, and whose arrival buffer has
-// one entry per gate. putCostScratch hands it back.
-func (p *Partition) getCostScratch() *costScratch {
-	sc := costScratchPool.Get().(*costScratch)
-	if cap(sc.mods) < len(p.modules) {
-		//lint:ignore hotalloc pool miss or module-count growth only; steady-state cost evaluations reuse the pooled buffer
-		sc.mods = make([]*estimate.Module, len(p.modules))
-	}
-	if n := p.E.A.Circuit.NumGates(); cap(sc.arrival) < n {
-		//lint:ignore hotalloc pool miss or a larger circuit only; steady-state cost evaluations reuse the pooled buffer
-		sc.arrival = make([]float64, n)
-	}
-	sc.mods, sc.arrival = sc.mods[:len(p.modules)], sc.arrival[:p.E.A.Circuit.NumGates()]
-	for mi := range sc.mods {
-		sc.mods[mi] = p.ModuleEstimate(mi)
-	}
-	return sc
-}
-
-func putCostScratch(sc *costScratch) {
-	clear(sc.mods)
-	costScratchPool.Put(sc)
-}
 
 // Costs evaluates the full cost vector, recomputing only invalidated
 // modules. The logarithmic terms use log(1+x) so that degenerate
 // partitions (all singleton modules have S = 0) stay finite; the paper's
 // log(x) is undefined there and identical in shape everywhere else that
-// matters. The first evaluation settles the arrival times; a later one
-// sweeps a pooled copy of them and keeps nothing.
+// matters. One walk over the module estimates sums the sensor areas and
+// S(M) and takes the largest Δ(τ) and the least d(M), which is cached
+// for WorstDiscriminability. The first evaluation settles the arrival
+// times and delays; a later one sweeps a pooled copy of them from the
+// touched modules and keeps nothing.
 func (p *Partition) Costs() CostVector {
 	if p.costValid {
 		return p.cost
 	}
-	sc := p.getCostScratch()
-	mods := sc.mods
-	var areaSum float64
-	sepSum := 0
-	for _, m := range mods {
+	var areaSum, settle float64
+	sepSum, worst := 0, math.Inf(1)
+	for mi := range p.modules {
+		m := p.ModuleEstimate(mi)
 		areaSum += m.SensorArea
 		sepSum += m.Separation
+		if m.Settle > settle {
+			settle = m.Settle
+		}
+		if d := m.Discriminability(p.E.P.IDDQth); d < worst {
+			worst = d
+		}
 	}
-	var dBIC float64
-	if p.base == nil {
-		dBIC = p.settleArrival(mods)
-	} else {
-		dBIC = p.sweepArrival(sc.arrival, mods)
+	sc := costScratchPool.Get().(*costScratch)
+	dBIC := p.sweepTimes(sc)
+	if p.settled == nil {
+		p.settleArrival(sc)
 	}
-	cv := CostVector{
+	costScratchPool.Put(sc)
+	p.cost = CostVector{
 		LogArea:       math.Log1p(areaSum),
 		DelayOverhead: p.E.DelayOverhead(dBIC),
 		LogSeparation: math.Log1p(float64(sepSum)),
-		TestTime:      p.E.TestTimeOverhead(dBIC, mods),
+		TestTime:      p.E.TestTimeOverhead(dBIC, settle),
 		Modules:       float64(len(p.modules)),
 		SensorArea:    areaSum,
 		DBIc:          dBIC,
 		DNominal:      p.E.NominalDelay(),
 		Separation:    sepSum,
 	}
-	putCostScratch(sc)
-	p.cost = cv
+	p.worst = worst
 	p.costValid = true
-	return cv
+	return p.cost
 }
 
-// sweepArrival writes p's arrival times under mods, its module
-// estimates, into arrival and returns D_BIC: a sweep over every gate
-// before the first evaluation, base re-propagated from the touched
-// modules after it.
-func (p *Partition) sweepArrival(arrival []float64, mods []*estimate.Module) float64 {
-	if p.base == nil {
-		return p.E.UpdateBICDelay(arrival, mods, nil)
+// sweepTimes writes into sc.times p's arrival times and then its gate
+// delays per sweep position under its current modules, each half padded
+// to whole pages, and returns D_BIC. It starts from a copy of the settled
+// pages with the touched modules changed, or before the first evaluation
+// from zeros with every module changed.
+func (p *Partition) sweepTimes(sc *costScratch) float64 {
+	n := p.E.A.Circuit.NumGates()
+	half := (n + pageSize - 1) &^ (pageSize - 1)
+	if cap(sc.times) < 2*half {
+		//lint:ignore hotalloc pool miss or a larger circuit only; steady-state cost evaluations reuse the pooled buffer
+		sc.times = make([]float64, 2*half)
 	}
-	copy(arrival, p.base)
-	return p.E.UpdateBICDelay(arrival, mods, p.touched)
+	sc.times = sc.times[:2*half]
+	changed := sc.changed[:0]
+	if p.settled == nil {
+		clear(sc.times)
+		for mi := range p.modules {
+			//lint:ignore hotalloc first evaluation of a partition only; later ones list its few touched modules in the pooled buffer
+			changed = append(changed, p.ModuleEstimate(mi))
+		}
+	} else {
+		for i, pg := range p.settled {
+			copy(sc.times[i*pageSize:], pg[:])
+		}
+		for _, mi := range p.touched {
+			//lint:ignore hotalloc pool miss only: a pooled buffer already holds a few touched modules
+			changed = append(changed, p.ModuleEstimate(mi))
+		}
+	}
+	dBIC := p.E.UpdateBICDelay(sc.times[:n:n], sc.times[half:half+n], changed)
+	clear(changed)
+	sc.changed = changed[:0]
+	return dBIC
 }
 
-// settleArrival gives p arrival times of its own under mods, its module
-// estimates: it sweeps into a fresh vector, which becomes base, clears
-// touched and returns D_BIC. The old base stays as it was for the
-// partitions that share it.
-func (p *Partition) settleArrival(mods []*estimate.Module) float64 {
-	//lint:ignore hotalloc first evaluation only, or a Clone of an evaluated partition: it keeps the vector its clones share
-	arrival := make([]float64, p.E.A.Circuit.NumGates())
-	dBIC := p.sweepArrival(arrival, mods)
-	p.base, p.touched = arrival, p.touched[:0]
-	return dBIC
+// settleArrival gives p settled arrival times and delays of its own, the
+// ones sweepTimes just wrote into sc, and clears touched. A page whose
+// bits equal the settled page it replaces is shared; every other page is
+// a fresh copy, so the old pages stay as they were for the partitions
+// that share them. Only a first evaluation, or a Clone of an evaluated
+// partition, allocates pages: on c7552 at module size 8 a settle after
+// one boundary move copies 15–53 of its 118 pages, 22 in the median.
+func (p *Partition) settleArrival(sc *costScratch) {
+	//lint:ignore hotalloc first evaluation, or a Clone of an evaluated partition, only: it keeps the page list the partition's clones share
+	pages := make([]*timePage, len(sc.times)/pageSize)
+	for i := range pages {
+		src := (*timePage)(sc.times[i*pageSize:])
+		if p.settled != nil && samePage(p.settled[i], src) {
+			pages[i] = p.settled[i]
+			continue
+		}
+		//lint:ignore hotalloc copy-on-write by design: clones share the old page, so a changed one is a copy
+		pg := new(timePage)
+		*pg = *src
+		pages[i] = pg
+	}
+	p.settled, p.touched = pages, p.touched[:0]
+}
+
+// samePage reports whether two pages hold the same bits.
+func samePage(a, b *timePage) bool {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Cost returns the weighted global cost C(Π).
@@ -647,7 +713,8 @@ const InfeasiblePenalty = 1e9
 // cost C(Π) plus the graded infeasibility penalty, so the evolution
 // strategy and the annealers chase the same landscape. It writes only
 // state p owns (its module estimates and cost cache), so independent
-// clones can be evaluated on a worker pool.
+// clones can be evaluated on a worker pool. The worst discriminability
+// comes from the cost's cache, so it walks the modules once.
 //
 //lint:hotpath cost of every evolution descendant and every annealing move — the estimate sweep underneath dominates run time
 func (p *Partition) PenalisedCost() float64 {
