@@ -22,6 +22,7 @@ import (
 
 	"iddqsyn/internal/celllib"
 	"iddqsyn/internal/circuits"
+	"iddqsyn/internal/core"
 	"iddqsyn/internal/estimate"
 	"iddqsyn/internal/evolution"
 	"iddqsyn/internal/experiments"
@@ -180,6 +181,7 @@ func BenchmarkIncrementalCost(b *testing.B) {
 		q := p.Clone()
 		moveOneGate(b, q, rng)
 		_ = q.Cost()
+		q.Release() // as the generation loop releases every unselected descendant
 	}
 }
 
@@ -285,14 +287,15 @@ func BenchmarkBICDelayRepropagate(b *testing.B) {
 
 // BenchmarkDescendant_C7552 is one evolution descendant on c7552 at module
 // size 8: Clone an evaluated parent, move one boundary gate into a
-// connected module, and Cost() the clone. Unlike
+// connected module, Cost() the clone and Release it. Unlike
 // BenchmarkBICDelayRepropagate, which moves one partition back and forth,
 // it pays for what the descendant loop copies: the module list (one
 // pointer per module), the gate→module index's page pointers and the
 // pages the move writes, and the two replacement module records. The
-// evaluation sweeps its arrival times and delays in pooled scratch and
-// keeps none; only a descendant that is cloned in turn settles pages of
-// its own.
+// evaluation sweeps its arrival times and delays in pooled scratch, which
+// Release returns, as the generation loop does for every descendant it
+// does not select; only a descendant that is cloned in turn settles
+// pages of its own.
 func BenchmarkDescendant_C7552(b *testing.B) {
 	b.ReportAllocs()
 	p := evaluatedC7552(b)
@@ -302,6 +305,7 @@ func BenchmarkDescendant_C7552(b *testing.B) {
 		q := p.Clone()
 		moveOneGate(b, q, rng)
 		_ = q.Cost()
+		q.Release() // as the generation loop releases every unselected descendant
 	}
 }
 
@@ -320,6 +324,28 @@ func BenchmarkClone_C7552(b *testing.B) {
 }
 
 var cloneSink *partition.Partition
+
+// BenchmarkSynthesize_C7552Size8 is one synthesis as iddqbench's
+// fine-c7552 workload runs it: c7552 at module size 8 (~590 modules), 60
+// generations with the stall window equal to the budget, seed 1. It
+// reports the share of descendants whose D_BIC sweep the cost bound
+// spared (evolution.pruned over evolution.evaluations).
+func BenchmarkSynthesize_C7552Size8(b *testing.B) {
+	b.ReportAllocs()
+	c := circuits.MustISCAS85Like("c7552")
+	prm := evolution.DefaultParams()
+	prm.MaxGenerations, prm.StallGenerations = 60, 60
+	o := obs.New("bench", nil, nil)
+	ctx := obs.NewContext(context.Background(), o)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.SynthesizeContext(ctx, c, core.Options{Evolution: &prm, ModuleSize: 8}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	counters := o.Registry().Snapshot().Counters
+	b.ReportMetric(float64(counters[evolution.MetricPruned])/float64(counters[evolution.MetricEvaluations]), "pruned/eval")
+}
 
 // evaluatedC7552 returns c7552's standard partition at module size 8,
 // evaluated as every selected parent of the descendant loop is.

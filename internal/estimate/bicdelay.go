@@ -15,6 +15,7 @@ import (
 // back.
 type sweepDAG struct {
 	pos     []int32   // gate ID -> position
+	gate    []int32   // position -> gate ID
 	nominal []float64 // nominal delay D(g) per position; 0 for primary inputs
 	// CSR adjacency: the fanins of position i are fanin[faninOff[i]:
 	// faninOff[i+1]], likewise for fanouts.
@@ -33,12 +34,13 @@ func newSweepDAG(a *celllib.Annotated) sweepDAG {
 	n := len(order)
 	d := sweepDAG{
 		pos:       make([]int32, n),
+		gate:      make([]int32, n),
 		nominal:   make([]float64, n),
 		faninOff:  make([]int32, 0, n+1),
 		fanoutOff: make([]int32, 0, n+1),
 	}
 	for i, g := range order {
-		d.pos[g] = int32(i)
+		d.pos[g], d.gate[i] = int32(i), int32(g)
 	}
 	for i, g := range order {
 		gate := &c.Gates[g]
@@ -123,6 +125,54 @@ func (d *sweepDAG) worst(arrival []float64) float64 {
 	}
 	return worst
 }
+
+// CriticalPath returns one longest path under arrival, the arrival times
+// per sweep position of a sweep over some gate delays, as its ascending
+// positions: from the latest fanout-free position (the first on ties) back
+// through the latest fanin (the first on ties) to a position without
+// fanins. Summing delays along it bounds D_BIC from below: every arrival
+// is the latest fanin arrival plus the gate's delay, and rounded addition
+// is monotone, so under any gate delays the left-to-right float sum of
+// the delays along any path is at most the arrival at its end, and hence
+// at most D_BIC under those delays.
+func (e *Estimator) CriticalPath(arrival []float64) []int32 {
+	d := &e.dag
+	if len(d.sinks) == 0 {
+		return nil
+	}
+	end := d.sinks[0]
+	for _, i := range d.sinks[1:] {
+		if arrival[i] > arrival[end] {
+			end = i
+		}
+	}
+	n := 0
+	for i := end; i >= 0; i = d.latestFanin(arrival, i) {
+		n++
+	}
+	//lint:ignore hotalloc once per settle, which keeps the path with its pages for the partition's clones
+	path := make([]int32, n)
+	for i := end; i >= 0; i = d.latestFanin(arrival, i) {
+		n--
+		path[n] = i
+	}
+	return path
+}
+
+// latestFanin returns the fanin of position i with the latest arrival,
+// the first in fanin order on ties, or -1 when i has no fanins.
+func (d *sweepDAG) latestFanin(arrival []float64, i int32) int32 {
+	latest := int32(-1)
+	for _, f := range d.fanin[d.faninOff[i]:d.faninOff[i+1]] {
+		if latest < 0 || arrival[f] > arrival[latest] {
+			latest = f
+		}
+	}
+	return latest
+}
+
+// GateAt returns the gate ID at sweep position pos.
+func (e *Estimator) GateAt(pos int32) int { return int(e.dag.gate[pos]) }
 
 // BICDelay returns D_BIC: the longest-path delay with every gate's delay
 // degraded by δ(g, t) of §3.2. moduleOf maps each gate ID to its module

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"sync"
 	"time"
@@ -226,62 +227,113 @@ func delayClasses(a *celllib.Annotated) ([]int32, int) {
 	return class, len(ids)
 }
 
-// buildNeighborhoods fills the hop table on runtime.GOMAXPROCS(0)
-// goroutines. Each takes a contiguous range of gate IDs and searches it
-// within ρ−1 hops with its own HopScratch into its own rows, recording
-// row ends relative to its range in nbrOff; the rows are then rebased and
-// copied, in range order, into exactly sized nbrGate and nbrWeight. Every
-// row is the same AppendWithinHops result a single pass would produce, so
-// the table is identical for any worker count.
+// buildNeighborhoods fills the hop table by breadth-first searches from
+// 64 sources at once (hopBlock.search), one per block of 64 consecutive
+// gate IDs. Scanning the gates in ascending ID order then appends each to
+// the rows of the sources that reach it, so every row comes out
+// ascending, as AppendWithinHops lists it. A first pass only counts the
+// rows, so nbrGate and nbrWeight are allocated once, at their exact
+// sizes; a second repeats the searches and fills them. The blocks are
+// spread over runtime.GOMAXPROCS(0) goroutines, and a row depends on its
+// source alone, so the table is identical for any worker count.
 func (e *Estimator) buildNeighborhoods() {
 	c, rho := e.A.Circuit, e.P.Rho
 	n := c.NumGates()
 	if n > 0 {
 		c.Neighbors(0) // builds the lazy adjacency cache, so the workers only read it
 	}
-	type rows struct {
-		lo, hi int // the worker's gate IDs
-		gates  []int32
-		weight []uint8
-	}
-	parts := make([]rows, min(runtime.GOMAXPROCS(0), n))
-	for w := range parts {
-		parts[w].lo, parts[w].hi = w*n/len(parts), (w+1)*n/len(parts)
-	}
 	e.nbrOff = make([]int32, n+1)
-	var wg sync.WaitGroup
-	wg.Add(len(parts))
-	for w := range parts {
-		go func(r *rows) {
-			defer wg.Done()
-			var hs circuit.HopScratch
-			var hops []int32
-			for g := r.lo; g < r.hi; g++ {
-				if c.Gates[g].Type != circuit.Input {
-					r.gates, hops = c.AppendWithinHops(&hs, g, rho-1, r.gates, hops[:0])
-					for _, h := range hops {
-						r.weight = append(r.weight, uint8(rho-int(h)))
+	var next []int32 // the next free entry of each row, while filling
+	blocks := (n + 63) / 64
+	workers := make([]hopBlock, min(runtime.GOMAXPROCS(0), blocks))
+	pass := func(fill bool) {
+		var wg sync.WaitGroup
+		wg.Add(len(workers))
+		for w := range workers {
+			go func(hb *hopBlock, first, last int) {
+				defer wg.Done()
+				for b := first; b < last; b++ {
+					lo := b * 64
+					levels := hb.search(c, lo, rho-1)
+					for v := range n {
+						for d, level := range levels {
+							for srcs := level[v]; srcs != 0; srcs &= srcs - 1 {
+								src := lo + bits.TrailingZeros64(srcs)
+								if !fill {
+									e.nbrOff[src+1]++
+									continue
+								}
+								e.nbrGate[next[src]] = int32(v)
+								e.nbrWeight[next[src]] = uint8(rho - 1 - d)
+								next[src]++
+							}
+						}
 					}
 				}
-				e.nbrOff[g+1] = int32(len(r.gates))
-			}
-		}(&parts[w])
-	}
-	wg.Wait()
-	total := 0
-	for _, r := range parts {
-		total += len(r.gates)
-	}
-	e.nbrGate, e.nbrWeight = make([]int32, total), make([]uint8, total)
-	base := 0
-	for _, r := range parts {
-		copy(e.nbrGate[base:], r.gates)
-		copy(e.nbrWeight[base:], r.weight)
-		for g := r.lo; g < r.hi; g++ {
-			e.nbrOff[g+1] += int32(base)
+			}(&workers[w], w*blocks/len(workers), (w+1)*blocks/len(workers))
 		}
-		base += len(r.gates)
+		wg.Wait()
 	}
+	pass(false)
+	for g := range n {
+		e.nbrOff[g+1] += e.nbrOff[g]
+	}
+	e.nbrGate, e.nbrWeight = make([]int32, e.nbrOff[n]), make([]uint8, e.nbrOff[n])
+	next = append([]int32(nil), e.nbrOff[:n]...)
+	pass(true)
+}
+
+// hopBlock is one worker's memory for the hop table's searches.
+type hopBlock struct {
+	reach  []uint64   // per gate, the block's sources within the hops searched so far
+	levels [][]uint64 // per hop count d−1, per gate, the sources first at d hops
+}
+
+// search runs the breadth-first searches within k hops from the logic
+// gates among lo..lo+63, one bit per source, and returns the levels: the
+// entry of gate g in level d−1 holds the sources whose search first
+// reaches g at d hops, as AppendWithinHops would find it, never the source
+// itself. Levels after the first empty one are left out. The returned
+// slices are h's and valid until its next search.
+func (h *hopBlock) search(c *circuit.Circuit, lo, k int) [][]uint64 {
+	n := c.NumGates()
+	if h.reach == nil {
+		h.reach = make([]uint64, n)
+	}
+	clear(h.reach)
+	for s := lo; s < min(lo+64, n); s++ {
+		if c.Gates[s].Type != circuit.Input {
+			h.reach[s] = 1 << (s - lo)
+		}
+	}
+	front := h.reach // read whole before the first level updates reach
+	d := 0
+	for ; d < k; d++ {
+		if d == len(h.levels) {
+			h.levels = append(h.levels, make([]uint64, n))
+		}
+		level := h.levels[d]
+		clear(level)
+		for u, srcs := range front {
+			if srcs != 0 {
+				for _, nb := range c.Neighbors(u) {
+					level[nb] |= srcs
+				}
+			}
+		}
+		found := false
+		for g, srcs := range level {
+			srcs &^= h.reach[g]
+			level[g] = srcs
+			h.reach[g] |= srcs
+			found = found || srcs != 0
+		}
+		if !found {
+			break
+		}
+		front = level
+	}
+	return h.levels[:d]
 }
 
 // Module is the estimator output for one gate group: everything the cost

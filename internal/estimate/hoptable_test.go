@@ -68,3 +68,36 @@ func TestNeighborhoodTableExactForAnyWorkerCount(t *testing.T) {
 		t.Errorf("range boundaries on inputs %v, on logic gates %v; want both", onInput, onLogic)
 	}
 }
+
+// The hop table's block searches stop at ρ−1 hops for any ρ: none at
+// ρ = 0 or 1, and at the first empty level when ρ outruns the circuit's
+// diameter (ρ = 256). Every row must equal a fresh AppendWithinHops
+// within ρ−1 hops, weighted ρ − d, on C17 and on c432.
+func TestNeighborhoodTableExactForAnyRho(t *testing.T) {
+	for _, c := range []*circuit.Circuit{circuits.C17(), circuits.MustISCAS85Like("c432")} {
+		a, err := celllib.Annotate(c, celllib.Default())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var hs circuit.HopScratch
+		for _, rho := range []int{0, 1, 2, 3, 7, 256} {
+			p := DefaultParams()
+			p.Rho = rho
+			e := New(a, p)
+			for g := range c.Gates {
+				var want, hops []int32
+				if c.Gates[g].Type != circuit.Input {
+					want, hops = c.AppendWithinHops(&hs, g, rho-1, nil, nil)
+				}
+				wantWeight := make([]uint8, len(hops))
+				for i, h := range hops {
+					wantWeight[i] = uint8(rho - int(h))
+				}
+				gates, weight := e.Neighborhood(g)
+				if !slices.Equal(gates, want) || !slices.Equal(weight, wantWeight) {
+					t.Fatalf("%s, ρ=%d: gate %d row %v/%v, want %v/%v", c.Name, rho, g, gates, weight, want, wantWeight)
+				}
+			}
+		}
+	}
+}

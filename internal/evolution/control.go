@@ -13,6 +13,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -178,7 +179,7 @@ func (s *state) run(ctx context.Context, ctl *Control) (*Result, error) {
 	if ctl != nil {
 		trace = ctl.Trace
 	}
-	evals := newEvalPool(s.prm.Mu*(s.prm.Lambda+s.prm.Chi), s.obs.evalSeconds, s.chaos)
+	evals := newEvalPool(s.prm.Mu*(s.prm.Lambda+s.prm.Chi), s.prm.Mu, s.obs, s.chaos)
 	defer evals.close()
 	if s.res.Best == nil {
 		if err := s.evaluateStarts(evals); err != nil {
@@ -205,6 +206,11 @@ func (s *state) run(ctx context.Context, ctl *Control) (*Result, error) {
 		evalTsp := s.tsp.StartChild("evolution.evaluate")
 		descendants := make([]*individual, 0, len(s.pop)*(s.prm.Lambda+s.prm.Chi))
 		evals.start(gen)
+		for _, parent := range s.pop {
+			if parent.age+1 < s.prm.Omega { // it stays in the selection pool
+				evals.know(parent.cost)
+			}
+		}
 	build:
 		for _, parent := range s.pop {
 			for l := 0; l < s.prm.Lambda; l++ {
@@ -266,6 +272,11 @@ func (s *state) run(ctx context.Context, ctl *Control) (*Result, error) {
 			break // nothing mutable remains (e.g. single-module partitions)
 		}
 		s.pop = selectBest(pool, s.prm.Mu)
+		for _, d := range descendants {
+			if !slices.Contains(s.pop, d) {
+				d.p.Release()
+			}
+		}
 		selTsp.End()
 
 		if b := cheapest(s.pop); b.cost < s.res.BestCost {
@@ -304,6 +315,7 @@ func (s *state) run(ctx context.Context, ctl *Control) (*Result, error) {
 	s.obs.log.Info("evolution run end",
 		"generations", s.res.Generations,
 		"evaluations", s.res.Evaluations,
+		"pruned", s.obs.pruned.Value(),
 		"best_cost", s.res.BestCost,
 		"interrupted", s.res.Interrupted)
 	return s.res, nil
@@ -372,6 +384,10 @@ func (s *state) interrupt(ctxErr error, ctl *Control) (*Result, error) {
 // an error instead of crashing the process.
 var testEvalHook func(i int, p *partition.Partition)
 
+// testExactOnly, when set, makes every cost evaluation exact. Tests use
+// it to check that pruning changes no result.
+var testExactOnly bool
+
 // evalPool evaluates individual costs on runtime.GOMAXPROCS(0)
 // goroutines, one pool per run: GOMAXPROCS−1 helpers and the generation
 // loop itself. The loop stays the only user of the counted random
@@ -380,9 +396,18 @@ var testEvalHook func(i int, p *partition.Partition)
 // overlap the next clone-and-mutate; once a batch is built, the loop
 // evaluates what the helpers have not taken yet. On one core there are
 // no helpers and the loop evaluates everything, as a sequential loop
-// would. Each descendant is an independent clone and PenalisedCost writes
+// would. Each descendant is an independent clone and its evaluation writes
 // only that clone, so which goroutine evaluates it, and when, cannot
 // change a bit of the result.
+//
+// Selection keeps the μ cheapest of each generation's pool, so the pool
+// tracks the μ cheapest costs known in the batch: those of the parents
+// that stay in the selection pool, and every exact cost evaluated since.
+// A descendant whose cost bound (PenalisedCostAbove) exceeds the μ-th of
+// them is not swept: its cost is the bound, above the costs of μ pool
+// members, so selection never picks it, whatever the tie-break. Which
+// descendants are pruned depends on the order the helpers finish in;
+// nothing but the evolution.pruned counter does.
 //
 // One batch (a generation, or the start population) is in flight at a
 // time: submit adds to it, wait ends it. A panic inside a cost evaluation
@@ -399,13 +424,16 @@ type evalPool struct {
 	jobs    chan evalJob
 	helpers sync.WaitGroup
 	hist    *obs.Histogram  // per-individual evaluation latency; nil when unobserved
+	pruned  *obs.Counter    // evaluations answered by a bound; nil when unobserved
 	inj     *chaos.Injector // probes evolution.worker.panic / .delay before each evaluation
+	keep    int             // μ: how many of the cheapest known costs selection keeps
 
 	gen     int // the batch's generation, 0 for the start population; set before its first submit
 	pending sync.WaitGroup
 	failed  atomic.Bool
 	mu      sync.Mutex
-	err     error // guarded by mu; the batch's first failure
+	err     error     // guarded by mu; the batch's first failure
+	known   []float64 // guarded by mu; the batch's cheapest known costs, ascending, at most keep
 }
 
 // evalJob is one submitted individual and its index in the batch.
@@ -416,9 +444,12 @@ type evalJob struct {
 
 // newEvalPool starts the run's helpers. buffer is the job queue's
 // capacity: one generation's descendants, so the loop can build a whole
-// generation ahead of the helpers.
-func newEvalPool(buffer int, hist *obs.Histogram, inj *chaos.Injector) *evalPool {
-	p := &evalPool{jobs: make(chan evalJob, buffer), hist: hist, inj: inj}
+// generation ahead of the helpers; keep is μ.
+func newEvalPool(buffer, keep int, ro *runObs, inj *chaos.Injector) *evalPool {
+	p := &evalPool{
+		jobs: make(chan evalJob, buffer), hist: ro.evalSeconds, pruned: ro.pruned,
+		inj: inj, keep: keep, known: make([]float64, 0, keep),
+	}
 	n := runtime.GOMAXPROCS(0) - 1
 	p.helpers.Add(n)
 	for w := 0; w < n; w++ {
@@ -439,13 +470,44 @@ func (p *evalPool) close() {
 	p.helpers.Wait()
 }
 
-// start opens the batch of generation gen (0 = the start population).
+// start opens the batch of generation gen (0 = the start population),
+// with no cost known.
 func (p *evalPool) start(gen int) {
 	p.gen = gen
 	p.failed.Store(false)
 	p.mu.Lock()
 	p.err = nil
+	p.known = p.known[:0]
 	p.mu.Unlock()
+}
+
+// know records the exact cost of a member of the batch's selection pool.
+func (p *evalPool) know(cost float64) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	i, _ := slices.BinarySearch(p.known, cost)
+	if i == p.keep {
+		return
+	}
+	if len(p.known) == p.keep {
+		p.known = p.known[:p.keep-1]
+	}
+	p.known = slices.Insert(p.known, i, cost)
+}
+
+// limit returns the μ-th cheapest cost known in the batch: a descendant
+// whose cost exceeds it cannot be selected. It is +Inf while fewer than μ
+// costs are known.
+func (p *evalPool) limit() float64 {
+	if testExactOnly {
+		return math.Inf(1)
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.known) < p.keep {
+		return math.Inf(1)
+	}
+	return p.known[p.keep-1]
 }
 
 // submit queues the cost evaluation of ind, the i-th individual of the
@@ -527,10 +589,15 @@ func (p *evalPool) eval(j evalJob) (err error) {
 	if p.hist != nil {
 		defer p.hist.ObserveSince(time.Now())
 	}
-	c := j.ind.p.PenalisedCost()
+	c, exact := j.ind.p.PenalisedCostAbove(p.limit())
 	if math.IsNaN(c) || math.IsInf(c, 0) {
 		return fmt.Errorf("evolution: descendant %d of generation %d cost is %g: %w",
 			j.i, p.gen, c, partition.ErrNonFiniteCost)
+	}
+	if exact {
+		p.know(c)
+	} else {
+		p.pruned.Inc()
 	}
 	j.ind.cost = c
 	return nil

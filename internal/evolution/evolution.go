@@ -5,6 +5,13 @@
 // older than ω generations are deleted) and self-adaptation of the
 // mutation step width m with normal variation ε — the control-parameter
 // scheme the paper adapts from Rechenberg and Schwefel [17-19].
+//
+// Descendants are evaluated on a worker pool while the generation loop
+// builds the next ones. Selection keeps only the μ cheapest, so a
+// descendant whose cost bound (partition.PenalisedCostAbove) already
+// exceeds the μ-th cheapest cost known in its generation is not swept for
+// D_BIC: it cannot be selected, and its bound stands in for its cost. No
+// result depends on which descendants are pruned (evalPool).
 package evolution
 
 import (

@@ -372,10 +372,10 @@ func TestParallelEvaluationMatchesSequential(t *testing.T) {
 func TestDescendantAllocs(t *testing.T) {
 	// Regression guard for the hot-loop allocation fixes (moveScratch
 	// buffers, partition cost pools, lazy circuit caches): one descendant
-	// step — clone the parent, mutate it, evaluate its cost — must stay
-	// allocation-lean once the caches and pools are warm. The bound has
-	// headroom for pool refills after a GC, but a reintroduced per-move or
-	// per-evaluation allocation blows well past it.
+	// step — clone the parent, mutate it, evaluate its cost, release it —
+	// must stay allocation-lean once the caches and pools are warm. The
+	// bound has headroom for pool refills after a GC, but a reintroduced
+	// per-move or per-evaluation allocation blows well past it.
 	e := estimatorFor(t, circuits.C17())
 	p := paperOptimum(t, e, partition.PaperWeights(), partition.DefaultConstraints())
 	rng := rand.New(rand.NewSource(7))
@@ -384,6 +384,7 @@ func TestDescendantAllocs(t *testing.T) {
 		child := p.Clone()
 		mutate(child, 2, rng, &sc)
 		child.PenalisedCost()
+		child.Release() // as the generation loop releases every unselected descendant
 	}
 	for i := 0; i < 32; i++ {
 		step() // warm the lazy caches and scratch pools

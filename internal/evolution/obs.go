@@ -12,7 +12,6 @@ import (
 	"log/slog"
 
 	"iddqsyn/internal/obs"
-	"iddqsyn/internal/partition"
 )
 
 // Metric names recorded by the optimizer. Exposed as constants so tests
@@ -27,6 +26,7 @@ const (
 	MetricMonteCarloApplied  = "evolution.montecarlo.applied"
 	MetricMonteCarloAccepted = "evolution.montecarlo.accepted"
 	MetricInfeasible         = "evolution.descendants.infeasible"
+	MetricPruned             = "evolution.pruned"
 	MetricImprovements       = "evolution.improvements"
 	MetricCheckpointWrites   = "evolution.checkpoint.writes"
 	MetricCheckpointRetries  = "evolution.checkpoint.retries"
@@ -77,7 +77,7 @@ type runObs struct {
 	evaluations, generations             *obs.Counter
 	mutAttempts, mutApplied, mutAccepted *obs.Counter
 	mcAttempts, mcApplied, mcAccepted    *obs.Counter
-	infeasible                           *obs.Counter
+	infeasible, pruned                   *obs.Counter
 	improvements                         *obs.Counter
 	checkpointWrites                     *obs.Counter
 	checkpointRetries                    *obs.Counter
@@ -103,6 +103,7 @@ func newRunObs(o *obs.Obs) *runObs {
 	r.mcApplied = o.Counter(MetricMonteCarloApplied)
 	r.mcAccepted = o.Counter(MetricMonteCarloAccepted)
 	r.infeasible = o.Counter(MetricInfeasible)
+	r.pruned = o.Counter(MetricPruned)
 	r.improvements = o.Counter(MetricImprovements)
 	r.checkpointWrites = o.Counter(MetricCheckpointWrites)
 	r.checkpointRetries = o.Counter(MetricCheckpointRetries)
@@ -168,15 +169,15 @@ func (r *runObs) afterGeneration(s *state, descendants int) {
 		"stall", s.stall)
 }
 
-// countInfeasible tallies descendants that violated Γ(Π) (their cost
-// carries the graded infeasibility penalty).
+// countInfeasible tallies descendants that violated Γ(Π). It asks each
+// partition, whose module walk is exact also when its cost is a bound.
 func (r *runObs) countInfeasible(descendants []*individual) {
 	if !r.on {
 		return
 	}
 	n := uint64(0)
 	for _, d := range descendants {
-		if d.cost >= partition.InfeasiblePenalty {
+		if !d.p.Feasible() {
 			n++
 		}
 	}

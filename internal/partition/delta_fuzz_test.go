@@ -164,12 +164,13 @@ func checkExact(t *testing.T, e *estimate.Estimator, p *partition.Partition, ste
 	checkCosts(t, e, p, step)
 }
 
-// checkCosts asserts that p's cost vector, its cached worst
-// discriminability and every arrival time and gate delay it keeps for the
-// next incremental sweep equal a from-scratch evaluation of its groups
-// bit for bit.
+// checkCosts asserts that p's cost bound is sound (checkBound), and that
+// its cost vector, its cached worst discriminability and every arrival
+// time and gate delay it keeps for the next incremental sweep equal a
+// from-scratch evaluation of its groups bit for bit.
 func checkCosts(t *testing.T, e *estimate.Estimator, p *partition.Partition, step int) {
 	t.Helper()
+	checkBound(t, e, p, step, fmt.Sprintf("step %d", step))
 	fresh, err := partition.New(e, p.Groups(), p.W, p.Cons)
 	if err != nil {
 		t.Fatalf("step %d: rebuild: %v", step, err)
@@ -191,6 +192,43 @@ func checkCosts(t *testing.T, e *estimate.Estimator, p *partition.Partition, ste
 			if math.Float64bits(v.got[i]) != math.Float64bits(v.want[i]) {
 				t.Fatalf("step %d: %s at sweep position %d = %v, from scratch %v", step, v.what, i, v.got[i], v.want[i])
 			}
+		}
+	}
+}
+
+// boundScales are the relative distances below the exact cost from which
+// checkBound draws its middle limit: 0 and the smallest ones put the
+// limit between a close bound and the cost, the largest below both.
+var boundScales = [...]float64{0, 1e-12, 1e-9, 1e-6, 1e-3, 1}
+
+// checkBound calls p.PenalisedCostAbove with the limits −Inf, a value
+// drawn (from seed) at or below p's from-scratch PenalisedCost, and +Inf,
+// in that order, so the first calls see p as it was. An exact answer must
+// equal the from-scratch cost bit for bit; a bound must exceed its limit
+// and must not exceed that cost; a partition without settled arrival
+// times must answer exactly. what names the step.
+func checkBound(t *testing.T, e *estimate.Estimator, p *partition.Partition, seed int, what string) {
+	t.Helper()
+	fresh, err := partition.New(e, p.Groups(), p.W, p.Cons)
+	if err != nil {
+		t.Fatalf("%s: rebuild: %v", what, err)
+	}
+	want := fresh.PenalisedCost()
+	rng := rand.New(rand.NewSource(int64(seed)))
+	drawn := want - math.Abs(want)*boundScales[rng.Intn(len(boundScales))]*rng.Float64()
+	for _, limit := range []float64{math.Inf(-1), drawn, math.Inf(1)} {
+		unsettled := p.SettledPages() == 0
+		got, exact := p.PenalisedCostAbove(limit)
+		switch {
+		case exact && math.Float64bits(got) != math.Float64bits(want):
+			t.Fatalf("%s: exact cost above %v is %v, from scratch %v", what, limit, got, want)
+		case exact:
+		case unsettled:
+			t.Fatalf("%s: a partition without settled arrival times answered with a bound", what)
+		case !(got > limit):
+			t.Fatalf("%s: bound %v is not above its limit %v", what, got, limit)
+		case !(got <= want):
+			t.Fatalf("%s: bound %v exceeds the from-scratch cost %v", what, got, want)
 		}
 	}
 }
@@ -254,6 +292,11 @@ func pickMove(p *partition.Partition, r *opReader, kind int) (gates []int, from,
 //     arrival times and gate delays; each clone or move must leave those
 //     of every other member as they were, and Verify must pass on every
 //     member; the walk continues on one member.
+//
+// Every partition the oracle checks, every family member after every
+// family step and a moved member before it is evaluated, also passes
+// checkBound: PenalisedCostAbove's bound never exceeds the from-scratch
+// cost, and its exact answers equal it.
 func FuzzDeltaCost(f *testing.F) {
 	f.Add(uint8(0), []byte{0, 3, 0, 1, 1, 0, 5, 2, 1, 1, 2, 4, 0, 0, 3, 7, 1, 2, 1, 0})
 	f.Add(uint8(0), []byte{2, 0, 1, 0, 2, 1, 0, 0, 2, 5, 1, 1, 3, 2, 0, 0, 0, 1, 9, 2, 0, 3, 1})
@@ -335,10 +378,13 @@ func FuzzDeltaCost(f *testing.F) {
 						views = append(views, views[src])
 					} else if mi := r.next(len(family)); family[mi].NumModules() > 1 {
 						move(family[mi], r.next(3), step)
+						checkBound(t, e, family[mi], n, fmt.Sprintf("step %d: family step %d, moved member %d", step, n, mi))
 						views[mi] = viewOf(family[mi]) // evaluates the moved member
 					}
 					for i, q := range family {
-						checkView(t, q, views[i], fmt.Sprintf("step %d: family step %d, member %d", step, n, i))
+						what := fmt.Sprintf("step %d: family step %d, member %d", step, n, i)
+						checkBound(t, e, q, n, what)
+						checkView(t, q, views[i], what)
 					}
 				}
 				p = family[r.next(len(family))]
@@ -506,7 +552,7 @@ func TestDescendantChainArrivalLayout(t *testing.T) {
 // and one per page of the gate→module index, ~4.8 kB. A Clone that also
 // copies the index itself and two words per module (~24.8 kB once) fails.
 // maxDescendantBytes bounds one descendant step there (Clone, one
-// boundary move, Cost), ~6.7 kB. A descendant that also keeps its own
+// boundary move, Cost, Release), ~6.7 kB. A descendant that also keeps its own
 // arrival times, as a sparse patch merged on every evaluation (~10.6 kB),
 // fails.
 const maxCloneBytes, maxDescendantBytes = 8 << 10, 8 << 10
@@ -553,6 +599,7 @@ func TestDescendantAllocBytes(t *testing.T) {
 		q := p.Clone()
 		mustMoveRandomBoundary(t, q, rng)
 		q.Cost()
+		q.Release() // as the generation loop releases every unselected descendant
 		return q
 	}
 	perStep := meanAllocBytes(step)
@@ -645,5 +692,36 @@ func TestConcurrentEvaluationsShareRecordEstimates(t *testing.T) {
 			}
 		}
 		checkCosts(t, e, q, i)
+	}
+}
+
+// A NaN or infinite cost comes back exact whatever the limit, so that an
+// optimizer sees it and rejects it (ErrNonFiniteCost) rather than drop it
+// as a bound above its limit. The weights below overflow the cost of
+// every c432 descendant to +Inf, or make it NaN, while keeping the delay
+// and test-time weights non-negative, under which a finite bound is used.
+func TestNonFiniteCostIsExact(t *testing.T) {
+	e := deltaEstimator(t, 0)
+	start := deltaStart(t, 0)
+	for _, tc := range []struct {
+		name string
+		w    partition.Weights
+	}{
+		{"+Inf", partition.Weights{Area: math.MaxFloat64, Delay: 1e5, TestTime: 1}},
+		{"NaN", partition.Weights{Area: math.Inf(1), Delay: 1e5, TestTime: 1, Modules: math.Inf(-1)}},
+	} {
+		p, err := partition.New(e, start.Groups(), tc.w, start.Cons)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Costs()
+		rng := rand.New(rand.NewSource(5))
+		for i := 0; i < 8; i++ {
+			q := p.Clone()
+			mustMoveRandomBoundary(t, q, rng)
+			if c, exact := q.PenalisedCostAbove(0); !exact || !math.IsNaN(c) && !math.IsInf(c, 1) {
+				t.Fatalf("%s weights, descendant %d: cost %v, exact %v; want a non-finite exact cost", tc.name, i, c, exact)
+			}
+		}
 	}
 }

@@ -31,11 +31,17 @@
 //     partition's clones, plus the modules touched since they were
 //     computed. An evaluation copies the pages into pooled scratch,
 //     writes the touched modules' delays and re-propagates from them, and
-//     keeps nothing; only a partition that is cloned after it was
-//     evaluated settles pages of its own, copying only the pages whose
-//     bits changed. Of the descendants a generation evaluates, only the
-//     selected ones ever are. The evaluation's other terms come from one
-//     walk over the module estimates.
+//     keeps that scratch only until the partition moves, is cloned or is
+//     released; only a partition that is cloned after it was evaluated
+//     settles pages of its own, from that scratch, copying only the pages
+//     whose bits changed. Of the descendants a generation evaluates, only
+//     the selected ones ever are. The evaluation's other terms come from
+//     one walk over the module estimates, cached until the next move;
+//   - a settle also records one longest path under the settled arrival
+//     times. Summing a descendant's gate delays along its parent's path
+//     bounds its D_BIC, and with it its cost, from below without a sweep,
+//     so PenalisedCostAbove skips the sweep of a descendant whose bound
+//     already exceeds the cost it must beat to be selected.
 package partition
 
 import (
@@ -175,21 +181,40 @@ type Partition struct {
 	// settled pages the D_BIC arrival time and then the degraded gate
 	// delay at each sweep position, under the modules as they were when
 	// they were computed: the arrival pages first, then as many delay
-	// pages (nil before the first evaluation). touched lists the modules,
-	// by current index, whose estimates changed since — the seeds of the
-	// next incremental sweep. touched is tracked here rather than read off
-	// nil estimates, because ModuleEstimate refills those before Costs
-	// runs. Clones share the page list and its pages, so only
-	// settleArrival replaces the list, and nothing writes either in place.
+	// pages (nil before the first evaluation). path is one longest path
+	// under the settled arrival times, as ascending sweep positions: the
+	// D_BIC lower bound of PenalisedCostAbove sums the current delays
+	// along it. touched lists the modules, by current index, whose
+	// estimates changed since — the seeds of the next incremental sweep.
+	// touched is tracked here rather than read off nil estimates, because
+	// ModuleEstimate refills those before Costs runs. Clones share the
+	// page list, its pages and the path, so only settleArrival replaces
+	// them, and nothing writes any of them in place.
 	settled []*timePage
+	path    []int32
 	touched []int
 
-	// cost is the cost vector and worst the least module discriminability
-	// of the modules as they were at the last evaluation; costValid says
-	// whether the modules are still as they were.
+	// walk is the module walk of the modules as they were at the last
+	// walk; walked says whether they still are. cost is the cost vector
+	// at the last exact evaluation; costValid says whether the modules
+	// are still as they were then. swept holds that evaluation's swept
+	// arrival times and delays while they differ from the settled ones,
+	// so that a Clone settles them without sweeping again; a move or
+	// Release returns it to the pool.
+	walked    bool
+	walk      moduleWalk
 	costValid bool
 	cost      CostVector
-	worst     float64
+	swept     *costScratch
+}
+
+// moduleWalk is what one walk over the module estimates gives the cost:
+// the sum of the sensor areas, the sum of S(M), the largest Δ(τ) and the
+// least d(M).
+type moduleWalk struct {
+	area, settle float64
+	sep          int
+	worst        float64
 }
 
 // New builds a Partition from explicit gate groups. The groups must be
@@ -313,16 +338,21 @@ func (p *Partition) ModuleEstimate(mi int) *estimate.Module {
 // and the pages of settled arrival times and delays are shared
 // copy-on-write style, so a clone's mutation never reaches its siblings or its parent,
 // nor theirs the clone. An evaluated receiver with touched modules first
-// settles its arrival times and delays, and every receiver forgets which
+// settles its arrival times and delays, from the vectors its evaluation
+// swept when it kept them (see Release), and every receiver forgets which
 // index pages it may write in place, so Clone may write its receiver,
 // never state a clone shares: a parent can be cloned while its earlier
 // clones are moved or evaluated on other goroutines, but one partition
 // must not be cloned on two goroutines at once.
 func (p *Partition) Clone() *Partition {
 	if p.costValid && len(p.touched) > 0 {
-		sc := costScratchPool.Get().(*costScratch)
-		p.sweepTimes(sc)
+		sc := p.swept
+		if sc == nil {
+			sc = costScratchPool.Get().(*costScratch)
+			p.sweepTimes(sc)
+		}
 		p.settleArrival(sc)
+		p.swept = nil
 		costScratchPool.Put(sc)
 	}
 	clear(p.written)
@@ -331,10 +361,24 @@ func (p *Partition) Clone() *Partition {
 		modules:   append([]*moduleRecord(nil), p.modules...),
 		pages:     append([]*gatePage(nil), p.pages...),
 		settled:   p.settled,
+		path:      p.path,
 		touched:   append([]int(nil), p.touched...),
+		walked:    p.walked,
+		walk:      p.walk,
 		costValid: p.costValid,
 		cost:      p.cost,
-		worst:     p.worst,
+	}
+}
+
+// Release returns the swept arrival times and delays that p's last exact
+// evaluation kept for a later Clone to their pool. The generation loop
+// releases every descendant it does not select, which is never cloned;
+// releasing a partition that is cloned later only costs that Clone a
+// sweep.
+func (p *Partition) Release() {
+	if p.swept != nil {
+		costScratchPool.Put(p.swept)
+		p.swept = nil
 	}
 }
 
@@ -452,7 +496,8 @@ func (p *Partition) MoveGates(gates []int, from, to int) (int, error) {
 	p.modules[from], p.modules[to] = &recs[0], &recs[1]
 	p.touch(from)
 	p.touch(to)
-	p.costValid = false
+	p.Release()
+	p.walked, p.costValid = false, false
 	if len(newSrc) == 0 {
 		p.deleteModule(from)
 		if to > from {
@@ -551,28 +596,22 @@ func (p *Partition) Feasible() bool {
 	return p.WorstDiscriminability() >= p.Cons.MinDiscriminability
 }
 
-// WorstDiscriminability returns min_i d(Mᵢ): cached with the cost once
-// the partition is evaluated, a walk over the module estimates before.
+// WorstDiscriminability returns min_i d(Mᵢ), from the module walk: the
+// cached one once the partition is evaluated, a fresh walk before.
 func (p *Partition) WorstDiscriminability() float64 {
-	if p.costValid {
-		return p.worst
+	if p.walked {
+		return p.walk.worst
 	}
-	worst := math.Inf(1)
-	for mi := range p.modules {
-		if d := p.ModuleEstimate(mi).Discriminability(p.E.P.IDDQth); d < worst {
-			worst = d
-		}
-	}
-	return worst
+	return p.walkModules().worst
 }
 
 // costScratch holds the transient buffers of one Costs evaluation or
 // arrival settle: the estimates of the modules the sweep starts from and
 // a copy of the settled pages the sweep works on. The descendant loop
 // evaluates thousands of partitions per generation on a worker pool, so
-// they are pooled instead of allocated per call; nothing in them
-// survives the call (the module pointers are cleared before the scratch
-// is returned).
+// they are pooled instead of allocated per call. Nothing in them outlives
+// the partition's next move, Clone or Release (the module pointers are
+// cleared after each sweep).
 type costScratch struct {
 	changed []*estimate.Module
 	times   []float64
@@ -580,50 +619,72 @@ type costScratch struct {
 
 var costScratchPool = sync.Pool{New: func() interface{} { return new(costScratch) }}
 
+// walkModules walks the module estimates once: it sums the sensor areas
+// and S(M) and takes the largest Δ(τ) and the least d(M).
+func (p *Partition) walkModules() moduleWalk {
+	w := moduleWalk{worst: math.Inf(1)}
+	for mi := range p.modules {
+		m := p.ModuleEstimate(mi)
+		w.area += m.SensorArea
+		w.sep += m.Separation
+		if m.Settle > w.settle {
+			w.settle = m.Settle
+		}
+		if d := m.Discriminability(p.E.P.IDDQth); d < w.worst {
+			w.worst = d
+		}
+	}
+	return w
+}
+
+// cachedWalk returns the module walk, walking the modules once per move.
+func (p *Partition) cachedWalk() moduleWalk {
+	if !p.walked {
+		p.walk, p.walked = p.walkModules(), true
+	}
+	return p.walk
+}
+
+// costVector is the cost vector of the walked modules at the given D_BIC.
+func (p *Partition) costVector(w moduleWalk, dBIC float64) CostVector {
+	return CostVector{
+		LogArea:       math.Log1p(w.area),
+		DelayOverhead: p.E.DelayOverhead(dBIC),
+		LogSeparation: math.Log1p(float64(w.sep)),
+		TestTime:      p.E.TestTimeOverhead(dBIC, w.settle),
+		Modules:       float64(len(p.modules)),
+		SensorArea:    w.area,
+		DBIc:          dBIC,
+		DNominal:      p.E.NominalDelay(),
+		Separation:    w.sep,
+	}
+}
+
 // Costs evaluates the full cost vector, recomputing only invalidated
 // modules. The logarithmic terms use log(1+x) so that degenerate
 // partitions (all singleton modules have S = 0) stay finite; the paper's
 // log(x) is undefined there and identical in shape everywhere else that
-// matters. One walk over the module estimates sums the sensor areas and
-// S(M) and takes the largest Δ(τ) and the least d(M), which is cached
-// for WorstDiscriminability. The first evaluation settles the arrival
-// times and delays; a later one sweeps a pooled copy of them from the
-// touched modules and keeps nothing.
+// matters. The module walk is cached until the next move. The first
+// evaluation settles the arrival times and delays; a later one sweeps a
+// pooled copy of them from the touched modules and keeps it, for a Clone
+// to settle, until the partition moves, is cloned or is released.
 func (p *Partition) Costs() CostVector {
 	if p.costValid {
 		return p.cost
 	}
-	var areaSum, settle float64
-	sepSum, worst := 0, math.Inf(1)
-	for mi := range p.modules {
-		m := p.ModuleEstimate(mi)
-		areaSum += m.SensorArea
-		sepSum += m.Separation
-		if m.Settle > settle {
-			settle = m.Settle
-		}
-		if d := m.Discriminability(p.E.P.IDDQth); d < worst {
-			worst = d
-		}
-	}
+	w := p.cachedWalk()
 	sc := costScratchPool.Get().(*costScratch)
 	dBIC := p.sweepTimes(sc)
-	if p.settled == nil {
+	switch {
+	case p.settled == nil:
 		p.settleArrival(sc)
+		costScratchPool.Put(sc)
+	case len(p.touched) > 0:
+		p.swept = sc
+	default:
+		costScratchPool.Put(sc)
 	}
-	costScratchPool.Put(sc)
-	p.cost = CostVector{
-		LogArea:       math.Log1p(areaSum),
-		DelayOverhead: p.E.DelayOverhead(dBIC),
-		LogSeparation: math.Log1p(float64(sepSum)),
-		TestTime:      p.E.TestTimeOverhead(dBIC, settle),
-		Modules:       float64(len(p.modules)),
-		SensorArea:    areaSum,
-		DBIc:          dBIC,
-		DNominal:      p.E.NominalDelay(),
-		Separation:    sepSum,
-	}
-	p.worst = worst
+	p.cost = p.costVector(w, dBIC)
 	p.costValid = true
 	return p.cost
 }
@@ -664,12 +725,13 @@ func (p *Partition) sweepTimes(sc *costScratch) float64 {
 }
 
 // settleArrival gives p settled arrival times and delays of its own, the
-// ones sweepTimes just wrote into sc, and clears touched. A page whose
-// bits equal the settled page it replaces is shared; every other page is
-// a fresh copy, so the old pages stay as they were for the partitions
-// that share them. Only a first evaluation, or a Clone of an evaluated
-// partition, allocates pages: on c7552 at module size 8 a settle after
-// one boundary move copies 15–53 of its 118 pages, 22 in the median.
+// ones sweepTimes just wrote into sc, and one longest path under them, and
+// clears touched. A page whose bits equal the settled page it replaces is
+// shared; every other page is a fresh copy, so the old pages stay as they
+// were for the partitions that share them. Only a first evaluation, or a
+// Clone of an evaluated partition, allocates pages: on c7552 at module
+// size 8 a settle after one boundary move copies 15–53 of its 118 pages,
+// 22 in the median.
 func (p *Partition) settleArrival(sc *costScratch) {
 	//lint:ignore hotalloc first evaluation, or a Clone of an evaluated partition, only: it keeps the page list the partition's clones share
 	pages := make([]*timePage, len(sc.times)/pageSize)
@@ -685,6 +747,7 @@ func (p *Partition) settleArrival(sc *costScratch) {
 		pages[i] = pg
 	}
 	p.settled, p.touched = pages, p.touched[:0]
+	p.path = p.E.CriticalPath(sc.times[:p.E.A.Circuit.NumGates()])
 }
 
 // samePage reports whether two pages hold the same bits.
@@ -711,18 +774,73 @@ const InfeasiblePenalty = 1e9
 
 // PenalisedCost is the cost both optimizers minimise: the weighted global
 // cost C(Π) plus the graded infeasibility penalty, so the evolution
-// strategy and the annealers chase the same landscape. It writes only
-// state p owns (its module estimates and cost cache), so independent
-// clones can be evaluated on a worker pool. The worst discriminability
-// comes from the cost's cache, so it walks the modules once.
+// strategy and the annealers chase the same landscape. It is
+// PenalisedCostAbove without a limit, so always exact.
+func (p *Partition) PenalisedCost() float64 {
+	c, _ := p.PenalisedCostAbove(math.Inf(1))
+	return c
+}
+
+// PenalisedCostAbove returns PenalisedCost with exact true, unless a lower
+// bound on it already exceeds limit: then it returns that bound with
+// exact false, and D_BIC is not swept. A caller that keeps only
+// candidates at or below limit can therefore drop the bound unseen. It
+// writes only state p owns (its module estimates and cost caches), so
+// independent clones can be evaluated on a worker pool.
+//
+// The bound is the cost at pathBound's D_BIC lower bound; the module walk,
+// and with it the infeasibility penalty, is exact. The cost does not fall
+// as D_BIC rises while the delay and test-time weights are not negative,
+// so only then is the bound used, and only when it is finite: a NaN or
+// infinite cost always comes back exact. A partition without settled
+// arrival times (never evaluated, nor cloned from one that was) is always
+// evaluated exactly.
 //
 //lint:hotpath cost of every evolution descendant and every annealing move — the estimate sweep underneath dominates run time
-func (p *Partition) PenalisedCost() float64 {
-	c := p.Cost()
-	if worst := p.WorstDiscriminability(); worst < p.Cons.MinDiscriminability {
+func (p *Partition) PenalisedCostAbove(limit float64) (cost float64, exact bool) {
+	if !p.costValid && p.settled != nil && limit < math.Inf(1) && p.W.Delay >= 0 && p.W.TestTime >= 0 {
+		bound := p.penalised(p.costVector(p.cachedWalk(), p.pathBound()))
+		if bound > limit && !math.IsInf(bound, 1) {
+			return bound, false
+		}
+	}
+	return p.penalised(p.Costs()), true
+}
+
+// penalised returns cv's weighted cost plus the graded infeasibility
+// penalty of the walked modules' worst discriminability.
+func (p *Partition) penalised(cv CostVector) float64 {
+	c := cv.Weighted(p.W)
+	if worst := p.walk.worst; worst < p.Cons.MinDiscriminability {
 		c += InfeasiblePenalty * (1 + math.Log(p.Cons.MinDiscriminability/worst))
 	}
 	return c
+}
+
+// pathBound returns a lower bound on D_BIC: the left-to-right float sum of
+// p's current gate delays along its path, a longest path under its
+// settled arrival times. A position in a touched module reads that
+// module's new degraded delay, any other position the settled delay. By
+// the argument of estimate.CriticalPath, the sum never exceeds D_BIC.
+func (p *Partition) pathBound() float64 {
+	delays := p.settled[len(p.settled)/2:]
+	var sum float64
+	for _, pos := range p.path {
+		d := delays[pos>>pageShift][pos&(pageSize-1)]
+		if len(p.touched) > 0 {
+			g := p.E.GateAt(pos)
+			id := p.idOf(g)
+			for _, mi := range p.touched {
+				if rec := p.modules[mi]; rec.id == id {
+					i, _ := slices.BinarySearch(rec.gates, g)
+					d = p.ModuleEstimate(mi).Delay[i]
+					break
+				}
+			}
+		}
+		sum += d
+	}
+	return sum
 }
 
 // Verify checks the structural invariants (disjoint cover of all logic

@@ -161,7 +161,9 @@ type job struct {
 	id string
 	// tenant and spec are written at creation and rewritten only when a
 	// failed (terminal, unqueued) job is resubmitted — under mu, like the
-	// rest of the mutable state; workers read them through jobSpec().
+	// rest of the mutable state; workers read them through jobSpec(). A
+	// finished job holds no spec (its side file stays on disk): only a
+	// queued or running job needs one.
 	tenant string
 	spec   *JobSpec
 
@@ -389,15 +391,13 @@ func (s *Server) replay() error {
 			events:     s.newStream(),
 			done:       make(chan struct{}),
 		}
-		spec, err := s.journal.LoadSpec(rj.ID)
-		if err == nil {
-			j.spec = spec
-		}
 		switch rj.Phase {
 		case PhaseDone, PhaseFailed:
 			close(j.done)
 			j.events.Close()
 		case PhaseQueued, PhaseRunning:
+			spec, err := s.journal.LoadSpec(rj.ID)
+			j.spec = spec
 			if err != nil {
 				// The submitted record exists but its spec does not — a
 				// crash between the two should leave the orphan the other
@@ -663,10 +663,12 @@ func (j *job) progress(gen int, cost float64) {
 	})
 }
 
-// finish transitions the job to its terminal phase and closes the
-// stream (after a final event) so SSE consumers and waiters return.
+// finish transitions the job to its terminal phase, drops its spec (a
+// failed job's resubmission brings a new one) and closes the stream
+// (after a final event) so SSE consumers and waiters return.
 func (j *job) finish(phase JobPhase, detail string) {
 	j.mu.Lock()
+	j.spec = nil
 	j.phase = phase
 	j.detail = detail
 	j.terminalAt = time.Now().UnixNano()

@@ -363,6 +363,66 @@ func TestServerFailedJobResubmission(t *testing.T) {
 	}
 }
 
+// A finished job drops its spec, netlist included: a done or a failed job
+// holds none, in the server that ran it and after a restart, while its
+// spec side file stays on disk. The restarted server still serves the
+// done job's result, and resubmitting the failed job's spec runs it.
+func TestServerFinishedJobsDropSpec(t *testing.T) {
+	dir := t.TempDir()
+	ffs := &failingResultFS{FS: fsx.OS{}}
+	ffs.fail.Store(true)
+	a, err := New(Config{
+		Dir: dir, Workers: 1, FS: ffs, Obs: obs.New("test", nil, nil),
+		Retry: &fsx.RetryPolicy{Attempts: 2, BaseDelay: 1, MaxDelay: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ahs := httptest.NewServer(a.Handler())
+	a.Start()
+	failing := &JobSpec{Netlist: c17Netlist(t), Generations: 20, Seed: 9}
+	_, fst := postJSON(t, ahs.URL, failing)
+	if got := waitDone(t, ahs.URL, fst.ID); got.Phase != "failed" {
+		t.Fatalf("job under result-write faults ended %s, want failed", got.Phase)
+	}
+	ffs.fail.Store(false)
+	_, dst := postJSON(t, ahs.URL, &JobSpec{Netlist: c17Netlist(t), Generations: 20, Seed: 10})
+	if got := waitDone(t, ahs.URL, dst.ID); got.Phase != "done" {
+		t.Fatalf("healthy job ended %s: %s", got.Phase, got.Detail)
+	}
+	for _, id := range []string{fst.ID, dst.ID} {
+		if a.lookup(id).jobSpec() != nil {
+			t.Errorf("finished job %s still holds its spec", id)
+		}
+		if _, err := os.Stat(specPath(dir, id)); err != nil {
+			t.Errorf("finished job %s: spec side file: %v", id, err)
+		}
+	}
+	ahs.Close()
+	a.Close()
+
+	b, bhs := newTestServer(t, Config{Dir: dir, Workers: 1})
+	b.Start()
+	for _, id := range []string{fst.ID, dst.ID} {
+		if j := b.lookup(id); j == nil || j.jobSpec() != nil {
+			t.Fatalf("replayed finished job %s missing or holding its spec", id)
+		}
+	}
+	if res := getResult(t, bhs.URL, dst.ID); res.Modules < 1 {
+		t.Fatalf("thin result after restart: %+v", res)
+	}
+	resp, st := postJSON(t, bhs.URL, failing)
+	if resp.StatusCode != http.StatusAccepted || st.ID != fst.ID {
+		t.Fatalf("resubmit of the failed job after restart: status %d, ID %s, want 202 and %s", resp.StatusCode, st.ID, fst.ID)
+	}
+	if got := waitDone(t, bhs.URL, st.ID); got.Phase != "done" {
+		t.Fatalf("resubmitted job ended %s: %s", got.Phase, got.Detail)
+	}
+	if b.lookup(st.ID).jobSpec() != nil {
+		t.Error("resubmitted job still holds its spec once done")
+	}
+}
+
 // Restart: a job submitted but never run must survive the process —
 // replayed from the journal, re-enqueued, and finished by the next
 // server over the same data directory.

@@ -64,6 +64,13 @@ grep -Eq '"evolution\.mutation\.applied": *[1-9]' "$METRICS_OUT" || {
     echo "check: instrumented run applied no mutations: $METRICS_OUT" >&2
     exit 1
 }
+# The generation loop counts the descendants whose D_BIC sweep the cost
+# bound spared; the counter must be in the snapshot (0 is a valid count
+# for so short a run).
+grep -q '"evolution\.pruned": *[0-9]' "$METRICS_OUT" || {
+    echo "check: instrumented run recorded no evolution.pruned counter: $METRICS_OUT" >&2
+    exit 1
+}
 # Tracing is on by default, so the snapshot must hold the run's phase
 # trace, rooted at core.synthesize.
 grep -Eq '"root": *"core\.synthesize"' "$METRICS_OUT" || {
