@@ -236,9 +236,11 @@ func BenchmarkFinishModule_C1908(b *testing.B) {
 	}
 }
 
-// BenchmarkChainStartPartition_C1908 and _C2670 time one §4.2 start
-// partition at the circuit's estimated module size; every synthesis builds
-// μ = 8 of them on one goroutine before the first generation.
+// BenchmarkChainStartPartition_C1908 and _C2670 time drawing the gate
+// groups of one §4.2 start partition at the circuit's estimated module
+// size. Every synthesis draws μ = 8 of them one after another from one
+// random stream before the first generation, and counts their S(M) and
+// n(t) meanwhile on the other cores (BenchmarkStartPopulation_C7552Size8).
 func BenchmarkChainStartPartition_C1908(b *testing.B) { benchmarkChainStart(b, "c1908") }
 func BenchmarkChainStartPartition_C2670(b *testing.B) { benchmarkChainStart(b, "c2670") }
 
@@ -256,6 +258,28 @@ func benchmarkChainStart(b *testing.B, name string) {
 		_ = standard.ChainStartPartition(a.Circuit, size, rng)
 	}
 	b.ReportMetric(float64(size), "size")
+}
+
+// BenchmarkStartPopulation_C7552Size8 is the start population as a
+// synthesis builds it on c7552 at module size 8 (~590 modules per start):
+// evolution.ChainStarts' μ = 8 chain-start draws and their partitions'
+// S(M) and n(t) counts, on every core. Each iteration draws from a fresh
+// seed.
+func BenchmarkStartPopulation_C7552Size8(b *testing.B) {
+	b.ReportAllocs()
+	a, err := celllib.Annotate(circuits.MustISCAS85Like("c7552"), celllib.Default())
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := estimate.New(a, estimate.DefaultParams())
+	prm := evolution.DefaultParams()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		prm.Seed = int64(i + 1)
+		if _, err := evolution.ChainStarts(e, partition.PaperWeights(), partition.DefaultConstraints(), 8, prm); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkBICDelayRepropagate is the same boundary move plus Cost() on

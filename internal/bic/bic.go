@@ -3,7 +3,10 @@
 // sized from the virtual-rail perturbation limit, and detection circuitry
 // comparing the sensed quiescent current against IDDQ,th — together with a
 // chip-level view that applies test vectors to a partitioned circuit,
-// injects defects, and produces the per-module PASS/FAIL outcomes.
+// injects defects, and produces the per-module PASS/FAIL outcomes. A chip
+// is built from module estimates, one per module, so a synthesis sizes
+// its sensors from the estimates it has already audited instead of
+// evaluating every module again.
 package bic
 
 import (
@@ -71,10 +74,18 @@ type Chip struct {
 	sim       *logicsim.Simulator
 }
 
-// NewChip builds the chip view for a partition, sizing one sensor per
-// module with the estimator.
-func NewChip(a *celllib.Annotated, partition [][]int, e *estimate.Estimator) (*Chip, error) {
+// NewChip builds the chip view for a partition given as its module
+// estimates, one per module in module order, and sizes each module's
+// sensor from its estimate (Size). The modules are the estimates' gate
+// sets, which the chip shares. A caller holding a synthesized partition
+// passes the estimates it already has; a caller holding only gate groups
+// evaluates them first (estimate.Estimator.EvalModule).
+func NewChip(a *celllib.Annotated, mods []*estimate.Module, p estimate.Params) (*Chip, error) {
 	c := a.Circuit
+	partition := make([][]int, len(mods))
+	for mi, m := range mods {
+		partition[mi] = m.Gates
+	}
 	moduleOf := make([]int, c.NumGates())
 	for i := range moduleOf {
 		moduleOf[i] = -1
@@ -109,8 +120,8 @@ func NewChip(a *celllib.Annotated, partition [][]int, e *estimate.Estimator) (*C
 		moduleOf:  moduleOf,
 		sim:       logicsim.New(c),
 	}
-	for mi, gates := range partition {
-		ch.Sensors[mi] = Size(mi, e.EvalModule(gates), e.P)
+	for mi, m := range mods {
+		ch.Sensors[mi] = Size(mi, m, p)
 	}
 	return ch, nil
 }

@@ -36,6 +36,25 @@ func twoModules(t *testing.T, a *celllib.Annotated) [][]int {
 	return [][]int{m1, m2}
 }
 
+// evaluated returns the module estimates of groups, as NewChip takes them.
+func evaluated(e *estimate.Estimator, groups [][]int) []*estimate.Module {
+	mods := make([]*estimate.Module, len(groups))
+	for mi, g := range groups {
+		mods[mi] = e.EvalModule(g)
+	}
+	return mods
+}
+
+// unsized wraps groups as modules without estimates, for the partitions
+// NewChip must reject before it sizes a sensor.
+func unsized(groups [][]int) []*estimate.Module {
+	mods := make([]*estimate.Module, len(groups))
+	for mi, g := range groups {
+		mods[mi] = &estimate.Module{Gates: g}
+	}
+	return mods
+}
+
 func TestSizeAndEvaluate(t *testing.T) {
 	a, e := c17Fixture(t)
 	m := e.EvalModule(a.Circuit.LogicGates())
@@ -61,22 +80,22 @@ func TestNewChipValidation(t *testing.T) {
 	a, e := c17Fixture(t)
 	gates := a.Circuit.LogicGates()
 
-	if _, err := NewChip(a, [][]int{gates[:3]}, e); err == nil {
+	if _, err := NewChip(a, unsized([][]int{gates[:3]}), e.P); err == nil {
 		t.Error("want error for partition not covering all gates")
 	}
-	if _, err := NewChip(a, [][]int{gates, gates[:1]}, e); err == nil {
+	if _, err := NewChip(a, unsized([][]int{gates, gates[:1]}), e.P); err == nil {
 		t.Error("want error for overlapping modules")
 	}
-	if _, err := NewChip(a, [][]int{gates, {}}, e); err == nil {
+	if _, err := NewChip(a, unsized([][]int{gates, {}}), e.P); err == nil {
 		t.Error("want error for empty module")
 	}
-	if _, err := NewChip(a, [][]int{append([]int{a.Circuit.Inputs[0]}, gates...)}, e); err == nil {
+	if _, err := NewChip(a, unsized([][]int{append([]int{a.Circuit.Inputs[0]}, gates...)}), e.P); err == nil {
 		t.Error("want error for module containing a primary input")
 	}
-	if _, err := NewChip(a, [][]int{append([]int{999}, gates...)}, e); err == nil {
+	if _, err := NewChip(a, unsized([][]int{append([]int{999}, gates...)}), e.P); err == nil {
 		t.Error("want error for out-of-range gate")
 	}
-	ch, err := NewChip(a, twoModules(t, a), e)
+	ch, err := NewChip(a, evaluated(e, twoModules(t, a)), e.P)
 	if err != nil {
 		t.Fatalf("valid partition rejected: %v", err)
 	}
@@ -95,7 +114,7 @@ func TestNewChipValidation(t *testing.T) {
 
 func TestFaultFreeVectorsPass(t *testing.T) {
 	a, e := c17Fixture(t)
-	ch, err := NewChip(a, twoModules(t, a), e)
+	ch, err := NewChip(a, evaluated(e, twoModules(t, a)), e.P)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +142,7 @@ func TestFaultFreeVectorsPass(t *testing.T) {
 
 func TestInjectedBridgeDetected(t *testing.T) {
 	a, e := c17Fixture(t)
-	ch, err := NewChip(a, twoModules(t, a), e)
+	ch, err := NewChip(a, evaluated(e, twoModules(t, a)), e.P)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +176,7 @@ func TestRunTestEndToEnd(t *testing.T) {
 	// Full flow: ATPG test set detects an injected defect through the
 	// sized sensors; the fault-free chip passes the whole set.
 	a, e := c17Fixture(t)
-	ch, err := NewChip(a, twoModules(t, a), e)
+	ch, err := NewChip(a, evaluated(e, twoModules(t, a)), e.P)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +217,7 @@ func TestRunTestEndToEnd(t *testing.T) {
 
 func TestTotalSensorArea(t *testing.T) {
 	a, e := c17Fixture(t)
-	ch, err := NewChip(a, twoModules(t, a), e)
+	ch, err := NewChip(a, evaluated(e, twoModules(t, a)), e.P)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +232,7 @@ func TestTotalSensorArea(t *testing.T) {
 
 func TestApplyVectorBadWidth(t *testing.T) {
 	a, e := c17Fixture(t)
-	ch, err := NewChip(a, twoModules(t, a), e)
+	ch, err := NewChip(a, evaluated(e, twoModules(t, a)), e.P)
 	if err != nil {
 		t.Fatal(err)
 	}

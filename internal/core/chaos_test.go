@@ -3,12 +3,14 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
 	"iddqsyn/internal/chaos"
 	"iddqsyn/internal/circuit"
 	"iddqsyn/internal/circuits"
+	"iddqsyn/internal/electrical"
 	"iddqsyn/internal/evolution"
 	"iddqsyn/internal/obs"
 	"iddqsyn/internal/partcheck"
@@ -142,5 +144,30 @@ func TestPoisonedEstimatorDegrades(t *testing.T) {
 	}
 	if res.Degraded {
 		t.Fatal("one-shot NaN should be absorbed by the retry, not degrade the run")
+	}
+}
+
+// TestAuditChaosNaNIsNamedError poisons module evaluation while the audit
+// runs on its workers: the standard method at a fixed module size
+// evaluates no module before the audit, so every estimate.nan hit fires
+// inside VerifyPartition, on whichever goroutine evaluates that module.
+// Under GOMAXPROCS 1, 2, 3 and 8 the synthesis must end with the named
+// containment error, its ErrNonFinite chain intact, and no result.
+func TestAuditChaosNaNIsNamedError(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 3, 8} {
+		runtime.GOMAXPROCS(procs)
+		for _, spec := range []string{"seed=5,rate=1,sites=estimate.nan", "seed=5,after=4,sites=estimate.nan"} {
+			inj := chaos.New(mustSchedule(t, spec), nil)
+			res, err := SynthesizeContext(chaos.NewContext(context.Background(), inj), chaosCircuit(t), Options{
+				Method: MethodStandard, ModuleSize: 6,
+			})
+			if res != nil || err == nil {
+				t.Fatalf("GOMAXPROCS %d, %s: result %v, error %v; want a contained failure", procs, spec, res, err)
+			}
+			if !errors.Is(err, electrical.ErrNonFinite) || !strings.HasPrefix(err.Error(), "core: synthesis panicked: ") {
+				t.Fatalf("GOMAXPROCS %d, %s: error %q; want the synthesis containment error wrapping ErrNonFinite", procs, spec, err)
+			}
+		}
 	}
 }

@@ -265,8 +265,10 @@ func SynthesizeContext(ctx context.Context, c *circuit.Circuit, opt Options) (re
 		return nil, fmt.Errorf("core: final partition fails the static audit: %w", r.Err())
 	}
 	res.Costs = res.Partition.Costs()
+	// The sensors are sized from the partition's own module estimates: the
+	// audit has just shown that they are those of a fresh evaluation.
 	tsp = psp.StartChild("core.chip")
-	chip, err := bic.NewChip(a, res.Partition.Groups(), e)
+	chip, err := bic.NewChip(a, moduleEstimates(res.Partition), e.P)
 	tsp.End()
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -301,6 +303,15 @@ func runEvolution(ctx context.Context, e *estimate.Estimator,
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	return er, nil
+}
+
+// moduleEstimates lists the module estimates of p in module order.
+func moduleEstimates(p *partition.Partition) []*estimate.Module {
+	mods := make([]*estimate.Module, p.NumModules())
+	for mi := range mods {
+		mods[mi] = p.ModuleEstimate(mi)
+	}
+	return mods
 }
 
 // standardGroups builds the greedy standard partition — both the

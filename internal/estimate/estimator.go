@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -14,6 +14,7 @@ import (
 	"iddqsyn/internal/circuit"
 	"iddqsyn/internal/electrical"
 	"iddqsyn/internal/obs"
+	"iddqsyn/internal/par"
 )
 
 // Metric names recorded by an observed estimator (see SetObs). Module
@@ -75,13 +76,13 @@ type Estimator struct {
 	// evolution — needs no repeated BFS. A pair d ≥ ρ hops apart (or
 	// disconnected) is capped at ρ and saves nothing against ρ·pairs, so
 	// only pairs within ρ−1 hops are kept. They form one table in
-	// compressed sparse rows: nbrGate[nbrOff[g]:nbrOff[g+1]] lists the
-	// logic gates within ρ−1 hops of g (excluding g) in ascending ID
-	// order, and the same range of nbrWeight their weights ρ − d, each in
-	// 1..ρ−1.
-	nbrOff    []int32
-	nbrGate   []int32
-	nbrWeight []uint8
+	// compressed sparse rows: row g lists the logic gates within ρ−1 hops
+	// of g (excluding g) in ascending ID order, and their weights ρ − d,
+	// each in 1..ρ−1. The offsets nbrOff are global and cumulative; the
+	// rows of each block of 64 gates sit in arrays of their own
+	// (nbrRows[g>>6]), which that block's search fills alone.
+	nbrOff  []int32
+	nbrRows []hopRows
 
 	// class numbers the distinct bit patterns of (A.Delay[g], A.Rg[g]),
 	// so FinishModule computes the delay damping of §3.2 once per class
@@ -229,13 +230,14 @@ func delayClasses(a *celllib.Annotated) ([]int32, int) {
 
 // buildNeighborhoods fills the hop table by breadth-first searches from
 // 64 sources at once (hopBlock.search), one per block of 64 consecutive
-// gate IDs. Scanning the gates in ascending ID order then appends each to
-// the rows of the sources that reach it, so every row comes out
-// ascending, as AppendWithinHops lists it. A first pass only counts the
-// rows, so nbrGate and nbrWeight are allocated once, at their exact
-// sizes; a second repeats the searches and fills them. The blocks are
-// spread over runtime.GOMAXPROCS(0) goroutines, and a row depends on its
-// source alone, so the table is identical for any worker count.
+// gate IDs, each searched once. Scanning the gates in ascending ID order
+// appends each to the rows of the sources that reach it, so every row
+// comes out ascending, as AppendWithinHops lists it. A block's scan first
+// counts its rows, then fills them into the block's own arrays, allocated
+// at their exact sizes; nbrOff takes its prefix sum once every block is
+// counted. The blocks are spread over runtime.GOMAXPROCS(0) goroutines
+// (par.Each), and a row depends on its source alone, so the table is
+// identical for any worker count.
 func (e *Estimator) buildNeighborhoods() {
 	c, rho := e.A.Circuit, e.P.Rho
 	n := c.NumGates()
@@ -243,44 +245,48 @@ func (e *Estimator) buildNeighborhoods() {
 		c.Neighbors(0) // builds the lazy adjacency cache, so the workers only read it
 	}
 	e.nbrOff = make([]int32, n+1)
-	var next []int32 // the next free entry of each row, while filling
-	blocks := (n + 63) / 64
-	workers := make([]hopBlock, min(runtime.GOMAXPROCS(0), blocks))
-	pass := func(fill bool) {
-		var wg sync.WaitGroup
-		wg.Add(len(workers))
-		for w := range workers {
-			go func(hb *hopBlock, first, last int) {
-				defer wg.Done()
-				for b := first; b < last; b++ {
-					lo := b * 64
-					levels := hb.search(c, lo, rho-1)
-					for v := range n {
-						for d, level := range levels {
-							for srcs := level[v]; srcs != 0; srcs &= srcs - 1 {
-								src := lo + bits.TrailingZeros64(srcs)
-								if !fill {
-									e.nbrOff[src+1]++
-									continue
-								}
-								e.nbrGate[next[src]] = int32(v)
-								e.nbrWeight[next[src]] = uint8(rho - 1 - d)
-								next[src]++
-							}
-						}
-					}
+	e.nbrRows = make([]hopRows, (n+63)/64)
+	workers := make([]hopBlock, par.Workers(len(e.nbrRows)))
+	par.Each(len(e.nbrRows), func(w, b int) {
+		lo := b * 64
+		levels := workers[w].search(c, lo, rho-1)
+		count := e.nbrOff[lo+1 : min(lo+64, n)+1] // the block's row lengths, until the prefix sum
+		for v := range n {
+			for _, level := range levels {
+				for srcs := level[v]; srcs != 0; srcs &= srcs - 1 {
+					count[bits.TrailingZeros64(srcs)]++
 				}
-			}(&workers[w], w*blocks/len(workers), (w+1)*blocks/len(workers))
+			}
 		}
-		wg.Wait()
-	}
-	pass(false)
+		var next [64]int32 // the next free entry of each row
+		var total int32
+		for row, k := range count {
+			next[row] = total
+			total += k
+		}
+		gate, weight := make([]int32, total), make([]uint8, total)
+		for v := range n {
+			for d, level := range levels {
+				for srcs := level[v]; srcs != 0; srcs &= srcs - 1 {
+					row := bits.TrailingZeros64(srcs)
+					gate[next[row]], weight[next[row]] = int32(v), uint8(rho-1-d)
+					next[row]++
+				}
+			}
+		}
+		e.nbrRows[b] = hopRows{gate, weight}
+	})
 	for g := range n {
 		e.nbrOff[g+1] += e.nbrOff[g]
 	}
-	e.nbrGate, e.nbrWeight = make([]int32, e.nbrOff[n]), make([]uint8, e.nbrOff[n])
-	next = append([]int32(nil), e.nbrOff[:n]...)
-	pass(true)
+}
+
+// hopRows holds the hop table's rows of one block of 64 sources, in
+// source order: row g spans nbrOff[g]−nbrOff[lo] to nbrOff[g+1]−nbrOff[lo]
+// of both arrays, where lo is the block's first gate.
+type hopRows struct {
+	gate   []int32
+	weight []uint8
 }
 
 // hopBlock is one worker's memory for the hop table's searches.
@@ -475,24 +481,31 @@ func (e *Estimator) FinishModule(gates []int, sep int, act []int) *Module {
 // Pairs ρ or more hops apart (or disconnected) contribute exactly ρ, so
 // S(M) = ρ·(number of pairs) − Σ_{near pairs} (ρ − dist) over the pairs
 // within ρ−1 hops; only the cached weights ρ − dist need to be scanned.
-// The membership mask comes from the scratch pool and is cleared again
-// on return, so pooled masks need no full clear between uses.
+// Each pair is counted from its smaller gate g, in the window of g's row
+// above g and up to the module's largest gate, found by binary search:
+// the entries below it are counted from their own rows, and those above
+// it cannot be module mates. The membership mask comes from the scratch
+// pool and is cleared again on return, so pooled masks need no full clear
+// between uses.
 func (e *Estimator) SeparationModule(gates []int) int {
 	if len(gates) < 2 {
 		return 0
 	}
 	sc := e.getScratch()
 	inModule := sc.mask
+	top := int32(0)
 	for _, g := range gates {
 		inModule[g] = true
+		top = max(top, int32(g))
 	}
 	rho := e.P.Rho
 	pairs := len(gates) * (len(gates) - 1) / 2
 	sum := rho * pairs
 	for _, g := range gates {
 		nbrs, weights := e.Neighborhood(g)
-		for i, nb := range nbrs {
-			if nb > int32(g) && inModule[nb] {
+		i, _ := slices.BinarySearch(nbrs, int32(g))
+		for ; i < len(nbrs) && nbrs[i] <= top; i++ {
+			if inModule[nbrs[i]] {
 				sum -= int(weights[i])
 			}
 		}
@@ -510,8 +523,10 @@ func (e *Estimator) SeparationModule(gates []int) int {
 // missing from it is ρ or more hops away (or unreachable) and weighs 0.
 // The slices are shared; callers must not modify them.
 func (e *Estimator) Neighborhood(g int) ([]int32, []uint8) {
-	lo, hi := e.nbrOff[g], e.nbrOff[g+1]
-	return e.nbrGate[lo:hi:hi], e.nbrWeight[lo:hi:hi]
+	rows := &e.nbrRows[g>>6]
+	base := e.nbrOff[g&^63]
+	lo, hi := e.nbrOff[g]-base, e.nbrOff[g+1]-base
+	return rows.gate[lo:hi:hi], rows.weight[lo:hi:hi]
 }
 
 // NominalDelay returns the longest-path delay D of the sensor-free

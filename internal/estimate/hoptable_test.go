@@ -14,7 +14,7 @@ import (
 // GOMAXPROCS 1, 2, 3 and 8, so the workers' range boundaries fall both on
 // primary inputs (empty rows) and on logic gates, and checks every gate's
 // row against a fresh AppendWithinHops within ρ−1 hops, weighted ρ − d,
-// and the table's arrays for append slack.
+// and every block's arrays for append slack: each holds exactly its rows.
 func TestNeighborhoodTableExactForAnyWorkerCount(t *testing.T) {
 	names := []string{"c432"}
 	if !testing.Short() {
@@ -43,9 +43,12 @@ func TestNeighborhoodTableExactForAnyWorkerCount(t *testing.T) {
 		for _, k := range procs {
 			runtime.GOMAXPROCS(k)
 			e := New(a, DefaultParams())
-			if len(e.nbrGate) != cap(e.nbrGate) || len(e.nbrWeight) != cap(e.nbrWeight) {
-				t.Errorf("%s, %d workers: nbrGate len %d cap %d, nbrWeight len %d cap %d; want exact sizes",
-					name, k, len(e.nbrGate), cap(e.nbrGate), len(e.nbrWeight), cap(e.nbrWeight))
+			for b, rows := range e.nbrRows {
+				if want := int(e.nbrOff[min(64*b+64, n)] - e.nbrOff[64*b]); len(rows.gate) != want ||
+					len(rows.gate) != cap(rows.gate) || len(rows.weight) != want || len(rows.weight) != cap(rows.weight) {
+					t.Errorf("%s, %d workers: block %d gate len %d cap %d, weight len %d cap %d; want exact size %d",
+						name, k, b, len(rows.gate), cap(rows.gate), len(rows.weight), cap(rows.weight), want)
+				}
 			}
 			for g := range c.Gates {
 				var want []int32

@@ -6,12 +6,15 @@
 // mutation step width m with normal variation ε — the control-parameter
 // scheme the paper adapts from Rechenberg and Schwefel [17-19].
 //
-// Descendants are evaluated on a worker pool while the generation loop
-// builds the next ones. Selection keeps only the μ cheapest, so a
-// descendant whose cost bound (partition.PenalisedCostAbove) already
-// exceeds the μ-th cheapest cost known in its generation is not swept for
-// D_BIC: it cannot be selected, and its bound stands in for its cost. No
-// result depends on which descendants are pruned (evalPool).
+// The start population's groups are drawn on one random stream, and each
+// start's S(M) and n(t) are counted on a free core as soon as it is drawn
+// (ChainStarts). Descendants are evaluated on a worker pool while the
+// generation loop builds the next ones. Selection keeps only the μ
+// cheapest, so a descendant whose cost bound
+// (partition.PenalisedCostAbove) already exceeds the μ-th cheapest cost
+// known in its generation is not swept for D_BIC: it cannot be selected,
+// and its bound stands in for its cost. No result depends on which
+// descendants are pruned (evalPool).
 package evolution
 
 import (
@@ -23,6 +26,7 @@ import (
 
 	"iddqsyn/internal/estimate"
 	"iddqsyn/internal/obs"
+	"iddqsyn/internal/par"
 	"iddqsyn/internal/partition"
 	"iddqsyn/internal/standard"
 )
@@ -313,10 +317,15 @@ func selectBest(pool []*individual, mu int) []*individual {
 // averaged parameters (standard.EstimateModuleSize). It takes no context
 // on purpose: a cancelled run must still return a best-so-far Result, so
 // the start population has to exist before Optimize can honour
-// cancellation at generation boundaries. The starts are built one after
-// another because they share the stream: start i's draws begin where start
-// i−1's ended, and how many draws a start takes depends on the chains it
-// grew.
+// cancellation at generation boundaries. The starts' gate groups are drawn
+// one after another on the calling goroutine, because they share the
+// stream: start i's draws begin where start i−1's ended, and how many
+// draws a start takes depends on the chains it grew. Counting a start's
+// S(M) and n(t) (partition.New) depends on its groups alone, so each
+// start is counted on the first free of up to GOMAXPROCS goroutines as
+// soon as its groups are drawn (par.Stream). The starts come back in the
+// order they were drawn, and the error of the lowest-numbered failing
+// start is the one returned.
 func ChainStarts(e *estimate.Estimator, w partition.Weights, cons partition.Constraints, size int, prm Params) ([]*partition.Partition, error) {
 	if err := prm.validate(); err != nil {
 		return nil, err
@@ -325,13 +334,21 @@ func ChainStarts(e *estimate.Estimator, w partition.Weights, cons partition.Cons
 		size = standard.EstimateModuleSize(e, w, cons)
 	}
 	rng := rand.New(rand.NewSource(prm.Seed))
-	starts := make([]*partition.Partition, 0, prm.Mu)
-	for i := 0; i < prm.Mu; i++ {
-		p, err := partition.New(e, standard.ChainStartPartition(e.A.Circuit, size, rng), w, cons)
+	groups := make([][][]int, prm.Mu)
+	starts := make([]*partition.Partition, prm.Mu)
+	errs := make([]error, prm.Mu)
+	par.Stream(prm.Mu, func(submit func(i int)) {
+		for i := range groups {
+			groups[i] = standard.ChainStartPartition(e.A.Circuit, size, rng)
+			submit(i)
+		}
+	}, func(_, i int) {
+		starts[i], errs[i] = partition.New(e, groups[i], w, cons)
+	})
+	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("evolution: start partition %d: %w", i, err)
 		}
-		starts = append(starts, p)
 	}
 	return starts, nil
 }

@@ -36,8 +36,11 @@ func Figure1Demo() (*Figure1Result, error) {
 		return nil, err
 	}
 	e := estimate.New(a, estimate.DefaultParams())
-	groups := [][]int{mustIDs(c, "g1", "g3", "g5"), mustIDs(c, "g2", "g4", "g6")}
-	chip, err := bic.NewChip(a, groups, e)
+	mods := []*estimate.Module{
+		e.EvalModule(mustIDs(c, "g1", "g3", "g5")),
+		e.EvalModule(mustIDs(c, "g2", "g4", "g6")),
+	}
+	chip, err := bic.NewChip(a, mods, e.P)
 	if err != nil {
 		return nil, err
 	}

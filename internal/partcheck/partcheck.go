@@ -12,6 +12,12 @@
 // topological order. partcheck is the independent auditor that optimizer
 // results, checkpoints and experiment reports are validated against, so
 // it must not share failure modes with the code it audits.
+//
+// The per-module fresh evaluations run on up to GOMAXPROCS goroutines.
+// Each module's violations are kept apart and merged in module order, so
+// a Report lists them as one loop over the modules would, for any worker
+// count, and a panic in an evaluation (a poisoned estimate) reaches the
+// caller with its value intact.
 package partcheck
 
 import (
@@ -22,6 +28,7 @@ import (
 
 	"iddqsyn/internal/circuit"
 	"iddqsyn/internal/estimate"
+	"iddqsyn/internal/par"
 )
 
 // Named constraints, reported in Violation.Constraint. Every violation
@@ -118,10 +125,11 @@ func (r *Report) String() string {
 }
 
 // Verify checks groups against the circuit and, when e is non-nil and a
-// bound in lim is set, against the per-module estimates; with no bound
-// set it evaluates nothing. Structural violations (inconsistent netlist,
-// non-cover grouping) suppress the module checks, because estimates over
-// a broken grouping are meaningless.
+// bound in lim is set, against the per-module estimates, evaluated on up
+// to GOMAXPROCS goroutines; with no bound set it evaluates nothing.
+// Structural violations (inconsistent netlist, non-cover grouping)
+// suppress the module checks, because estimates over a broken grouping
+// are meaningless.
 func Verify(c *circuit.Circuit, groups [][]int, e *estimate.Estimator, lim Limits) *Report {
 	r := &Report{Circuit: c.Name, Modules: len(groups)}
 	checkAdjacency(c, r)
@@ -130,9 +138,11 @@ func Verify(c *circuit.Circuit, groups [][]int, e *estimate.Estimator, lim Limit
 	if !r.OK() || e == nil || !lim.bounded() {
 		return r
 	}
-	for mi, gates := range groups {
-		checkModule(e, mi, gates, lim, r)
-	}
+	vs := make([][]Violation, len(groups))
+	par.Each(len(groups), func(_, mi int) {
+		_, vs[mi] = checkModule(e, mi, groups[mi], lim)
+	})
+	r.Violations = append(r.Violations, slices.Concat(vs...)...)
 	return r
 }
 
@@ -290,12 +300,16 @@ func checkCover(c *circuit.Circuit, groups [][]int, r *Report) {
 }
 
 // checkModule evaluates one module's estimates, tests each bound enabled
-// in lim, and returns the estimates for the callers' further audits. The
-// Rs·îDD,max = r* sizing identity is compareEstimate's.
-func checkModule(e *estimate.Estimator, mi int, gates []int, lim Limits, r *Report) *estimate.Module {
+// in lim, and returns the estimates for the callers' further audits with
+// the module's violations. The Rs·îDD,max = r* sizing identity is
+// compareEstimate's. It writes nothing shared, so the callers run it on
+// every module at once (par.Each) and merge the violations in module
+// order, as one loop over the modules would list them.
+func checkModule(e *estimate.Estimator, mi int, gates []int, lim Limits) (*estimate.Module, []Violation) {
 	m := e.EvalModule(gates)
+	var out []Violation
 	bad := func(constraint, format string, args ...interface{}) {
-		r.Violations = append(r.Violations, Violation{
+		out = append(out, Violation{
 			Constraint: constraint, Module: mi,
 			Detail: fmt.Sprintf(format, args...),
 		})
@@ -316,7 +330,7 @@ func checkModule(e *estimate.Estimator, mi int, gates []int, lim Limits, r *Repo
 	if lim.MaxPeakCurrent > 0 && m.IDDMax > lim.MaxPeakCurrent {
 		bad(ConstraintPeakCurrent, "îDD,max = %.3gA > limit %.3gA", m.IDDMax, lim.MaxPeakCurrent)
 	}
-	return m
+	return m, out
 }
 
 // CompareEstimate audits a caller-held module estimate — a partition's

@@ -1,7 +1,10 @@
 package partcheck
 
 import (
+	"slices"
+
 	"iddqsyn/internal/estimate"
+	"iddqsyn/internal/par"
 	"iddqsyn/internal/partition"
 )
 
@@ -18,17 +21,22 @@ func VerifyPartition(p *partition.Partition, lim Limits) *Report {
 		return r
 	}
 	// One fresh evaluation per module serves the bounds, the cache audit
-	// and the D_BIC sweep.
-	fresh := make([]*estimate.Module, p.NumModules())
-	for mi := range fresh {
-		fresh[mi] = checkModule(p.E, mi, p.ModuleEstimate(mi).Gates, lim, r)
-	}
-	if !r.OK() {
+	// and the D_BIC sweep. The modules are evaluated and compared on up to
+	// GOMAXPROCS goroutines, each keeping its violations apart; they are
+	// merged in module order, every bound before any stale estimate, as
+	// two loops over the modules would list them.
+	k := p.NumModules()
+	fresh := make([]*estimate.Module, k)
+	bounds, stale := make([][]Violation, k), make([][]Violation, k)
+	par.Each(k, func(_, mi int) {
+		got := p.ModuleEstimate(mi)
+		fresh[mi], bounds[mi] = checkModule(p.E, mi, got.Gates, lim)
+		stale[mi] = compareEstimate(p.E, mi, got, fresh[mi])
+	})
+	if r.Violations = append(r.Violations, slices.Concat(bounds...)...); !r.OK() {
 		return r
 	}
-	for mi, m := range fresh {
-		r.Violations = append(r.Violations, compareEstimate(p.E, mi, p.ModuleEstimate(mi), m)...)
-	}
+	r.Violations = append(r.Violations, slices.Concat(stale...)...)
 	moduleOf := make([]int, c.NumGates())
 	for g := range moduleOf {
 		moduleOf[g] = p.ModuleOf(g)
