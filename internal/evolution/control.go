@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -21,6 +20,7 @@ import (
 	"iddqsyn/internal/chaos"
 	"iddqsyn/internal/fsx"
 	"iddqsyn/internal/obs"
+	"iddqsyn/internal/par"
 	"iddqsyn/internal/partition"
 )
 
@@ -179,10 +179,8 @@ func (s *state) run(ctx context.Context, ctl *Control) (*Result, error) {
 	if ctl != nil {
 		trace = ctl.Trace
 	}
-	evals := newEvalPool(s.prm.Mu*(s.prm.Lambda+s.prm.Chi), s.prm.Mu, s.obs, s.chaos)
-	defer evals.close()
 	if s.res.Best == nil {
-		if err := s.evaluateStarts(evals); err != nil {
+		if err := s.evaluateStarts(); err != nil {
 			return nil, err
 		}
 	}
@@ -199,57 +197,12 @@ func (s *state) run(ctx context.Context, ctl *Control) (*Result, error) {
 			genStart = time.Now()
 		}
 		// Mutation is sequential (single deterministic rand stream); each
-		// descendant goes to the pool as soon as it is built, so the
-		// cost evaluations overlap the rest of the clone-and-mutate
-		// phase. The evaluate trace span covers both — descendant
-		// construction and the cost evaluations are one causal phase.
+		// descendant is evaluated as soon as it is built, so the cost
+		// evaluations overlap the rest of the clone-and-mutate phase. The
+		// evaluate trace span covers both — descendant construction and
+		// the cost evaluations are one causal phase.
 		evalTsp := s.tsp.StartChild("evolution.evaluate")
-		descendants := make([]*individual, 0, len(s.pop)*(s.prm.Lambda+s.prm.Chi))
-		evals.start(gen)
-		for _, parent := range s.pop {
-			if parent.age+1 < s.prm.Omega { // it stays in the selection pool
-				evals.know(parent.cost)
-			}
-		}
-	build:
-		for _, parent := range s.pop {
-			for l := 0; l < s.prm.Lambda; l++ {
-				s.obs.mutAttempts.Inc()
-				child := parent.p.Clone() // recombination = duplication (§4.1)
-				moved := mutate(child, parent.m, s.rng, &s.mv)
-				if !moved {
-					continue
-				}
-				s.obs.mutApplied.Inc()
-				d := &individual{
-					p: child, m: adaptStep(parent.m, s.prm.Epsilon, s.rng),
-					origin: originMutation,
-				}
-				if !evals.submit(len(descendants), d) {
-					break build
-				}
-				descendants = append(descendants, d)
-			}
-			for x := 0; x < s.prm.Chi; x++ {
-				s.obs.mcAttempts.Inc()
-				child := parent.p.Clone()
-				moved := monteCarlo(child, s.rng, &s.mv)
-				if !moved {
-					continue
-				}
-				s.obs.mcApplied.Inc()
-				d := &individual{
-					p: child, m: adaptStep(parent.m, s.prm.Epsilon, s.rng),
-					origin: originMonteCarlo,
-				}
-				if !evals.submit(len(descendants), d) {
-					break build
-				}
-				descendants = append(descendants, d)
-			}
-			parent.age++
-		}
-		evalErr := evals.wait()
+		descendants, evalErr := s.evaluate(gen, len(s.pop)*(s.prm.Lambda+s.prm.Chi), s.breed)
 		evalTsp.End()
 		if evalErr != nil {
 			return nil, evalErr
@@ -321,17 +274,57 @@ func (s *state) run(ctx context.Context, ctl *Control) (*Result, error) {
 	return s.res, nil
 }
 
-// evaluateStarts costs a fresh run's start population on the pool and
-// takes its cheapest individual as the first best-so-far. A resumed run
-// skips it: its population carries the checkpointed costs.
-func (s *state) evaluateStarts(pool *evalPool) error {
-	pool.start(0)
-	for i, ind := range s.pop {
-		if !pool.submit(i, ind) {
-			break
+// breed clones and mutates each parent's λ mutation and χ Monte-Carlo
+// descendants in order on the run's one random stream, and adds every
+// descendant that a move changed. It stops once add reports false.
+func (s *state) breed(add func(*individual) bool) {
+	for _, parent := range s.pop {
+		for l := 0; l < s.prm.Lambda; l++ {
+			s.obs.mutAttempts.Inc()
+			child := parent.p.Clone() // recombination = duplication (§4.1)
+			moved := mutate(child, parent.m, s.rng, &s.mv)
+			if !moved {
+				continue
+			}
+			s.obs.mutApplied.Inc()
+			if !add(&individual{
+				p: child, m: adaptStep(parent.m, s.prm.Epsilon, s.rng),
+				origin: originMutation,
+			}) {
+				return
+			}
 		}
+		for x := 0; x < s.prm.Chi; x++ {
+			s.obs.mcAttempts.Inc()
+			child := parent.p.Clone()
+			moved := monteCarlo(child, s.rng, &s.mv)
+			if !moved {
+				continue
+			}
+			s.obs.mcApplied.Inc()
+			if !add(&individual{
+				p: child, m: adaptStep(parent.m, s.prm.Epsilon, s.rng),
+				origin: originMonteCarlo,
+			}) {
+				return
+			}
+		}
+		parent.age++
 	}
-	if err := pool.wait(); err != nil {
+}
+
+// evaluateStarts costs a fresh run's start population and takes its
+// cheapest individual as the first best-so-far. A resumed run skips it:
+// its population carries the checkpointed costs.
+func (s *state) evaluateStarts() error {
+	_, err := s.evaluate(0, len(s.pop), func(add func(*individual) bool) {
+		for _, ind := range s.pop {
+			if !add(ind) {
+				return
+			}
+		}
+	})
+	if err != nil {
 		return err
 	}
 	s.res.Evaluations += len(s.pop)
@@ -388,217 +381,165 @@ var testEvalHook func(i int, p *partition.Partition)
 // it to check that pruning changes no result.
 var testExactOnly bool
 
-// evalPool evaluates individual costs on runtime.GOMAXPROCS(0)
-// goroutines, one pool per run: GOMAXPROCS−1 helpers and the generation
-// loop itself. The loop stays the only user of the counted random
-// stream: it clones and mutates every descendant in order and submits
-// each one as soon as it is built, so the helpers' cost evaluations
-// overlap the next clone-and-mutate; once a batch is built, the loop
-// evaluates what the helpers have not taken yet. On one core there are
-// no helpers and the loop evaluates everything, as a sequential loop
-// would. Each descendant is an independent clone and its evaluation writes
-// only that clone, so which goroutine evaluates it, and when, cannot
-// change a bit of the result.
+// evaluate costs one batch, generation gen's descendants or the start
+// population (gen 0), on every core (par.Stream). build runs on the
+// calling goroutine and adds at most n individuals, in order; the run
+// stays the only user of the counted random stream, and each individual
+// is evaluated as soon as it is added, overlapping the rest of build. Each
+// is an independent clone and its evaluation writes only that clone, so
+// which goroutine evaluates it, and when, cannot change a bit of the
+// result. evaluate returns the added individuals, in order, once each has
+// its cost, with the batch's first failure.
 //
-// Selection keeps the μ cheapest of each generation's pool, so the pool
-// tracks the μ cheapest costs known in the batch: those of the parents
-// that stay in the selection pool, and every exact cost evaluated since.
-// A descendant whose cost bound (PenalisedCostAbove) exceeds the μ-th of
+// Selection keeps the μ cheapest of each generation's pool, so the batch
+// tracks the μ cheapest costs known in it: those of the parents that stay
+// in the selection pool, and every exact cost evaluated since. A
+// descendant whose cost bound (PenalisedCostAbove) exceeds the μ-th of
 // them is not swept: its cost is the bound, above the costs of μ pool
 // members, so selection never picks it, whatever the tie-break. Which
-// descendants are pruned depends on the order the helpers finish in;
+// descendants are pruned depends on the order the workers finish in;
 // nothing but the evolution.pruned counter does.
 //
-// One batch (a generation, or the start population) is in flight at a
-// time: submit adds to it, wait ends it. A panic inside a cost evaluation
-// (however it is provoked — corrupted state, a bug in an estimator, an
-// injected fault) is recovered and becomes the batch's error, naming the
-// offending individual; when the panic value is itself an error (the
-// estimator's numeric guards panic with wrapped errors) it is wrapped
-// rather than stringified, so errors.Is sees through the recover
-// boundary. A cost that comes back NaN/Inf without panicking is likewise
-// an error (ErrNonFiniteCost): a poisoned number must never enter
-// selection or a checkpoint. Once a batch has failed, the remaining
-// individuals are skipped and the loop stops submitting.
-type evalPool struct {
-	jobs    chan evalJob
-	helpers sync.WaitGroup
-	hist    *obs.Histogram  // per-individual evaluation latency; nil when unobserved
-	pruned  *obs.Counter    // evaluations answered by a bound; nil when unobserved
-	inj     *chaos.Injector // probes evolution.worker.panic / .delay before each evaluation
-	keep    int             // μ: how many of the cheapest known costs selection keeps
-
-	gen     int // the batch's generation, 0 for the start population; set before its first submit
-	pending sync.WaitGroup
-	failed  atomic.Bool
-	mu      sync.Mutex
-	err     error     // guarded by mu; the batch's first failure
-	known   []float64 // guarded by mu; the batch's cheapest known costs, ascending, at most keep
-}
-
-// evalJob is one submitted individual and its index in the batch.
-type evalJob struct {
-	i   int
-	ind *individual
-}
-
-// newEvalPool starts the run's helpers. buffer is the job queue's
-// capacity: one generation's descendants, so the loop can build a whole
-// generation ahead of the helpers; keep is μ.
-func newEvalPool(buffer, keep int, ro *runObs, inj *chaos.Injector) *evalPool {
-	p := &evalPool{
-		jobs: make(chan evalJob, buffer), hist: ro.evalSeconds, pruned: ro.pruned,
-		inj: inj, keep: keep, known: make([]float64, 0, keep),
+// A panic inside a cost evaluation (however it is provoked — corrupted
+// state, a bug in an estimator, an injected fault) is recovered and
+// becomes the batch's error, naming the offending individual; when the
+// panic value is itself an error (the estimator's numeric guards panic
+// with wrapped errors) it is wrapped rather than stringified, so
+// errors.Is sees through the recover boundary. A cost that comes back
+// NaN/Inf without panicking is likewise an error (ErrNonFiniteCost): a
+// poisoned number must never enter selection or a checkpoint. Once a
+// batch has failed, the remaining individuals are skipped and add reports
+// false, so build stops.
+func (s *state) evaluate(gen, n int, build func(add func(*individual) bool)) ([]*individual, error) {
+	b := &batch{
+		gen: gen, keep: s.prm.Mu, hist: s.obs.evalSeconds, pruned: s.obs.pruned,
+		inj: s.chaos, known: make([]float64, 0, s.prm.Mu),
 	}
-	n := runtime.GOMAXPROCS(0) - 1
-	p.helpers.Add(n)
-	for w := 0; w < n; w++ {
-		go func() {
-			defer p.helpers.Done()
-			for j := range p.jobs {
-				p.run(j)
+	if gen > 0 { // the start population has no cost known yet
+		for _, parent := range s.pop {
+			if parent.age+1 < s.prm.Omega { // it stays in the selection pool
+				b.know(parent.cost)
 			}
-		}()
+		}
 	}
-	return p
+	// add writes slot k before it submits k and never writes it again, so
+	// a worker reads inds[k] race-free.
+	inds := make([]*individual, n)
+	added := 0
+	par.Stream(n, func(submit func(i int)) {
+		build(func(ind *individual) bool {
+			if b.failed.Load() {
+				return false
+			}
+			inds[added] = ind
+			submit(added)
+			added++
+			return true
+		})
+	}, func(_, i int) {
+		if b.failed.Load() {
+			return
+		}
+		if err := b.eval(i, inds[i]); err != nil {
+			b.fail(err)
+		}
+	})
+	return inds[:added], b.firstErr()
 }
 
-// close stops the helpers once they have drained the queue. Every return
-// path of a run calls it, so no helper outlives its run.
-func (p *evalPool) close() {
-	close(p.jobs)
-	p.helpers.Wait()
-}
+// batch is what the workers of one evaluate call share.
+type batch struct {
+	gen    int             // the batch's generation, 0 for the start population
+	keep   int             // μ: how many of the cheapest known costs selection keeps
+	hist   *obs.Histogram  // per-individual evaluation latency; nil when unobserved
+	pruned *obs.Counter    // evaluations answered by a bound; nil when unobserved
+	inj    *chaos.Injector // probes evolution.worker.panic / .delay before each evaluation
 
-// start opens the batch of generation gen (0 = the start population),
-// with no cost known.
-func (p *evalPool) start(gen int) {
-	p.gen = gen
-	p.failed.Store(false)
-	p.mu.Lock()
-	p.err = nil
-	p.known = p.known[:0]
-	p.mu.Unlock()
+	failed atomic.Bool
+	mu     sync.Mutex
+	err    error     // guarded by mu; the batch's first failure
+	known  []float64 // guarded by mu; the batch's cheapest known costs, ascending, at most keep
 }
 
 // know records the exact cost of a member of the batch's selection pool.
-func (p *evalPool) know(cost float64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	i, _ := slices.BinarySearch(p.known, cost)
-	if i == p.keep {
+func (b *batch) know(cost float64) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	i, _ := slices.BinarySearch(b.known, cost)
+	if i == b.keep {
 		return
 	}
-	if len(p.known) == p.keep {
-		p.known = p.known[:p.keep-1]
+	if len(b.known) == b.keep {
+		b.known = b.known[:b.keep-1]
 	}
-	p.known = slices.Insert(p.known, i, cost)
+	b.known = slices.Insert(b.known, i, cost)
 }
 
 // limit returns the μ-th cheapest cost known in the batch: a descendant
 // whose cost exceeds it cannot be selected. It is +Inf while fewer than μ
 // costs are known.
-func (p *evalPool) limit() float64 {
+func (b *batch) limit() float64 {
 	if testExactOnly {
 		return math.Inf(1)
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.known) < p.keep {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if len(b.known) < b.keep {
 		return math.Inf(1)
 	}
-	return p.known[p.keep-1]
+	return b.known[b.keep-1]
 }
 
-// submit queues the cost evaluation of ind, the i-th individual of the
-// current batch; when the queue is full the loop evaluates it at once. It
-// reports false, queueing nothing, once the batch has failed: the loop
-// then stops building descendants.
-func (p *evalPool) submit(i int, ind *individual) bool {
-	if p.failed.Load() {
-		return false
+func (b *batch) fail(err error) {
+	b.mu.Lock()
+	if b.err == nil {
+		b.err = err
 	}
-	p.pending.Add(1)
-	j := evalJob{i: i, ind: ind}
-	select {
-	case p.jobs <- j:
-	default:
-		p.run(j)
-	}
-	return true
+	b.mu.Unlock()
+	b.failed.Store(true)
 }
 
-// wait evaluates the queued individuals the helpers have not taken, blocks
-// until every submitted individual of the batch has a cost (or was
-// skipped after a failure) and returns the batch's first error.
-func (p *evalPool) wait() error {
-	for queued := true; queued; {
-		select {
-		case j := <-p.jobs:
-			p.run(j)
-		default:
-			queued = false
-		}
-	}
-	p.pending.Wait()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.err
+func (b *batch) firstErr() error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.err
 }
 
-// run evaluates one submitted individual unless its batch has failed.
-func (p *evalPool) run(j evalJob) {
-	if !p.failed.Load() {
-		if err := p.eval(j); err != nil {
-			p.fail(err)
-		}
-	}
-	p.pending.Done()
-}
-
-func (p *evalPool) fail(err error) {
-	p.mu.Lock()
-	if p.err == nil {
-		p.err = err
-	}
-	p.mu.Unlock()
-	p.failed.Store(true)
-}
-
-// eval computes one individual's cost behind the panic boundary.
+// eval computes the cost of ind, the batch's i-th individual, behind the
+// panic boundary.
 //
 //lint:hotpath descendant evaluation — every cost evaluation of a run flows through here
-func (p *evalPool) eval(j evalJob) (err error) {
+func (b *batch) eval(i int, ind *individual) (err error) {
 	//lint:ignore hotalloc one deferred recover guard per evaluation; the panic boundary is the point of the worker
 	defer func() {
 		if r := recover(); r != nil {
 			if perr, ok := r.(error); ok {
 				err = fmt.Errorf("evolution: cost evaluation of descendant %d of generation %d panicked: %w",
-					j.i, p.gen, perr)
+					i, b.gen, perr)
 			} else {
 				err = fmt.Errorf("evolution: cost evaluation of descendant %d of generation %d panicked: %v",
-					j.i, p.gen, r)
+					i, b.gen, r)
 			}
 		}
 	}()
 	if testEvalHook != nil {
-		testEvalHook(j.i, j.ind.p)
+		testEvalHook(i, ind.p)
 	}
-	p.inj.MustPass(chaos.SiteEvalPanic)
-	p.inj.Sleep(chaos.SiteEvalDelay)
-	if p.hist != nil {
-		defer p.hist.ObserveSince(time.Now())
+	b.inj.MustPass(chaos.SiteEvalPanic)
+	b.inj.Sleep(chaos.SiteEvalDelay)
+	if b.hist != nil {
+		defer b.hist.ObserveSince(time.Now())
 	}
-	c, exact := j.ind.p.PenalisedCostAbove(p.limit())
+	c, exact := ind.p.PenalisedCostAbove(b.limit())
 	if math.IsNaN(c) || math.IsInf(c, 0) {
 		return fmt.Errorf("evolution: descendant %d of generation %d cost is %g: %w",
-			j.i, p.gen, c, partition.ErrNonFiniteCost)
+			i, b.gen, c, partition.ErrNonFiniteCost)
 	}
 	if exact {
-		p.know(c)
+		b.know(c)
 	} else {
-		p.pruned.Inc()
+		b.pruned.Inc()
 	}
-	j.ind.cost = c
+	ind.cost = c
 	return nil
 }

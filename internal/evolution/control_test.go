@@ -22,7 +22,7 @@ import (
 var procsName = map[int]string{1: "sequential", 4: "workers4"}
 
 // setProcs runs the rest of the test under runtime.GOMAXPROCS(n), which
-// sizes the cost-evaluation pool, and restores the old value afterwards.
+// sizes each cost-evaluation batch, and restores the old value afterwards.
 func setProcs(t *testing.T, n int) {
 	t.Helper()
 	old := runtime.GOMAXPROCS(n)

@@ -8,13 +8,13 @@
 //
 // The start population's groups are drawn on one random stream, and each
 // start's S(M) and n(t) are counted on a free core as soon as it is drawn
-// (ChainStarts). Descendants are evaluated on a worker pool while the
-// generation loop builds the next ones. Selection keeps only the μ
-// cheapest, so a descendant whose cost bound
-// (partition.PenalisedCostAbove) already exceeds the μ-th cheapest cost
-// known in its generation is not swept for D_BIC: it cannot be selected,
-// and its bound stands in for its cost. No result depends on which
-// descendants are pruned (evalPool).
+// (ChainStarts). Each generation's descendants are evaluated on every
+// core, one par.Stream per generation, while the generation loop builds
+// the next ones. Selection keeps only the μ cheapest, so a descendant
+// whose cost bound (partition.PenalisedCostAbove) already exceeds the μ-th
+// cheapest cost known in its generation is not swept for D_BIC: it cannot
+// be selected, and its bound stands in for its cost. No result depends on
+// which descendants are pruned (state.evaluate).
 package evolution
 
 import (
@@ -136,6 +136,11 @@ type individual struct {
 // chaos.FromContext, obs.SpanFromContext). ctl (nil for none) adds the
 // per-generation Trace and periodic checkpointing, so a killed run can be
 // resumed bit-identically with Resume.
+//
+// The start population's costs, then each generation's, are evaluated as
+// one batch on runtime.GOMAXPROCS(0) goroutines through par.Stream, the
+// caller's included; the result is the same bit for bit on any number of
+// cores.
 func Optimize(ctx context.Context, starts []*partition.Partition, prm Params, ctl *Control) (*Result, error) {
 	if err := prm.validate(); err != nil {
 		return nil, err

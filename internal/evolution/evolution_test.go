@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -336,8 +337,9 @@ func TestInfeasibleStartsRecover(t *testing.T) {
 	}
 }
 
-// Descendant evaluation on four cores must be bit-identical to one core
-// (mutation stays on one rand stream) and race-free.
+// Descendant evaluation on any number of cores must be bit-identical to
+// one core (mutation stays on one rand stream) and race-free: the same
+// history bits, evaluation count and best groups.
 func TestParallelEvaluationMatchesSequential(t *testing.T) {
 	e := estimatorFor(t, circuits.MustISCAS85Like("c432"))
 	w := partition.PaperWeights()
@@ -359,13 +361,22 @@ func TestParallelEvaluationMatchesSequential(t *testing.T) {
 		return res
 	}
 	seq := run(1)
-	par := run(4)
-	if seq.BestCost != par.BestCost || seq.Evaluations != par.Evaluations {
-		t.Errorf("parallel run diverged: %.9g/%d vs %.9g/%d",
-			seq.BestCost, seq.Evaluations, par.BestCost, par.Evaluations)
-	}
-	if err := par.Best.Verify(); err != nil {
-		t.Errorf("parallel result invariants: %v", err)
+	for _, procs := range []int{2, 3, 8} {
+		par := run(procs)
+		if par.Evaluations != seq.Evaluations {
+			t.Errorf("GOMAXPROCS %d: %d evaluations, %d on one core", procs, par.Evaluations, seq.Evaluations)
+		}
+		if !slices.EqualFunc(par.History, seq.History, func(a, b float64) bool {
+			return math.Float64bits(a) == math.Float64bits(b)
+		}) {
+			t.Errorf("GOMAXPROCS %d: history differs from one core", procs)
+		}
+		if !slices.EqualFunc(par.Best.Groups(), seq.Best.Groups(), slices.Equal) {
+			t.Errorf("GOMAXPROCS %d: best groups differ from one core", procs)
+		}
+		if err := par.Best.Verify(); err != nil {
+			t.Errorf("GOMAXPROCS %d: result invariants: %v", procs, err)
+		}
 	}
 }
 

@@ -46,8 +46,11 @@ func TestObservedRunMetricsMatchResult(t *testing.T) {
 	if s.Counters[MetricMutationAttempts] == 0 || s.Counters[MetricMutationApplied] == 0 {
 		t.Errorf("mutation counters empty: %v", s.Counters)
 	}
-	if got := s.Histograms[MetricEvalSeconds].Count; got == 0 {
-		t.Error("evaluation latency histogram recorded nothing")
+	// Every evaluation, pruned or exact, passes the one evaluation
+	// boundary, which observes its latency.
+	if got := s.Histograms[MetricEvalSeconds].Count; got != uint64(res.Evaluations) {
+		t.Errorf("%s recorded %d evaluations, want %d (Result.Evaluations)",
+			MetricEvalSeconds, got, res.Evaluations)
 	}
 	if got := s.Gauges[MetricBestCostGauge]; got != res.BestCost {
 		t.Errorf("%s = %v, want %v", MetricBestCostGauge, got, res.BestCost)

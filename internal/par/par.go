@@ -1,14 +1,17 @@
-// Package par runs independent jobs of one synthesis phase on every core:
-// the hop table's block searches, the start partitions' counting and the
-// audit's fresh module evaluations. A job is named by its index and writes
-// only what that index owns, so which goroutine runs it, and when, cannot
-// change a result; callers that merge per-job output do so in index order
-// after the jobs have joined.
+// Package par is the one worker pool of a synthesis: it runs the
+// independent jobs of one phase on every core — the hop table's block
+// searches, the start partitions' counting, each generation's descendant
+// cost evaluations (one Stream per batch) and the audit's fresh module
+// evaluations. A job is named by its index and writes only what that
+// index owns, so which goroutine runs it, and when, cannot change a
+// result; callers that merge per-job output do so in index order after
+// the jobs have joined.
 //
-// The calling goroutine is one of the workers, as in the optimizer's
-// evaluation pool: Stream starts min(GOMAXPROCS, n)−1 helpers, and the
-// caller takes the jobs they have not taken once it has submitted them
-// all. On one core no goroutine is started.
+// The calling goroutine is one of the workers: Stream starts a helper with
+// each of the first min(GOMAXPROCS, n)−1 jobs submitted, so no helper is
+// woken before there is a job for it, and the caller takes the jobs the
+// helpers have not taken once it has submitted them all. The helpers exit
+// before Stream returns. On one core no goroutine is started.
 package par
 
 import (
@@ -16,8 +19,8 @@ import (
 	"sync"
 )
 
-// Workers returns how many goroutines Each and Stream run n jobs on,
-// the caller included: min(GOMAXPROCS, n), at least 1. The worker numbers
+// Workers returns how many goroutines Each and Stream run n jobs on at
+// most, the caller included: min(GOMAXPROCS, n), at least 1. The worker numbers
 // passed to a job are below it, so callers size per-worker scratch by it.
 func Workers(n int) int { return max(1, min(runtime.GOMAXPROCS(0), n)) }
 
@@ -50,16 +53,7 @@ func Stream(n int, feed func(submit func(i int)), do func(w, i int)) {
 	var f failure
 	jobs := make(chan int, n)
 	var helpers sync.WaitGroup
-	workers := Workers(n)
-	helpers.Add(workers - 1)
-	for w := 1; w < workers; w++ {
-		go func() {
-			defer helpers.Done()
-			for i := range jobs {
-				f.run(do, w, i)
-			}
-		}()
-	}
+	workers, started := Workers(n), 1
 	defer func() {
 		// The caller drains the queue and joins the helpers, also when
 		// feed panics, so no job outlives the call.
@@ -70,7 +64,20 @@ func Stream(n int, feed func(submit func(i int)), do func(w, i int)) {
 		helpers.Wait()
 		f.mustNotHaveFailed()
 	}()
-	feed(func(i int) { jobs <- i })
+	feed(func(i int) {
+		jobs <- i
+		if started < workers {
+			w := started
+			started++
+			helpers.Add(1)
+			go func() {
+				defer helpers.Done()
+				for i := range jobs {
+					f.run(do, w, i)
+				}
+			}()
+		}
+	})
 }
 
 // failure keeps the panic of the lowest job index that panicked.

@@ -38,22 +38,36 @@ func TestEachRunsEveryIndexOnce(t *testing.T) {
 }
 
 // A job sees what feed wrote before submitting it, and Stream returns
-// only after every submitted job has run.
+// only after every submitted job has run, also when feed submits fewer
+// than n jobs and stops.
 func TestStreamSeesFedData(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, k := range procs {
 		runtime.GOMAXPROCS(k)
 		const n = 50
-		in, out := make([]int, n), make([]int, n)
-		Stream(n, func(submit func(i int)) {
-			for i := range in {
-				in[i] = i * i
-				submit(i)
+		for _, fed := range []int{n, 17, 1, 0} {
+			in, out := make([]int, n), make([]int, n)
+			var ran atomic.Int32
+			Stream(n, func(submit func(i int)) {
+				for i := range fed {
+					in[i] = i * i
+					submit(i)
+				}
+			}, func(_, i int) {
+				out[i] = in[i] + 1
+				ran.Add(1)
+			})
+			if got := ran.Load(); got != int32(fed) {
+				t.Fatalf("GOMAXPROCS %d, %d of %d fed: %d jobs ran", k, fed, n, got)
 			}
-		}, func(_, i int) { out[i] = in[i] + 1 })
-		for i, v := range out {
-			if v != i*i+1 {
-				t.Fatalf("GOMAXPROCS %d: job %d wrote %d, want %d", k, i, v, i*i+1)
+			for i, v := range out {
+				want := 0
+				if i < fed {
+					want = i*i + 1
+				}
+				if v != want {
+					t.Fatalf("GOMAXPROCS %d, %d of %d fed: job %d wrote %d, want %d", k, fed, n, i, v, want)
+				}
 			}
 		}
 	}

@@ -180,7 +180,7 @@ func checkAdjacency(c *circuit.Circuit, r *Report) {
 				bad("gate %s fanin %d out of range [0,%d)", g.Name, f, n)
 				continue
 			}
-			if !contains(c.Gates[f].Fanout, i) {
+			if !slices.Contains(c.Gates[f].Fanout, i) {
 				bad("gate %s lists %s as driver, but %s's fanout omits it",
 					g.Name, c.Gates[f].Name, c.Gates[f].Name)
 			}
@@ -190,21 +190,12 @@ func checkAdjacency(c *circuit.Circuit, r *Report) {
 				bad("gate %s fanout %d out of range [0,%d)", g.Name, f, n)
 				continue
 			}
-			if !contains(c.Gates[f].Fanin, i) {
+			if !slices.Contains(c.Gates[f].Fanin, i) {
 				bad("gate %s lists %s in fanout, but %s's fanin omits it",
 					g.Name, c.Gates[f].Name, c.Gates[f].Name)
 			}
 		}
 	}
-}
-
-func contains(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }
 
 // checkAcyclic runs an independent Kahn walk over the fanin edges. It

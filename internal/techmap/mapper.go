@@ -3,6 +3,7 @@ package techmap
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"iddqsyn/internal/celllib"
 	"iddqsyn/internal/circuit"
@@ -183,8 +184,7 @@ func VerifyEquivalentRand(a, b *circuit.Circuit, vectors int, rng *rand.Rand) er
 			valsB[i] = logicsim.X
 		}
 		for i, id := range bIn {
-			_ = id
-			valsB[indexOf(b.Inputs, bIn[i])] = logicsim.FromBool(vecA[i])
+			valsB[slices.Index(b.Inputs, id)] = logicsim.FromBool(vecA[i])
 		}
 		if err := simB.Apply(valsB); err != nil {
 			return err
@@ -197,13 +197,4 @@ func VerifyEquivalentRand(a, b *circuit.Circuit, vectors int, rng *rand.Rand) er
 		}
 	}
 	return nil
-}
-
-func indexOf(xs []int, x int) int {
-	for i, v := range xs {
-		if v == x {
-			return i
-		}
-	}
-	return -1
 }

@@ -34,6 +34,18 @@ test -z "$fenced" || {
     echo "check: cmd/table1 links extension-study packages:" $fenced >&2
     exit 1
 }
+# The synthesis path starts goroutines only through internal/par, its one
+# worker pool: no other synthesis package holds a go statement.
+echo "== goroutine fence (go statements outside internal/par)"
+spawns="$(find internal/estimate internal/partition internal/evolution \
+    internal/partcheck internal/standard internal/core internal/bic \
+    -name '*.go' ! -name '*_test.go' \
+    -exec grep -HnE '^[[:space:]]*go[[:space:]]' {} + || true)"
+test -z "$spawns" || {
+    echo "check: synthesis packages start goroutines outside internal/par:" >&2
+    echo "$spawns" >&2
+    exit 1
+}
 # cmd/iddqbench is its own module (it replaces iddqsyn with this checkout),
 # so the root ./... patterns skip it; vet it separately so an exported-API
 # change cannot break the benchmark unnoticed.
