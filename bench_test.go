@@ -292,9 +292,8 @@ func BenchmarkBICDelayRepropagate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	e := estimate.New(a, estimate.DefaultParams())
 	o := obs.New("bench", nil, nil)
-	e.SetObs(o)
+	e := estimate.New(a, estimate.DefaultParams()).ForRun(o, nil)
 	p, err := partition.New(e, standard.StandardPartition(e, 8),
 		partition.PaperWeights(), partition.DefaultConstraints())
 	if err != nil {

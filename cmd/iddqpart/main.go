@@ -121,21 +121,25 @@ func run() (code int, retErr error) {
 	default:
 		return runctl.ExitUsage, fmt.Errorf("unknown method %q", *method)
 	}
+	lib := celllib.Default()
 	if *libPath != "" {
 		f, err := os.Open(*libPath)
 		if err != nil {
 			return runctl.ExitFailure, err
 		}
-		lib, err := celllib.ReadLibrary(f)
+		lib, err = celllib.ReadLibrary(f)
 		_ = f.Close() // read-only; a close error cannot corrupt anything
 		if err != nil {
 			return runctl.ExitFailure, err
 		}
-		opt.Library = lib
+	}
+	a, err := celllib.Annotate(c, lib)
+	if err != nil {
+		return runctl.ExitFailure, err
 	}
 	prm := estimate.DefaultParams()
 	prm.RailLimit = *rail
-	opt.Params = &prm
+	opt.Estimator = estimate.New(a, prm)
 	cons := partition.Constraints{MinDiscriminability: *disc}
 	opt.Constraints = &cons
 	eprm := evolution.DefaultParams()
@@ -198,9 +202,9 @@ func run() (code int, retErr error) {
 			sched, sched.MatchedSites())
 	}
 
-	ctx, cancelTimeout := runctl.WithTimeoutObs(context.Background(), *timeout, orun.Obs)
+	ctx, cancelTimeout := runctl.WithTimeout(context.Background(), *timeout, orun.Obs)
 	defer cancelTimeout()
-	ctx, stop := runctl.WithSignalsObs(ctx, os.Stderr, orun.Obs)
+	ctx, stop := runctl.WithSignals(ctx, os.Stderr, orun.Obs)
 	defer stop()
 
 	res, err := core.SynthesizeContext(chaos.NewContext(ctx, inj), c, opt)

@@ -163,9 +163,9 @@ func run() (code int, retErr error) {
 	fmt.Printf("iddqserve: listening on %s (data dir %s, %d workers)\n",
 		ln.Addr(), *dir, cfg.Workers)
 
-	ctx, cancelTimeout := runctl.WithTimeoutObs(context.Background(), *timeout, orun.Obs)
+	ctx, cancelTimeout := runctl.WithTimeout(context.Background(), *timeout, orun.Obs)
 	defer cancelTimeout()
-	ctx, stop := runctl.WithSignalsObs(ctx, os.Stderr, orun.Obs)
+	ctx, stop := runctl.WithSignals(ctx, os.Stderr, orun.Obs)
 	defer stop()
 
 	if cfg.SelfTestAdmission {

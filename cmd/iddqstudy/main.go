@@ -92,10 +92,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runctl.ExitFailure
 	}
 
-	ctx, cancelTimeout := runctl.WithTimeout(context.Background(), *timeout)
-	defer cancelTimeout()
-	ctx, stop := runctl.WithSignalsObs(ctx, stderr, orun.Obs)
-	defer stop()
+	ctx, cancelTimeout := runctl.WithTimeout(context.Background(), *timeout, orun.Obs)
+	ctx, stop := runctl.WithSignals(ctx, stderr, orun.Obs)
 	ctx = obs.NewContext(ctx, orun.Obs)
 
 	var failed, skipped []string
@@ -267,6 +265,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return nil
 	})
 
+	// Released before the snapshot is written, so an expired budget is in it.
+	cause := context.Cause(ctx)
+	stop()
+	cancelTimeout()
 	obsFailed := false
 	if err := orun.Finish(*circuit); err != nil {
 		fmt.Fprintf(stderr, "iddqstudy: %v\n", err)
@@ -282,7 +284,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// the -timeout budget or a signal reports that controlled stop, a
 	// batch with failing studies reports a named optimizer failure, and
 	// only a snapshot-write problem is a generic failure.
-	switch cause := context.Cause(ctx); {
+	switch {
 	case cause != nil:
 		return runctl.ExitCode(nil, cause)
 	case len(failed) > 0:

@@ -76,13 +76,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 
-	ctx, cancelTimeout := runctl.WithTimeout(context.Background(), *timeout)
-	defer cancelTimeout()
-	ctx, stop := runctl.WithSignalsObs(ctx, stderr, orun.Obs)
-	defer stop()
+	ctx, cancelTimeout := runctl.WithTimeout(context.Background(), *timeout, orun.Obs)
+	ctx, stop := runctl.WithSignals(ctx, stderr, orun.Obs)
 	ctx = obs.NewContext(ctx, orun.Obs)
 
 	rows, err := experiments.Table1(ctx, cfg)
+	// Released before the snapshot is written, so an expired budget is in it.
+	stop()
+	cancelTimeout()
 	ferr := orun.Finish("table1")
 	if err != nil {
 		return fail(err)
@@ -93,8 +94,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprint(stdout, experiments.FormatTable1(rows))
 	fmt.Fprintln(stdout)
 	for _, r := range rows {
-		fmt.Fprintf(stdout, "%s: evolution converged in %d generations (%d evaluations); weighted cost %.6g vs standard %.6g\n",
-			r.Circuit, r.Generations, r.Evaluations, r.CostEvolution, r.CostStandard)
+		fmt.Fprintf(stdout, "%s: evolution ran %d of %d generations (%d evaluations); weighted cost %.6g vs standard %.6g\n",
+			r.Circuit, r.Generations, prm.MaxGenerations, r.Evaluations, r.CostEvolution, r.CostStandard)
 	}
 	if *csvPath != "" {
 		if err := writeFile(*csvPath, func(f *os.File) error { return experiments.Table1CSV(f, rows) }); err != nil {

@@ -2,10 +2,14 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"io"
 	"os"
+	"path/filepath"
 	"testing"
+
+	"iddqsyn/internal/runctl"
 )
 
 var update = flag.Bool("update", false, "rewrite EXPERIMENTS.md's Table 1 block from the current output")
@@ -52,5 +56,29 @@ func TestExperimentsBlock(t *testing.T) {
 	}
 	if got := string(doc[begin:end]); got != want {
 		t.Errorf("%s's Table 1 block differs from `go run ./cmd/table1` (regenerate with -update):\ngot\n%s\nwant\n%s", experimentsDoc, got, want)
+	}
+}
+
+// An expired -timeout must be in the -metrics snapshot. A 1 ns budget has
+// run out before the first row starts, and the command releases its
+// contexts before it writes the snapshot, so the count does not wait on
+// the goroutine that logs the expiry.
+func TestTimeoutReachesMetrics(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.json")
+	run([]string{"-timeout", "1ns", "-circuits", "c1908", "-gens", "1", "-metrics", path}, io.Discard, io.Discard)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap struct {
+		Metrics struct {
+			Counters map[string]uint64 `json:"counters"`
+		} `json:"metrics"`
+	}
+	if err := json.Unmarshal(data, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if got := snap.Metrics.Counters[runctl.MetricTimeouts]; got < 1 {
+		t.Errorf("%s = %d in the -metrics snapshot of an expired run, want ≥ 1", runctl.MetricTimeouts, got)
 	}
 }

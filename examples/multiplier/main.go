@@ -38,8 +38,9 @@ func main() {
 		log.Fatal(err)
 	}
 	std, err := core.SynthesizeContext(context.Background(), c, core.Options{
-		Method:  core.MethodStandard,
-		Modules: evo.Partition.NumModules(),
+		Estimator: evo.Estimator,
+		Method:    core.MethodStandard,
+		Modules:   evo.Partition.NumModules(),
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -62,11 +62,15 @@ func (m Method) String() string {
 }
 
 // Options configures SynthesizeContext. The zero value selects the paper's
-// defaults everywhere: the built-in cell library, the §5 weight factors,
-// d = 10, and the evolution method.
+// defaults everywhere: the built-in cell library, the §3 estimator
+// constants, the §5 weight factors, d = 10, and the evolution method.
 type Options struct {
-	Library     *celllib.Library       // nil: celllib.Default()
-	Params      *estimate.Params       // nil: estimate.DefaultParams()
+	// Estimator, if set, is an estimator of the synthesized circuit, built
+	// with estimate.New or taken from an earlier Result, so runs of one
+	// circuit share one build; the run binds its own view (ForRun) and
+	// records no core.annotate or core.estimator span. nil: annotate with
+	// celllib.Default() and build with estimate.DefaultParams().
+	Estimator   *estimate.Estimator
 	Weights     *partition.Weights     // nil: partition.PaperWeights()
 	Constraints *partition.Constraints // nil: partition.DefaultConstraints()
 	Evolution   *evolution.Params      // nil: evolution.DefaultParams()
@@ -120,8 +124,7 @@ type Options struct {
 type Result struct {
 	Method    Method
 	Circuit   *circuit.Circuit
-	Annotated *celllib.Annotated
-	Estimator *estimate.Estimator
+	Estimator *estimate.Estimator // the run's view; Estimator.A is the annotated circuit
 	Partition *partition.Partition
 	Chip      *bic.Chip
 	Costs     partition.CostVector
@@ -148,20 +151,16 @@ func SynthesizeContext(ctx context.Context, c *circuit.Circuit, opt Options) (re
 	// fault manages to blow up, the synthesis ends with a named error —
 	// never a process crash, never an unvalidated result.
 	defer contain(&res, &err, "synthesis")
+	if opt.Estimator != nil && opt.Estimator.A.Circuit != c {
+		return nil, fmt.Errorf("core: Options.Estimator was built for circuit %q, not for %q",
+			opt.Estimator.A.Circuit.Name, c.Name)
+	}
 	o := opt.Obs
 	if o == nil {
 		o = obs.FromContext(ctx)
 	}
 	// The optimizer takes its Obs from the context only.
 	ctx = obs.NewContext(ctx, o)
-	lib := opt.Library
-	if lib == nil {
-		lib = celllib.Default()
-	}
-	prm := estimate.DefaultParams()
-	if opt.Params != nil {
-		prm = *opt.Params
-	}
 	w := partition.PaperWeights()
 	if opt.Weights != nil {
 		w = *opt.Weights
@@ -187,19 +186,21 @@ func SynthesizeContext(ctx context.Context, c *circuit.Circuit, opt Options) (re
 		psp = root
 	}
 
-	tsp := psp.StartChild("core.annotate")
-	a, err := celllib.Annotate(c, lib)
-	tsp.End()
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+	e := opt.Estimator
+	if e == nil {
+		tsp := psp.StartChild("core.annotate")
+		a, err := celllib.Annotate(c, celllib.Default())
+		tsp.End()
+		if err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
+		tsp = psp.StartChild("core.estimator")
+		e = estimate.New(a, estimate.DefaultParams())
+		tsp.End()
 	}
-	tsp = psp.StartChild("core.estimator")
-	e := estimate.New(a, prm)
-	e.SetObs(o)
-	e.SetChaos(chaos.FromContext(ctx))
-	tsp.End()
+	e = e.ForRun(o, chaos.FromContext(ctx))
 
-	res = &Result{Method: opt.Method, Circuit: c, Annotated: a, Estimator: e}
+	res = &Result{Method: opt.Method, Circuit: c, Estimator: e}
 	optTsp := psp.StartChild("core.optimize")
 	ctx = obs.ContextWithSpan(ctx, optTsp) // evolution generations attach here
 	switch opt.Method {
@@ -258,7 +259,7 @@ func SynthesizeContext(ctx context.Context, c *circuit.Circuit, opt Options) (re
 	// evaluation. Feasibility bounds are the caller's policy (see
 	// partcheck.Feasibility); a violated structural invariant here is a
 	// bug, and the named constraint says which one.
-	tsp = psp.StartChild("core.audit")
+	tsp := psp.StartChild("core.audit")
 	r := partcheck.VerifyPartition(res.Partition, partcheck.StructureOnly())
 	tsp.End()
 	if !r.OK() {
@@ -268,7 +269,7 @@ func SynthesizeContext(ctx context.Context, c *circuit.Circuit, opt Options) (re
 	// The sensors are sized from the partition's own module estimates: the
 	// audit has just shown that they are those of a fresh evaluation.
 	tsp = psp.StartChild("core.chip")
-	chip, err := bic.NewChip(a, moduleEstimates(res.Partition), e.P)
+	chip, err := bic.NewChip(e.A, moduleEstimates(res.Partition), e.P)
 	tsp.End()
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)

@@ -346,9 +346,8 @@ func TestUpdateBICDelayMatchesFullSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(a, DefaultParams())
 	o := obs.New("test", nil, nil)
-	e.SetObs(o)
+	e := New(a, DefaultParams()).ForRun(o, nil)
 	c := a.Circuit
 	logic := c.LogicGates()
 	var groups [][]int
@@ -650,12 +649,11 @@ func TestChaosPoisonedEstimatePanicsTyped(t *testing.T) {
 	for _, site := range []string{chaos.SiteEstimateNaN, chaos.SiteEstimateInf} {
 		t.Run(site, func(t *testing.T) {
 			a := annotatedC17(t)
-			e := New(a, DefaultParams())
 			sched, err := chaos.ParseSchedule("seed=1,after=1,sites=" + site)
 			if err != nil {
 				t.Fatal(err)
 			}
-			e.SetChaos(chaos.New(sched, nil))
+			e := New(a, DefaultParams()).ForRun(nil, chaos.New(sched, nil))
 			r := evalPanics(e, a.Circuit.LogicGates())
 			if r == nil {
 				t.Fatal("poisoned estimate did not panic")

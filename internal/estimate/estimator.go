@@ -17,7 +17,7 @@ import (
 	"iddqsyn/internal/par"
 )
 
-// Metric names recorded by an observed estimator (see SetObs). Module
+// Metric names recorded by an observed estimator (see ForRun). Module
 // evaluation is the innermost hot path of every optimizer, so its call
 // count and latency distribution are the primary throughput signal of a
 // run. The D_BIC sweep counters give the mean number of arrival times
@@ -60,9 +60,10 @@ func DefaultParams() Params {
 }
 
 // Estimator evaluates the per-module and global quantities of §3 for one
-// annotated circuit. It is immutable after construction — SetObs, which
-// attaches telemetry handles, must run before the estimator is shared —
-// and then safe for concurrent use.
+// annotated circuit. It is immutable after New and safe for concurrent
+// use. The circuit's tables are built once; each run that wants its own
+// telemetry or fault injector takes a view of them with ForRun, so any
+// number of runs, concurrent or not, share one build.
 type Estimator struct {
 	P  Params
 	A  *celllib.Annotated
@@ -91,7 +92,7 @@ type Estimator struct {
 	class      []int32
 	numClasses int
 
-	// Telemetry handles, resolved once by SetObs; nil (no-op) when the
+	// Telemetry handles, resolved once by ForRun; nil (no-op) when the
 	// estimator is unobserved. The metrics themselves are atomic, so the
 	// optimizer worker pools record through them without contention.
 	evalCalls   *obs.Counter
@@ -99,7 +100,7 @@ type Estimator struct {
 	bicSweeps   *obs.Counter
 	bicGates    *obs.Counter
 
-	// Fault injector, attached by SetChaos; nil in production. The
+	// Fault injector, attached by ForRun; nil in production. The
 	// injector corrupts the estimator's own outputs (estimate.nan,
 	// estimate.inf) so the numeric guards between here and the optimizers
 	// can be exercised deterministically.
@@ -109,13 +110,13 @@ type Estimator struct {
 	// module membership mask) and of the D_BIC sweeps (BICDelay's
 	// per-position delays and arrival times, UpdateBICDelay's frontier).
 	// Both run millions of times per optimizer run on concurrent worker
-	// pools, so these must not be allocated per call. The pool belongs to
-	// the estimator, so its buffers are sized for this circuit. Pool
+	// pools, so these must not be allocated per call. Every view ForRun
+	// makes shares the pool, whose buffers are sized for this circuit. Pool
 	// contents never affect results: every entry a call reads is written
 	// earlier in that call, except the primary inputs' delays, which are 0
 	// in every buffer, and the mask and the frontier, which every call
 	// leaves all clear.
-	scratch sync.Pool
+	scratch *sync.Pool
 }
 
 // evalScratch is the transient working memory of one EvalModule or D_BIC
@@ -151,32 +152,23 @@ func (e *Estimator) getScratch() *evalScratch {
 	return sc
 }
 
-// SetObs attaches run telemetry: every EvalModule call increments
-// MetricEvalModuleCalls and records its latency into
-// MetricEvalModuleSeconds, and every D_BIC sweep increments
+// ForRun returns a view of e bound to one run: every EvalModule call
+// increments MetricEvalModuleCalls in o and records its latency into
+// MetricEvalModuleSeconds, every D_BIC sweep increments
 // MetricBICDelaySweeps and adds the gates it recomputed to
-// MetricBICDelayGates. Call it right after New, before the estimator is
-// shared across goroutines; a nil o detaches nothing and keeps the
-// estimator unobserved.
-func (e *Estimator) SetObs(o *obs.Obs) {
-	if e == nil || o == nil {
-		return
-	}
-	e.evalCalls = o.Counter(MetricEvalModuleCalls)
-	e.evalSeconds = o.Histogram(MetricEvalModuleSeconds, nil)
-	e.bicSweeps = o.Counter(MetricBICDelaySweeps)
-	e.bicGates = o.Counter(MetricBICDelayGates)
-}
-
-// SetChaos attaches a fault injector that poisons estimator outputs at
-// the estimate.nan and estimate.inf sites. Like SetObs it must run before
-// the estimator is shared; a nil injector (the default) costs one nil
-// check per EvalModule.
-func (e *Estimator) SetChaos(in *chaos.Injector) {
-	if e == nil {
-		return
-	}
-	e.chaos = in
+// MetricBICDelayGates, and in poisons outputs at the estimate.nan and
+// estimate.inf sites. The view is a shallow copy sharing every table and
+// the scratch pool with e, which is left as it is. A nil o gives an
+// unobserved view and a nil in (the default) an uninjected one, whatever
+// handles e carries.
+func (e *Estimator) ForRun(o *obs.Obs, in *chaos.Injector) *Estimator {
+	v := *e
+	v.evalCalls = o.Counter(MetricEvalModuleCalls)
+	v.evalSeconds = o.Histogram(MetricEvalModuleSeconds, nil)
+	v.bicSweeps = o.Counter(MetricBICDelaySweeps)
+	v.bicGates = o.Counter(MetricBICDelayGates)
+	v.chaos = in
+	return &v
 }
 
 // ErrRhoTooLarge reports a separation cap ρ above 256: the hop table
@@ -197,7 +189,7 @@ func mustFitHopWeights(rho int) {
 // p.Rho > 256.
 func New(a *celllib.Annotated, p Params) *Estimator {
 	mustFitHopWeights(p.Rho)
-	e := &Estimator{P: p, A: a, TS: TransitionTimes(a.Circuit)}
+	e := &Estimator{P: p, A: a, TS: TransitionTimes(a.Circuit), scratch: new(sync.Pool)}
 	c := a.Circuit
 	e.class, e.numClasses = delayClasses(a)
 	c.Levels() // built here, so concurrent FinishModule calls only read it

@@ -145,14 +145,17 @@ func WeightSweep(ctx context.Context, name string, prm evolution.Params) ([]Weig
 		{Label: "delay-focused", Weights: delayW},
 		{Label: "few-modules", Weights: modW},
 	}
+	var e *estimate.Estimator // built by the first synthesis, shared by the rest
 	for i := range points {
 		res, err := core.SynthesizeContext(ctx, c, core.Options{
+			Estimator: e,
 			Weights:   &points[i].Weights,
 			Evolution: &prm,
 		})
 		if err != nil {
 			return nil, err
 		}
+		e = res.Estimator
 		cv := res.Costs
 		points[i].Modules = res.Partition.NumModules()
 		points[i].SensorArea = cv.SensorArea
@@ -222,7 +225,7 @@ func pessimismOf(res *core.Result) ([]EstimatorPessimism, error) {
 	for mi := 0; mi < res.Partition.NumModules(); mi++ {
 		gates := res.Partition.AppendModuleGates(nil, mi)
 		m := res.Partition.ModuleEstimate(mi)
-		sim := simulatedPeak(e, res.Annotated, gates)
+		sim := simulatedPeak(e, res.Estimator.A, gates)
 		p := EstimatorPessimism{
 			Circuit:   res.Circuit.Name,
 			Module:    mi,
@@ -244,7 +247,7 @@ func pessimismOf(res *core.Result) ([]EstimatorPessimism, error) {
 // triangular switching-current pulses.
 func timingPeaks(res *core.Result, pairs int, seed int64) ([]float64, error) {
 	c := res.Circuit
-	a := res.Annotated
+	a := res.Estimator.A
 	ts, err := logicsim.NewTiming(c, a.Delay)
 	if err != nil {
 		return nil, err

@@ -112,8 +112,9 @@ func table1Circuit(ctx context.Context, name string, eprm evolution.Params) (Tab
 		return Table1Row{}, fmt.Errorf("experiments: %s evolution: %w", name, err)
 	}
 	std, err := core.SynthesizeContext(ctx, c, core.Options{
-		Method:  core.MethodStandard,
-		Modules: evo.Partition.NumModules(),
+		Estimator: evo.Estimator, // both methods under one set of §3 estimators
+		Method:    core.MethodStandard,
+		Modules:   evo.Partition.NumModules(),
 	})
 	if err != nil {
 		return Table1Row{}, fmt.Errorf("experiments: %s standard: %w", name, err)

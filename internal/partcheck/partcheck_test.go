@@ -307,7 +307,7 @@ func TestVerifyPartitionAuditsLiveOptimizerState(t *testing.T) {
 func TestVerifyPartitionEvaluatesEachModuleOnce(t *testing.T) {
 	c, e := c17Estimator(t)
 	o := obs.New("partcheck", nil, nil)
-	e.SetObs(o)
+	e = e.ForRun(o, nil)
 	p, err := partition.New(e, [][]int{
 		ids(t, c, "g1", "g3", "g5"),
 		ids(t, c, "g2", "g4", "g6"),

@@ -59,7 +59,7 @@ func TestExitCodeValuesAreStable(t *testing.T) {
 // ExitCode composes with the real WithTimeout plumbing: an expired
 // budget classifies as ExitTimeout via context.Cause.
 func TestExitCodeFromExpiredTimeout(t *testing.T) {
-	ctx, cancel := WithTimeout(context.Background(), 1)
+	ctx, cancel := WithTimeout(context.Background(), 1, nil)
 	defer cancel()
 	<-ctx.Done()
 	if got := ExitCode(nil, context.Cause(ctx)); got != ExitTimeout {

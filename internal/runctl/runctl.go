@@ -87,18 +87,13 @@ var exit = os.Exit
 // WithSignals derives a context that is cancelled by the first SIGINT or
 // SIGTERM. A second signal hard-exits the process with ForcedExitCode —
 // the escape hatch when graceful shutdown itself hangs. Progress notes
-// are written to w (nil silences them). The returned stop function
-// releases the signal handler and the watcher goroutine; call it as soon
-// as the guarded work is done.
-func WithSignals(ctx context.Context, w io.Writer) (context.Context, context.CancelFunc) {
-	return WithSignalsObs(ctx, w, nil)
-}
-
-// WithSignalsObs is WithSignals with telemetry: each delivered signal
-// increments MetricSignals and is logged as a structured warning, so an
-// interrupted run's metrics snapshot records why it stopped. A nil o
-// keeps the behaviour of WithSignals exactly.
-func WithSignalsObs(ctx context.Context, w io.Writer, o *obs.Obs) (context.Context, context.CancelFunc) {
+// are written to w (nil silences them). Each delivered signal increments
+// MetricSignals in o and is logged as a structured warning, so an
+// interrupted run's metrics snapshot records why it stopped; a nil o
+// records nothing. The returned stop function releases the signal
+// handler and the watcher goroutine; call it as soon as the guarded work
+// is done.
+func WithSignals(ctx context.Context, w io.Writer, o *obs.Obs) (context.Context, context.CancelFunc) {
 	if w == nil {
 		w = io.Discard
 	}
@@ -140,32 +135,29 @@ func WithSignalsObs(ctx context.Context, w io.Writer, o *obs.Obs) (context.Conte
 
 // WithTimeout derives a context with a wall-clock budget; d <= 0 means no
 // deadline. It composes with WithSignals: apply the timeout first, then
-// the signal handler.
-func WithTimeout(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc) {
-	return WithTimeoutObs(ctx, d, nil)
-}
-
-// WithTimeoutObs is WithTimeout with telemetry: when the deadline fires
-// (rather than the run finishing first), MetricTimeouts is incremented
-// and a structured warning is logged, so a snapshot of an interrupted
-// run records why it stopped. A nil o keeps WithTimeout's behaviour
-// exactly.
-func WithTimeoutObs(ctx context.Context, d time.Duration, o *obs.Obs) (context.Context, context.CancelFunc) {
+// the signal handler. When the deadline fires (rather than the run
+// finishing first), MetricTimeouts in o is incremented once and a
+// structured warning is logged, so a snapshot of an interrupted run
+// records why it stopped; a nil o records nothing. The expiry is recorded
+// when it happens and at the latest by the returned cancel function, so
+// a snapshot taken after cancel holds it.
+func WithTimeout(ctx context.Context, d time.Duration, o *obs.Obs) (context.Context, context.CancelFunc) {
 	if d <= 0 {
 		return context.WithCancel(ctx)
 	}
 	ctx, cancel := context.WithTimeout(ctx, d)
-	if o == nil {
-		return ctx, cancel
-	}
-	timeouts := o.Counter(MetricTimeouts)
-	log := o.Log()
-	go func() {
-		<-ctx.Done()
+	var once sync.Once
+	record := func() {
 		if context.Cause(ctx) == context.DeadlineExceeded {
-			timeouts.Inc()
-			log.Warn("wall-clock budget exhausted: cancelling run", "budget", d.String())
+			once.Do(func() {
+				o.Counter(MetricTimeouts).Inc()
+				o.Log().Warn("wall-clock budget exhausted: cancelling run", "budget", d.String())
+			})
 		}
-	}()
-	return ctx, cancel
+	}
+	context.AfterFunc(ctx, record)
+	return ctx, func() {
+		cancel() // settles the cause: the deadline fired first or it did not
+		record()
+	}
 }

@@ -5,7 +5,8 @@
 # finish with a short instrumented optimizer run that exercises the
 # observability path end-to-end (structured JSON logs + a -metrics run
 # snapshot) and must apply at least one mutation and record its phase
-# trace. This is the tier-1 check — run it (or `make check`) before
+# trace, then a standard-partitioning run that must pass iddqpart's own
+# -verify audit. This is the tier-1 check — run it (or `make check`) before
 # every commit.
 #
 # METRICS_OUT overrides where the instrumented run writes its snapshot
@@ -89,4 +90,9 @@ grep -Eq '"root": *"core\.synthesize"' "$METRICS_OUT" || {
     echo "check: instrumented run recorded no core.synthesize trace: $METRICS_OUT" >&2
     exit 1
 }
+# The standard method over the estimator iddqpart builds itself (-lib and
+# -rail are the command's, not core's), audited by -verify: a violated
+# constraint exits 1 and names it on stderr.
+echo "== standard run (iddqpart -method standard -verify)"
+go run ./cmd/iddqpart -method standard -size 8 -verify benchmarks/c432.bench >/dev/null
 echo "check: OK"
