@@ -260,6 +260,22 @@ func benchmarkChainStart(b *testing.B, name string) {
 	b.ReportMetric(float64(size), "size")
 }
 
+// BenchmarkStandardPartitionK_C2670 is the standard run's partitioning in
+// a Table 1 row of c2670: StandardPartitionK at K = 11, the module count
+// the row's evolution run reaches.
+func BenchmarkStandardPartitionK_C2670(b *testing.B) {
+	b.ReportAllocs()
+	a, err := celllib.Annotate(circuits.MustISCAS85Like("c2670"), celllib.Default())
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := estimate.New(a, estimate.DefaultParams())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = standard.StandardPartitionK(e, 11)
+	}
+}
+
 // BenchmarkStartPopulation_C7552Size8 is the start population as a
 // synthesis builds it on c7552 at module size 8 (~590 modules per start):
 // evolution.ChainStarts' μ = 8 chain-start draws and their partitions'

@@ -12,8 +12,9 @@
 // the batch's cumulative telemetry snapshot when it finishes.
 //
 // SIGINT/SIGTERM (or an expired -timeout) stops the run at the next
-// generation boundary; rows computed so far are discarded, so interrupt a
-// long run by narrowing -circuits instead.
+// generation boundary; rows computed so far are discarded and no table is
+// printed (exit status 4, or 3 for the timeout), so interrupt a long run
+// by narrowing -circuits instead.
 package main
 
 import (
@@ -81,10 +82,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	ctx = obs.NewContext(ctx, orun.Obs)
 
 	rows, err := experiments.Table1(ctx, cfg)
+	cause := context.Cause(ctx)
 	// Released before the snapshot is written, so an expired budget is in it.
 	stop()
 	cancelTimeout()
 	ferr := orun.Finish("table1")
+	if err != nil && cause != nil {
+		fmt.Fprintln(stderr, "table1:", err)
+		return runctl.ExitCode(err, cause)
+	}
 	if err != nil {
 		return fail(err)
 	}

@@ -82,3 +82,17 @@ func TestTimeoutReachesMetrics(t *testing.T) {
 		t.Errorf("%s = %d in the -metrics snapshot of an expired run, want ≥ 1", runctl.MetricTimeouts, got)
 	}
 }
+
+// A run the -timeout interrupts prints no table and exits with the
+// timeout status: a 1 ns budget has run out before the first row starts,
+// so the row's evolution run stops at once.
+func TestTimeoutPrintsNoTable(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-timeout", "1ns", "-circuits", "c1908", "-gens", "1"}, &stdout, &stderr)
+	if code != runctl.ExitTimeout {
+		t.Errorf("exit status %d, want %d (timeout); stderr %q", code, runctl.ExitTimeout, stderr.String())
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("an interrupted run printed\n%s", stdout.String())
+	}
+}

@@ -177,10 +177,9 @@ func (e *Estimator) GateAt(pos int32) int { return int(e.dag.gate[pos]) }
 // BICDelay returns D_BIC: the longest-path delay with every gate's delay
 // degraded by δ(g, t) of §3.2. moduleOf maps each gate ID to its module
 // index (inputs may carry any value); mods holds the corresponding module
-// estimates, whose Delay fields carry the degraded gate delays (see
-// FinishModule). A gate that moduleOf maps to no estimate keeps its
-// nominal delay. It sweeps every gate; UpdateBICDelay is the incremental
-// form.
+// estimates, whose degraded gate delays Delays gives. A gate that moduleOf
+// maps to no estimate keeps its nominal delay. It sweeps every gate;
+// UpdateBICDelay is the incremental form.
 func (e *Estimator) BICDelay(moduleOf []int, mods []*Module) float64 {
 	sc := e.getScratch()
 	defer e.scratch.Put(sc)
@@ -189,9 +188,10 @@ func (e *Estimator) BICDelay(moduleOf []int, mods []*Module) float64 {
 		if m == nil {
 			continue
 		}
+		delay := e.delays(m, sc)
 		for i, g := range m.Gates {
 			if moduleOf[g] == mi {
-				sc.delay[e.dag.pos[g]] = m.Delay[i]
+				sc.delay[e.dag.pos[g]] = delay[i]
 			}
 		}
 	}
@@ -205,7 +205,8 @@ func (e *Estimator) BICDelay(moduleOf []int, mods []*Module) float64 {
 // the delay is 0 at every primary input). arrival and delay hold them
 // under the module estimates as they were before the modules in changed
 // became what they are; changed holds the new estimates, made by
-// FinishModule, of every module whose gates or delays changed since.
+// FinishModule, of every module whose gates or delays changed since, and
+// their delay vectors are built here if no earlier call built them.
 // UpdateBICDelay writes the changed modules' gate delays into delay,
 // brings arrival up to date in place and returns D_BIC. Passing every
 // module of a partition with zeroed vectors evaluates it from scratch.
@@ -219,17 +220,18 @@ func (e *Estimator) BICDelay(moduleOf []int, mods []*Module) float64 {
 func (e *Estimator) UpdateBICDelay(arrival, delay []float64, changed []*Module) float64 {
 	sc := e.getScratch()
 	defer e.scratch.Put(sc)
-	return e.updateBICDelay(sc.frontier, arrival, delay, changed)
+	return e.updateBICDelay(sc, arrival, delay, changed)
 }
 
-// updateBICDelay is UpdateBICDelay on the caller's frontier bitset, which
+// updateBICDelay is UpdateBICDelay on the caller's scratch, whose frontier
 // is all zero on entry and on return.
-func (e *Estimator) updateBICDelay(frontier bitset, arrival, delay []float64, changed []*Module) float64 {
+func (e *Estimator) updateBICDelay(sc *evalScratch, arrival, delay []float64, changed []*Module) float64 {
+	frontier := sc.frontier
 	from, seeds := len(arrival), 0
 	for _, m := range changed {
-		for i, g := range m.Gates {
-			p := int(e.dag.pos[g])
-			delay[p] = m.Delay[i]
+		for i, d := range e.delays(m, sc) {
+			p := int(e.dag.pos[m.Gates[i]])
+			delay[p] = d
 			from = min(from, p)
 		}
 		seeds += len(m.Gates)

@@ -256,7 +256,7 @@ func TestFinishModuleMatchesEvalModule(t *testing.T) {
 	got, want := e.FinishModule(gates, sep, delta), e.EvalModule(gates)
 	if got.Separation != want.Separation || got.IDDMax != want.IDDMax || got.Rs != want.Rs ||
 		got.Cs != want.Cs || got.LeakND != want.LeakND || got.Settle != want.Settle ||
-		got.SensorArea != want.SensorArea || !slices.Equal(got.Delay, want.Delay) {
+		got.SensorArea != want.SensorArea || !slices.Equal(e.Delays(got), e.Delays(want)) {
 		t.Errorf("FinishModule %+v, EvalModule %+v", got, want)
 	}
 }
@@ -298,7 +298,7 @@ func fullSweep(e *Estimator, mods []*Module) (delay, arrival []float64) {
 	delay = make([]float64, n)
 	for _, m := range mods {
 		for i, g := range m.Gates {
-			delay[e.dag.pos[g]] = m.Delay[i]
+			delay[e.dag.pos[g]] = e.Delays(m)[i]
 		}
 	}
 	arrival = make([]float64, n)
@@ -313,7 +313,7 @@ func fullSweep(e *Estimator, mods []*Module) (delay, arrival []float64) {
 func updateChecked(t *testing.T, e *Estimator, arrival, delay []float64, changed, mods []*Module, what string) float64 {
 	t.Helper()
 	sc := e.getScratch()
-	got := e.updateBICDelay(sc.frontier, arrival, delay, changed)
+	got := e.updateBICDelay(sc, arrival, delay, changed)
 	for w, word := range sc.frontier {
 		if word != 0 {
 			t.Fatalf("%s: frontier word %d = %#x after the sweep, want 0", what, w, word)
@@ -426,9 +426,9 @@ func TestUpdateBICDelaySingletonModules(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for step := 0; step < 50; step++ {
 		k := rng.Intn(len(mods))
-		m := *mods[k]
-		m.Delay = []float64{m.Delay[0] * (1 + rng.Float64())}
-		mods[k] = &m
+		m := e.EvalModule(mods[k].Gates)
+		e.Delays(m)[0] = e.Delays(mods[k])[0] * (1 + rng.Float64())
+		mods[k] = m
 		updateChecked(t, e, arrival, delay, []*Module{mods[k]}, mods, fmt.Sprintf("step %d", step))
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"iddqsyn/internal/celllib"
@@ -86,9 +87,8 @@ type Estimator struct {
 	nbrRows []hopRows
 
 	// class numbers the distinct bit patterns of (A.Delay[g], A.Rg[g]),
-	// so FinishModule computes the delay damping of §3.2 once per class
-	// present in a module rather than once per gate; numClasses counts
-	// them.
+	// so Delays computes the delay damping of §3.2 once per class present
+	// in a module rather than once per gate; numClasses counts them.
 	class      []int32
 	numClasses int
 
@@ -107,20 +107,20 @@ type Estimator struct {
 	chaos *chaos.Injector
 
 	// scratch pools the transient buffers of EvalModule (current profile,
-	// module membership mask) and of the D_BIC sweeps (BICDelay's
-	// per-position delays and arrival times, UpdateBICDelay's frontier).
-	// Both run millions of times per optimizer run on concurrent worker
-	// pools, so these must not be allocated per call. Every view ForRun
-	// makes shares the pool, whose buffers are sized for this circuit. Pool
-	// contents never affect results: every entry a call reads is written
-	// earlier in that call, except the primary inputs' delays, which are 0
-	// in every buffer, and the mask and the frontier, which every call
-	// leaves all clear.
+	// module membership mask), of Delays (damping per class) and of the
+	// D_BIC sweeps (BICDelay's per-position delays and arrival times,
+	// UpdateBICDelay's frontier). They run millions of times per optimizer
+	// run on concurrent worker pools, so these must not be allocated per
+	// call. Every view ForRun makes shares the pool, whose buffers are
+	// sized for this circuit. Pool contents never affect results: every
+	// entry a call reads is written earlier in that call, except the
+	// primary inputs' delays, which are 0 in every buffer, and the mask and
+	// the frontier, which every call leaves all clear.
 	scratch *sync.Pool
 }
 
-// evalScratch is the transient working memory of one EvalModule or D_BIC
-// sweep.
+// evalScratch is the transient working memory of one EvalModule, Delays
+// or D_BIC sweep.
 type evalScratch struct {
 	prof     []float64 // current profile over the time grid
 	mask     []bool    // module membership by gate ID; all false between uses
@@ -349,11 +349,24 @@ type Module struct {
 	Separation int     // S(M) of §3.3
 	Activity   []int   // n(t) profile over the time grid; shared, read-only
 
-	// Delay holds each gate's degraded delay D(g)·δ(g, t) of §3.2,
-	// aligned with Gates. δ depends only on the module's Rs, Cs and n(t)
-	// at the gate's level, so it is fixed once the module is finished.
-	Delay []float64
+	// delay caches each gate's degraded delay D(g)·δ(g, t) of §3.2,
+	// aligned with Gates, once Estimator.Delays has built it. Most
+	// finished modules belong to descendants that are never swept, so the
+	// vector is built on first use rather than by FinishModule. delayState
+	// orders its one write before every read: delayStoring while the
+	// caller that won the compare-and-swap from delayNone writes delay,
+	// delayBuilt once it has. The slice sits in the Module rather than
+	// behind an atomic pointer, so a built vector costs one allocation.
+	delay      []float64
+	delayState atomic.Uint32
 }
+
+// The states of Module.delay.
+const (
+	delayNone uint32 = iota
+	delayStoring
+	delayBuilt
+)
 
 // Discriminability returns d(M) = IDDQ,th / IDDQ,nd (§2).
 func (m *Module) Discriminability(iddqTh float64) float64 {
@@ -405,9 +418,9 @@ func (e *Estimator) ModuleCounts(gates []int) (sep int, act []int) {
 // profile of length TS.Depth()+1 that the returned Module retains as its
 // Activity (so the caller must not modify it afterwards); act == nil
 // counts both first. The float terms — îDD,max, Rs, Cs, IDDQ,nd, Δ(τ) —
-// are summed in ascending gate order, and each gate's degraded delay
-// depends only on these, so the result is bit-identical to EvalModule of
-// the same gates whenever sep and act are exact.
+// are summed in ascending gate order, so the result is bit-identical to
+// EvalModule of the same gates whenever sep and act are exact. The
+// degraded gate delays depend only on these terms and are left to Delays.
 func (e *Estimator) FinishModule(gates []int, sep int, act []int) *Module {
 	if e.evalCalls != nil {
 		e.evalCalls.Inc()
@@ -440,30 +453,79 @@ func (e *Estimator) FinishModule(gates []int, sep int, act []int) *Module {
 	}
 	m.LeakND = mustFinite("IDDQ,nd", m.LeakND)
 	m.Settle = must(electrical.SettlingTime(m.Tau, m.IDDMax, e.P.IDDQth))
-	// The degradation of gate g is evaluated at the grid time the critical
-	// transition reaches it — its level, the longest input→g path — using
-	// the module's activity n(t) at exactly that instant. Its damping
-	// depends only on the module's Rs, Cs and the gate's class, whose
-	// members share D(g) and Rg(g) bit for bit, so it is computed (and
-	// its inputs validated) once per class; a zero entry is recomputed,
-	// which yields the same bits.
-	levels := e.A.Circuit.Levels()
+	return m
+}
+
+// Delays returns m's degraded gate delays D(g)·δ(g, t) of §3.2, aligned
+// with m.Gates. The degradation of gate g is evaluated at the grid time
+// the critical transition reaches it — its level, the longest input→g
+// path — using the module's activity n(t) at exactly that instant, so it
+// depends only on the Rs, Cs and n(t) that FinishModule fixed. The vector
+// is built on first use and cached in m by compare-and-swap: concurrent
+// callers build the same bits, the first to swap stores its vector, and
+// the others return their own. Its damping depends only on the module's Rs, Cs and the gate's
+// class, whose members share D(g) and Rg(g) bit for bit, so it is
+// computed (and its inputs validated) once per class; a zero entry is
+// recomputed, which yields the same bits. The slice is shared; callers
+// must not modify it.
+func (e *Estimator) Delays(m *Module) []float64 {
+	if m.delayState.Load() == delayBuilt {
+		return m.delay
+	}
+	sc := e.getScratch()
+	defer e.scratch.Put(sc)
+	return e.delays(m, sc)
+}
+
+// delays is Delays on the caller's scratch, for the D_BIC sweeps, which
+// hold one already.
+func (e *Estimator) delays(m *Module, sc *evalScratch) []float64 {
+	if m.delayState.Load() == delayBuilt {
+		return m.delay
+	}
 	damp := sc.damp
 	clear(damp)
-	//lint:ignore hotalloc the degraded delays are part of the Module result, retained with it in the partition's estimate cache
-	m.Delay = make([]float64, len(gates))
-	for i, g := range gates {
-		n := 1
-		if t := levels[g]; t < len(act) && act[t] > 1 {
-			n = act[t]
-		}
+	levels := e.A.Circuit.Levels()
+	//lint:ignore hotalloc once per swept module, retained with it in the partition's estimate cache
+	d := make([]float64, len(m.Gates))
+	for i, g := range m.Gates {
 		k := e.class[g]
 		if damp[k] == 0 {
-			damp[k] = must(electrical.DelayDamping(m.Rs, e.A.Rg[g], e.A.Delay[g], m.Cs))
+			damp[k] = e.damping(m, g)
 		}
-		m.Delay[i] = e.A.Delay[g] * electrical.Degrade(n, m.Rs, e.A.Rg[g], damp[k])
+		d[i] = e.degraded(m, g, levels[g], damp[k])
 	}
-	return m
+	if m.delayState.CompareAndSwap(delayNone, delayStoring) {
+		m.delay = d
+		m.delayState.Store(delayBuilt)
+	}
+	return d
+}
+
+// GateDelay returns Delays(m)[i] without building the vector: the cached
+// entry once it exists, before that gate i's delay computed alone from the
+// same operands, so the same bits.
+func (e *Estimator) GateDelay(m *Module, i int) float64 {
+	if m.delayState.Load() == delayBuilt {
+		return m.delay[i]
+	}
+	g := m.Gates[i]
+	return e.degraded(m, g, e.A.Circuit.Levels()[g], e.damping(m, g))
+}
+
+// damping returns the delay damping of §3.2 for gate g in module m.
+func (e *Estimator) damping(m *Module, g int) float64 {
+	return must(electrical.DelayDamping(m.Rs, e.A.Rg[g], e.A.Delay[g], m.Cs))
+}
+
+// degraded returns gate g's degraded delay D(g)·δ(g, t) in module m under
+// the given damping, with n(t) read at t, the gate's level.
+func (e *Estimator) degraded(m *Module, g, t int, damp float64) float64 {
+	n := 1
+	if t < len(m.Activity) && m.Activity[t] > 1 {
+		n = m.Activity[t]
+	}
+	return e.A.Delay[g] * electrical.Degrade(n, m.Rs, e.A.Rg[g], damp)
 }
 
 // SeparationModule computes S(M) of §3.3: the sum over all gate pairs of

@@ -44,9 +44,9 @@ func TestFinishModuleDelayMatchesPerGateDegradation(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if want := a.Delay[g] * deg; math.Float64bits(m.Delay[i]) != math.Float64bits(want) {
+				if want := a.Delay[g] * deg; math.Float64bits(e.Delays(m)[i]) != math.Float64bits(want) {
 					t.Fatalf("%s size %d, module %d, gate %d: Delay %v, per-gate reference %v",
-						tc.name, size, mi, g, m.Delay[i], want)
+						tc.name, size, mi, g, e.Delays(m)[i], want)
 				}
 			}
 		}

@@ -79,6 +79,8 @@ func Table1DefaultEvolution() evolution.Params {
 // Table1 regenerates the paper's Table 1: for every circuit, the
 // evolution-based partitioning, then the standard partitioning at the same
 // module count, and the comparison of sensor area, delay and test time.
+// A row whose evolution run ctx interrupts is an error that wraps
+// context.Cause(ctx), and no rows are returned.
 func Table1(ctx context.Context, cfg Table1Config) ([]Table1Row, error) {
 	names := cfg.Circuits
 	if names == nil {
@@ -110,6 +112,12 @@ func table1Circuit(ctx context.Context, name string, eprm evolution.Params) (Tab
 	evo, err := core.SynthesizeContext(ctx, c, core.Options{Evolution: &eprm})
 	if err != nil {
 		return Table1Row{}, fmt.Errorf("experiments: %s evolution: %w", name, err)
+	}
+	// An interrupted run's best-so-far partition is no Table 1 figure, nor
+	// is the module count it would hand the standard run.
+	if evo.Evolution != nil && evo.Evolution.Interrupted {
+		return Table1Row{}, fmt.Errorf("experiments: %s evolution interrupted after %d generations: %w",
+			name, evo.Evolution.Generations, context.Cause(ctx))
 	}
 	std, err := core.SynthesizeContext(ctx, c, core.Options{
 		Estimator: evo.Estimator, // both methods under one set of §3 estimators

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"iddqsyn/internal/obs"
@@ -31,5 +32,21 @@ func TestTable1RowBuildsOneEstimator(t *testing.T) {
 		if spans[name] != want {
 			t.Errorf("%s spans = %d, want %d", name, spans[name], want)
 		}
+	}
+}
+
+// A row whose evolution run is interrupted is no row: Table 1 under an
+// already-cancelled context returns no rows and an error wrapping the
+// cause, before any standard run starts.
+func TestTable1InterruptedRowIsAnError(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	prm := fastEvolution()
+	rows, err := Table1(ctx, Table1Config{Circuits: []string{"c432"}, Evolution: &prm})
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("err = %v, want one wrapping context.Canceled", err)
+	}
+	if rows != nil {
+		t.Errorf("rows = %v, want none", rows)
 	}
 }

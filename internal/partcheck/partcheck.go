@@ -155,6 +155,12 @@ func VerifyStructure(c *circuit.Circuit, groups [][]int) *Report {
 // slice positions, every fanin/fanout reference is in range, primary
 // inputs have no fanin, and the fanin and fanout lists mirror each
 // other exactly (g drives h iff h lists g as a driver).
+//
+// The mirror checks read both lists reversed (reverseAdjacency): at gate
+// i, the gates whose fanout lists i and the gates whose fanin lists i are
+// stamped with i, and each of i's fanin and fanout entries reads its
+// stamp. Every pass walks the gates in order, so the check is linear in
+// the edges.
 func checkAdjacency(c *circuit.Circuit, r *Report) {
 	n := len(c.Gates)
 	bad := func(format string, args ...interface{}) {
@@ -163,6 +169,7 @@ func checkAdjacency(c *circuit.Circuit, r *Report) {
 			Detail: fmt.Sprintf(format, args...),
 		})
 	}
+	rev := reverseAdjacency(c)
 	for i := range c.Gates {
 		g := &c.Gates[i]
 		if g.ID != i {
@@ -175,27 +182,103 @@ func checkAdjacency(c *circuit.Circuit, r *Report) {
 		if g.Type != circuit.Input && len(g.Fanin) == 0 {
 			bad("logic gate %s has no fanin", g.Name)
 		}
+		stamp := int32(i + 1) // the zeroed stamps mark no gate
+		for _, d := range rev.feeders(i) {
+			rev.feederStamp[d] = stamp
+		}
 		for _, f := range g.Fanin {
 			if f < 0 || f >= n {
 				bad("gate %s fanin %d out of range [0,%d)", g.Name, f, n)
 				continue
 			}
-			if !slices.Contains(c.Gates[f].Fanout, i) {
+			if rev.feederStamp[f] != stamp {
 				bad("gate %s lists %s as driver, but %s's fanout omits it",
 					g.Name, c.Gates[f].Name, c.Gates[f].Name)
 			}
+		}
+		for _, d := range rev.readers(i) {
+			rev.readerStamp[d] = stamp
 		}
 		for _, f := range g.Fanout {
 			if f < 0 || f >= n {
 				bad("gate %s fanout %d out of range [0,%d)", g.Name, f, n)
 				continue
 			}
-			if !slices.Contains(c.Gates[f].Fanin, i) {
+			if rev.readerStamp[f] != stamp {
 				bad("gate %s lists %s in fanout, but %s's fanin omits it",
 					g.Name, c.Gates[f].Name, c.Gates[f].Name)
 			}
 		}
 	}
+}
+
+// adjacency holds a netlist's lists reversed, in compressed sparse rows,
+// and one stamp per gate for each, all in one allocation: the feeders of
+// gate x, the gates whose fanout lists x, ascending, and its readers, the
+// gates whose fanin lists x. Out-of-range entries are left out.
+type adjacency struct {
+	feederOff, feederAt, feederStamp []int32
+	readerOff, readerAt, readerStamp []int32
+}
+
+func (a *adjacency) feeders(x int) []int32 { return a.feederAt[a.feederOff[x]:a.feederOff[x+1]] }
+func (a *adjacency) readers(x int) []int32 { return a.readerAt[a.readerOff[x]:a.readerOff[x+1]] }
+
+// reverseAdjacency counts every gate's feeders and readers in one pass
+// over the gates and fills them in a second.
+func reverseAdjacency(c *circuit.Circuit) *adjacency {
+	n := len(c.Gates)
+	var a adjacency
+	edges := 0
+	for i := range c.Gates {
+		edges += len(c.Gates[i].Fanin) + len(c.Gates[i].Fanout)
+	}
+	buf := make([]int32, 4*(n+1)+edges)
+	take := func(k int) []int32 {
+		s := buf[:k:k]
+		buf = buf[k:]
+		return s
+	}
+	a.feederOff, a.readerOff = take(n+1), take(n+1)
+	a.feederStamp, a.readerStamp = take(n+1), take(n+1)
+	for i := range c.Gates {
+		for _, x := range c.Gates[i].Fanout {
+			if x >= 0 && x < n {
+				a.feederOff[x+1]++
+			}
+		}
+		for _, x := range c.Gates[i].Fanin {
+			if x >= 0 && x < n {
+				a.readerOff[x+1]++
+			}
+		}
+	}
+	for x := range n {
+		a.feederOff[x+1] += a.feederOff[x]
+		a.readerOff[x+1] += a.readerOff[x]
+	}
+	a.feederAt, a.readerAt = take(int(a.feederOff[n])), take(int(a.readerOff[n]))
+	// The stamps serve as each row's next free entry until the rows are
+	// full, and are cleared for checkAdjacency after.
+	copy(a.feederStamp, a.feederOff[:n])
+	copy(a.readerStamp, a.readerOff[:n])
+	for i := range c.Gates {
+		for _, x := range c.Gates[i].Fanout {
+			if x >= 0 && x < n {
+				a.feederAt[a.feederStamp[x]] = int32(i)
+				a.feederStamp[x]++
+			}
+		}
+		for _, x := range c.Gates[i].Fanin {
+			if x >= 0 && x < n {
+				a.readerAt[a.readerStamp[x]] = int32(i)
+				a.readerStamp[x]++
+			}
+		}
+	}
+	clear(a.feederStamp)
+	clear(a.readerStamp)
+	return &a
 }
 
 // checkAcyclic runs an independent Kahn walk over the fanin edges. It
@@ -370,14 +453,15 @@ func compareEstimate(e *estimate.Estimator, mi int, got, fresh *estimate.Module)
 	}
 	// The degraded gate delays feed the incremental D_BIC sweep, whose
 	// result is bit-identical to a full one only if they are exact.
-	if len(got.Delay) != len(fresh.Delay) {
-		bad(ConstraintStaleEstimate, "%d degraded delays, recomputed %d", len(got.Delay), len(fresh.Delay))
+	gotDelay, freshDelay := e.Delays(got), e.Delays(fresh)
+	if len(gotDelay) != len(freshDelay) {
+		bad(ConstraintStaleEstimate, "%d degraded delays, recomputed %d", len(gotDelay), len(freshDelay))
 		return out
 	}
-	for i, d := range got.Delay {
-		if math.Float64bits(d) != math.Float64bits(fresh.Delay[i]) {
+	for i, d := range gotDelay {
+		if math.Float64bits(d) != math.Float64bits(freshDelay[i]) {
 			bad(ConstraintStaleEstimate, "degraded delay of gate %d = %g, recomputed %g",
-				fresh.Gates[i], d, fresh.Delay[i])
+				fresh.Gates[i], d, freshDelay[i])
 			break
 		}
 	}

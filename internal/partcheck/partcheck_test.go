@@ -204,15 +204,25 @@ func TestVerifyModuleBounds(t *testing.T) {
 	}
 }
 
+// copyOf returns a module with m's exported terms and no delay vector
+// built yet, for a test to tamper with.
+func copyOf(m *estimate.Module) *estimate.Module {
+	return &estimate.Module{
+		Gates: m.Gates, IDDMax: m.IDDMax, Rs: m.Rs, Cs: m.Cs, Tau: m.Tau,
+		SensorArea: m.SensorArea, LeakND: m.LeakND, Settle: m.Settle,
+		Separation: m.Separation, Activity: m.Activity,
+	}
+}
+
 func TestCompareEstimateDetectsTampering(t *testing.T) {
 	c, e := c17Estimator(t)
 	m := e.EvalModule(ids(t, c, "g1", "g3", "g5"))
 	if vs := CompareEstimate(e, 0, m); len(vs) != 0 {
 		t.Fatalf("fresh estimate flagged: %v", vs)
 	}
-	tampered := *m
+	tampered := copyOf(m)
 	tampered.Rs *= 1.5 // breaks Rs·îDD,max = r* and the recompute match
-	vs := CompareEstimate(e, 0, &tampered)
+	vs := CompareEstimate(e, 0, tampered)
 	var gotRail, gotStale bool
 	for _, v := range vs {
 		switch v.Constraint {
@@ -228,22 +238,25 @@ func TestCompareEstimateDetectsTampering(t *testing.T) {
 
 	// A stale integer term — S(M) or one n(t) entry off by one — leaves
 	// every float term intact, so only the exact comparison catches it.
-	tampered = *m
+	tampered = copyOf(m)
 	tampered.Separation++
-	wantStale(t, "S(M)", CompareEstimate(e, 0, &tampered))
-	tampered = *m
+	wantStale(t, "S(M)", CompareEstimate(e, 0, tampered))
+	tampered = copyOf(m)
+	e.Delays(tampered) // built from the true n(t), so only n(t) goes stale
 	tampered.Activity = append([]int(nil), m.Activity...)
 	tampered.Activity[len(tampered.Activity)-1]++
-	wantStale(t, "n(t)", CompareEstimate(e, 0, &tampered))
+	wantStale(t, "n(t)", CompareEstimate(e, 0, tampered))
 	tampered.Activity = tampered.Activity[:len(tampered.Activity)-1]
-	wantStale(t, "short n(t)", CompareEstimate(e, 0, &tampered))
+	wantStale(t, "short n(t)", CompareEstimate(e, 0, tampered))
 
 	// So does one degraded gate delay off by one ulp, which would make the
-	// incremental D_BIC sweep diverge from a full one.
-	tampered = *m
-	tampered.Delay = append([]float64(nil), m.Delay...)
-	tampered.Delay[1] = math.Nextafter(tampered.Delay[1], math.Inf(1))
-	wantStale(t, "degraded delay", CompareEstimate(e, 0, &tampered))
+	// incremental D_BIC sweep diverge from a full one. The tamper goes
+	// through the accessor the sweeps read: it edits the vector Delays
+	// built and cached in the module.
+	tampered = e.EvalModule(m.Gates)
+	delay := e.Delays(tampered)
+	delay[1] = math.Nextafter(delay[1], math.Inf(1))
+	wantStale(t, "degraded delay", CompareEstimate(e, 0, tampered))
 
 	// A D_BIC one ulp off a full sweep over fresh estimates is stale too.
 	p, err := partition.New(e, [][]int{

@@ -64,9 +64,9 @@ func TestFailurePathNames(t *testing.T) {
 			constraint: ConstraintRailSizing,
 			report: func(t *testing.T) *Report {
 				m := e.EvalModule(ids(t, c, "g1", "g3", "g5"))
-				tampered := *m
+				tampered := copyOf(m)
 				tampered.Rs *= 1.5
-				return &Report{Violations: CompareEstimate(e, 0, &tampered)}
+				return &Report{Violations: CompareEstimate(e, 0, tampered)}
 			},
 		},
 	}

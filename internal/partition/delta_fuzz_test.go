@@ -93,7 +93,9 @@ func (r *opReader) next(n int) int {
 	return v % n
 }
 
-// moduleTerms is a deep copy of one module's cached estimate.
+// moduleTerms is a deep copy of one module's cached estimate. Its delays
+// are the cached vector's once one is built, and computed gate by gate
+// before, so taking them leaves the module as it was.
 type moduleTerms struct {
 	sep   int
 	act   []int
@@ -101,10 +103,10 @@ type moduleTerms struct {
 	delay []uint64 // degraded gate delays, as bits
 }
 
-func termsOf(m *estimate.Module) moduleTerms {
-	delay := make([]uint64, len(m.Delay))
-	for i, d := range m.Delay {
-		delay[i] = math.Float64bits(d)
+func termsOf(e *estimate.Estimator, m *estimate.Module) moduleTerms {
+	delay := make([]uint64, len(m.Gates))
+	for i := range delay {
+		delay[i] = math.Float64bits(e.GateDelay(m, i)) // builds no vector
 	}
 	return moduleTerms{
 		sep:   m.Separation,
@@ -136,7 +138,7 @@ func costBits(cv partition.CostVector) [9]uint64 {
 func snapshot(p *partition.Partition) ([]moduleTerms, [9]uint64) {
 	terms := make([]moduleTerms, p.NumModules())
 	for mi := range terms {
-		terms[mi] = termsOf(p.ModuleEstimate(mi))
+		terms[mi] = termsOf(p.E, p.ModuleEstimate(mi))
 	}
 	return terms, costBits(p.Costs())
 }
@@ -157,7 +159,7 @@ func checkExact(t *testing.T, e *estimate.Estimator, p *partition.Partition, ste
 		if want := e.TS.ActivityProfile(gates); !slices.Equal(got.Activity, want) {
 			t.Fatalf("step %d: module %d: n(t) = %v, recomputed %v", step, mi, got.Activity, want)
 		}
-		if !termsOf(got).equal(termsOf(e.EvalModule(gates))) {
+		if !termsOf(e, got).equal(termsOf(e, e.EvalModule(gates))) {
 			t.Fatalf("step %d: module %d: cached estimate differs from EvalModule", step, mi)
 		}
 	}
@@ -277,12 +279,15 @@ func pickMove(p *partition.Partition, r *opReader, kind int) (gates []int, from,
 //   - 5: the evaluated parent is cloned twice and each clone moves
 //     differently; both clones must match the oracle, the parent's terms
 //     must stay as before, and the walk continues on the parent;
-//   - 6 (once per input; later ones act as 0): a chain of at least
-//     chainDepth descendants of descendants. Each link clones the last
-//     descendant twice, moves and evaluates both siblings, checks both
-//     costs against the oracle and continues on one of them, so every
-//     link settles the arrival times of an evaluated descendant that its
-//     own parent's other child shares the vector of;
+//   - 6, the first in an input: a chain of at least chainDepth
+//     descendants of descendants. Each link clones the last descendant
+//     twice, moves and evaluates both siblings, checks both costs against
+//     the oracle and continues on one of them, so every link settles the
+//     arrival times of an evaluated descendant that its own parent's other
+//     child shares the vector of;
+//   - 6, a later one: moves repeated between two modules of one partition
+//     and of its clone, so that each edits the records it built in place
+//     (checkOwnedEdits); the walk continues on the clone;
 //   - 7: a family of clones that share records, index pages and arrival
 //     vectors. Clones are made of the walk's partition and of earlier
 //     clones, and moves (module deletions included) land on any member,
@@ -355,7 +360,7 @@ func FuzzDeltaCost(f *testing.F) {
 				checkParent(t, p, before, beforeCost, step)
 			case 6:
 				if chained {
-					move(p, 0, step)
+					p = checkOwnedEdits(t, e, p, r, step)
 					break
 				}
 				chained = true
@@ -394,6 +399,104 @@ func FuzzDeltaCost(f *testing.F) {
 			checkExact(t, e, p, step)
 		}
 	})
+}
+
+// shuttle moves one or two gates, drawn from r, from module from of q to
+// module to, and then back from to to from, and so on, moves times in
+// all. It returns the two modules' indices after the last move, with the
+// last move's target first, and ok false, after which it moves no more,
+// once a move deleted a module.
+func shuttle(t *testing.T, q *partition.Partition, r *opReader, from, to, moves, step int) (int, int, bool) {
+	t.Helper()
+	for ; moves > 0; moves-- {
+		src := q.AppendModuleGates(nil, from)
+		gates := []int{src[r.next(len(src))]}
+		if r.next(2) == 1 {
+			gates = append(gates, src[r.next(len(src))]) // maybe a duplicate
+		}
+		k := q.NumModules()
+		to2, err := q.MoveGates(gates, from, to)
+		if err != nil {
+			t.Fatalf("step %d: move %v %d->%d: %v", step, gates, from, to, err)
+		}
+		if q.NumModules() < k {
+			return 0, 0, false
+		}
+		from, to = to2, from
+	}
+	return from, to, true
+}
+
+// checkOwnedEdits repeats moves on p and on a clone of it, and returns
+// that clone. p first moves gates back and forth between two modules, so
+// that it owns their unevaluated records, and is cloned twice:
+//   - p moves between the two modules again, copying the records its
+//     clones share once and then editing its copies in place; both clones
+//     must still hold their groups, so Clone must have cleared p's marks;
+//   - p's estimates of the two modules are taken and p moves between them
+//     again; the estimates, which alias the records' gate lists and
+//     profiles, must keep their gates and terms, so a record whose
+//     estimate is cached must not be edited in place;
+//   - one clone moves between two modules repeatedly; p and the other
+//     clone must keep their groups, index entries, cost bits, arrival
+//     times and gate delays bit for bit, and the moved clone must match
+//     the oracle.
+func checkOwnedEdits(t *testing.T, e *estimate.Estimator, p *partition.Partition, r *opReader, step int) *partition.Partition {
+	t.Helper()
+	gates, from, to := pickMove(p, r, 0)
+	k := p.NumModules()
+	to, err := p.MoveGates(gates, from, to)
+	if err != nil {
+		t.Fatalf("step %d: move %v %d->%d: %v", step, gates, from, to, err)
+	}
+	if p.NumModules() < k {
+		return p
+	}
+	to, from, ok := shuttle(t, p, r, to, from, 1+r.next(3), step)
+	a, b := p.Clone(), p.Clone()
+	groups := p.Groups()
+	if ok {
+		to, from, ok = shuttle(t, p, r, to, from, 1+r.next(3), step)
+	}
+	for i, q := range []*partition.Partition{a, b} {
+		if err := q.Verify(); err != nil {
+			t.Fatalf("step %d: after its parent moved again, clone %d: %v", step, i, err)
+		}
+		if !slices.EqualFunc(q.Groups(), groups, slices.Equal) {
+			t.Fatalf("step %d: after its parent moved again, clone %d's groups changed", step, i)
+		}
+	}
+	if ok {
+		held := []*estimate.Module{p.ModuleEstimate(from), p.ModuleEstimate(to)}
+		var terms []moduleTerms
+		var lists [][]int
+		for _, m := range held {
+			terms = append(terms, termsOf(e, m))
+			lists = append(lists, slices.Clone(m.Gates))
+		}
+		shuttle(t, p, r, to, from, 1+r.next(3), step)
+		for i, m := range held {
+			if !slices.Equal(m.Gates, lists[i]) || !termsOf(e, m).equal(terms[i]) {
+				t.Fatalf("step %d: moving p changed an estimate it handed out", step)
+			}
+		}
+	}
+	checkExact(t, e, p, step)
+	parent, sibling := viewOf(p), viewOf(b)
+	if a.NumModules() > 1 {
+		gates, from, to := pickMove(a, r, 0)
+		k := a.NumModules()
+		if to, err = a.MoveGates(gates, from, to); err != nil {
+			t.Fatalf("step %d: move %v %d->%d: %v", step, gates, from, to, err)
+		}
+		if a.NumModules() == k {
+			shuttle(t, a, r, to, from, 1+r.next(4), step)
+		}
+	}
+	what := fmt.Sprintf("step %d: after a clone moved repeatedly", step)
+	checkView(t, p, parent, what+", its parent")
+	checkView(t, b, sibling, what+", its sibling")
+	return a
 }
 
 // chainDepth is the least number of links in FuzzDeltaCost's chain step.
@@ -552,7 +655,7 @@ func TestDescendantChainArrivalLayout(t *testing.T) {
 // and one per page of the gate→module index, ~4.8 kB. A Clone that also
 // copies the index itself and two words per module (~24.8 kB once) fails.
 // maxDescendantBytes bounds one descendant step there (Clone, one
-// boundary move, Cost, Release), ~6.7 kB. A descendant that also keeps its own
+// boundary move, Cost, Release), ~6.9 kB. A descendant that also keeps its own
 // arrival times, as a sparse patch merged on every evaluation (~10.6 kB),
 // fails.
 const maxCloneBytes, maxDescendantBytes = 8 << 10, 8 << 10

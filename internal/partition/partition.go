@@ -15,11 +15,13 @@
 // recomputed just for the modified modules"). The descendant loop clones
 // and discards thousands of partitions per generation, so a clone copies
 // O(modules + pages) words and a move copies only what it writes:
-//   - each module is one pointer to an immutable record (stable id,
-//     sorted gate set, S(M), n(t)) that also caches its estimate, so
-//     clones share every unmodified record and every computed estimate;
-//     MoveGates replaces the touched modules' records instead of editing
-//     them;
+//   - each module is one pointer to a record (stable id, sorted gate set,
+//     S(M), n(t)) that also caches its estimate, so clones share every
+//     unmodified record and every computed estimate. MoveGates copies a
+//     record before its first write since the partition was made or last
+//     cloned, and edits the copy in place until its estimate is taken, so
+//     a mutation's run of moves between a few modules copies each record
+//     once;
 //   - the gate→module index maps gates to module ids in fixed-size
 //     pages; a clone copies the page pointers, and MoveGates copies a
 //     page the first time it writes it after the partition was made or
@@ -119,9 +121,11 @@ func (cv CostVector) Weighted(w Weights) float64 {
 // moduleRecord is one module: its stable id, its gate set as ascending
 // IDs and its §3 integer terms S(M) and n(t), counted once by New and
 // kept exact by MoveGates' per-gate deltas. A record is immutable once
-// built: MoveGates builds replacement records for the touched modules,
-// so clones and cached estimates (whose Gates and Activity fields alias
-// it) can share it safely.
+// another partition or an estimate can hold it: clones share records,
+// and a cached estimate's Gates and Activity fields alias its record's.
+// Only the partition that built the record since it was made or last
+// cloned, and only while the record's estimate is not cached, edits it
+// in place (see Partition.owned).
 type moduleRecord struct {
 	id    int32
 	gates []int
@@ -164,19 +168,25 @@ type Partition struct {
 	Cons Constraints
 
 	// modules lists the module records in ascending id order; pages maps
-	// each gate to its module's id. Clone copies both lists; the records
-	// are never written in place, except for their estimate cache, and
-	// neither is a page another partition may share. written marks, one
-	// bit per page, the pages this partition copied since it was made or
-	// last cloned, which no other partition holds: MoveGates writes those
-	// in place. Clone clears the receiver's marks and gives the clone
-	// none, so after a clone both copy a page before writing it. An index
-	// of at most 64 pages (every ISCAS-85 circuit) keeps its marks in
-	// writtenWord, so a clone that moves allocates none.
+	// each gate to its module's id. Clone copies both lists. written
+	// marks, one bit per page, the pages this partition copied since it
+	// was made or last cloned, and owned, one bit per module id, the
+	// records it built since then: no other partition holds those, so
+	// MoveGates writes them in place, a record only while no estimate
+	// aliases it. Any other record or page may be shared, and is never
+	// written in place, except for a record's estimate cache. Clone clears
+	// the receiver's marks and gives the clone none, so after a clone both
+	// copy a record or page before writing it. An index of at most 64
+	// pages (every ISCAS-85 circuit) keeps its marks in writtenWord, and
+	// at most 64 module ids in ownedWord, so such a clone allocates no
+	// marks when it moves. No record points back at a partition: a record
+	// outlives the partition that built it whenever a clone keeps it.
 	modules     []*moduleRecord
 	pages       []*gatePage
 	written     []uint64
 	writtenWord [1]uint64
+	owned       []uint64
+	ownedWord   [1]uint64
 
 	// settled pages the D_BIC arrival time and then the degraded gate
 	// delay at each sweep position, under the modules as they were when
@@ -340,7 +350,8 @@ func (p *Partition) ModuleEstimate(mi int) *estimate.Module {
 // nor theirs the clone. An evaluated receiver with touched modules first
 // settles its arrival times and delays, from the vectors its evaluation
 // swept when it kept them (see Release), and every receiver forgets which
-// index pages it may write in place, so Clone may write its receiver,
+// index pages and module records it may write in place, so Clone may
+// write its receiver,
 // never state a clone shares: a parent can be cloned while its earlier
 // clones are moved or evaluated on other goroutines, but one partition
 // must not be cloned on two goroutines at once.
@@ -356,6 +367,7 @@ func (p *Partition) Clone() *Partition {
 		costScratchPool.Put(sc)
 	}
 	clear(p.written)
+	clear(p.owned)
 	return &Partition{
 		E: p.E, W: p.W, Cons: p.Cons,
 		modules:   append([]*moduleRecord(nil), p.modules...),
@@ -399,12 +411,13 @@ func (p *Partition) Release() {
 // capped at ρ and adds 0, so N(g) and its cached weights ρ−d hold every
 // non-zero term), and n(t) drops by one in src and rises by one in dst at
 // each t ∈ T(g). Updating the terms therefore costs
-// O(|N(g)| + |T(g)|) per moved gate instead of a recount of both modules;
-// only the copy-on-write records' gate lists and profiles are copied
-// whole, plus each page of the gate→module index that the moved gates
-// sit on and that p has not copied since it was made or last cloned. The
-// moved gates take the target's module id, which no deletion
-// changes, so deleting the emptied source rewrites no gate entry.
+// O(|N(g)| + |T(g)|) per moved gate instead of a recount of both modules.
+// A record p owns is edited in place; only a record p does not own has
+// its gate list and profile copied whole, as has each page of the
+// gate→module index that the moved gates sit on and that p has not
+// copied since it was made or last cloned. The moved gates take the
+// target's module id, which no deletion changes, so deleting the emptied
+// source rewrites no gate entry.
 func (p *Partition) MoveGates(gates []int, from, to int) (int, error) {
 	if from == to {
 		return to, fmt.Errorf("partition: move within module %d", from)
@@ -418,26 +431,30 @@ func (p *Partition) MoveGates(gates []int, from, to int) (int, error) {
 			return to, fmt.Errorf("partition: gate %d not in module %d", g, from)
 		}
 	}
-	// Build replacement records rather than editing in place: the old
-	// records may be shared with clones and with cached estimate.Module
-	// values, both of which rely on them never changing.
-	// The two profiles share one allocation; each is capped at its own
-	// length, so neither can grow into the other.
-	//lint:ignore hotalloc copy-on-write by design: cached estimates alias the old profiles as their Activity
-	acts := make([]int, len(sc.act)+len(dc.act))
-	srcAct, dstAct := acts[:len(sc.act):len(sc.act)], acts[len(sc.act):]
-	copy(srcAct, sc.act)
-	copy(dstAct, dc.act)
+	p.initMarks()
+	// A record p owns is edited in place; any other may be shared with
+	// clones and with cached estimate.Module values, which rely on it never
+	// changing, so it is replaced by a copy that p then owns. When both
+	// are copied, their profiles share one allocation and their lists
+	// another; each is capped at its own length, so neither can grow into
+	// the other.
+	srcOwned, dstOwned := p.owns(sc), p.owns(dc)
+	srcAct, dstAct := sc.act, dc.act
+	switch {
+	case !srcOwned && !dstOwned:
+		//lint:ignore hotalloc copy-on-write by design: cached estimates alias the old profiles as their Activity
+		acts := make([]int, len(sc.act)+len(dc.act))
+		srcAct, dstAct = acts[:len(sc.act):len(sc.act)], acts[len(sc.act):]
+		copy(srcAct, sc.act)
+		copy(dstAct, dc.act)
+	case !srcOwned:
+		srcAct = slices.Clone(sc.act)
+	case !dstOwned:
+		dstAct = slices.Clone(dc.act)
+	}
 	rho, ts := p.E.P.Rho, p.E.TS
 	srcSep, dstSep := sc.sep, dc.sep
 	srcLen, dstLen := len(sc.gates), len(dc.gates)
-	if p.written == nil {
-		p.written = p.writtenWord[:]
-		if words := (len(p.pages) + 63) / 64; words > len(p.writtenWord) {
-			//lint:ignore hotalloc one bit per index page, once per clone that moves, on circuits of more than 64 pages only
-			p.written = make([]uint64, words)
-		}
-	}
 	for _, g := range gates {
 		if p.idOf(g) == dc.id {
 			continue // duplicate in the argument list
@@ -470,16 +487,49 @@ func (p *Partition) MoveGates(gates []int, from, to int) (int, error) {
 		p.pages[pg][g&(pageSize-1)] = dc.id
 	}
 	// One pass over the sorted source splits it into the gates that stay
-	// and the moved ones, which merge into the sorted target. Like the
-	// profiles, the two lists share one allocation, each capped at its
-	// own length.
-	//lint:ignore hotalloc copy-on-write by design: fresh, exactly-sized lists keep clones and cached estimates valid
-	lists := make([]int, srcLen+dstLen)
-	newSrc, newDst := lists[:srcLen:srcLen], lists[srcLen:]
+	// and the moved ones, which merge into the sorted target. An owned
+	// source is compacted in place. An owned target with room merges in
+	// place, back to front in a pass of its own; any other target is a
+	// fresh list with room to grow, so the mutation's next move into it
+	// merges in place.
+	var newSrc, newDst []int
+	mergeDst := !dstOwned || cap(dc.gates) < dstLen
+	switch {
+	case !srcOwned && mergeDst:
+		//lint:ignore hotalloc copy-on-write by design: fresh lists keep clones and cached estimates valid
+		lists := make([]int, srcLen+dstLen, srcLen+dstLen+growRoom(dstLen))
+		newSrc, newDst = lists[:srcLen:srcLen], lists[srcLen:]
+	case !srcOwned:
+		//lint:ignore hotalloc copy-on-write by design: fresh lists keep clones and cached estimates valid
+		newSrc = make([]int, srcLen)
+	case mergeDst:
+		//lint:ignore hotalloc a target list without room grows once, with room for the mutation's next moves
+		newDst = make([]int, dstLen, dstLen+growRoom(dstLen))
+	}
+	if srcOwned {
+		newSrc = sc.gates[:srcLen]
+	}
+	if !mergeDst {
+		newDst = dc.gates[:dstLen]
+		k, di := dstLen-1, len(dc.gates)-1
+		for si := len(sc.gates) - 1; k > di; si-- {
+			g := sc.gates[si]
+			if p.idOf(g) != dc.id {
+				continue
+			}
+			for ; di >= 0 && dc.gates[di] > g; di, k = di-1, k-1 {
+				newDst[k] = dc.gates[di]
+			}
+			newDst[k], k = g, k-1
+		}
+	}
 	si, di, dj := 0, 0, 0
 	for _, g := range sc.gates {
 		if p.idOf(g) == sc.id {
 			newSrc[si], si = g, si+1
+			continue
+		}
+		if !mergeDst {
 			continue
 		}
 		for ; di < len(dc.gates) && dc.gates[di] < g; di, dj = di+1, dj+1 {
@@ -487,13 +537,31 @@ func (p *Partition) MoveGates(gates []int, from, to int) (int, error) {
 		}
 		newDst[dj], dj = g, dj+1
 	}
-	copy(newDst[dj:], dc.gates[di:])
-	//lint:ignore hotalloc copy-on-write by design: clones keep the old records; both new ones share one allocation
-	recs := &[2]moduleRecord{
-		{id: sc.id, gates: newSrc, sep: srcSep, act: srcAct},
-		{id: dc.id, gates: newDst, sep: dstSep, act: dstAct},
+	if mergeDst {
+		copy(newDst[dj:], dc.gates[di:])
 	}
-	p.modules[from], p.modules[to] = &recs[0], &recs[1]
+	switch {
+	case !srcOwned && !dstOwned:
+		//lint:ignore hotalloc copy-on-write by design: clones keep the old records; both new ones share one allocation
+		recs := &[2]moduleRecord{
+			{id: sc.id, gates: newSrc, sep: srcSep, act: srcAct},
+			{id: dc.id, gates: newDst, sep: dstSep, act: dstAct},
+		}
+		p.modules[from], p.modules[to] = &recs[0], &recs[1]
+	case !srcOwned:
+		//lint:ignore hotalloc copy-on-write by design: clones keep the old record
+		p.modules[from] = &moduleRecord{id: sc.id, gates: newSrc, sep: srcSep, act: srcAct}
+		dc.gates, dc.sep = newDst, dstSep
+	case !dstOwned:
+		//lint:ignore hotalloc copy-on-write by design: clones keep the old record
+		p.modules[to] = &moduleRecord{id: dc.id, gates: newDst, sep: dstSep, act: dstAct}
+		sc.gates, sc.sep = newSrc, srcSep
+	default:
+		sc.gates, sc.sep = newSrc, srcSep
+		dc.gates, dc.sep = newDst, dstSep
+	}
+	p.own(sc.id)
+	p.own(dc.id)
 	p.touch(from)
 	p.touch(to)
 	p.Release()
@@ -506,6 +574,40 @@ func (p *Partition) MoveGates(gates []int, from, to int) (int, error) {
 	}
 	return to, nil
 }
+
+// growRoom is the spare capacity a fresh target list of n gates gets, so
+// that the mutation's next moves into it merge in place.
+func growRoom(n int) int { return n/8 + 1 }
+
+// initMarks points p's page and record marks at its inline words, or
+// allocates them when the index has more than 64 pages or the modules
+// more than 64 ids, before p's first move since it was made or cloned.
+func (p *Partition) initMarks() {
+	if p.written != nil {
+		return
+	}
+	p.written, p.owned = p.writtenWord[:], p.ownedWord[:]
+	if words := (len(p.pages) + 63) / 64; words > len(p.writtenWord) {
+		//lint:ignore hotalloc one bit per index page, once per clone that moves, on circuits of more than 64 pages only
+		p.written = make([]uint64, words)
+	}
+	// Ids ascend with the index and no move creates one, so the last
+	// module's id bounds every id p will hold.
+	if words := int(p.modules[len(p.modules)-1].id)/64 + 1; words > len(p.ownedWord) {
+		//lint:ignore hotalloc one bit per module id, once per clone that moves, on partitions of more than 64 ids only
+		p.owned = make([]uint64, words)
+	}
+}
+
+// owns reports whether p may edit rec in place: p built it since it was
+// made or last cloned, so no other partition holds it, and no estimate
+// aliases its gate list and profile.
+func (p *Partition) owns(rec *moduleRecord) bool {
+	return p.owned[rec.id>>6]&(1<<(rec.id&63)) != 0 && rec.est.Load() == nil
+}
+
+// own marks the record of module id as built by p.
+func (p *Partition) own(id int32) { p.owned[id>>6] |= 1 << (id & 63) }
 
 // touch records module mi as changed since the settled arrival times and
 // delays were computed.
@@ -820,8 +922,10 @@ func (p *Partition) penalised(cv CostVector) float64 {
 // pathBound returns a lower bound on D_BIC: the left-to-right float sum of
 // p's current gate delays along its path, a longest path under its
 // settled arrival times. A position in a touched module reads that
-// module's new degraded delay, any other position the settled delay. By
-// the argument of estimate.CriticalPath, the sum never exceeds D_BIC.
+// module's new degraded delay through GateDelay, which builds no delay
+// vector, so a descendant the bound prunes builds none; any other
+// position reads the settled delay. By the argument of
+// estimate.CriticalPath, the sum never exceeds D_BIC.
 func (p *Partition) pathBound() float64 {
 	delays := p.settled[len(p.settled)/2:]
 	var sum float64
@@ -833,7 +937,7 @@ func (p *Partition) pathBound() float64 {
 			for _, mi := range p.touched {
 				if rec := p.modules[mi]; rec.id == id {
 					i, _ := slices.BinarySearch(rec.gates, g)
-					d = p.ModuleEstimate(mi).Delay[i]
+					d = p.E.GateDelay(p.ModuleEstimate(mi), i)
 					break
 				}
 			}

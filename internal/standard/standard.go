@@ -233,8 +233,15 @@ func nearInputsFirst(c *circuit.Circuit) []int {
 // at ρ, so it adds 0), and ρ·|X| is common to every candidate. So the
 // minimum sum to the module is the maximum nearness
 // near[g] = Σ_{clustered c, g ∈ N(c)} (ρ − d), and the maximum sum to the
-// other free gates is the minimum nearness to them. The estimator's
-// neighbourhoods N(c) hold exactly these pairs with their weights ρ − d.
+// other free gates is the minimum nearness to them, far[g]. The
+// estimator's neighbourhoods N(c) hold exactly these pairs with their
+// weights ρ − d, and hop distance is symmetric, so both nearnesses are
+// kept exact from the neighbourhood of each gate that joins the module:
+// its free neighbours gain its weight in near and lose it in far. Only the
+// free gates with near > 0 can win, so a pick scans those; when there are
+// none, every free gate ties at near = 0 and a scan for the least far
+// decides. A partition costs O(gates + Σ|N(g)|) plus the scans of these
+// candidates, instead of two scans of every free gate per added gate.
 func StandardPartition(e *estimate.Estimator, moduleSize int) [][]int {
 	if moduleSize < 1 {
 		moduleSize = 1
@@ -245,28 +252,51 @@ func StandardPartition(e *estimate.Estimator, moduleSize int) [][]int {
 	for _, g := range order {
 		free[g] = true
 	}
+	far := make([]int, c.NumGates())
+	for _, g := range order {
+		gates, weights := e.Neighborhood(g)
+		for i, h := range gates {
+			if free[h] {
+				far[g] += int(weights[i])
+			}
+		}
+	}
 	near := make([]int, c.NumGates())
+	var cand []int // the free gates with near > 0, and some taken since
 
 	var groups [][]int
 	for _, start := range order {
 		if !free[start] {
 			continue
 		}
-		clear(near)
 		var module []int
-		for g := start; g >= 0; g = closest(e, free, near) {
+		for g := start; g >= 0; g = closest(free, near, far, &cand) {
 			free[g] = false
 			module = append(module, g)
-			if len(module) == moduleSize {
-				break
-			}
+			full := len(module) == moduleSize
 			gates, weights := e.Neighborhood(g)
 			for i, h := range gates {
-				if free[h] {
-					near[h] += int(weights[i])
+				if !free[h] {
+					continue
 				}
+				w := int(weights[i])
+				far[h] -= w
+				if full {
+					continue
+				}
+				if near[h] == 0 {
+					cand = append(cand, int(h))
+				}
+				near[h] += w
+			}
+			if full {
+				break
 			}
 		}
+		for _, h := range cand {
+			near[h] = 0
+		}
+		cand = cand[:0]
 		slices.Sort(module)
 		groups = append(groups, module)
 	}
@@ -275,28 +305,28 @@ func StandardPartition(e *estimate.Estimator, moduleSize int) [][]int {
 
 // closest returns the free gate with the maximum nearness to the module,
 // breaking ties by the minimum nearness to the other free gates and then
-// by the lowest ID; -1 when no gate is free.
-func closest(e *estimate.Estimator, free []bool, near []int) int {
-	maxNear := -1
-	for g, ok := range free {
-		if ok && near[g] > maxNear {
-			maxNear = near[g]
-		}
-	}
-	best, minFar := -1, 0
-	for g, ok := range free {
-		if !ok || near[g] != maxNear {
+// by the lowest ID; -1 when no gate is free. It drops the candidates that
+// are no longer free from *cand.
+func closest(free []bool, near, far []int, cand *[]int) int {
+	best, kept := -1, 0
+	for _, g := range *cand {
+		if !free[g] {
 			continue
 		}
-		far := 0
-		gates, weights := e.Neighborhood(g)
-		for i, h := range gates {
-			if free[h] {
-				far += int(weights[i])
-			}
+		(*cand)[kept] = g
+		kept++
+		if best < 0 || near[g] > near[best] ||
+			near[g] == near[best] && (far[g] < far[best] || far[g] == far[best] && g < best) {
+			best = g
 		}
-		if best < 0 || far < minFar {
-			best, minFar = g, far
+	}
+	*cand = (*cand)[:kept]
+	if best >= 0 {
+		return best
+	}
+	for g, ok := range free {
+		if ok && (best < 0 || far[g] < far[best]) {
+			best = g
 		}
 	}
 	return best

@@ -316,6 +316,100 @@ func TestStandardPartitionC17(t *testing.T) {
 	}
 }
 
+// standardReference is StandardPartition as the §5 text reads, with both
+// nearnesses recounted: every added gate rescans the free gates for the
+// maximum nearness to the module and sums the nearness to the other free
+// gates of every gate that ties.
+func standardReference(e *estimate.Estimator, moduleSize int) [][]int {
+	moduleSize = max(moduleSize, 1)
+	c := e.A.Circuit
+	order := nearInputsFirst(c)
+	free := make([]bool, c.NumGates())
+	for _, g := range order {
+		free[g] = true
+	}
+	near := make([]int, c.NumGates())
+	var groups [][]int
+	for _, start := range order {
+		if !free[start] {
+			continue
+		}
+		clear(near)
+		var module []int
+		for g := start; g >= 0; g = closestReference(e, free, near) {
+			free[g] = false
+			module = append(module, g)
+			if len(module) == moduleSize {
+				break
+			}
+			gates, weights := e.Neighborhood(g)
+			for i, h := range gates {
+				if free[h] {
+					near[h] += int(weights[i])
+				}
+			}
+		}
+		slices.Sort(module)
+		groups = append(groups, module)
+	}
+	return groups
+}
+
+// closestReference returns the free gate with the maximum nearness to the
+// module, breaking ties by the minimum nearness to the other free gates
+// and then by the lowest ID; -1 when no gate is free.
+func closestReference(e *estimate.Estimator, free []bool, near []int) int {
+	maxNear := -1
+	for g, ok := range free {
+		if ok && near[g] > maxNear {
+			maxNear = near[g]
+		}
+	}
+	best, minFar := -1, 0
+	for g, ok := range free {
+		if !ok || near[g] != maxNear {
+			continue
+		}
+		far := 0
+		gates, weights := e.Neighborhood(g)
+		for i, h := range gates {
+			if free[h] {
+				far += int(weights[i])
+			}
+		}
+		if best < 0 || far < minFar {
+			best, minFar = g, far
+		}
+	}
+	return best
+}
+
+// StandardPartition keeps both nearnesses exact instead of recounting
+// them, and must choose exactly the reference's gates: on C17, c432 and
+// the six Table 1 circuits, at sizes from singletons to one module,
+// including the sizes Table 1 reaches at its module counts. -short checks
+// C17, c432 and c2670 only.
+func TestStandardPartitionMatchesReference(t *testing.T) {
+	names := []string{"c432", "c1908", "c2670", "c3540", "c5315", "c6288", "c7552"}
+	if testing.Short() {
+		names = []string{"c432", "c2670"}
+	}
+	cs := []*circuit.Circuit{circuits.C17()}
+	for _, name := range names {
+		cs = append(cs, circuits.MustISCAS85Like(name))
+	}
+	for _, c := range cs {
+		e := estimatorFor(t, c)
+		n := c.NumLogicGates()
+		for _, size := range []int{1, 2, 8, estimatedSize(t, c), (n + 10) / 11, (n + 2) / 3, n + 1} {
+			got, want := StandardPartition(e, size), standardReference(e, size)
+			if !equalGroups(got, want) {
+				t.Fatalf("%s size %d: %d groups differ from the reference's %d", c.Name, size, len(got), len(want))
+			}
+		}
+	}
+}
+
 func TestStandardPartitionClustersAreTight(t *testing.T) {
 	// The greedy criterion clusters closely connected gates, so the summed
 	// separation of its modules should beat a random partition of equal
